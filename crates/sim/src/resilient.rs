@@ -316,6 +316,9 @@ struct ResilientSim<'a> {
     /// Round-robin replica cursor: the next batch starts its replica scan
     /// here, so consecutive batches spread across the group.
     cursor: usize,
+    /// Round-robin tenant cursor: the next drain starts its queue scan
+    /// here, so no tenant drains first every time.
+    tenant_cursor: usize,
     armed_flush: Option<u64>,
     hangs: u64,
     batches: u64,
@@ -391,6 +394,7 @@ impl<'a> ResilientSim<'a> {
             now: 0,
             next_id: 0,
             cursor: 0,
+            tenant_cursor: 0,
             armed_flush: None,
             hangs: 0,
             batches: 0,
@@ -571,18 +575,18 @@ impl<'a> ResilientSim<'a> {
         delay
     }
 
-    /// Pops up to `n` servable requests round-robin across tenants,
-    /// dropping expired ones (deadline propagation: expired work is
-    /// cancelled before dispatch, never served).
+    /// Pops up to `n` servable requests, visiting tenant queues round-robin
+    /// from a persistent cursor so no tenant's queue monopolizes coalesced
+    /// batches, and dropping expired ones (deadline propagation: expired
+    /// work is cancelled before dispatch, never served).
     fn drain(&mut self, n: usize) -> Vec<ServeRequest> {
         let tenants = self.queues.len();
         let mut batch = Vec::with_capacity(n);
-        // Round-robin without a persistent cursor: the per-replica loop
-        // already interleaves tenants, and a fixed scan order keeps the
-        // drain a pure function of queue contents.
         'outer: while batch.len() < n {
-            for i in 0..tenants {
+            for k in 0..tenants {
+                let i = (self.tenant_cursor + k) % tenants;
                 if let Some(req) = self.queues[i].pop_front() {
+                    self.tenant_cursor = (i + 1) % tenants;
                     if req.expired(self.now) {
                         self.acc[req.tenant].expired += 1;
                     } else {

@@ -236,6 +236,39 @@ fn resilience_holds_p99_within_2x_of_healthy_while_control_degrades() {
     );
 }
 
+#[test]
+fn drain_round_robins_tenants_under_overload() {
+    // Two equal floods on one replica: the drain must alternate tenants
+    // from a persistent cursor, not restart its scan at tenant 0 after
+    // every pop (which served alice first every time and starved bob).
+    let flood = |name: &str| {
+        TenantLoad::new(name, ArrivalProcess::Poisson { rate_hz: 900_000.0 }).with_queue_cap(256)
+    };
+    let cfg = ResilientConfig::new(3, 20_000_000)
+        .with_label("two-tenant-drain")
+        .with_replica(ReplicaSpec::clean("r0"))
+        .with_tenant(flood("alice"))
+        .with_tenant(flood("bob"))
+        .without_resilience();
+    let report = run_resilient(&cfg);
+    assert!(report.conserves_requests());
+    let (alice, bob) = (&report.tenants[0], &report.tenants[1]);
+    assert_eq!((alice.completed, bob.completed), (14_286, 14_290));
+    let gap = alice.completed.abs_diff(bob.completed);
+    assert!(
+        gap * 100 <= alice.completed,
+        "equal floods must be served within 1%: alice {} vs bob {}",
+        alice.completed,
+        bob.completed
+    );
+    assert!(
+        alice.shed > 0 && bob.shed > 0,
+        "both tenants shed their share: alice {} vs bob {}",
+        alice.shed,
+        bob.shed
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Property tests
 // ---------------------------------------------------------------------------
