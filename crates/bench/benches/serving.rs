@@ -23,8 +23,7 @@ use photon_faults::ReplicaChaos;
 use photon_linalg::CVector;
 use photon_photonics::{Architecture, BatchScratch, ErrorModel, FabricatedChip};
 use photon_sim::{
-    run, run_resilient, ArrivalProcess, ReplicaSpec, ResilienceReport, ResilientConfig,
-    ServingReport, SimConfig, TenantLoad,
+    run, ArrivalProcess, ReplicaSpec, ResilientConfig, ServingReport, SimConfig, TenantLoad,
 };
 
 const DIM: usize = 8;
@@ -76,7 +75,7 @@ fn simulate(workload: ArrivalProcess, name: &str, coalesced: bool) -> ServingRep
 /// tests run (one replica killed at 5 ms, one hung 4–8 ms), simulated as
 /// healthy baseline, resilient arm (breakers + hedging + brownout +
 /// deadlines), and no-resilience control. Virtual time only.
-fn simulate_resilience(arm: &str) -> ResilienceReport {
+fn simulate_resilience(arm: &str) -> ServingReport {
     let faulty = arm != "healthy-baseline";
     let beta_chaos = if faulty {
         ReplicaChaos::none().kill_at(5_000_000)
@@ -115,9 +114,9 @@ fn simulate_resilience(arm: &str) -> ResilienceReport {
             min_samples: 16,
         }));
     if arm == "control-faults" {
-        run_resilient(&cfg.without_resilience())
+        run(&cfg.without_resilience())
     } else {
-        run_resilient(&cfg)
+        run(&cfg)
     }
 }
 

@@ -1,12 +1,14 @@
-//! The serving report: per-tenant tail latencies, throughput, and overload
-//! accounting, with deterministic text and JSON renderings.
+//! The serving report: per-tenant tail latencies, throughput, overload
+//! accounting, and per-replica resilience state, with deterministic text
+//! and JSON renderings.
 //!
 //! Both renderings are pure functions of the simulation state — no
 //! timestamps, no host names, no float formatting that could vary between
 //! runs — so "same seed ⇒ byte-identical report" is checkable with `cmp`.
 
 use photon_core::percentiles;
-use photon_trace::{TraceEvent, TraceHandle};
+use photon_farm::{BreakerState, BreakerTransition};
+use photon_trace::{json_f64, json_str, TraceEvent, TraceHandle};
 
 /// Latency/throughput summary for one tenant (or the `"all"` aggregate).
 #[derive(Debug, Clone, PartialEq)]
@@ -89,6 +91,28 @@ impl TenantServingStats {
     }
 }
 
+/// Per-replica shutdown stats.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReplicaStats {
+    /// Replica name.
+    pub name: String,
+    /// Dispatch legs started on it (primaries and hedges).
+    pub dispatches: u64,
+    /// Legs that completed (including duplicate hedge legs).
+    pub completions: u64,
+    /// Legs abandoned by the watchdog.
+    pub timeouts: u64,
+    /// Breaker state at shutdown.
+    pub final_breaker: BreakerState,
+    /// The breaker's full transition log, oldest first — deterministic
+    /// virtual-time stamps the chaos tests assert on.
+    pub breaker_transitions: Vec<BreakerTransition>,
+    /// Requests served per precision tier (`[f64, f32, i16]`).
+    pub tier_served: [u64; 3],
+    /// Brownout rung changes observed.
+    pub tier_transitions: u64,
+}
+
 /// Complete result of one simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingReport {
@@ -101,21 +125,23 @@ pub struct ServingReport {
     /// Virtual time of the last completion (the drain may outlive the
     /// arrival window under overload).
     pub makespan_ns: u64,
-    /// Worker slots.
-    pub workers: usize,
     /// Coalescer batch bound.
     pub max_batch: usize,
     /// Coalescer flush deadline, virtual ns.
     pub max_wait_ns: u64,
-    /// Per-tenant rows, in tenant order.
+    /// Per-tenant rows, in tenant order (`shed` folds queue-cap and
+    /// brownout sheds).
     pub tenants: Vec<TenantServingStats>,
     /// The all-tenants aggregate row.
     pub aggregate: TenantServingStats,
-    /// Coalesced dispatches executed.
+    /// Per-replica rows, in replica order.
+    pub replicas: Vec<ReplicaStats>,
+    /// Dispatch legs started (primaries and hedges).
     pub batches: u64,
-    /// Mean requests per dispatch (NaN when nothing dispatched).
+    /// Mean requests per dispatch leg (NaN when nothing dispatched).
     pub mean_batch: f64,
-    /// Dispatches struck by a fault-induced hang.
+    /// Dispatches struck by a random fault hang (scripted hang windows are
+    /// counted per replica via timeouts instead).
     pub hangs: u64,
     /// Background recalibration passes served.
     pub recals: u64,
@@ -124,14 +150,30 @@ pub struct ServingReport {
     pub probes: u64,
     /// Canary comparison batches served.
     pub canaries: u64,
+    /// Hedge legs dispatched.
+    pub hedges_fired: u64,
+    /// Batches where the hedge leg completed first.
+    pub hedge_wins: u64,
+    /// Duplicate request completions (each was a no-op on counters).
+    pub duplicates: u64,
+    /// Chip queries attributed to first-completion work
+    /// (`QueryCategory::Eval`); equals `aggregate.completed`.
+    pub eval_queries: u64,
+    /// Chip queries attributed to duplicate hedged work
+    /// (`QueryCategory::Hedge`); equals `duplicates`.
+    pub hedge_queries: u64,
     /// Chip queries spent when the run drove a real chip
     /// ([`crate::run_on_chip`]); `None` for model-only runs. Must equal
-    /// [`ServingReport::aggregate`]`.completed` — asserted in tests.
+    /// `eval_queries + hedge_queries` exactly.
     pub chip_queries: Option<u64>,
 }
 
+/// [`ServingReport`] under its earlier replica-group name, kept for the
+/// `perfbench` harness.
+pub type ResilienceReport = ServingReport;
+
 /// Formats an f64 with fixed precision for the text table (NaN → `-`).
-pub(crate) fn fx(v: f64, decimals: usize) -> String {
+fn fx(v: f64, decimals: usize) -> String {
     if v.is_finite() {
         format!("{v:.decimals$}")
     } else {
@@ -139,61 +181,79 @@ pub(crate) fn fx(v: f64, decimals: usize) -> String {
     }
 }
 
-/// JSON number: non-finite → null (JSON has no NaN).
-pub(crate) fn jf(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-pub(crate) fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// One tenant row as a deterministic JSON object (shared by both report
-/// types).
-pub(crate) fn tenant_row_json(r: &TenantServingStats) -> String {
+/// One tenant row as a deterministic JSON object.
+fn tenant_json(r: &TenantServingStats) -> String {
     format!(
         "{{\"tenant\":{},\"arrivals\":{},\"completed\":{},\"shed\":{},\"expired\":{},\"p50_ns\":{},\"p99_ns\":{},\"p999_ns\":{},\"mean_ns\":{},\"throughput_rps\":{},\"peak_queue_depth\":{}}}",
-        jstr(&r.tenant),
+        json_str(&r.tenant),
         r.arrivals,
         r.completed,
         r.shed,
         r.expired,
-        jf(r.p50_ns),
-        jf(r.p99_ns),
-        jf(r.p999_ns),
-        jf(r.mean_ns),
-        jf(r.throughput_rps),
+        json_f64(r.p50_ns),
+        json_f64(r.p99_ns),
+        json_f64(r.p999_ns),
+        json_f64(r.mean_ns),
+        json_f64(r.throughput_rps),
         r.peak_queue_depth,
     )
 }
 
+/// One replica row as a deterministic JSON object.
+fn replica_json(r: &ReplicaStats) -> String {
+    let transitions: Vec<String> = r
+        .breaker_transitions
+        .iter()
+        .map(|t| {
+            format!(
+                "{{\"at_ns\":{},\"from\":{},\"to\":{}}}",
+                t.at_ns,
+                json_str(t.from.label()),
+                json_str(t.to.label()),
+            )
+        })
+        .collect();
+    format!(
+        "{{\"name\":{},\"dispatches\":{},\"completions\":{},\"timeouts\":{},\"breaker\":{},\"breaker_transitions\":[{}],\"tier_served\":[{},{},{}],\"tier_transitions\":{}}}",
+        json_str(&r.name),
+        r.dispatches,
+        r.completions,
+        r.timeouts,
+        json_str(r.final_breaker.label()),
+        transitions.join(","),
+        r.tier_served[0],
+        r.tier_served[1],
+        r.tier_served[2],
+        r.tier_transitions,
+    )
+}
+
 impl ServingReport {
+    /// Requests lost to overload or failure: shed (queue cap or brownout)
+    /// plus expired. The chaos gates compare this across arms.
+    pub fn lost(&self) -> u64 {
+        self.aggregate.shed + self.aggregate.expired
+    }
+
+    /// Whether every arrival is accounted for exactly once:
+    /// `arrivals == completed + shed + expired`, per tenant and aggregate.
+    pub fn conserves_requests(&self) -> bool {
+        self.tenants
+            .iter()
+            .chain([&self.aggregate])
+            .all(|t| t.arrivals == t.completed + t.shed + t.expired)
+    }
+
     /// Deterministic plain-text rendering (latencies in microseconds).
     pub fn render(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "serving sim [{}] seed {}: {} worker(s), batch<={}, max wait {} us",
+            "serving [{}] seed {}: {} replica(s), batch<={}, max wait {} us",
             if self.label.is_empty() { "unlabeled" } else { &self.label },
             self.root_seed,
-            self.workers,
+            self.replicas.len(),
             self.max_batch,
             self.max_wait_ns / 1_000,
         );
@@ -209,8 +269,35 @@ impl ServingReport {
             self.probes,
             self.canaries,
         );
+        let _ = writeln!(
+            out,
+            "  {} hedges ({} wins), {} duplicate completions; ledger: eval {} + hedge {} queries",
+            self.hedges_fired,
+            self.hedge_wins,
+            self.duplicates,
+            self.eval_queries,
+            self.hedge_queries,
+        );
         if let Some(q) = self.chip_queries {
-            let _ = writeln!(out, "  chip queries {q} (reconciled against completions)");
+            let _ = writeln!(out, "  chip queries {q} (reconciled against the ledger)");
+        }
+        let _ = writeln!(
+            out,
+            "  {:<10} {:>10} {:>10} {:>9} {:>10} {:>24} {:>9}",
+            "replica", "dispatches", "completed", "timeouts", "breaker", "tiers f64/f32/i16", "rungmoves"
+        );
+        for r in &self.replicas {
+            let _ = writeln!(
+                out,
+                "  {:<10} {:>10} {:>10} {:>9} {:>10} {:>24} {:>9}",
+                r.name,
+                r.dispatches,
+                r.completions,
+                r.timeouts,
+                r.final_breaker.label(),
+                format!("{}/{}/{}", r.tier_served[0], r.tier_served[1], r.tier_served[2]),
+                r.tier_transitions,
+            );
         }
         let _ = writeln!(
             out,
@@ -238,29 +325,31 @@ impl ServingReport {
 
     /// Deterministic JSON rendering (one object, latencies in ns).
     pub fn to_json(&self) -> String {
-        let row = tenant_row_json;
-        let tenants: Vec<String> = self.tenants.iter().map(row).collect();
+        let replicas: Vec<String> = self.replicas.iter().map(replica_json).collect();
+        let tenants: Vec<String> = self.tenants.iter().map(tenant_json).collect();
         format!(
-            "{{\"label\":{},\"root_seed\":{},\"duration_ns\":{},\"makespan_ns\":{},\"workers\":{},\"max_batch\":{},\"max_wait_ns\":{},\"batches\":{},\"mean_batch\":{},\"hangs\":{},\"recals\":{},\"probes\":{},\"canaries\":{},\"chip_queries\":{},\"tenants\":[{}],\"aggregate\":{}}}",
-            jstr(&self.label),
+            "{{\"label\":{},\"root_seed\":{},\"duration_ns\":{},\"makespan_ns\":{},\"max_batch\":{},\"max_wait_ns\":{},\"batches\":{},\"mean_batch\":{},\"hangs\":{},\"recals\":{},\"probes\":{},\"canaries\":{},\"hedges_fired\":{},\"hedge_wins\":{},\"duplicates\":{},\"eval_queries\":{},\"hedge_queries\":{},\"chip_queries\":{},\"replicas\":[{}],\"tenants\":[{}],\"aggregate\":{}}}",
+            json_str(&self.label),
             self.root_seed,
             self.duration_ns,
             self.makespan_ns,
-            self.workers,
             self.max_batch,
             self.max_wait_ns,
             self.batches,
-            jf(self.mean_batch),
+            json_f64(self.mean_batch),
             self.hangs,
             self.recals,
             self.probes,
             self.canaries,
-            match self.chip_queries {
-                Some(q) => q.to_string(),
-                None => "null".to_string(),
-            },
+            self.hedges_fired,
+            self.hedge_wins,
+            self.duplicates,
+            self.eval_queries,
+            self.hedge_queries,
+            self.chip_queries.map_or("null".to_string(), |q| q.to_string()),
+            replicas.join(","),
             tenants.join(","),
-            row(&self.aggregate),
+            tenant_json(&self.aggregate),
         )
     }
 
@@ -291,6 +380,19 @@ mod tests {
         )
     }
 
+    fn replica() -> ReplicaStats {
+        ReplicaStats {
+            name: "w0".into(),
+            dispatches: 12,
+            completions: 12,
+            timeouts: 0,
+            final_breaker: BreakerState::Closed,
+            breaker_transitions: Vec::new(),
+            tier_served: [90, 0, 0],
+            tier_transitions: 0,
+        }
+    }
+
     #[test]
     fn from_samples_uses_shared_percentiles() {
         let s = stats();
@@ -314,17 +416,22 @@ mod tests {
             root_seed: 7,
             duration_ns: 1_000_000,
             makespan_ns: 1_100_000,
-            workers: 2,
             max_batch: 16,
             max_wait_ns: 50_000,
             tenants: vec![stats()],
             aggregate: TenantServingStats::from_samples("all", 0, 0, 0, 0, 0, &[], 1_000),
+            replicas: vec![replica()],
             batches: 12,
             mean_batch: 7.5,
             hangs: 0,
             recals: 2,
             probes: 5,
             canaries: 1,
+            hedges_fired: 0,
+            hedge_wins: 0,
+            duplicates: 0,
+            eval_queries: 90,
+            hedge_queries: 0,
             chip_queries: Some(90),
         };
         assert_eq!(report.render(), report.render());
@@ -351,17 +458,22 @@ mod tests {
             root_seed: 1,
             duration_ns: 10,
             makespan_ns: 10,
-            workers: 1,
             max_batch: 1,
             max_wait_ns: 0,
             tenants: vec![stats(), stats()],
             aggregate: stats(),
+            replicas: vec![replica()],
             batches: 1,
             mean_batch: 1.0,
             hangs: 0,
             recals: 0,
             probes: 0,
             canaries: 0,
+            hedges_fired: 0,
+            hedge_wins: 0,
+            duplicates: 0,
+            eval_queries: 90,
+            hedge_queries: 0,
             chip_queries: None,
         };
         report.emit(&handle);

@@ -1,34 +1,42 @@
-//! The discrete-event serving simulator.
+//! The discrete-event serving simulator: one event loop for a plain worker
+//! pool and for a resilient replica group.
 //!
-//! One run is a pure function of a [`SimConfig`]: arrivals, dispatch
+//! One run is a pure function of a [`Config`]: arrivals, dispatch
 //! decisions, service times, and fault hangs all derive from RNG streams
 //! seeded from the config's root seed, and all timing is *virtual*
 //! nanoseconds advanced by the event heap — the simulator never reads a
 //! clock. Identical config ⇒ byte-identical [`ServingReport`], on any
 //! host, at any `PHOTON_THREADS` setting.
 //!
-//! The model: `workers` interchangeable chip slots serve two traffic
-//! classes — open-loop inference requests from per-tenant bounded queues,
-//! and periodic background recalibration passes (which own a worker for
-//! [`CostModel::recal_service_ns`], the way `photon-calib`'s drift
-//! recalibration owns the chip). An idle worker asks the
-//! [`CoalescePolicy`] whether to drain a microbatch now, wait for the
-//! flush deadline, or idle; each dispatch is charged virtual time from the
-//! calibrated [`CostModel`]. Optionally, every dispatch is *also* executed
-//! on a real [`FabricatedChip`] through the pinned serving path
-//! ([`run_on_chip`]), which keeps the simulator honest: the chip's query
-//! counter must reconcile exactly with the simulated completion count.
+//! The model: replicas — chips pinned to the same deployment theta behind
+//! one endpoint — serve open-loop requests from per-tenant bounded queues.
+//! An idle replica asks the [`CoalescePolicy`] whether to drain a
+//! microbatch now, wait for the flush deadline, or idle; each dispatch is
+//! charged virtual time from the calibrated [`TierCostModel`]. Background
+//! recalibration, canary and probe traffic occupies a replica the way a
+//! batch does. Policies sit on the loop and are inert when off: a dispatch
+//! watchdog feeding per-replica [`CircuitBreaker`]s, hedged re-dispatch
+//! (first completion wins), the brownout tier ladder, and deadlines. A
+//! [`SimConfig`] pool has only deadlines it sets itself; a
+//! [`ResilientConfig`] group turns everything on.
 
-use photon_farm::{CoalescePolicy, DrainDecision, RequestQueue, ServeRequest, NO_DEADLINE};
+use std::marker::PhantomData;
+
+use photon_farm::{
+    BreakerPolicy, BreakerState, BrownoutController, BrownoutPolicy, CircuitBreaker,
+    CoalescePolicy, DrainDecision, HedgeDelayTracker, HedgePolicy, RequestQueue, ServeRequest,
+    NO_DEADLINE,
+};
+use photon_faults::ReplicaChaos;
 use photon_linalg::CVector;
-use photon_photonics::{BatchScratch, FabricatedChip};
+use photon_photonics::{BatchScratch, FabricatedChip, ServingTier};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::arrivals::{ArrivalGen, ArrivalProcess};
-use crate::cost::CostModel;
+use crate::cost::TierCostModel;
 use crate::heap::EventHeap;
-use crate::report::{ServingReport, TenantServingStats};
+use crate::report::{ReplicaStats, ServingReport, TenantServingStats};
 
 /// One tenant's offered load.
 #[derive(Debug, Clone)]
@@ -40,14 +48,16 @@ pub struct TenantLoad {
     /// Bound on the tenant's request queue; arrivals beyond it are shed.
     pub queue_cap: usize,
     /// Relative completion deadline each request carries (virtual ns past
-    /// its arrival), `None` for deadline-free requests. A request whose
-    /// deadline has passed by the time a worker drains it is dropped as
-    /// *expired* rather than served — its caller already gave up.
+    /// its arrival); `None` falls back to the config's
+    /// [`Config::default_deadline_ns`]. A request whose deadline has passed
+    /// by the time a replica drains it is dropped as *expired* rather than
+    /// served — its caller already gave up.
     pub deadline_ns: Option<u64>,
 }
 
 impl TenantLoad {
-    /// A tenant with a queue bound of 4096 requests and no deadlines.
+    /// A tenant with a queue bound of 4096 requests and no deadline of its
+    /// own.
     pub fn new(name: &str, process: ArrivalProcess) -> Self {
         TenantLoad {
             name: name.to_string(),
@@ -93,9 +103,11 @@ pub struct RecalTraffic {
 /// most `per_window` probes per `window_ns` window starting at `start_ns`.
 ///
 /// Probes never preempt a servable inference batch, so their only latency
-/// cost is occupying a worker for [`CostModel::probe_service_ns`] when a
+/// cost is occupying a replica for [`CostModel::probe_service_ns`] when a
 /// request arrives just after the probe started; the window budget bounds
 /// how often that can happen.
+///
+/// [`CostModel::probe_service_ns`]: crate::CostModel::probe_service_ns
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeTraffic {
     /// Virtual time the probe backlog opens.
@@ -123,21 +135,66 @@ pub struct CanaryTraffic {
     pub samples: usize,
 }
 
-/// Full specification of one simulation run. Every field participates in
-/// the deterministic replay contract.
+/// One replica: a chip slot pinned to the deployment theta, plus its
+/// scripted failure modes.
 #[derive(Debug, Clone)]
-pub struct SimConfig {
+pub struct ReplicaSpec {
+    /// Replica name (reporting only).
+    pub name: String,
+    /// Scripted chaos for this replica.
+    pub chaos: ReplicaChaos,
+}
+
+impl ReplicaSpec {
+    /// A replica with no scripted failures.
+    pub fn clean(name: &str) -> Self {
+        ReplicaSpec {
+            name: name.to_string(),
+            chaos: ReplicaChaos::none(),
+        }
+    }
+
+    /// Attaches scripted chaos.
+    #[must_use]
+    pub fn with_chaos(mut self, chaos: ReplicaChaos) -> Self {
+        self.chaos = chaos;
+        self
+    }
+}
+
+/// Defaults marker of [`SimConfig`]: a plain worker pool.
+#[derive(Debug, Clone, Copy)]
+pub struct Pool;
+
+/// Defaults marker of [`ResilientConfig`]: a resilient replica group.
+#[derive(Debug, Clone, Copy)]
+pub struct Group;
+
+/// A worker pool: one clean replica, uncoalesced, no watchdog, no
+/// hedging, brownout off.
+pub type SimConfig = Config<Pool>;
+
+/// A resilient replica group: coalescer (16, 100 µs), standard breaker,
+/// brownout and hedge policies, 5 ms default deadline, 500 µs watchdog.
+pub type ResilientConfig = Config<Group>;
+
+/// Full specification of one simulation run. Every field participates in
+/// the deterministic replay contract. The marker `P` only selects the
+/// defaults of `new` ([`SimConfig::new`] or [`ResilientConfig::new`]);
+/// both run through the same loop.
+#[derive(Debug, Clone)]
+pub struct Config<P> {
     /// Root seed; every RNG stream in the run derives from it.
     pub root_seed: u64,
     /// Arrival window in virtual nanoseconds. Arrivals stop here; the run
     /// continues until the queues drain.
     pub duration_ns: u64,
-    /// Interchangeable chip-serving workers.
-    pub workers: usize,
+    /// The replicas serving the endpoint.
+    pub replicas: Vec<ReplicaSpec>,
     /// Microbatch coalescing policy for the serving path.
     pub coalescer: CoalescePolicy,
-    /// Virtual-time service cost model.
-    pub cost: CostModel,
+    /// Tiered virtual-time cost model (the f64 tier is the base model).
+    pub cost: TierCostModel,
     /// Offered load, one entry per tenant.
     pub tenants: Vec<TenantLoad>,
     /// Optional background recalibration traffic.
@@ -146,25 +203,70 @@ pub struct SimConfig {
     pub probes: Option<ProbeTraffic>,
     /// Optional canary comparison traffic.
     pub canary: Option<CanaryTraffic>,
+    /// Relative deadline for tenants that don't set their own; `None`
+    /// leaves them deadline-free.
+    pub default_deadline_ns: Option<u64>,
+    /// Per-replica circuit-breaker thresholds (fed only by the watchdog).
+    pub breaker: BreakerPolicy,
+    /// Brownout tier-ladder hysteresis thresholds.
+    pub brownout: BrownoutPolicy,
+    /// Hedged re-dispatch policy; `None` disables hedging.
+    pub hedge: Option<HedgePolicy>,
+    /// Watchdog budget per dispatch: a leg that has not completed this
+    /// many virtual nanoseconds after it started is abandoned and counted
+    /// as a breaker failure. `None` disables the watchdog.
+    pub dispatch_timeout_ns: Option<u64>,
     /// Free-form label carried into the report.
     pub label: String,
+    defaults: PhantomData<P>,
 }
 
 impl SimConfig {
-    /// A single-worker, uncoalesced config with the calibrated 8x8 cost
-    /// model and no tenants; add load with [`Self::with_tenant`].
+    /// A single-worker, uncoalesced pool with the calibrated 8x8 cost
+    /// model and no tenants; add load with [`Config::with_tenant`].
     pub fn new(root_seed: u64, duration_ns: u64) -> Self {
-        SimConfig {
+        Config::pool(root_seed, duration_ns)
+    }
+}
+
+impl ResilientConfig {
+    /// Defaults: calibrated tiered cost model, coalescer (16, 100 µs),
+    /// standard breaker/brownout/hedge policies, 5 ms default deadline,
+    /// 500 µs dispatch watchdog, no replicas or tenants (add them with
+    /// the builders).
+    pub fn new(root_seed: u64, duration_ns: u64) -> Self {
+        Config {
+            replicas: Vec::new(),
+            coalescer: CoalescePolicy::new(16, 100_000),
+            default_deadline_ns: Some(5_000_000),
+            brownout: BrownoutPolicy::standard(),
+            hedge: Some(HedgePolicy::standard()),
+            dispatch_timeout_ns: Some(500_000),
+            ..Config::pool(root_seed, duration_ns)
+        }
+    }
+}
+
+impl<P> Config<P> {
+    /// The worker-pool defaults, under either marker.
+    fn pool(root_seed: u64, duration_ns: u64) -> Self {
+        Config {
             root_seed,
             duration_ns,
-            workers: 1,
+            replicas: vec![ReplicaSpec::clean("w0")],
             coalescer: CoalescePolicy::uncoalesced(),
-            cost: CostModel::calibrated_8x8(),
+            cost: TierCostModel::calibrated_8x8(),
             tenants: Vec::new(),
             recalibration: None,
             probes: None,
             canary: None,
+            default_deadline_ns: None,
+            breaker: BreakerPolicy::standard(),
+            brownout: BrownoutPolicy::disabled(),
+            hedge: None,
+            dispatch_timeout_ns: None,
             label: String::new(),
+            defaults: PhantomData,
         }
     }
 
@@ -175,11 +277,24 @@ impl SimConfig {
         self
     }
 
-    /// Sets the worker count.
+    /// Adds a replica.
+    #[must_use]
+    pub fn with_replica(mut self, replica: ReplicaSpec) -> Self {
+        self.replicas.push(replica);
+        self
+    }
+
+    /// Replaces the replicas with `workers` clean ones named `w0`, `w1`, …
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero workers.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         assert!(workers >= 1, "need at least one worker");
-        self.workers = workers;
+        self.replicas = (0..workers)
+            .map(|i| ReplicaSpec::clean(&format!("w{i}")))
+            .collect();
         self
     }
 
@@ -187,13 +302,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_coalescer(mut self, policy: CoalescePolicy) -> Self {
         self.coalescer = policy;
-        self
-    }
-
-    /// Sets the cost model.
-    #[must_use]
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
         self
     }
 
@@ -220,37 +328,78 @@ impl SimConfig {
         self
     }
 
+    /// Sets the default relative deadline.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero deadline — every request would expire on arrival.
+    #[must_use]
+    pub fn with_default_deadline_ns(mut self, ns: u64) -> Self {
+        assert!(ns >= 1, "a zero deadline expires everything at arrival");
+        self.default_deadline_ns = Some(ns);
+        self
+    }
+
+    /// Sets (or disables, with `None`) the hedging policy.
+    #[must_use]
+    pub fn with_hedge(mut self, policy: Option<HedgePolicy>) -> Self {
+        self.hedge = policy;
+        self
+    }
+
     /// Sets the report label.
     #[must_use]
     pub fn with_label(mut self, label: &str) -> Self {
         self.label = label.to_string();
         self
     }
+
+    /// The no-resilience control arm of the same scenario: breaker never
+    /// trips, brownout never engages, no hedging. Deadlines and the
+    /// watchdog stay — they are the plain timeout-and-retry baseline any
+    /// serving stack has.
+    #[must_use]
+    pub fn without_resilience(mut self) -> Self {
+        self.breaker = BreakerPolicy::disabled();
+        self.brownout = BrownoutPolicy::disabled();
+        self.hedge = None;
+        self
+    }
 }
 
 /// Runs the simulation purely against the cost model (no chip attached).
-pub fn run(cfg: &SimConfig) -> ServingReport {
-    Simulator::new(cfg).run(None)
+///
+/// # Panics
+///
+/// Panics on a config the loop cannot finish: no replica or tenant, a
+/// watchdog that cannot outlast a clean full batch, hedging or scripted
+/// kills and hangs without a watchdog, or a watchdog with a deadline-free
+/// tenant.
+pub fn run<P>(cfg: &Config<P>) -> ServingReport {
+    Sim::new(cfg).run(None)
 }
 
-/// Runs the simulation with every coalesced dispatch *also* executed on
+/// Runs the simulation with every *completed* dispatch also executed on
 /// `chip` through [`FabricatedChip::serve_pinned_batch_into`]. Virtual
-/// timing still comes from the cost model (wall time never leaks in), but
-/// the chip's query counter must reconcile exactly with the simulated
-/// completion count — the report records it in
-/// [`ServingReport::chip_queries`].
+/// timing still comes from the cost model (wall time never leaks in), and
+/// abandoned (timed-out or killed) dispatches never execute, so the chip's
+/// query counter reconciles exactly with the ledger:
+/// `chip queries == eval_queries + hedge_queries`. The simulated tier only
+/// affects virtual timing — chip execution always goes through the pinned
+/// f64 path, one query per request.
 ///
 /// # Panics
 ///
 /// Panics when `chip` has no pinned compile base — pin the deployment
-/// theta first; serving is defined as evaluation at the pinned base.
-pub fn run_on_chip(cfg: &SimConfig, chip: &FabricatedChip) -> ServingReport {
+/// theta first; serving is defined as evaluation at the pinned base — and
+/// on the configs [`run`] rejects.
+pub fn run_on_chip<P>(cfg: &Config<P>, chip: &FabricatedChip) -> ServingReport {
     assert!(
         chip.has_pinned_base(),
         "serving requires a pinned compile base; call chip.pin_compile_base(theta) first"
     );
     let mut backend = ChipBackend::new(cfg.root_seed, cfg.coalescer.max_batch, chip);
-    Simulator::new(cfg).run(Some(&mut backend))
+    Sim::new(cfg).run(Some(&mut backend))
 }
 
 /// Derives a child seed for an independent RNG stream (SplitMix64-style
@@ -262,7 +411,7 @@ pub fn run_on_chip(cfg: &SimConfig, chip: &FabricatedChip) -> ServingReport {
 /// pre-mix state equal to the root verbatim and make
 /// `derive_seed(r ^ s·γ, 0) == derive_seed(r, s)`: a cross-stream
 /// collision family correlating stream 0 with every other stream.
-pub(crate) fn derive_seed(root: u64, stream: u64) -> u64 {
+fn derive_seed(root: u64, stream: u64) -> u64 {
     let gamma = stream
         .wrapping_mul(2)
         .wrapping_add(1)
@@ -275,13 +424,12 @@ pub(crate) fn derive_seed(root: u64, stream: u64) -> u64 {
 
 // Stream-id tags for seed derivation (arbitrary distinct constants; tenant
 // arrival streams use ARRIVAL_STREAM + tenant index).
-pub(crate) const ARRIVAL_STREAM: u64 = 0x41;
-pub(crate) const SERVICE_STREAM: u64 = 0xFA11;
+const ARRIVAL_STREAM: u64 = 0x41;
+const SERVICE_STREAM: u64 = 0xFA11;
 const INPUT_STREAM: u64 = 0x1122;
 
-/// Executes dispatches on a real chip via the pinned serving path. Shared
-/// with the resilient replica-group simulator (`crate::resilient`).
-pub(crate) struct ChipBackend<'c> {
+/// Executes dispatches on a real chip via the pinned serving path.
+struct ChipBackend<'c> {
     chip: &'c FabricatedChip,
     scratch: BatchScratch,
     /// A small pool of pre-generated inputs cycled through by dispatch
@@ -292,7 +440,7 @@ pub(crate) struct ChipBackend<'c> {
 }
 
 impl<'c> ChipBackend<'c> {
-    pub(crate) fn new(root_seed: u64, max_batch: usize, chip: &'c FabricatedChip) -> Self {
+    fn new(root_seed: u64, max_batch: usize, chip: &'c FabricatedChip) -> Self {
         let dim = chip.input_dim();
         let mut rng = StdRng::seed_from_u64(derive_seed(root_seed, INPUT_STREAM));
         let pool = max_batch.max(16);
@@ -309,7 +457,7 @@ impl<'c> ChipBackend<'c> {
 
     /// Serves one coalesced batch of `len` requests; returns the chip
     /// queries spent (== `len`).
-    pub(crate) fn serve(&mut self, len: usize) -> u64 {
+    fn serve(&mut self, len: usize) -> u64 {
         let refs: Vec<&CVector> = (0..len)
             .map(|k| &self.inputs[(self.cursor + k) % self.inputs.len()])
             .collect();
@@ -323,8 +471,10 @@ impl<'c> ChipBackend<'c> {
     }
 }
 
-/// Simulation events. Workers are interchangeable, so a completion does
-/// not need to name one — it frees a slot.
+/// Simulation events. Wake-ups (`ProbeWindow`, `Flush`, `BreakerWake`) and
+/// watchdog or hedge timers may be stale by the time they pop; their
+/// handlers only clear a marker or check liveness, so a stale one is
+/// harmless.
 #[derive(Debug)]
 enum Ev {
     /// A request from tenant `i` arrives.
@@ -333,57 +483,146 @@ enum Ev {
     Recal,
     /// A canary comparison batch becomes due.
     Canary,
-    /// A fresh probe-budget window opens (a wake-up for a backlog that ran
-    /// out of budget with idle workers; possibly stale — harmless).
+    /// A fresh probe-budget window opens.
     ProbeWindow,
-    /// A coalescer flush deadline fires (possibly stale — harmless).
+    /// A coalescer flush deadline fires.
     Flush,
-    /// A dispatch finishes, freeing a worker slot.
-    Done,
+    /// Leg `id` completes on its replica.
+    Done(usize),
+    /// Leg `id`'s watchdog budget expires.
+    Timeout(usize),
+    /// Batch `id`'s hedge delay elapses.
+    HedgeFire(usize),
+    /// Replica `i`'s breaker cooldown expires.
+    BreakerWake(usize),
+}
+
+/// One occupation of a replica: a primary or hedge leg of a batch, or
+/// background work.
+#[derive(Clone, Copy)]
+struct Leg {
+    replica: usize,
+    /// The batch this leg serves; `None` for background work.
+    batch: Option<usize>,
+    tier: ServingTier,
+    /// Still in flight: neither completed nor abandoned.
+    live: bool,
+    is_hedge: bool,
+}
+
+/// One coalesced microbatch and the state of its legs.
+struct Batch {
+    /// The requests; freed once no leg is in flight.
+    requests: Vec<ServeRequest>,
+    /// Replica of the primary leg (a hedge must pick a different one).
+    primary: usize,
+    /// Legs currently in flight.
+    live_legs: u8,
+    /// No further leg may serve this batch: either a leg already completed
+    /// (first completion wins) or every leg was abandoned and the requests
+    /// went back to the queues.
+    resolved: bool,
+    /// A hedge leg was already dispatched (at most one per batch).
+    hedged: bool,
+}
+
+struct ReplicaState {
+    breaker: CircuitBreaker,
+    brownout: BrownoutController,
+    busy: bool,
+    dispatches: u64,
+    completions: u64,
+    timeouts: u64,
+    armed_wake: Option<u64>,
 }
 
 /// Per-tenant accumulation during a run.
+#[derive(Default)]
 struct TenantAcc {
     arrivals: u64,
     completed: u64,
     expired: u64,
+    brownout_shed: u64,
     latencies_ns: Vec<f64>,
 }
 
-struct Simulator<'a> {
-    cfg: &'a SimConfig,
+struct Sim<'a, P> {
+    cfg: &'a Config<P>,
     heap: EventHeap<Ev>,
     gens: Vec<ArrivalGen>,
     queues: Vec<RequestQueue>,
     acc: Vec<TenantAcc>,
+    replicas: Vec<ReplicaState>,
+    legs: Vec<Leg>,
+    batches: Vec<Batch>,
+    /// Whether breakers can see a failure: only the watchdog produces one.
+    breakers: bool,
+    /// Whether brownout can engage: some queue depth reaches its first
+    /// threshold.
+    brownout: bool,
+    hedge_tracker: Option<HedgeDelayTracker>,
+    /// Group-level controller gating *admission* (per-replica controllers
+    /// pick serving tiers; this one decides when new arrivals are shed).
+    admission: BrownoutController,
     svc_rng: StdRng,
     now: u64,
     next_id: u64,
+    /// Replicas currently occupied.
     busy: usize,
-    rr_cursor: usize,
+    /// The next dispatch starts its replica scan here, so consecutive
+    /// batches spread across the group.
+    replica_cursor: usize,
+    /// The next drain starts its tenant scan here, so no tenant's queue
+    /// monopolizes coalesced batches.
+    tenant_cursor: usize,
     armed_flush: Option<u64>,
     recal_pending: u64,
-    recals_done: u64,
     canary_pending: u64,
-    canaries_done: u64,
     /// Probe measurements not yet dispatched.
     probe_backlog: u64,
-    probes_done: u64,
     /// (window index, probes spent in it) — the budget accumulator.
     probe_window: (u64, u32),
     /// Virtual time of the probe wake-up currently in the heap, if any.
     armed_probe_wake: Option<u64>,
+    recals: u64,
+    canaries: u64,
+    probes: u64,
     hangs: u64,
-    batches: u64,
+    dispatches: u64,
     batch_requests: u64,
+    hedges_fired: u64,
+    hedge_wins: u64,
+    duplicates: u64,
     last_completion_ns: u64,
     chip_queries: Option<u64>,
 }
 
-impl<'a> Simulator<'a> {
-    fn new(cfg: &'a SimConfig) -> Self {
-        assert!(cfg.workers >= 1, "need at least one worker");
+impl<'a, P> Sim<'a, P> {
+    fn new(cfg: &'a Config<P>) -> Self {
+        assert!(!cfg.replicas.is_empty(), "need at least one replica");
         assert!(!cfg.tenants.is_empty(), "need at least one tenant");
+        if let Some(timeout) = cfg.dispatch_timeout_ns {
+            assert!(
+                timeout > cfg.cost.base.service_ns(cfg.coalescer.max_batch),
+                "the dispatch watchdog must outlast a clean full-precision full batch"
+            );
+            assert!(
+                cfg.tenants
+                    .iter()
+                    .all(|t| t.deadline_ns.or(cfg.default_deadline_ns).is_some()),
+                "a dispatch watchdog needs a deadline on every tenant: expiry is what drains \
+                 the queues when every replica is dead"
+            );
+        } else {
+            let scripted = cfg
+                .replicas
+                .iter()
+                .any(|r| r.chaos.kill_at_ns.is_some() || r.chaos.hang_window_ns.is_some());
+            assert!(
+                cfg.hedge.is_none() && !scripted,
+                "hedging and scripted replica kills or hangs need a dispatch watchdog"
+            );
+        }
         let gens = cfg
             .tenants
             .iter()
@@ -393,39 +632,57 @@ impl<'a> Simulator<'a> {
             })
             .collect();
         let queues = cfg.tenants.iter().map(|t| RequestQueue::new(t.queue_cap)).collect();
-        let acc = cfg
-            .tenants
+        let acc = cfg.tenants.iter().map(|_| TenantAcc::default()).collect();
+        let replicas = cfg
+            .replicas
             .iter()
-            .map(|_| TenantAcc {
-                arrivals: 0,
-                completed: 0,
-                expired: 0,
-                latencies_ns: Vec::new(),
+            .map(|_| ReplicaState {
+                breaker: CircuitBreaker::new(cfg.breaker),
+                brownout: BrownoutController::new(cfg.brownout),
+                busy: false,
+                dispatches: 0,
+                completions: 0,
+                timeouts: 0,
+                armed_wake: None,
             })
             .collect();
-        Simulator {
+        let capacity: usize = cfg.tenants.iter().map(|t| t.queue_cap).sum();
+        Sim {
             cfg,
             heap: EventHeap::new(),
             gens,
             queues,
             acc,
+            replicas,
+            legs: Vec::new(),
+            batches: Vec::new(),
+            breakers: cfg.dispatch_timeout_ns.is_some(),
+            brownout: cfg.brownout.enter[0] <= capacity,
+            hedge_tracker: cfg
+                .hedge
+                .map(|policy| HedgeDelayTracker::new(policy, cfg.tenants.len())),
+            admission: BrownoutController::new(cfg.brownout),
             svc_rng: StdRng::seed_from_u64(derive_seed(cfg.root_seed, SERVICE_STREAM)),
             now: 0,
             next_id: 0,
             busy: 0,
-            rr_cursor: 0,
+            replica_cursor: 0,
+            tenant_cursor: 0,
             armed_flush: None,
             recal_pending: 0,
-            recals_done: 0,
             canary_pending: 0,
-            canaries_done: 0,
             probe_backlog: cfg.probes.map_or(0, |p| p.total),
-            probes_done: 0,
             probe_window: (0, 0),
             armed_probe_wake: None,
+            recals: 0,
+            canaries: 0,
+            probes: 0,
             hangs: 0,
-            batches: 0,
+            dispatches: 0,
             batch_requests: 0,
+            hedges_fired: 0,
+            hedge_wins: 0,
+            duplicates: 0,
             last_completion_ns: 0,
             chip_queries: None,
         }
@@ -435,24 +692,22 @@ impl<'a> Simulator<'a> {
         if backend.is_some() {
             self.chip_queries = Some(0);
         }
-        // Seed the heap: first arrival per tenant, first recal pass.
+        let cfg = self.cfg;
         for i in 0..self.gens.len() {
             let t0 = self.gens[i].next_after(0);
-            if t0 < self.cfg.duration_ns {
+            if t0 < cfg.duration_ns {
                 self.heap.schedule(t0, Ev::Arrival(i));
             }
         }
-        if let Some(recal) = self.cfg.recalibration {
-            if recal.start_ns < self.cfg.duration_ns {
-                self.heap.schedule(recal.start_ns, Ev::Recal);
+        for (start, ev) in [
+            (cfg.recalibration.map(|r| r.start_ns), Ev::Recal),
+            (cfg.canary.map(|c| c.start_ns), Ev::Canary),
+        ] {
+            if let Some(at) = start.filter(|&at| at < cfg.duration_ns) {
+                self.heap.schedule(at, ev);
             }
         }
-        if let Some(canary) = self.cfg.canary {
-            if canary.start_ns < self.cfg.duration_ns {
-                self.heap.schedule(canary.start_ns, Ev::Canary);
-            }
-        }
-        if let Some(probes) = self.cfg.probes {
+        if let Some(probes) = cfg.probes {
             if probes.total > 0 && probes.per_window > 0 {
                 self.heap.schedule(probes.start_ns, Ev::ProbeWindow);
                 self.armed_probe_wake = Some(probes.start_ns);
@@ -463,97 +718,113 @@ impl<'a> Simulator<'a> {
             debug_assert!(at >= self.now, "virtual time must be monotone");
             self.now = at;
             match ev {
-                Ev::Arrival(i) => {
-                    self.acc[i].arrivals += 1;
-                    let req = ServeRequest {
-                        id: self.next_id,
-                        tenant: i,
-                        submitted_ns: self.now,
-                        deadline_ns: self.cfg.tenants[i]
-                            .deadline_ns
-                            .map_or(NO_DEADLINE, |d| self.now.saturating_add(d)),
-                    };
-                    self.next_id += 1;
-                    let _ = self.queues[i].push(req); // a full queue sheds
-                    let next = self.gens[i].next_after(self.now);
-                    if next < self.cfg.duration_ns {
-                        self.heap.schedule(next, Ev::Arrival(i));
-                    }
-                }
+                Ev::Arrival(i) => self.on_arrival(i),
                 Ev::Recal => {
                     self.recal_pending += 1;
-                    if let Some(recal) = self.cfg.recalibration {
-                        let next = self.now.saturating_add(recal.period_ns);
-                        if next < self.cfg.duration_ns {
-                            self.heap.schedule(next, Ev::Recal);
-                        }
-                    }
+                    let period = cfg.recalibration.map(|r| r.period_ns);
+                    self.schedule_periodic(period, Ev::Recal);
                 }
                 Ev::Canary => {
                     self.canary_pending += 1;
-                    if let Some(canary) = self.cfg.canary {
-                        let next = self.now.saturating_add(canary.period_ns);
-                        if next < self.cfg.duration_ns {
-                            self.heap.schedule(next, Ev::Canary);
-                        }
-                    }
+                    let period = cfg.canary.map(|c| c.period_ns);
+                    self.schedule_periodic(period, Ev::Canary);
                 }
-                Ev::ProbeWindow => {
-                    // A wake-up only: the dispatch pass below re-checks the
-                    // backlog against the budget of the window `now` falls
-                    // in.
-                    self.armed_probe_wake = None;
-                }
-                Ev::Flush => {
-                    // Possibly stale (the batch it guarded already served);
-                    // clearing and re-deciding below is always safe.
-                    self.armed_flush = None;
-                }
-                Ev::Done => {
-                    debug_assert!(self.busy > 0);
-                    self.busy -= 1;
-                }
+                Ev::ProbeWindow => self.armed_probe_wake = None,
+                Ev::Flush => self.armed_flush = None,
+                Ev::BreakerWake(r) => self.replicas[r].armed_wake = None,
+                Ev::Done(id) => self.on_done(id, &mut backend),
+                Ev::Timeout(id) => self.on_timeout(id),
+                Ev::HedgeFire(b) => self.on_hedge_fire(b),
             }
-            self.dispatch(&mut backend);
+            self.dispatch();
         }
         debug_assert!(self.queues.iter().all(|q| q.is_empty()), "run must drain");
         self.report()
     }
 
-    /// Fills idle workers: recalibration first (it is latency-insensitive
+    /// Schedules the next occurrence of a periodic event, if it still
+    /// falls inside the arrival window.
+    fn schedule_periodic(&mut self, period_ns: Option<u64>, ev: Ev) {
+        if let Some(period) = period_ns {
+            let next = self.now.saturating_add(period);
+            if next < self.cfg.duration_ns {
+                self.heap.schedule(next, ev);
+            }
+        }
+    }
+
+    fn total_depth(&self) -> usize {
+        self.queues.iter().map(|q| q.len()).sum()
+    }
+
+    /// The brownout signal: queued requests per replica the breakers
+    /// consider dispatchable. Replica deaths shrink the denominator, so
+    /// the same queue reads as deeper brownout — the group degrades
+    /// earlier when capacity is gone.
+    fn brownout_signal(&self, depth: usize) -> usize {
+        let live = self
+            .replicas
+            .iter()
+            .filter(|r| r.breaker.state() != BreakerState::Open)
+            .count()
+            .max(1);
+        depth.div_ceil(live)
+    }
+
+    fn on_arrival(&mut self, i: usize) {
+        self.acc[i].arrivals += 1;
+        let shed = self.brownout && {
+            let signal = self.brownout_signal(self.total_depth());
+            let _ = self.admission.observe(self.now, signal);
+            self.admission.shedding()
+        };
+        if shed {
+            self.acc[i].brownout_shed += 1;
+        } else {
+            let deadline = self.cfg.tenants[i].deadline_ns.or(self.cfg.default_deadline_ns);
+            let req = ServeRequest {
+                id: self.next_id,
+                tenant: i,
+                submitted_ns: self.now,
+                deadline_ns: deadline.map_or(NO_DEADLINE, |d| self.now.saturating_add(d)),
+            };
+            self.next_id += 1;
+            let _ = self.queues[i].push(req); // a full queue sheds
+        }
+        let next = self.gens[i].next_after(self.now);
+        if next < self.cfg.duration_ns {
+            self.heap.schedule(next, Ev::Arrival(i));
+        }
+    }
+
+    /// Fills idle replicas: recalibration first (it is latency-insensitive
     /// but must not starve), then canary comparison batches (they gate a
     /// promotion decision), then coalesced inference batches; calibration
     /// probes only piggyback into slots the coalescer left idle.
-    fn dispatch(&mut self, backend: &mut Option<&mut ChipBackend<'_>>) {
-        while self.busy < self.cfg.workers {
-            if self.recal_pending > 0 {
-                self.recal_pending -= 1;
-                self.recals_done += 1;
-                let hang = self.cfg.cost.draw_hang_ns(&mut self.svc_rng);
-                if hang > 0 {
-                    self.hangs += 1;
-                }
-                let done = self.now + self.cfg.cost.recal_service_ns + hang;
-                self.last_completion_ns = self.last_completion_ns.max(done);
-                self.busy += 1;
-                self.heap.schedule(done, Ev::Done);
+    /// Consecutive dispatches rotate across replicas — the load balancing
+    /// a real replica group does, and what spreads traffic onto a replica
+    /// *before* anyone knows it is sick, so its breaker has something to
+    /// observe.
+    fn dispatch(&mut self) {
+        let n = self.replicas.len();
+        while self.busy < n {
+            if self.recal_pending + self.canary_pending > 0 {
+                let Some(r) = self.pick_replica() else { return };
+                let base = &self.cfg.cost.base;
+                let service = if self.recal_pending > 0 {
+                    self.recal_pending -= 1;
+                    self.recals += 1;
+                    base.recal_service_ns
+                } else {
+                    self.canary_pending -= 1;
+                    self.canaries += 1;
+                    base.service_ns(self.cfg.canary.map_or(1, |c| c.samples))
+                };
+                let hang = self.draw_hang();
+                self.start_background(r, service + hang);
                 continue;
             }
-            if self.canary_pending > 0 {
-                let samples = self.cfg.canary.map_or(1, |c| c.samples);
-                self.canary_pending -= 1;
-                self.canaries_done += 1;
-                let hang = self.cfg.cost.draw_hang_ns(&mut self.svc_rng);
-                if hang > 0 {
-                    self.hangs += 1;
-                }
-                let done = self.now + self.cfg.cost.service_ns(samples) + hang;
-                self.last_completion_ns = self.last_completion_ns.max(done);
-                self.busy += 1;
-                self.heap.schedule(done, Ev::Done);
-                continue;
-            }
-            let depth: usize = self.queues.iter().map(|q| q.len()).sum();
+            let depth = self.total_depth();
             let oldest = self.queues.iter().filter_map(|q| q.front_submitted_ns()).min();
             match self.cfg.coalescer.decide(self.now, depth, oldest) {
                 DrainDecision::Idle => {
@@ -577,36 +848,76 @@ impl<'a> Simulator<'a> {
                     }
                     return;
                 }
-                DrainDecision::Serve(n) => {
-                    let batch = self.drain_round_robin(n);
-                    if batch.is_empty() {
-                        // Every drained request had already expired (e.g. a
+                DrainDecision::Serve(count) => {
+                    // No idle, admitting replica: the batch waits for the
+                    // next Done / Timeout / BreakerWake.
+                    let Some(r) = self.pick_replica() else { return };
+                    if self.brownout {
+                        let signal = self.brownout_signal(depth);
+                        let _ = self.replicas[r].brownout.observe(self.now, signal);
+                    }
+                    let requests = self.drain(count);
+                    if requests.is_empty() {
+                        // Everything drained had already expired (e.g. a
                         // flush timer fired long after the oldest request's
                         // deadline). The queues changed, so re-decide.
                         continue;
                     }
-                    let hang = self.cfg.cost.draw_hang_ns(&mut self.svc_rng);
-                    if hang > 0 {
-                        self.hangs += 1;
+                    if self.breakers {
+                        let admitted = self.replicas[r].breaker.allow(self.now);
+                        debug_assert!(admitted, "would_allow implies allow");
                     }
-                    let done = self.now + self.cfg.cost.service_ns(batch.len()) + hang;
-                    if let Some(b) = backend.as_deref_mut() {
-                        let spent = b.serve(batch.len());
-                        *self.chip_queries.get_or_insert(0) += spent;
+                    self.replica_cursor = (r + 1) % n;
+                    let b = self.batches.len();
+                    self.batches.push(Batch {
+                        requests,
+                        primary: r,
+                        live_legs: 0,
+                        resolved: false,
+                        hedged: false,
+                    });
+                    self.start_leg(r, b, false);
+                    if self.hedge_tracker.is_some() {
+                        let delay = self.hedge_delay_for(b);
+                        self.heap.schedule(self.now.saturating_add(delay), Ev::HedgeFire(b));
                     }
-                    for req in &batch {
-                        let acc = &mut self.acc[req.tenant];
-                        acc.completed += 1;
-                        acc.latencies_ns.push((done - req.submitted_ns) as f64);
-                    }
-                    self.batches += 1;
-                    self.batch_requests += batch.len() as u64;
-                    self.last_completion_ns = self.last_completion_ns.max(done);
-                    self.busy += 1;
-                    self.heap.schedule(done, Ev::Done);
                 }
             }
         }
+    }
+
+    /// The next idle replica the breakers admit, scanning round-robin from
+    /// the cursor. A replica blocked by an open breaker arms a wake at its
+    /// cooldown expiry so queued work is not stranded on a quiet heap.
+    fn pick_replica(&mut self) -> Option<usize> {
+        let n = self.replicas.len();
+        for k in 0..n {
+            let r = (self.replica_cursor + k) % n;
+            let rep = &mut self.replicas[r];
+            if rep.busy {
+                continue;
+            }
+            if self.breakers && !rep.breaker.would_allow(self.now) {
+                if let Some(w) = rep.breaker.wake_at_ns() {
+                    if rep.armed_wake.is_none_or(|t| w < t) {
+                        self.heap.schedule(w, Ev::BreakerWake(r));
+                        rep.armed_wake = Some(w);
+                    }
+                }
+                continue;
+            }
+            return Some(r);
+        }
+        None
+    }
+
+    /// Draws a random fault hang for one dispatch from the service stream.
+    fn draw_hang(&mut self) -> u64 {
+        let hang = self.cfg.cost.base.draw_hang_ns(&mut self.svc_rng);
+        if hang > 0 {
+            self.hangs += 1;
+        }
+        hang
     }
 
     /// Tries to piggyback one calibration probe into an idle slot. Returns
@@ -630,32 +941,29 @@ impl<'a> Simulator<'a> {
             }
             return false;
         }
+        let Some(r) = self.pick_replica() else { return false };
         self.probe_window.1 += 1;
         self.probe_backlog -= 1;
-        self.probes_done += 1;
+        self.probes += 1;
         // No hang draw: a probe is a single watchdog-guarded measurement,
         // and the real controller retries it outside the serving path.
-        let done = self.now + self.cfg.cost.probe_service_ns;
-        self.last_completion_ns = self.last_completion_ns.max(done);
-        self.busy += 1;
-        self.heap.schedule(done, Ev::Done);
+        self.start_background(r, self.cfg.cost.base.probe_service_ns);
         true
     }
 
     /// Pops up to `n` servable requests, visiting tenant queues round-robin
     /// from a persistent cursor so no tenant's queue monopolizes coalesced
     /// batches. Expiry is checked *at drain time*: a request whose deadline
-    /// has passed (e.g. the flush timer fired after it) is dropped and
-    /// counted as expired instead of burning a batch slot on an answer its
-    /// caller abandoned.
-    fn drain_round_robin(&mut self, n: usize) -> Vec<ServeRequest> {
+    /// has passed is dropped and counted as expired instead of burning a
+    /// batch slot on an answer its caller abandoned.
+    fn drain(&mut self, n: usize) -> Vec<ServeRequest> {
         let tenants = self.queues.len();
         let mut batch = Vec::with_capacity(n);
         'outer: while batch.len() < n {
             for k in 0..tenants {
-                let i = (self.rr_cursor + k) % tenants;
+                let i = (self.tenant_cursor + k) % tenants;
                 if let Some(req) = self.queues[i].pop_front() {
-                    self.rr_cursor = (i + 1) % tenants;
+                    self.tenant_cursor = (i + 1) % tenants;
                     if req.expired(self.now) {
                         self.acc[req.tenant].expired += 1;
                     } else {
@@ -667,6 +975,200 @@ impl<'a> Simulator<'a> {
             break; // every queue empty
         }
         batch
+    }
+
+    /// The hedge delay for batch `b`: the slowest of its tenants' rolling
+    /// p99-derived delays (a batch is only safe to hedge once *every*
+    /// member has outlived its own tail expectation).
+    fn hedge_delay_for(&mut self, b: usize) -> u64 {
+        let tracker = self
+            .hedge_tracker
+            .as_mut()
+            .expect("caller checked hedging is enabled");
+        let mut delay = 0u64;
+        for t in 0..self.queues.len() {
+            if self.batches[b].requests.iter().any(|r| r.tenant == t) {
+                delay = delay.max(tracker.delay_ns(t));
+            }
+        }
+        delay
+    }
+
+    /// Starts one leg of batch `b` on replica `r`, served at the tier the
+    /// replica's brownout controller picks, guarded by the watchdog.
+    fn start_leg(&mut self, r: usize, b: usize, is_hedge: bool) {
+        let len = self.batches[b].requests.len();
+        let tier = self.replicas[r].brownout.drain_tier();
+        self.batches[b].live_legs += 1;
+        self.replicas[r].dispatches += 1;
+        let hang = self.draw_hang();
+        let id = self.legs.len();
+        let leg = Leg {
+            replica: r,
+            batch: Some(b),
+            tier,
+            live: true,
+            is_hedge,
+        };
+        self.occupy(leg, self.cfg.cost.service_ns(tier, len) + hang);
+        if let Some(timeout) = self.cfg.dispatch_timeout_ns {
+            self.heap.schedule(self.now + timeout, Ev::Timeout(id));
+        }
+        self.dispatches += 1;
+        self.batch_requests += len as u64;
+    }
+
+    /// Occupies replica `r` with background work for `service_ns`.
+    fn start_background(&mut self, r: usize, service_ns: u64) {
+        self.replica_cursor = (r + 1) % self.replicas.len();
+        let leg = Leg {
+            replica: r,
+            batch: None,
+            tier: ServingTier::F64,
+            live: true,
+            is_hedge: false,
+        };
+        self.occupy(leg, service_ns);
+    }
+
+    /// Occupies `leg`'s replica for `service_ns` and schedules the
+    /// completion. A batch leg is subject to the replica's scripted chaos:
+    /// one straddling the hang window restarts once the link un-wedges, and
+    /// one on a replica killed before its completion instant never
+    /// completes — only the watchdog gets it back. Background work is not
+    /// watchdog-guarded, so it always completes.
+    fn occupy(&mut self, leg: Leg, service_ns: u64) {
+        let id = self.legs.len();
+        let r = leg.replica;
+        let is_batch = leg.batch.is_some();
+        self.legs.push(leg);
+        self.replicas[r].busy = true;
+        self.busy += 1;
+        let mut done = self.now + service_ns;
+        if is_batch {
+            let chaos = self.cfg.replicas[r].chaos;
+            if let Some(release) = chaos.hang_release(self.now, done) {
+                done = release + service_ns;
+            }
+            if chaos.kill_at_ns.is_some_and(|k| done >= k) {
+                return;
+            }
+        }
+        self.heap.schedule(done, Ev::Done(id));
+    }
+
+    /// Marks leg `id` finished and frees its replica.
+    fn release(&mut self, id: usize) {
+        let leg = &mut self.legs[id];
+        leg.live = false;
+        self.replicas[leg.replica].busy = false;
+        self.busy -= 1;
+    }
+
+    fn on_done(&mut self, id: usize, backend: &mut Option<&mut ChipBackend<'_>>) {
+        let Leg { replica: r, batch, tier, live, is_hedge } = self.legs[id];
+        if !live {
+            return; // abandoned by the watchdog; the late completion is void
+        }
+        self.release(id);
+        self.last_completion_ns = self.last_completion_ns.max(self.now);
+        let Some(b) = batch else { return }; // background work
+        let batch = &mut self.batches[b];
+        batch.live_legs -= 1;
+        let len = batch.requests.len();
+        let first = !batch.resolved;
+        batch.resolved = true;
+        let rep = &mut self.replicas[r];
+        rep.completions += 1;
+        if self.breakers {
+            rep.breaker.record_success(self.now);
+        }
+        rep.brownout.record_served(tier, len as u64);
+        if let Some(chip) = backend.as_deref_mut() {
+            let spent = chip.serve(len);
+            *self.chip_queries.get_or_insert(0) += spent;
+        }
+        if first {
+            if is_hedge {
+                self.hedge_wins += 1;
+            }
+            for req in &self.batches[b].requests {
+                let latency = (self.now - req.submitted_ns) as f64;
+                let acc = &mut self.acc[req.tenant];
+                acc.completed += 1;
+                acc.latencies_ns.push(latency);
+                if let Some(tracker) = self.hedge_tracker.as_mut() {
+                    tracker.record(req.tenant, latency);
+                }
+            }
+        } else {
+            // First completion wins: a later leg of the same batch serves
+            // only duplicates, billed to the hedge ledger.
+            self.duplicates += len as u64;
+        }
+        if self.batches[b].live_legs == 0 {
+            self.batches[b].requests = Vec::new();
+        }
+    }
+
+    fn on_timeout(&mut self, id: usize) {
+        let Leg { replica: r, batch, live, .. } = self.legs[id];
+        if !live {
+            return; // completed before the watchdog fired
+        }
+        let b = batch.expect("only batch legs are watchdog-guarded");
+        self.release(id);
+        let rep = &mut self.replicas[r];
+        rep.timeouts += 1;
+        rep.breaker.record_failure(self.now);
+        let batch = &mut self.batches[b];
+        batch.live_legs -= 1;
+        if batch.live_legs > 0 {
+            return;
+        }
+        let requests = std::mem::take(&mut batch.requests);
+        if !batch.resolved {
+            // No leg can serve this batch any more: rescue the requests.
+            // Requeued at the *front* (in original order) so the wait they
+            // already paid keeps counting toward their deadlines; requests
+            // already past theirs are cancelled as expired here.
+            batch.resolved = true;
+            for req in requests.iter().rev() {
+                if req.expired(self.now) {
+                    self.acc[req.tenant].expired += 1;
+                } else {
+                    let _ = self.queues[req.tenant].requeue_front(*req); // full queue sheds
+                }
+            }
+        }
+    }
+
+    fn on_hedge_fire(&mut self, b: usize) {
+        let batch = &self.batches[b];
+        if batch.resolved || batch.hedged {
+            return; // already served, rescued, or hedged — stale timer
+        }
+        debug_assert!(batch.live_legs > 0, "an unresolved batch must have a leg");
+        let primary = batch.primary;
+        let candidate = (0..self.replicas.len()).find(|&r| {
+            r != primary && !self.replicas[r].busy && self.replicas[r].breaker.would_allow(self.now)
+        });
+        if let Some(r) = candidate {
+            let admitted = self.replicas[r].breaker.allow(self.now);
+            debug_assert!(admitted, "would_allow implies allow");
+            self.batches[b].hedged = true;
+            self.hedges_fired += 1;
+            self.start_leg(r, b, true);
+        } else if let Some(tracker) = self.hedge_tracker.as_ref() {
+            // No healthy idle replica right now — retry shortly instead of
+            // abandoning the batch to the full watchdog budget (replicas
+            // free up on microsecond scales; the hedge window is the tail
+            // budget). The retry loop is bounded: once the primary's
+            // watchdog fires the batch resolves (served or requeued) and
+            // the pending HedgeFire goes stale.
+            let retry = self.now.saturating_add(tracker.policy().min_delay_ns.max(1));
+            self.heap.schedule(retry, Ev::HedgeFire(b));
+        }
     }
 
     fn report(self) -> ServingReport {
@@ -682,7 +1184,7 @@ impl<'a> Simulator<'a> {
                     &tenant.name,
                     acc.arrivals,
                     acc.completed,
-                    queue.shed(),
+                    queue.shed() + acc.brownout_shed,
                     acc.expired,
                     queue.peak_depth() as u64,
                     &acc.latencies_ns,
@@ -699,14 +1201,30 @@ impl<'a> Simulator<'a> {
             "all",
             self.acc.iter().map(|a| a.arrivals).sum(),
             self.acc.iter().map(|a| a.completed).sum(),
-            self.queues.iter().map(|q| q.shed()).sum(),
+            per_tenant.iter().map(|t| t.shed).sum(),
             self.acc.iter().map(|a| a.expired).sum(),
             self.queues.iter().map(|q| q.peak_depth() as u64).max().unwrap_or(0),
             &all_latencies,
             makespan_ns,
         );
-        let mean_batch = if self.batches > 0 {
-            self.batch_requests as f64 / self.batches as f64
+        let replicas = self
+            .cfg
+            .replicas
+            .iter()
+            .zip(&self.replicas)
+            .map(|(spec, r)| ReplicaStats {
+                name: spec.name.clone(),
+                dispatches: r.dispatches,
+                completions: r.completions,
+                timeouts: r.timeouts,
+                final_breaker: r.breaker.state(),
+                breaker_transitions: r.breaker.transitions().to_vec(),
+                tier_served: r.brownout.served(),
+                tier_transitions: r.brownout.transitions().len() as u64,
+            })
+            .collect();
+        let mean_batch = if self.dispatches > 0 {
+            self.batch_requests as f64 / self.dispatches as f64
         } else {
             f64::NAN
         };
@@ -715,17 +1233,22 @@ impl<'a> Simulator<'a> {
             root_seed: self.cfg.root_seed,
             duration_ns: self.cfg.duration_ns,
             makespan_ns,
-            workers: self.cfg.workers,
             max_batch: self.cfg.coalescer.max_batch,
             max_wait_ns: self.cfg.coalescer.max_wait_ns,
+            eval_queries: aggregate.completed,
+            hedge_queries: self.duplicates,
             tenants: per_tenant,
             aggregate,
-            batches: self.batches,
+            replicas,
+            batches: self.dispatches,
             mean_batch,
             hangs: self.hangs,
-            recals: self.recals_done,
-            probes: self.probes_done,
-            canaries: self.canaries_done,
+            recals: self.recals,
+            probes: self.probes,
+            canaries: self.canaries,
+            hedges_fired: self.hedges_fired,
+            hedge_wins: self.hedge_wins,
+            duplicates: self.duplicates,
             chip_queries: self.chip_queries,
         }
     }
@@ -1027,7 +1550,7 @@ mod tests {
         let mut calm = smoke_cfg(33);
         calm.label = "calm".into();
         let mut hangy = smoke_cfg(33);
-        hangy.cost = hangy.cost.with_hangs(0.01, 3_000_000);
+        hangy.cost.base = hangy.cost.base.with_hangs(0.01, 3_000_000);
         hangy.label = "hangy".into();
         let a = run(&calm);
         let b = run(&hangy);
@@ -1039,5 +1562,102 @@ mod tests {
             b.aggregate.p999_ns,
             a.aggregate.p999_ns
         );
+    }
+
+    fn healthy_cfg(seed: u64) -> ResilientConfig {
+        ResilientConfig::new(seed, 20_000_000)
+            .with_label("healthy")
+            .with_replica(ReplicaSpec::clean("r0"))
+            .with_replica(ReplicaSpec::clean("r1"))
+            .with_replica(ReplicaSpec::clean("r2"))
+            .with_tenant(TenantLoad::new(
+                "alice",
+                ArrivalProcess::Poisson { rate_hz: 60_000.0 },
+            ))
+            .with_tenant(TenantLoad::new(
+                "bob",
+                ArrivalProcess::Poisson { rate_hz: 40_000.0 },
+            ))
+    }
+
+    #[test]
+    fn healthy_group_serves_everything_and_replays_bitwise() {
+        let report = run(&healthy_cfg(7));
+        assert!(report.conserves_requests());
+        assert_eq!(report.lost(), 0, "a healthy, underloaded group loses nothing");
+        assert_eq!(report.duplicates, 0, "no failures → no hedge races");
+        assert_eq!(report.eval_queries, report.aggregate.completed);
+        for r in &report.replicas {
+            assert_eq!(r.final_breaker, BreakerState::Closed);
+            assert!(r.breaker_transitions.is_empty());
+            assert_eq!(r.timeouts, 0);
+        }
+        assert_eq!(report.to_json(), run(&healthy_cfg(7)).to_json());
+        assert_ne!(report.to_json(), run(&healthy_cfg(8)).to_json());
+    }
+
+    #[test]
+    fn killed_replica_trips_its_breaker_and_work_reroutes() {
+        let cfg = healthy_cfg(11).with_label("kill").with_replica(ReplicaSpec::clean("extra"));
+        let mut cfg = cfg;
+        cfg.replicas[0].chaos = ReplicaChaos::none().kill_at(2_000_000);
+        let report = run(&cfg);
+        assert!(report.conserves_requests());
+        let dead = &report.replicas[0];
+        assert_eq!(dead.final_breaker, BreakerState::Open, "killed replica ends open");
+        let first_open = dead
+            .breaker_transitions
+            .iter()
+            .find(|t| t.to == BreakerState::Open)
+            .expect("breaker must open after the kill");
+        assert!(first_open.at_ns >= 2_000_000, "cannot open before the kill");
+        // Everything still lands (deadlines are 5 ms, watchdog 500 us, and
+        // three healthy replicas remain).
+        assert_eq!(report.aggregate.expired + report.aggregate.shed, report.lost());
+        assert!(report.aggregate.completed > 0);
+    }
+
+    #[test]
+    fn brownout_engages_under_overload_and_serves_cheaper_tiers() {
+        let cfg = ResilientConfig::new(3, 20_000_000)
+            .with_label("overload")
+            .with_replica(ReplicaSpec::clean("r0"))
+            .with_tenant(
+                TenantLoad::new("flood", ArrivalProcess::Poisson { rate_hz: 900_000.0 })
+                    .with_queue_cap(256),
+            );
+        let report = run(&cfg);
+        assert!(report.conserves_requests());
+        let r = &report.replicas[0];
+        assert!(
+            r.tier_served[1] + r.tier_served[2] > 0,
+            "sustained overload must push serving off the f64 tier: {:?}",
+            r.tier_served
+        );
+        assert!(r.tier_transitions > 0);
+        // The control arm at the same load never leaves f64.
+        let control = run(&cfg.clone().without_resilience());
+        assert_eq!(control.replicas[0].tier_served[1], 0);
+        assert_eq!(control.replicas[0].tier_served[2], 0);
+    }
+
+    #[test]
+    fn hedging_dedups_and_ledger_attributes_duplicates() {
+        // Random 2 ms hangs on 2% of dispatches: hung dispatches outlive
+        // the hedge delay, the hedge serves, and the hung leg completes
+        // later as a pure duplicate.
+        let mut cfg = healthy_cfg(19).with_label("hedgy");
+        cfg.cost.base = cfg.cost.base.with_hangs(0.02, 2_000_000);
+        cfg.dispatch_timeout_ns = Some(4_000_000); // hangs finish before the watchdog
+        let report = run(&cfg);
+        assert!(report.conserves_requests());
+        assert!(report.hedges_fired > 0, "2% hangs must trigger hedges");
+        assert!(report.duplicates > 0, "slow legs must complete as duplicates");
+        assert_eq!(
+            report.hedge_queries, report.duplicates,
+            "every duplicate completion is attributed to the hedge ledger"
+        );
+        assert_eq!(report.eval_queries, report.aggregate.completed);
+        assert_eq!(report.to_json(), run(&cfg).to_json());
     }
 }

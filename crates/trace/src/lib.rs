@@ -410,7 +410,7 @@ pub enum TraceEvent {
 
 /// Formats an `f64` as a JSON value; non-finite values become `null`
 /// (JSON has no NaN/Infinity).
-fn json_f64(v: f64) -> String {
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         // `{}` prints the shortest representation that round-trips; bare
         // integers like `3` are valid JSON numbers already.
@@ -427,7 +427,8 @@ fn json_opt_f64(v: Option<f64>) -> String {
     }
 }
 
-fn json_str(s: &str) -> String {
+/// Formats a string as a quoted, escaped JSON value.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

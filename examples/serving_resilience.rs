@@ -33,10 +33,7 @@ use rand::SeedableRng;
 use photon_zo::farm::{CoalescePolicy, HedgePolicy};
 use photon_zo::faults::ReplicaChaos;
 use photon_zo::photonics::{Architecture, ErrorModel, FabricatedChip};
-use photon_zo::sim::{
-    run_resilient, run_resilient_on_chip, ArrivalProcess, ReplicaSpec, ResilientConfig,
-    TenantLoad,
-};
+use photon_zo::sim::{run, run_on_chip, ArrivalProcess, ReplicaSpec, ResilientConfig, TenantLoad};
 
 const ROOT_SEED: u64 = 7117;
 /// 20 virtual ms of open-loop traffic.
@@ -106,12 +103,12 @@ fn main() {
     );
     println!();
 
-    let healthy = run_resilient(&scenario("healthy", false));
+    let healthy = run(&scenario("healthy", false));
     print!("{}", healthy.render());
     println!();
 
     let before = chip.query_count();
-    let resilient = run_resilient_on_chip(&scenario("resilient", true), &chip);
+    let resilient = run_on_chip(&scenario("resilient", true), &chip);
     let spent = chip.query_count() - before;
     print!("{}", resilient.render());
     for r in &resilient.replicas {
@@ -127,7 +124,7 @@ fn main() {
     }
     println!();
 
-    let control = run_resilient(&scenario("control", true).without_resilience());
+    let control = run(&scenario("control", true).without_resilience());
     print!("{}", control.render());
     println!();
 

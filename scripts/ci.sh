@@ -9,6 +9,14 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy --offline --all-targets --workspace -- -D warnings
 
+# Benchmark harness gate: perfbench is a cargo workspace of its own that
+# depends on the repository's crates by path, so a workspace build never
+# compiles it. Build and test it here, into the target directory
+# perfbench/run.py uses, so an API change that breaks the benchmark fails
+# this gate rather than the benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
+CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 # Robustness gate: the fault-injection suite plus a smoke run of the
 # self-healing training demo.
 cargo test -q --offline --test fault_injection
@@ -97,7 +105,8 @@ EOF
 #   1. No wall clock anywhere in the simulator crate — all timing is
 #      virtual, so reports are host-independent (grep-gated here).
 #   2. Bitwise determinism: the integration suite asserts same-seed
-#      replay across runs and PHOTON_THREADS settings, and the example
+#      replay across runs and PHOTON_THREADS settings, the golden suite
+#      pins the exact JSON of a fixed set of runs, and the example
 #      (which reconciles chip query counters against simulated
 #      completions) must print byte-identical output on back-to-back runs.
 #   3. The headline claim: microbatch coalescing must not lose to
@@ -107,7 +116,7 @@ if grep -rn "Instant::now" crates/sim/src crates/farm/src/resilience.rs; then
     echo "ci: wall-clock read inside the serving/resilience layer breaks virtual-time determinism" >&2
     exit 1
 fi
-PHOTON_KERNEL=scalar cargo test -q --offline --test serving_sim
+PHOTON_KERNEL=scalar cargo test -q --offline --test serving_sim --test serving_golden
 mkdir -p results
 PHOTON_KERNEL=scalar cargo run --release --offline --example serving_sim >results/serving_sim_a.txt
 PHOTON_KERNEL=scalar cargo run --release --offline --example serving_sim >results/serving_sim_b.txt

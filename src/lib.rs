@@ -26,7 +26,7 @@
 //! | [`faults`] | `photon-faults` | seeded fault injection for chip robustness studies |
 //! | [`trace`] | `photon-trace` | structured telemetry: trace sinks, typed events, query ledger |
 //! | [`farm`] | `photon-farm` | fault-tolerant multi-tenant chip farm: scheduling, quarantine, admission |
-//! | [`sim`] | `photon-sim` | deterministic discrete-event serving simulator + microbatch coalescing |
+//! | [`sim`] | `photon-sim` | deterministic discrete-event serving simulator: coalescing, replica groups, resilience |
 //!
 //! # Quickstart
 //!
@@ -131,8 +131,8 @@ pub mod prelude {
         OnnModule,
     };
     pub use photon_sim::{
-        ArrivalProcess, CostModel, ReplicaSpec, ResilienceReport, ResilientConfig, ServingReport,
-        SimConfig, TenantLoad,
+        ArrivalProcess, CostModel, ReplicaSpec, ResilientConfig, ServingReport, SimConfig,
+        TenantLoad,
     };
     pub use photon_trace::{
         JsonlSink, MemorySink, NullSink, QueryCategory, TeeSink, TraceEvent, TraceHandle,

@@ -18,8 +18,8 @@ use photon_zo::farm::{BreakerState, CoalescePolicy, DedupLedger, HedgePolicy};
 use photon_zo::faults::ReplicaChaos;
 use photon_zo::photonics::{Architecture, ErrorModel, FabricatedChip};
 use photon_zo::sim::{
-    run_resilient, run_resilient_on_chip, ArrivalProcess, EventHeap, ReplicaSpec,
-    ResilientConfig, TenantLoad,
+    run, run_on_chip, ArrivalProcess, EventHeap, ReplicaSpec, ResilientConfig, SimConfig,
+    TenantLoad,
 };
 
 const KILL_AT_NS: u64 = 5_000_000;
@@ -72,8 +72,8 @@ fn healthy_cfg(seed: u64) -> ResilientConfig {
 
 #[test]
 fn chaos_run_replays_bitwise_across_thread_settings() {
-    let baseline = run_resilient(&chaos_cfg(2024)).to_json();
-    assert_eq!(baseline, run_resilient(&chaos_cfg(2024)).to_json());
+    let baseline = run(&chaos_cfg(2024)).to_json();
+    assert_eq!(baseline, run(&chaos_cfg(2024)).to_json());
 
     // Virtual time must be oblivious to the worker-pool knob the rest of
     // the repo honors.
@@ -81,18 +81,18 @@ fn chaos_run_replays_bitwise_across_thread_settings() {
         std::env::set_var("PHOTON_THREADS", threads);
         assert_eq!(
             baseline,
-            run_resilient(&chaos_cfg(2024)).to_json(),
+            run(&chaos_cfg(2024)).to_json(),
             "PHOTON_THREADS={threads} changed the chaos report"
         );
     }
     std::env::remove_var("PHOTON_THREADS");
 
-    assert_ne!(baseline, run_resilient(&chaos_cfg(2025)).to_json());
+    assert_ne!(baseline, run(&chaos_cfg(2025)).to_json());
 }
 
 #[test]
 fn chaos_run_loses_no_request_silently() {
-    let report = run_resilient(&chaos_cfg(7));
+    let report = run(&chaos_cfg(7));
     assert!(
         report.conserves_requests(),
         "arrivals must equal completed + shed + expired for every tenant"
@@ -120,7 +120,7 @@ fn chip_counters_reconcile_with_the_hedge_ledger() {
     cfg.duration_ns = 8_000_000;
 
     let before = chip.query_count();
-    let report = run_resilient_on_chip(&cfg, &chip);
+    let report = run_on_chip(&cfg, &chip);
     let spent = chip.query_count() - before;
 
     // Every chip query is attributed: first completions to the eval
@@ -130,12 +130,12 @@ fn chip_counters_reconcile_with_the_hedge_ledger() {
     assert!(report.conserves_requests());
 
     // Chip-backed chaos runs replay bitwise too.
-    assert_eq!(report.to_json(), run_resilient_on_chip(&cfg, &chip).to_json());
+    assert_eq!(report.to_json(), run_on_chip(&cfg, &chip).to_json());
 }
 
 #[test]
 fn breakers_open_and_recover_at_deterministic_virtual_times() {
-    let report = run_resilient(&chaos_cfg(7));
+    let report = run(&chaos_cfg(7));
 
     // The killed replica's breaker opens after the kill and never
     // re-closes: every half-open probe it admits times out again.
@@ -186,7 +186,7 @@ fn breakers_open_and_recover_at_deterministic_virtual_times() {
 
     // Deterministic: the transition log is part of the JSON contract, so a
     // replay reproduces every timestamp exactly.
-    let replay = run_resilient(&chaos_cfg(7));
+    let replay = run(&chaos_cfg(7));
     assert_eq!(
         report.replicas[1].breaker_transitions,
         replay.replicas[1].breaker_transitions
@@ -199,9 +199,9 @@ fn breakers_open_and_recover_at_deterministic_virtual_times() {
 
 #[test]
 fn resilience_holds_p99_within_2x_of_healthy_while_control_degrades() {
-    let healthy = run_resilient(&healthy_cfg(7));
-    let resilient = run_resilient(&chaos_cfg(7));
-    let control = run_resilient(&chaos_cfg(7).without_resilience().with_label("control"));
+    let healthy = run(&healthy_cfg(7));
+    let resilient = run(&chaos_cfg(7));
+    let control = run(&chaos_cfg(7).without_resilience().with_label("control"));
 
     assert!(healthy.lost() == 0, "the healthy baseline must lose nothing");
     let bound = 2.0 * healthy.aggregate.p99_ns;
@@ -250,7 +250,7 @@ fn drain_round_robins_tenants_under_overload() {
         .with_tenant(flood("alice"))
         .with_tenant(flood("bob"))
         .without_resilience();
-    let report = run_resilient(&cfg);
+    let report = run(&cfg);
     assert!(report.conserves_requests());
     let (alice, bob) = (&report.tenants[0], &report.tenants[1]);
     assert_eq!((alice.completed, bob.completed), (14_286, 14_290));
@@ -267,6 +267,44 @@ fn drain_round_robins_tenants_under_overload() {
         alice.shed,
         bob.shed
     );
+}
+
+#[test]
+#[should_panic(expected = "need a dispatch watchdog")]
+fn hedging_without_a_watchdog_is_rejected() {
+    // A hedge timer re-arms until the primary's watchdog resolves the
+    // batch; with no watchdog and a killed sole replica it would re-arm
+    // forever.
+    let mut cfg = ResilientConfig::new(1, 1_000_000)
+        .with_replica(ReplicaSpec::clean("r0"))
+        .with_tenant(TenantLoad::new("t", ArrivalProcess::Poisson { rate_hz: 1_000.0 }));
+    cfg.dispatch_timeout_ns = None;
+    let _ = run(&cfg);
+}
+
+#[test]
+#[should_panic(expected = "need a dispatch watchdog")]
+fn scripted_kill_without_a_watchdog_is_rejected() {
+    // Only the watchdog gets a leg back from a killed replica.
+    let mut cfg = ResilientConfig::new(1, 1_000_000)
+        .with_replica(
+            ReplicaSpec::clean("r0").with_chaos(ReplicaChaos::none().kill_at(KILL_AT_NS)),
+        )
+        .with_tenant(TenantLoad::new("t", ArrivalProcess::Poisson { rate_hz: 1_000.0 }))
+        .with_hedge(None);
+    cfg.dispatch_timeout_ns = None;
+    let _ = run(&cfg);
+}
+
+#[test]
+#[should_panic(expected = "needs a deadline on every tenant")]
+fn watchdog_without_deadlines_is_rejected() {
+    // A pool given a watchdog but no deadlines: with every replica dead,
+    // nothing would ever drain its queues.
+    let mut cfg = SimConfig::new(1, 1_000_000)
+        .with_tenant(TenantLoad::new("t", ArrivalProcess::Poisson { rate_hz: 1_000.0 }));
+    cfg.dispatch_timeout_ns = Some(500_000);
+    let _ = run(&cfg);
 }
 
 // ---------------------------------------------------------------------------
