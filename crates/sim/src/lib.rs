@@ -66,6 +66,6 @@ pub use sim::run as run_resilient;
 /// `perfbench` harness.
 pub use sim::run_on_chip as run_resilient_on_chip;
 pub use sim::{
-    run, run_on_chip, CanaryTraffic, Config, Group, Pool, ProbeTraffic, RecalTraffic, ReplicaSpec,
-    ResilientConfig, SimConfig, TenantLoad,
+    run, run_on_chip, CanaryTraffic, Config, Group, Pool, Preset, ProbeTraffic, RecalTraffic,
+    ReplicaSpec, ResilientConfig, SimConfig, TenantLoad,
 };

@@ -182,7 +182,7 @@ fn fx(v: f64, decimals: usize) -> String {
 }
 
 /// One tenant row as a deterministic JSON object.
-fn tenant_json(r: &TenantServingStats) -> String {
+fn tenant_row_json(r: &TenantServingStats) -> String {
     format!(
         "{{\"tenant\":{},\"arrivals\":{},\"completed\":{},\"shed\":{},\"expired\":{},\"p50_ns\":{},\"p99_ns\":{},\"p999_ns\":{},\"mean_ns\":{},\"throughput_rps\":{},\"peak_queue_depth\":{}}}",
         json_str(&r.tenant),
@@ -326,7 +326,7 @@ impl ServingReport {
     /// Deterministic JSON rendering (one object, latencies in ns).
     pub fn to_json(&self) -> String {
         let replicas: Vec<String> = self.replicas.iter().map(replica_json).collect();
-        let tenants: Vec<String> = self.tenants.iter().map(tenant_json).collect();
+        let tenants: Vec<String> = self.tenants.iter().map(tenant_row_json).collect();
         format!(
             "{{\"label\":{},\"root_seed\":{},\"duration_ns\":{},\"makespan_ns\":{},\"max_batch\":{},\"max_wait_ns\":{},\"batches\":{},\"mean_batch\":{},\"hangs\":{},\"recals\":{},\"probes\":{},\"canaries\":{},\"hedges_fired\":{},\"hedge_wins\":{},\"duplicates\":{},\"eval_queries\":{},\"hedge_queries\":{},\"chip_queries\":{},\"replicas\":[{}],\"tenants\":[{}],\"aggregate\":{}}}",
             json_str(&self.label),
@@ -349,7 +349,7 @@ impl ServingReport {
             self.chip_queries.map_or("null".to_string(), |q| q.to_string()),
             replicas.join(","),
             tenants.join(","),
-            tenant_json(&self.aggregate),
+            tenant_row_json(&self.aggregate),
         )
     }
 

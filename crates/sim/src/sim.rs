@@ -17,10 +17,11 @@
 //! batch does. Policies sit on the loop and are inert when off: a dispatch
 //! watchdog feeding per-replica [`CircuitBreaker`]s, hedged re-dispatch
 //! (first completion wins), the brownout tier ladder, and deadlines. A
-//! [`SimConfig`] pool has only deadlines it sets itself; a
-//! [`ResilientConfig`] group turns everything on.
+//! [`SimConfig`] pool starts with all of them off; a [`ResilientConfig`]
+//! group starts with all of them on.
 
 use std::marker::PhantomData;
+use std::ops::{Deref, DerefMut};
 
 use photon_farm::{
     BreakerPolicy, BreakerState, BrownoutController, BrownoutPolicy, CircuitBreaker,
@@ -172,18 +173,40 @@ pub struct Group;
 
 /// A worker pool: one clean replica, uncoalesced, no watchdog, no
 /// hedging, brownout off.
-pub type SimConfig = Config<Pool>;
+pub type SimConfig = Preset<Pool>;
 
 /// A resilient replica group: coalescer (16, 100 µs), standard breaker,
 /// brownout and hedge policies, 5 ms default deadline, 500 µs watchdog.
-pub type ResilientConfig = Config<Group>;
+pub type ResilientConfig = Preset<Group>;
+
+/// A [`Config`] built from a named set of defaults. The marker `P` only
+/// selects what `new` fills in ([`SimConfig::new`] or
+/// [`ResilientConfig::new`]); every builder works on both, and both deref
+/// to the one [`Config`] that [`run`] takes, so the loop is compiled once.
+#[derive(Debug, Clone)]
+pub struct Preset<P> {
+    config: Config,
+    defaults: PhantomData<P>,
+}
+
+impl<P> Deref for Preset<P> {
+    type Target = Config;
+
+    fn deref(&self) -> &Config {
+        &self.config
+    }
+}
+
+impl<P> DerefMut for Preset<P> {
+    fn deref_mut(&mut self) -> &mut Config {
+        &mut self.config
+    }
+}
 
 /// Full specification of one simulation run. Every field participates in
-/// the deterministic replay contract. The marker `P` only selects the
-/// defaults of `new` ([`SimConfig::new`] or [`ResilientConfig::new`]);
-/// both run through the same loop.
+/// the deterministic replay contract.
 #[derive(Debug, Clone)]
-pub struct Config<P> {
+pub struct Config {
     /// Root seed; every RNG stream in the run derives from it.
     pub root_seed: u64,
     /// Arrival window in virtual nanoseconds. Arrivals stop here; the run
@@ -218,14 +241,16 @@ pub struct Config<P> {
     pub dispatch_timeout_ns: Option<u64>,
     /// Free-form label carried into the report.
     pub label: String,
-    defaults: PhantomData<P>,
 }
 
 impl SimConfig {
     /// A single-worker, uncoalesced pool with the calibrated 8x8 cost
-    /// model and no tenants; add load with [`Config::with_tenant`].
+    /// model and no tenants; add load with [`Preset::with_tenant`].
     pub fn new(root_seed: u64, duration_ns: u64) -> Self {
-        Config::pool(root_seed, duration_ns)
+        Preset {
+            config: Config::pool(root_seed, duration_ns),
+            defaults: PhantomData,
+        }
     }
 }
 
@@ -235,7 +260,7 @@ impl ResilientConfig {
     /// 500 µs dispatch watchdog, no replicas or tenants (add them with
     /// the builders).
     pub fn new(root_seed: u64, duration_ns: u64) -> Self {
-        Config {
+        let config = Config {
             replicas: Vec::new(),
             coalescer: CoalescePolicy::new(16, 100_000),
             default_deadline_ns: Some(5_000_000),
@@ -243,12 +268,16 @@ impl ResilientConfig {
             hedge: Some(HedgePolicy::standard()),
             dispatch_timeout_ns: Some(500_000),
             ..Config::pool(root_seed, duration_ns)
+        };
+        Preset {
+            config,
+            defaults: PhantomData,
         }
     }
 }
 
-impl<P> Config<P> {
-    /// The worker-pool defaults, under either marker.
+impl Config {
+    /// The worker-pool defaults.
     fn pool(root_seed: u64, duration_ns: u64) -> Self {
         Config {
             root_seed,
@@ -266,10 +295,11 @@ impl<P> Config<P> {
             hedge: None,
             dispatch_timeout_ns: None,
             label: String::new(),
-            defaults: PhantomData,
         }
     }
+}
 
+impl<P> Preset<P> {
     /// Adds a tenant.
     #[must_use]
     pub fn with_tenant(mut self, tenant: TenantLoad) -> Self {
@@ -375,7 +405,7 @@ impl<P> Config<P> {
 /// watchdog that cannot outlast a clean full batch, hedging or scripted
 /// kills and hangs without a watchdog, or a watchdog with a deadline-free
 /// tenant.
-pub fn run<P>(cfg: &Config<P>) -> ServingReport {
+pub fn run(cfg: &Config) -> ServingReport {
     Sim::new(cfg).run(None)
 }
 
@@ -393,7 +423,7 @@ pub fn run<P>(cfg: &Config<P>) -> ServingReport {
 /// Panics when `chip` has no pinned compile base — pin the deployment
 /// theta first; serving is defined as evaluation at the pinned base — and
 /// on the configs [`run`] rejects.
-pub fn run_on_chip<P>(cfg: &Config<P>, chip: &FabricatedChip) -> ServingReport {
+pub fn run_on_chip(cfg: &Config, chip: &FabricatedChip) -> ServingReport {
     assert!(
         chip.has_pinned_base(),
         "serving requires a pinned compile base; call chip.pin_compile_base(theta) first"
@@ -546,8 +576,8 @@ struct TenantAcc {
     latencies_ns: Vec<f64>,
 }
 
-struct Sim<'a, P> {
-    cfg: &'a Config<P>,
+struct Sim<'a> {
+    cfg: &'a Config,
     heap: EventHeap<Ev>,
     gens: Vec<ArrivalGen>,
     queues: Vec<RequestQueue>,
@@ -597,8 +627,8 @@ struct Sim<'a, P> {
     chip_queries: Option<u64>,
 }
 
-impl<'a, P> Sim<'a, P> {
-    fn new(cfg: &'a Config<P>) -> Self {
+impl<'a> Sim<'a> {
+    fn new(cfg: &'a Config) -> Self {
         assert!(!cfg.replicas.is_empty(), "need at least one replica");
         assert!(!cfg.tenants.is_empty(), "need at least one tenant");
         if let Some(timeout) = cfg.dispatch_timeout_ns {
@@ -821,7 +851,8 @@ impl<'a, P> Sim<'a, P> {
                     base.service_ns(self.cfg.canary.map_or(1, |c| c.samples))
                 };
                 let hang = self.draw_hang();
-                self.start_background(r, service + hang);
+                self.replica_cursor = (r + 1) % n;
+                self.occupy(r, None, ServingTier::F64, false, service + hang);
                 continue;
             }
             let depth = self.total_depth();
@@ -877,8 +908,15 @@ impl<'a, P> Sim<'a, P> {
                         hedged: false,
                     });
                     self.start_leg(r, b, false);
-                    if self.hedge_tracker.is_some() {
-                        let delay = self.hedge_delay_for(b);
+                    if let Some(tracker) = self.hedge_tracker.as_mut() {
+                        // Hedge once *every* member has outlived its own
+                        // tenant's rolling tail delay.
+                        let requests = &self.batches[b].requests;
+                        let delay = (0..self.queues.len())
+                            .filter(|&t| requests.iter().any(|req| req.tenant == t))
+                            .map(|t| tracker.delay_ns(t))
+                            .max()
+                            .unwrap_or(0);
                         self.heap.schedule(self.now.saturating_add(delay), Ev::HedgeFire(b));
                     }
                 }
@@ -947,7 +985,8 @@ impl<'a, P> Sim<'a, P> {
         self.probes += 1;
         // No hang draw: a probe is a single watchdog-guarded measurement,
         // and the real controller retries it outside the serving path.
-        self.start_background(r, self.cfg.cost.base.probe_service_ns);
+        self.replica_cursor = (r + 1) % self.replicas.len();
+        self.occupy(r, None, ServingTier::F64, false, self.cfg.cost.base.probe_service_ns);
         true
     }
 
@@ -977,23 +1016,6 @@ impl<'a, P> Sim<'a, P> {
         batch
     }
 
-    /// The hedge delay for batch `b`: the slowest of its tenants' rolling
-    /// p99-derived delays (a batch is only safe to hedge once *every*
-    /// member has outlived its own tail expectation).
-    fn hedge_delay_for(&mut self, b: usize) -> u64 {
-        let tracker = self
-            .hedge_tracker
-            .as_mut()
-            .expect("caller checked hedging is enabled");
-        let mut delay = 0u64;
-        for t in 0..self.queues.len() {
-            if self.batches[b].requests.iter().any(|r| r.tenant == t) {
-                delay = delay.max(tracker.delay_ns(t));
-            }
-        }
-        delay
-    }
-
     /// Starts one leg of batch `b` on replica `r`, served at the tier the
     /// replica's brownout controller picks, guarded by the watchdog.
     fn start_leg(&mut self, r: usize, b: usize, is_hedge: bool) {
@@ -1001,16 +1023,8 @@ impl<'a, P> Sim<'a, P> {
         let tier = self.replicas[r].brownout.drain_tier();
         self.batches[b].live_legs += 1;
         self.replicas[r].dispatches += 1;
-        let hang = self.draw_hang();
-        let id = self.legs.len();
-        let leg = Leg {
-            replica: r,
-            batch: Some(b),
-            tier,
-            live: true,
-            is_hedge,
-        };
-        self.occupy(leg, self.cfg.cost.service_ns(tier, len) + hang);
+        let service = self.cfg.cost.service_ns(tier, len) + self.draw_hang();
+        let id = self.occupy(r, Some(b), tier, is_hedge, service);
         if let Some(timeout) = self.cfg.dispatch_timeout_ns {
             self.heap.schedule(self.now + timeout, Ev::Timeout(id));
         }
@@ -1018,43 +1032,37 @@ impl<'a, P> Sim<'a, P> {
         self.batch_requests += len as u64;
     }
 
-    /// Occupies replica `r` with background work for `service_ns`.
-    fn start_background(&mut self, r: usize, service_ns: u64) {
-        self.replica_cursor = (r + 1) % self.replicas.len();
-        let leg = Leg {
-            replica: r,
-            batch: None,
-            tier: ServingTier::F64,
-            live: true,
-            is_hedge: false,
-        };
-        self.occupy(leg, service_ns);
-    }
-
-    /// Occupies `leg`'s replica for `service_ns` and schedules the
-    /// completion. A batch leg is subject to the replica's scripted chaos:
-    /// one straddling the hang window restarts once the link un-wedges, and
-    /// one on a replica killed before its completion instant never
-    /// completes — only the watchdog gets it back. Background work is not
+    /// Occupies replica `r` with one leg — of `batch`, or background work
+    /// when `None` — for `service_ns`, schedules its completion and returns
+    /// its id. A batch leg is subject to the replica's scripted chaos: one
+    /// straddling the hang window restarts once the link un-wedges, and one
+    /// on a replica killed before its completion instant never completes —
+    /// only the watchdog gets it back. Background work is not
     /// watchdog-guarded, so it always completes.
-    fn occupy(&mut self, leg: Leg, service_ns: u64) {
+    fn occupy(
+        &mut self,
+        r: usize,
+        batch: Option<usize>,
+        tier: ServingTier,
+        is_hedge: bool,
+        service_ns: u64,
+    ) -> usize {
         let id = self.legs.len();
-        let r = leg.replica;
-        let is_batch = leg.batch.is_some();
-        self.legs.push(leg);
+        self.legs.push(Leg { replica: r, batch, tier, live: true, is_hedge });
         self.replicas[r].busy = true;
         self.busy += 1;
         let mut done = self.now + service_ns;
-        if is_batch {
+        if batch.is_some() {
             let chaos = self.cfg.replicas[r].chaos;
             if let Some(release) = chaos.hang_release(self.now, done) {
                 done = release + service_ns;
             }
             if chaos.kill_at_ns.is_some_and(|k| done >= k) {
-                return;
+                return id;
             }
         }
         self.heap.schedule(done, Ev::Done(id));
+        id
     }
 
     /// Marks leg `id` finished and frees its replica.

@@ -238,9 +238,9 @@ fn resilience_holds_p99_within_2x_of_healthy_while_control_degrades() {
 
 #[test]
 fn drain_round_robins_tenants_under_overload() {
-    // Two equal floods on one replica: the drain must alternate tenants
-    // from a persistent cursor, not restart its scan at tenant 0 after
-    // every pop (which served alice first every time and starved bob).
+    // Two equal floods on one replica: the drain visits tenants
+    // round-robin from a persistent cursor, so neither tenant drains first
+    // every time and both are served alike.
     let flood = |name: &str| {
         TenantLoad::new(name, ArrivalProcess::Poisson { rate_hz: 900_000.0 }).with_queue_cap(256)
     };
