@@ -2,7 +2,8 @@
 //! method, on the MNIST-like task.
 //!
 //! Writes `results/fig2_convergence.csv` with one row per (method, epoch)
-//! and prints a coarse text rendition of the series.
+//! and prints a coarse text rendition of the series. The `elapsed_s`
+//! column is the trace's per-epoch wall time (`EpochSpan::wall_secs`).
 //!
 //! ```text
 //! cargo run -p photon-bench --release --bin fig2_convergence -- [--quick] [--seed N]
@@ -15,6 +16,7 @@ use photon_bench::harness::{main_method_grid, BenchArgs};
 use photon_core::{
     build_task, downsample, sparkline, CsvWriter, Method, TaskKind, TaskSpec, TrainConfig, Trainer,
 };
+use photon_trace::{TraceEvent, TraceHandle};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -52,14 +54,23 @@ fn main() {
         // which isolates convergence behavior from calibration quality.
         let mut rng = StdRng::seed_from_u64(args.seed ^ 0x22b);
         let mut theta = theta0.clone();
+        let (trace, sink) = TraceHandle::memory(0);
+        let config = TrainConfig {
+            trace,
+            ..config.clone()
+        };
         match trainer.finetune(method, &config, &mut theta, &mut rng) {
             Ok(out) => {
-                for rec in &out.history {
+                let wall_secs = sink.events().into_iter().filter_map(|e| match e {
+                    TraceEvent::EpochSpan { wall_secs, .. } => Some(wall_secs),
+                    _ => None,
+                });
+                for (rec, wall_secs) in out.history.iter().zip(wall_secs) {
                     csv.record(&[
                         &out.method,
                         &rec.epoch.to_string(),
                         &format!("{}", rec.train_loss),
-                        &format!("{}", rec.elapsed),
+                        &format!("{wall_secs}"),
                     ]);
                 }
                 let first = out

@@ -10,8 +10,15 @@
 //! consistent epoch — from which [`Trainer::resume`](crate::Trainer::resume)
 //! continues bitwise-identically to an uninterrupted run.
 //!
+//! Records hold no wall-clock time, so a run's journal is a pure function
+//! of `(method, config, root seed)`: two runs of the same spec, killed or
+//! not, at any worker-pool size, write byte-identical files. Elapsed time
+//! belongs to the trace (`TraceEvent::EpochSpan::wall_secs`).
+//!
 //! # Record framing
 //!
+//! [`RecordLog`] is the repository's one durable record format; the run
+//! journal and the online controller's write-ahead log both sit on it.
 //! The file is plain text. Line 1 is the magic header. Every record is
 //!
 //! ```text
@@ -23,7 +30,8 @@
 //! `sync_data`. The CRC covers the payload bytes only. Replay accepts the
 //! longest prefix of intact records: a frame line that does not parse, a
 //! payload shorter than its declared length, or a checksum mismatch all mark
-//! the torn tail, which is truncated in place.
+//! the torn tail, which is truncated in place. The first record says which
+//! kind of file it is (a run journal's starts with `run-header`).
 //!
 //! # RNG discipline
 //!
@@ -34,7 +42,7 @@
 
 use std::fmt;
 use std::fs;
-use std::io::{self, Read, Seek, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 use photon_linalg::{RMatrix, RVector};
@@ -45,11 +53,10 @@ use photon_trace::{LedgerCounts, QueryCategory};
 use crate::metrics::Evaluation;
 use crate::trainer::{EpochRecord, Method, RecoveryEvent, RecoveryStats};
 
-const JOURNAL_MAGIC: &str = "photon-zo-journal v1";
+const JOURNAL_MAGIC: &str = "photon-zo-journal v2";
 
 /// Computes the CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of
-/// `bytes`. Shared by the journal record frames and the v2 checkpoint
-/// format's trailing checksum line.
+/// `bytes`: the checksum in every [`RecordLog`] frame.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = !0;
     for &b in bytes {
@@ -82,7 +89,7 @@ pub fn epoch_seed(root_seed: u64, epoch: usize) -> u64 {
     splitmix64(root_seed ^ splitmix64((epoch as u64).wrapping_mul(0xA076_1D64_78BD_642F)))
 }
 
-/// Errors raised while writing or replaying a run journal.
+/// Errors raised while writing or replaying a [`RecordLog`] or a run journal.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum JournalError {
@@ -151,12 +158,12 @@ fn perr(message: impl Into<String>) -> JournalError {
 ///
 /// A sibling `<journal>.lock` file is created with `O_EXCL` and records the
 /// owning process id. A second writer on the same path — another
-/// [`RunJournal::create`] or [`RunJournal::open_append`] while the first
+/// [`RecordLog::create`] or [`RecordLog::open_append`] while the first
 /// handle is live — fails fast with [`JournalError::Locked`] instead of
 /// interleaving appends into a torn WAL. A lock left behind by a SIGKILLed
 /// process (the chaos gate does exactly this) is detected as stale — its
 /// pid no longer exists — and reclaimed, so crash-resume needs no manual
-/// cleanup. [`RunJournal::replay`] stays lock-free: it only read-repairs,
+/// cleanup. [`RecordLog::replay`] stays lock-free: it only read-repairs,
 /// and resume acquires the writer lock immediately afterwards.
 #[derive(Debug)]
 struct JournalLock {
@@ -343,51 +350,57 @@ pub struct Replay {
     pub truncated_bytes: u64,
 }
 
-/// An append-only handle on a run journal.
+/// An append-only, crash-safe log of text records.
+///
+/// This is the repository's one durable record format (see the module
+/// docs for the framing): [`RunJournal`] keeps stage-2 training state in
+/// one, and the online recalibration controller keeps its committed
+/// cycles in another. Each handle holds the path's single-writer lock for
+/// its lifetime. The log does not interpret payloads; by convention the
+/// first record says which kind of file it is.
 #[derive(Debug)]
-pub struct RunJournal {
+pub struct RecordLog {
     file: fs::File,
-    path: PathBuf,
     records: u64,
     /// Held for the lifetime of the handle; releasing (via drop) lets the
     /// next writer — e.g. a resume on another farm worker — take over.
     _lock: JournalLock,
 }
 
-impl RunJournal {
-    /// Creates (truncating any previous file) a new journal at `path` and
-    /// writes the header record durably. Missing parent directories are
-    /// created first.
+impl RecordLog {
+    /// Creates (truncating any previous file) a log at `path` holding the
+    /// magic line and `first` as its first record, durably: the record is
+    /// fsynced and so is the parent directory. Missing parent directories
+    /// are created first.
     ///
     /// # Errors
     ///
     /// [`JournalError::Locked`] when another live writer holds the path;
     /// [`JournalError::Io`] on filesystem failures (unwritable parent,
     /// path is a directory, …) — typed, never a panic.
-    pub fn create(path: &Path, header: &JournalHeader) -> Result<Self, JournalError> {
+    pub fn create(path: &Path, first: &str) -> Result<Self, JournalError> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 fs::create_dir_all(parent)?;
             }
         }
         // Lock before truncating: a second `create` racing a live run must
-        // fail fast here, not blank the live WAL first.
+        // fail fast here, not blank the live log first.
         let lock = JournalLock::acquire(path)?;
         fs::write(path, format!("{JOURNAL_MAGIC}\n"))?;
         let file = fs::OpenOptions::new().append(true).open(path)?;
-        let mut journal = RunJournal {
+        let mut log = RecordLog {
             file,
-            path: path.to_path_buf(),
             records: 0,
             _lock: lock,
         };
-        journal.append_payload(&header_payload(header))?;
+        log.append(first)?;
         sync_parent_dir(path);
-        Ok(journal)
+        Ok(log)
     }
 
-    /// Re-opens an existing journal for appending. Call
-    /// [`RunJournal::replay`] first so the tail is known-consistent.
+    /// Re-opens an existing log for appending. Call [`RecordLog::replay`]
+    /// first so the tail is known-consistent.
     ///
     /// # Errors
     ///
@@ -396,9 +409,8 @@ impl RunJournal {
     pub fn open_append(path: &Path) -> Result<Self, JournalError> {
         let lock = JournalLock::acquire(path)?;
         let file = fs::OpenOptions::new().append(true).open(path)?;
-        Ok(RunJournal {
+        Ok(RecordLog {
             file,
-            path: path.to_path_buf(),
             records: 0,
             _lock: lock,
         })
@@ -409,23 +421,14 @@ impl RunJournal {
         self.records
     }
 
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Appends one epoch entry: a single framed, checksummed, fsynced
-    /// write, so a kill at any instant leaves at worst a torn tail that
-    /// replay truncates. Returns the bytes written.
+    /// Appends one record: a single framed, checksummed, fsynced write, so
+    /// a kill at any instant leaves at worst a torn tail that replay
+    /// truncates. Returns the bytes written.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn append_epoch(&mut self, entry: &EpochEntry) -> Result<u64, JournalError> {
-        self.append_payload(&entry_payload(entry))
-    }
-
-    fn append_payload(&mut self, payload: &str) -> Result<u64, JournalError> {
+    pub fn append(&mut self, payload: &str) -> Result<u64, JournalError> {
         let frame = format!(
             "record {} {:08x}\n{payload}",
             payload.len(),
@@ -440,18 +443,19 @@ impl RunJournal {
         Ok(frame.len() as u64)
     }
 
-    /// Replays the journal at `path`: verifies the magic header, walks the
-    /// framed records, and **truncates** any torn tail (incomplete frame,
-    /// short payload, or checksum mismatch) in place so subsequent appends
-    /// continue from the last consistent record.
+    /// Replays the log at `path`: verifies the magic line, walks the framed
+    /// records, and **truncates** any torn tail (incomplete frame, short
+    /// payload, or checksum mismatch) in place, fsynced, so subsequent
+    /// appends continue from the last intact record. Returns the intact
+    /// payloads in order and the number of bytes truncated (0 for a clean
+    /// log).
     ///
     /// # Errors
     ///
     /// [`JournalError::Io`] on filesystem failures; [`JournalError::Parse`]
-    /// when the file is not a journal at all (bad magic) or an *intact*
-    /// record fails validation (e.g. epochs out of order) — damage that
-    /// truncation cannot repair.
-    pub fn replay(path: &Path) -> Result<Replay, JournalError> {
+    /// when the file is not a log of this version (bad or unsupported
+    /// magic) — damage that truncation cannot repair.
+    pub fn replay(path: &Path) -> Result<(Vec<String>, u64), JournalError> {
         let mut file = fs::OpenOptions::new().read(true).write(true).open(path)?;
         let mut text = String::new();
         file.read_to_string(&mut text)?;
@@ -467,49 +471,24 @@ impl RunJournal {
             return Err(perr(format!("bad journal magic {got:?}")));
         }
 
-        let mut offset = magic_end + 1;
-        let mut header: Option<JournalHeader> = None;
-        let mut entries: Vec<EpochEntry> = Vec::new();
-        let mut good_end = offset;
-        while offset < text.len() {
-            let Some((payload, next_offset)) = next_record(&text, offset) else {
-                break; // torn tail: truncate from `good_end`
-            };
-            if header.is_none() {
-                header = Some(parse_header_payload(payload)?);
-            } else {
-                let entry = parse_entry_payload(payload)?;
-                if let Some(prev) = entries.last() {
-                    if entry.state.epoch <= prev.state.epoch {
-                        return Err(perr(format!(
-                            "epochs out of order: {} after {}",
-                            entry.state.epoch, prev.state.epoch
-                        )));
-                    }
-                }
-                entries.push(entry);
-            }
-            offset = next_offset;
-            good_end = next_offset;
+        let mut records = Vec::new();
+        let mut good_end = magic_end + 1;
+        while let Some((payload, next)) = next_record(&text, good_end) {
+            records.push(payload.to_owned());
+            good_end = next;
         }
         let truncated_bytes = (text.len() - good_end) as u64;
         if truncated_bytes > 0 {
             file.set_len(good_end as u64)?;
-            file.seek(io::SeekFrom::End(0))?;
             file.sync_data()?;
         }
-        let header = header.ok_or_else(|| perr("journal has no intact header record"))?;
-        Ok(Replay {
-            header,
-            entries,
-            truncated_bytes,
-        })
+        Ok((records, truncated_bytes))
     }
 }
 
 /// Fsyncs `path`'s parent directory so the file's creation itself survives
 /// a crash. Best-effort: some filesystems refuse directory fsync.
-pub(crate) fn sync_parent_dir(path: &Path) {
+fn sync_parent_dir(path: &Path) {
     let parent = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
         _ => PathBuf::from("."),
@@ -520,8 +499,9 @@ pub(crate) fn sync_parent_dir(path: &Path) {
 }
 
 /// Parses one framed record starting at byte `offset`. Returns the payload
-/// slice and the offset just past it, or `None` when the record is torn
-/// (malformed frame line, short payload, or checksum mismatch).
+/// slice and the offset just past it, or `None` at the end of the text or
+/// when the record is torn (malformed frame line, short payload, or
+/// checksum mismatch).
 fn next_record(text: &str, offset: usize) -> Option<(&str, usize)> {
     let rest = &text[offset..];
     let line_end = rest.find('\n')?;
@@ -547,6 +527,90 @@ fn next_record(text: &str, offset: usize) -> Option<(&str, usize)> {
     Some((payload, offset + payload_end))
 }
 
+/// An append-only handle on a run journal: a [`RecordLog`] whose first
+/// record is the [`JournalHeader`] and every later one an [`EpochEntry`].
+#[derive(Debug)]
+pub struct RunJournal {
+    log: RecordLog,
+}
+
+impl RunJournal {
+    /// Creates (truncating any previous file) a new journal at `path` and
+    /// writes the header record durably. Missing parent directories are
+    /// created first.
+    ///
+    /// # Errors
+    ///
+    /// As [`RecordLog::create`].
+    pub fn create(path: &Path, header: &JournalHeader) -> Result<Self, JournalError> {
+        Ok(RunJournal {
+            log: RecordLog::create(path, &header_payload(header))?,
+        })
+    }
+
+    /// Re-opens an existing journal for appending. Call
+    /// [`RunJournal::replay`] first so the tail is known-consistent.
+    ///
+    /// # Errors
+    ///
+    /// As [`RecordLog::open_append`].
+    pub fn open_append(path: &Path) -> Result<Self, JournalError> {
+        Ok(RunJournal {
+            log: RecordLog::open_append(path)?,
+        })
+    }
+
+    /// Records appended through *this handle* (not the whole file).
+    pub fn records(&self) -> u64 {
+        self.log.records()
+    }
+
+    /// Appends one epoch entry as one [`RecordLog`] record. Returns the
+    /// bytes written.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures.
+    pub fn append_epoch(&mut self, entry: &EpochEntry) -> Result<u64, JournalError> {
+        self.log.append(&entry_payload(entry))
+    }
+
+    /// Replays the journal at `path` through [`RecordLog::replay`] (which
+    /// truncates any torn tail) and decodes its records.
+    ///
+    /// # Errors
+    ///
+    /// As [`RecordLog::replay`]; also [`JournalError::Parse`] when an
+    /// *intact* record fails validation (e.g. epochs out of order) or the
+    /// header record is missing.
+    pub fn replay(path: &Path) -> Result<Replay, JournalError> {
+        let (records, truncated_bytes) = RecordLog::replay(path)?;
+        let mut records = records.iter();
+        let header = records
+            .next()
+            .ok_or_else(|| perr("journal has no intact header record"))?;
+        let header = parse_header_payload(header)?;
+        let mut entries: Vec<EpochEntry> = Vec::new();
+        for payload in records {
+            let entry = parse_entry_payload(payload)?;
+            if let Some(prev) = entries.last() {
+                if entry.state.epoch <= prev.state.epoch {
+                    return Err(perr(format!(
+                        "epochs out of order: {} after {}",
+                        entry.state.epoch, prev.state.epoch
+                    )));
+                }
+            }
+            entries.push(entry);
+        }
+        Ok(Replay {
+            header,
+            entries,
+            truncated_bytes,
+        })
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Payload serialization. Strict line-oriented `key value…` text: writers and
 // parsers are kept adjacent so the format cannot drift.
@@ -554,7 +618,7 @@ fn next_record(text: &str, offset: usize) -> Option<(&str, usize)> {
 
 fn header_payload(h: &JournalHeader) -> String {
     format!(
-        "header\nmethod {}\nroot_seed {}\nepochs {}\nbatch_size {}\nq {}\n",
+        "run-header\nmethod {}\nroot_seed {}\nepochs {}\nbatch_size {}\nq {}\n",
         h.method.encode(),
         h.root_seed,
         h.epochs,
@@ -565,7 +629,7 @@ fn header_payload(h: &JournalHeader) -> String {
 
 fn parse_header_payload(payload: &str) -> Result<JournalHeader, JournalError> {
     let mut r = LineReader::new(payload);
-    r.expect_line("header")?;
+    r.expect_line("run-header")?;
     let method_code = r.tagged("method")?;
     let method = Method::decode(method_code)
         .ok_or_else(|| perr(format!("unknown method code {method_code:?}")))?;
@@ -796,8 +860,8 @@ fn write_record(out: &mut String, rec: &EpochRecord) {
     use fmt::Write;
     let _ = writeln!(
         out,
-        "record_epoch {} {:?} {} {:?}",
-        rec.epoch, rec.train_loss, rec.training_queries, rec.elapsed
+        "record_epoch {} {:?} {}",
+        rec.epoch, rec.train_loss, rec.training_queries
     );
     match &rec.test {
         None => out.push_str("record_test none\n"),
@@ -815,7 +879,7 @@ fn write_record(out: &mut String, rec: &EpochRecord) {
 fn read_record(r: &mut LineReader<'_>) -> Result<EpochRecord, JournalError> {
     let line = r.tagged("record_epoch")?;
     let toks: Vec<&str> = line.split_whitespace().collect();
-    let [epoch, train_loss, training_queries, elapsed] = toks.as_slice() else {
+    let [epoch, train_loss, training_queries] = toks.as_slice() else {
         return Err(perr("bad record_epoch line"));
     };
     let test = match r.tagged("record_test")? {
@@ -839,7 +903,6 @@ fn read_record(r: &mut LineReader<'_>) -> Result<EpochRecord, JournalError> {
         training_queries: training_queries
             .parse()
             .map_err(|_| perr("bad training_queries"))?,
-        elapsed: parse_f64(elapsed)?,
         recovery: read_recovery(r, "record_recovery")?,
     })
 }
@@ -1160,7 +1223,6 @@ mod tests {
                     samples: 30,
                 }),
                 training_queries: 150 * epoch as u64,
-                elapsed: 1.25,
                 recovery: RecoveryStats::default(),
             },
         }
@@ -1215,6 +1277,15 @@ mod tests {
         });
         let back = parse_entry_payload(&entry_payload(&entry)).unwrap();
         assert_eq!(back, entry);
+    }
+
+    #[test]
+    fn value_count_mismatch_is_parse_error() {
+        let payload = entry_payload(&sample_entry(1));
+        let short = payload.replacen("\ntheta 4 ", "\ntheta 5 ", 1);
+        assert_ne!(short, payload);
+        let err = parse_entry_payload(&short).unwrap_err();
+        assert!(err.to_string().contains("theta declares 5 values"), "{err}");
     }
 
     #[test]
@@ -1292,9 +1363,13 @@ mod tests {
         let err = RunJournal::replay(&path).unwrap_err();
         assert!(matches!(err, JournalError::Parse { .. }));
         assert!(err.to_string().contains("magic"));
-        fs::write(&path, "photon-zo-journal v9\n").unwrap();
-        let err = RunJournal::replay(&path).unwrap_err();
-        assert!(err.to_string().contains("unsupported journal version"));
+        // Journals written before `elapsed` left the records (v1) and
+        // future versions are refused up front, not mid-parse.
+        for magic in ["photon-zo-journal v1", "photon-zo-journal v9"] {
+            fs::write(&path, format!("{magic}\nrecord 1 00000000\nx")).unwrap();
+            let err = RunJournal::replay(&path).unwrap_err();
+            assert!(err.to_string().contains("unsupported journal version"));
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1409,6 +1484,8 @@ mod tests {
         let blocker = dir.join("blocker");
         fs::write(&blocker, "i am a file").unwrap();
         let err = RunJournal::create(&blocker.join("run.journal"), &header()).unwrap_err();
+        assert!(matches!(err, JournalError::Io(_)), "{err}");
+        let err = RunJournal::replay(&dir.join("missing.journal")).unwrap_err();
         assert!(matches!(err, JournalError::Io(_)), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }

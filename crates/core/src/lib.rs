@@ -6,6 +6,14 @@
 //! run statistics (including the Mann-Whitney U test used in the paper's
 //! significance annotations).
 //!
+//! Durability has one format: [`RecordLog`], a CRC-framed, fsynced,
+//! single-writer text log whose torn tail replay truncates. The
+//! [`RunJournal`] of a durable run keeps the full loop-carried training
+//! state in one after every epoch, so a killed run resumes
+//! bitwise-identically; the journal's last [`RunState`] holds the trained
+//! parameters. No record carries wall-clock time, so same-spec runs write
+//! byte-identical files.
+//!
 //! The method grid wired through [`Trainer`] covers the paper's comparison:
 //! vanilla ZO (`ZO-I`), coordinate-wise ZO (`ZO-co`), CMA-ES, the ablations
 //! `ZO-LC` / `ZO-NG`, the full **`ZO-LCNG`** with ideal / calibrated /
@@ -33,7 +41,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod checkpoint;
 mod experiment;
 mod journal;
 mod loss;
@@ -42,10 +49,9 @@ mod report;
 mod stats;
 mod trainer;
 
-pub use checkpoint::{Checkpoint, CheckpointError};
 pub use journal::{
-    crc32, epoch_seed, EpochEntry, JournalError, JournalHeader, Replay, RollbackSnapshot,
-    RunJournal, RunState,
+    crc32, epoch_seed, EpochEntry, JournalError, JournalHeader, RecordLog, Replay,
+    RollbackSnapshot, RunJournal, RunState,
 };
 pub use experiment::{build_task, run_method, MethodResult, TaskInstance, TaskKind, TaskSpec};
 pub use loss::{mse_loss_and_grad, softmax, ClassificationHead, CoreError};

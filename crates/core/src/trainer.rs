@@ -442,8 +442,6 @@ pub struct EpochRecord {
     /// Cumulative *training* chip queries at the end of the epoch
     /// (evaluation sweeps excluded).
     pub training_queries: u64,
-    /// Wall-clock seconds since stage 2 started.
-    pub elapsed: f64,
     /// Recovery actions taken during this epoch.
     pub recovery: RecoveryStats,
 }
@@ -730,7 +728,7 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
         });
 
         let ctx = self.finetune_ctx(method, config, theta.len());
-        let mut st = self.initial_finetune_state(method, config, theta, start_queries)?;
+        let mut st = self.durable_state(method, &self.initial_run_state(method, config, theta))?;
         let mut batcher = Batcher::new(self.train.len(), config.batch_size);
         for epoch in 1..=config.epochs {
             let record = self.run_epoch(epoch, config, &ctx, &mut st, theta, &mut batcher, rng)?;
@@ -1040,49 +1038,8 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
         }
     }
 
-    /// The fresh loop-carried state a legacy fine-tune starts from.
-    fn initial_finetune_state(
-        &self,
-        method: Method,
-        config: &TrainConfig,
-        theta: &RVector,
-        queries_at_start: u64,
-    ) -> Result<FinetuneState, CoreError> {
-        let metric_model = match method {
-            Method::ZoShaped { model } | Method::ZoNg { model } | Method::Lcng { model } => {
-                Some(self.model_for(model)?)
-            }
-            Method::BpCalibrated => Some(self.model_for(ModelChoice::Calibrated)?),
-            Method::BpIdeal => Some(self.model_for(ModelChoice::Ideal)?),
-            Method::BpOracle => Some(self.model_for(ModelChoice::OracleTrue)?),
-            _ => None,
-        };
-        Ok(FinetuneState {
-            metric_model,
-            metric_errors: None,
-            loss_ema: None,
-            snapshot: None,
-            rollbacks_used: 0,
-            adam: Adam::new(config.lr),
-            cma: match method {
-                Method::Cma { sigma0 } => Some(CmaEs::new(theta, sigma0)),
-                _ => None,
-            },
-            preconditioner: None,
-            sigma_segments: None,
-            iteration: 0,
-            coord_offset: 0,
-            eval_queries: 0,
-            ledger: LedgerCounts::new(),
-            total_recovery: RecoveryStats::default(),
-            recovery_events: Vec::new(),
-            prior_queries: 0,
-            queries_at_start,
-        })
-    }
-
-    /// The epoch-0 [`RunState`] of a durable run: warm-started parameters,
-    /// fresh optimizer internals, empty ledger.
+    /// The epoch-0 [`RunState`] every run starts from: the given
+    /// parameters, fresh optimizer internals, empty ledger.
     fn initial_run_state(&self, method: Method, config: &TrainConfig, theta: &RVector) -> RunState {
         RunState {
             epoch: 0,
@@ -1105,7 +1062,10 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
         }
     }
 
-    /// Rebuilds the live [`FinetuneState`] from a journaled [`RunState`].
+    /// Rebuilds the live [`FinetuneState`] from a [`RunState`]: a journaled
+    /// one at a durable epoch boundary, or the epoch-0 one a fine-tune
+    /// starts from.
+    ///
     /// Derived caches (natural-gradient preconditioner, shaped-probe
     /// covariances) are deliberately dropped — they are re-assembled from
     /// the restored state on first use, which keeps every durable epoch a
@@ -1604,7 +1564,6 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
             train_loss,
             test,
             training_queries,
-            elapsed: ctx.start.elapsed().as_secs_f64(),
             recovery: epoch_recovery,
         })
     }

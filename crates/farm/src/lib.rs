@@ -64,8 +64,7 @@ pub use online::{
 };
 pub use resilience::{
     rung_label, BreakerPolicy, BreakerState, BreakerTransition, BrownoutController,
-    BrownoutPolicy, CircuitBreaker, DedupLedger, HedgeDelayTracker, HedgePolicy, RollingWindow,
-    TierTransition,
+    BrownoutPolicy, CircuitBreaker, HedgeDelayTracker, HedgePolicy, RollingWindow, TierTransition,
 };
 pub use scheduler::{JobId, JobSpec, RejectReason, Rejection, TenantSpec};
 pub use serving::{CoalescePolicy, DrainDecision, RequestQueue, ServeRequest, NO_DEADLINE};

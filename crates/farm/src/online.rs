@@ -26,15 +26,15 @@
 
 use std::fmt;
 use std::fs;
-use std::io::{self, Write as IoWrite};
+use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use photon_calib::{recalibrate, CalibError, CalibrationSettings};
 use photon_core::{
-    chip_batch_loss_pooled, crc32, epoch_seed, evaluate_chip_pooled, mann_whitney_u,
-    ClassificationHead, CoreError, DurableOptions, Evaluation, Method, ModelChoice, RunJournal,
-    RunOutcome, TrainConfig, TrainOutcome, Trainer, WatchdogPolicy,
+    chip_batch_loss_pooled, epoch_seed, evaluate_chip_pooled, mann_whitney_u, ClassificationHead,
+    CoreError, DurableOptions, Evaluation, JournalError, Method, ModelChoice, RecordLog,
+    RunJournal, RunOutcome, TrainConfig, TrainOutcome, Trainer, WatchdogPolicy,
 };
 use photon_data::Dataset;
 use photon_exec::ExecPool;
@@ -47,10 +47,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// File name of the online controller's write-ahead journal inside the
-/// run directory.
+/// run directory: a [`RecordLog`] whose first record is the controller's
+/// identity and every later one a committed [`CycleRecord`].
 pub const ONLINE_WAL: &str = "online.journal";
-
-const WAL_MAGIC: &str = "photon-online v1";
 
 // Stream tags: each cycle's probe sweep, shadow fine-tune, and canary
 // slice draw from independent streams derived from (root ^ tag, cycle).
@@ -262,6 +261,15 @@ impl From<CoreError> for OnlineError {
     }
 }
 
+impl From<JournalError> for OnlineError {
+    fn from(e: JournalError) -> Self {
+        match e {
+            JournalError::Io(e) => OnlineError::Io(e),
+            other => OnlineError::Wal(other.to_string()),
+        }
+    }
+}
+
 /// An [`OnnChip`] adapter that offsets every [`OnnChip::advance_to`] by a
 /// fixed base, so a shadow fine-tune's iteration steps `1, 2, …` land on
 /// fresh, monotonically increasing chip steps past the cycle's base — the
@@ -410,7 +418,7 @@ fn parse_hex_csv(s: &str, expected: usize) -> Option<Vec<f64>> {
 
 fn encode_record(rec: &CycleRecord) -> String {
     format!(
-        "{} {} {} {} {} {} {} {} {} {}",
+        "{} {} {} {} {} {} {} {} {} {}\n",
         rec.cycle,
         rec.base_step,
         rec.next_step,
@@ -463,82 +471,43 @@ fn decode_record(
     })
 }
 
-fn wal_header(root_seed: u64, theta_len: usize, n_bs: usize, n_ps: usize) -> String {
-    format!("{WAL_MAGIC} seed {root_seed} theta {theta_len} bs {n_bs} ps {n_ps}\n")
+/// The write-ahead journal's first record: the controller identity a
+/// resume must match.
+fn wal_identity(root_seed: u64, theta_len: usize, n_bs: usize, n_ps: usize) -> String {
+    format!("online-header seed {root_seed} theta {theta_len} bs {n_bs} ps {n_ps}\n")
 }
 
-/// Appends one CRC-framed record and flushes it to disk — the commit
-/// point of a cycle. Must happen *before* the chip is re-pinned.
-fn append_record(file: &mut fs::File, rec: &CycleRecord) -> io::Result<()> {
-    let payload = encode_record(rec);
-    let mut frame = format!("rec {} {}\n", payload.len(), crc32(payload.as_bytes()));
-    frame.push_str(&payload);
-    frame.push('\n');
-    file.write_all(frame.as_bytes())?;
-    file.sync_data()
-}
-
-/// Replays the write-ahead journal: verifies the header against the
-/// caller's identity, parses CRC-framed records, and truncates any torn
-/// tail (a record whose frame, payload, or checksum is incomplete — the
-/// signature of a kill mid-append) back to the last intact record.
+/// Replays the write-ahead journal through [`RecordLog::replay`], which
+/// truncates a torn tail (the signature of a kill mid-append), and decodes
+/// its cycles. The first record must be the caller's `identity`. Every
+/// later record is CRC-intact, so one that does not decode or does not
+/// continue the cycle sequence is corruption, not a torn tail: an error.
 fn replay_wal(
     path: &Path,
-    root_seed: u64,
+    identity: &str,
     theta_len: usize,
     n_bs: usize,
     n_ps: usize,
 ) -> Result<Vec<CycleRecord>, OnlineError> {
-    let text = fs::read_to_string(path)?;
-    let expected_header = wal_header(root_seed, theta_len, n_bs, n_ps);
-    let Some(rest) = text.strip_prefix(&expected_header) else {
-        let got = text.lines().next().unwrap_or("");
+    let (payloads, _) = RecordLog::replay(path)?;
+    let mut payloads = payloads.iter();
+    let found = payloads.next().map_or("", String::as_str);
+    if found != identity {
         return Err(OnlineError::Wal(format!(
-            "header mismatch: expected {:?}, found {got:?}",
-            expected_header.trim_end()
+            "header mismatch: expected {:?}, found {:?}",
+            identity.trim_end(),
+            found.trim_end()
         )));
-    };
-    let mut records = Vec::new();
-    let mut valid = expected_header.len();
-    let mut cursor = rest;
-    while let Some(line_end) = cursor.find('\n') {
-        let frame = &cursor[..line_end];
-        let body = &cursor[line_end + 1..];
-        let parsed = (|| {
-            let mut it = frame.split_ascii_whitespace();
-            if it.next()? != "rec" {
-                return None;
-            }
-            let len: usize = it.next()?.parse().ok()?;
-            let crc: u32 = it.next()?.parse().ok()?;
-            if it.next().is_some() || body.len() < len + 1 {
-                return None;
-            }
-            let payload = &body[..len];
-            if body.as_bytes()[len] != b'\n' || crc32(payload.as_bytes()) != crc {
-                return None;
-            }
-            let rec = decode_record(payload, theta_len, n_bs, n_ps)?;
-            if rec.cycle != records.len() as u64 + 1 {
-                return None;
-            }
-            Some((rec, line_end + 1 + len + 1))
-        })();
-        match parsed {
-            Some((rec, consumed)) => {
-                records.push(rec);
-                valid += consumed;
-                cursor = &cursor[consumed..];
-            }
-            None => break,
-        }
     }
-    if valid < text.len() {
-        // Torn tail: truncate so the next append starts at a clean frame.
-        fs::OpenOptions::new()
-            .write(true)
-            .open(path)?
-            .set_len(valid as u64)?;
+    let mut records: Vec<CycleRecord> = Vec::new();
+    for payload in payloads {
+        let cycle = records.len() as u64 + 1;
+        let rec = decode_record(payload, theta_len, n_bs, n_ps)
+            .filter(|r| r.cycle == cycle)
+            .ok_or_else(|| {
+                OnlineError::Wal(format!("intact record is not a valid cycle {cycle}"))
+            })?;
+        records.push(rec);
     }
     Ok(records)
 }
@@ -586,13 +555,13 @@ pub fn run_online<C: OnnChip>(
     let theta_len = initial_theta.len();
     let wal_path = dir.join(ONLINE_WAL);
 
-    let records = if wal_path.exists() {
-        replay_wal(&wal_path, opts.root_seed, theta_len, n_bs, n_ps)?
+    let identity = wal_identity(opts.root_seed, theta_len, n_bs, n_ps);
+    let (mut wal, records) = if wal_path.exists() {
+        let records = replay_wal(&wal_path, &identity, theta_len, n_bs, n_ps)?;
+        (RecordLog::open_append(&wal_path)?, records)
     } else {
-        fs::write(&wal_path, wal_header(opts.root_seed, theta_len, n_bs, n_ps))?;
-        Vec::new()
+        (RecordLog::create(&wal_path, &identity)?, Vec::new())
     };
-    let mut wal = fs::OpenOptions::new().append(true).open(&wal_path)?;
 
     let mut deployed = records
         .last()
@@ -613,7 +582,7 @@ pub fn run_online<C: OnnChip>(
         // re-pin second. A kill between the two resumes from the record —
         // the new deployment — and a kill before the append resumes from
         // the previous record: never a torn mix.
-        append_record(&mut wal, &rec)?;
+        wal.append(&encode_record(&rec))?;
         if rec.promoted {
             chip.advance_to(rec.next_step);
             chip.pin_compile_base(&rec.theta);
@@ -829,21 +798,33 @@ mod tests {
         }
     }
 
+    fn wal_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "photon-online-wal-{tag}-{}",
+            std::process::id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn wal_replay_truncates_torn_tail_to_last_intact_record() {
-        let dir = std::env::temp_dir().join(format!("photon-online-wal-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
+        use std::io::Write;
+        let dir = wal_dir("torn");
         let path = dir.join(ONLINE_WAL);
-        fs::write(&path, wal_header(7, 3, 2, 1)).unwrap();
-        let mut f = fs::OpenOptions::new().append(true).open(&path).unwrap();
-        append_record(&mut f, &rec(1, true)).unwrap();
-        append_record(&mut f, &rec(2, false)).unwrap();
+        let identity = wal_identity(7, 3, 2, 1);
+        let mut wal = RecordLog::create(&path, &identity).unwrap();
+        wal.append(&encode_record(&rec(1, true))).unwrap();
+        wal.append(&encode_record(&rec(2, false))).unwrap();
+        drop(wal);
         let clean_len = fs::metadata(&path).unwrap().len();
         // A kill mid-append leaves a frame line without its full payload.
-        f.write_all(b"rec 500 12345\npartial").unwrap();
+        let mut f = fs::OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(b"record 500 12345678\npartial").unwrap();
         drop(f);
 
-        let records = replay_wal(&path, 7, 3, 2, 1).unwrap();
+        let records = replay_wal(&path, &identity, 3, 2, 1).unwrap();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].cycle, 1);
         assert!(records[0].promoted);
@@ -854,8 +835,28 @@ mod tests {
             "torn tail must be truncated"
         );
         // Wrong identity is an error, not a silent restart.
-        assert!(replay_wal(&path, 8, 3, 2, 1).is_err());
-        assert!(replay_wal(&path, 7, 4, 2, 1).is_err());
+        assert!(replay_wal(&path, &wal_identity(8, 3, 2, 1), 3, 2, 1).is_err());
+        assert!(replay_wal(&path, &wal_identity(7, 4, 2, 1), 4, 2, 1).is_err());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn intact_record_that_breaks_the_cycle_sequence_is_an_error() {
+        let dir = wal_dir("corrupt");
+        let path = dir.join(ONLINE_WAL);
+        let identity = wal_identity(7, 3, 2, 1);
+        // CRC-intact but invalid: a skipped cycle, and a payload that does
+        // not decode. Neither is a torn tail, so neither is truncated away.
+        for bad in [encode_record(&rec(3, true)), "not a cycle\n".to_string()] {
+            let mut wal = RecordLog::create(&path, &identity).unwrap();
+            wal.append(&encode_record(&rec(1, true))).unwrap();
+            wal.append(&bad).unwrap();
+            drop(wal);
+            let len = fs::metadata(&path).unwrap().len();
+            let err = replay_wal(&path, &identity, 3, 2, 1).unwrap_err();
+            assert!(matches!(err, OnlineError::Wal(_)), "{err}");
+            assert_eq!(fs::metadata(&path).unwrap().len(), len);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,6 +1,5 @@
 //! Serving-resilience building blocks: rolling outcome windows, per-replica
-//! circuit breakers, brownout tier control, hedge-delay tracking, and
-//! idempotent completion dedup.
+//! circuit breakers, brownout tier control, and hedge-delay tracking.
 //!
 //! Everything in this module is pure bookkeeping over **virtual-nanosecond**
 //! timestamps supplied by the caller — no clocks, no threads, no I/O — so a
@@ -595,59 +594,6 @@ impl HedgeDelayTracker {
     }
 }
 
-/// Idempotent completion dedup for hedged serving.
-///
-/// Every request id is marked served exactly once; the duplicate
-/// completion a hedge race produces is a no-op on tenant counters and
-/// latency samples, and its chip spend is what the ledger attributes to
-/// `QueryCategory::Hedge`. Ids are dense (assigned sequentially by the
-/// simulator), so the ledger is a plain bitset.
-#[derive(Debug, Default)]
-pub struct DedupLedger {
-    bits: Vec<u64>,
-    served: u64,
-    duplicates: u64,
-}
-
-impl DedupLedger {
-    /// An empty ledger.
-    pub fn new() -> Self {
-        DedupLedger::default()
-    }
-
-    /// Marks `id` served. Returns `true` the first time — the completion
-    /// that counts — and `false` for every duplicate (which is tallied).
-    pub fn mark_served(&mut self, id: u64) -> bool {
-        let (word, bit) = ((id / 64) as usize, id % 64);
-        if word >= self.bits.len() {
-            self.bits.resize(word + 1, 0);
-        }
-        if self.bits[word] & (1 << bit) != 0 {
-            self.duplicates += 1;
-            return false;
-        }
-        self.bits[word] |= 1 << bit;
-        self.served += 1;
-        true
-    }
-
-    /// Whether `id` has been served.
-    pub fn is_served(&self, id: u64) -> bool {
-        let (word, bit) = ((id / 64) as usize, id % 64);
-        self.bits.get(word).is_some_and(|w| w & (1 << bit) != 0)
-    }
-
-    /// Distinct requests served.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// Duplicate completions observed (each was a no-op).
-    pub fn duplicates(&self) -> u64 {
-        self.duplicates
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -847,18 +793,5 @@ mod tests {
         );
         fast.record(0, 10.0);
         assert_eq!(fast.delay_ns(0), 5_000);
-    }
-
-    #[test]
-    fn dedup_ledger_is_idempotent() {
-        let mut d = DedupLedger::new();
-        assert!(d.mark_served(0));
-        assert!(d.mark_served(130), "bitset grows across words");
-        assert!(!d.mark_served(0), "duplicate is a no-op");
-        assert!(!d.mark_served(130));
-        assert!(d.is_served(130));
-        assert!(!d.is_served(64));
-        assert_eq!(d.served(), 2);
-        assert_eq!(d.duplicates(), 2);
     }
 }

@@ -161,41 +161,6 @@ impl Default for HangConfig {
     }
 }
 
-/// A periodic failure-burst profile: windows of elevated fault rates.
-///
-/// Real hardware rarely fails uniformly — a flaky fiber coupling or a
-/// thermal event produces *bursts* of bad reads separated by quiet
-/// stretches. This profile scales every transient and hang probability by
-/// `multiplier` (capped at certainty) whenever the chip's logical step
-/// satisfies `step % period < burst_len`. The step only advances at the
-/// serial `advance_to` control point, so burst windows are a pure function
-/// of training progress: schedules replay bitwise across pool sizes and
-/// reruns, and a farm health monitor sees the same burst on every retry.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FailureBurst {
-    /// Window period in logical steps (0 disables the profile).
-    pub period: u64,
-    /// Leading steps of each period that are inside the burst.
-    pub burst_len: u64,
-    /// Probability multiplier applied inside a burst window (≥ 1 for an
-    /// elevated rate; the scaled probability is capped at 1).
-    pub multiplier: f64,
-}
-
-impl FailureBurst {
-    /// The fault-probability multiplier at logical step `step`.
-    pub fn boost_at(&self, step: u64) -> f64 {
-        if self.period == 0 || self.burst_len == 0 {
-            return 1.0;
-        }
-        if step % self.period < self.burst_len {
-            self.multiplier
-        } else {
-            1.0
-        }
-    }
-}
-
 /// A hard fault: phase shifter `index` ignores its drive and holds `value`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StuckShifter {
@@ -218,8 +183,6 @@ pub struct FaultPlan {
     pub stuck: Vec<StuckShifter>,
     /// Hung-readout faults, if enabled.
     pub hang: Option<HangConfig>,
-    /// Periodic failure-burst windows scaling transient/hang rates.
-    pub burst_profile: Option<FailureBurst>,
 }
 
 impl FaultPlan {
@@ -231,7 +194,6 @@ impl FaultPlan {
             transient: None,
             stuck: Vec::new(),
             hang: None,
-            burst_profile: None,
         }
     }
 
@@ -257,17 +219,6 @@ impl FaultPlan {
     pub fn with_hangs(mut self, hang: HangConfig) -> Self {
         self.hang = Some(hang);
         self
-    }
-
-    /// Enables a periodic failure-burst profile.
-    pub fn with_burst_profile(mut self, burst: FailureBurst) -> Self {
-        self.burst_profile = Some(burst);
-        self
-    }
-
-    /// The fault-probability multiplier this plan applies at `step`.
-    fn boost_at(&self, step: u64) -> f64 {
-        self.burst_profile.map_or(1.0, |b| b.boost_at(step))
     }
 }
 
@@ -436,9 +387,8 @@ impl<C: OnnChip> FaultyChip<C> {
     }
 
     /// Applies drift + stuck faults to the commanded phases and returns the
-    /// per-read attempt-salted decision key plus the failure-burst
-    /// probability boost active at the current logical step.
-    fn prepare(&self, x: &CVector, theta: &RVector, tag: u64) -> (RVector, u64, f64) {
+    /// per-read attempt-salted decision key.
+    fn prepare(&self, x: &CVector, theta: &RVector, tag: u64) -> (RVector, u64) {
         let mut st = self.state.lock();
         let mut eff = theta.clone();
         if self.plan.drift.is_some() {
@@ -451,8 +401,7 @@ impl<C: OnnChip> FaultyChip<C> {
         let attempt = st.attempts.entry(key).or_insert(0);
         let salted = splitmix64(key ^ (*attempt as u64).wrapping_mul(0xff51_afd7_ed55_8ccd));
         *attempt += 1;
-        let boost = self.plan.boost_at(st.step);
-        (eff, salted, boost)
+        (eff, salted)
     }
 
     /// Batched [`FaultyChip::prepare`]: resolves drift + stuck faults once
@@ -466,7 +415,7 @@ impl<C: OnnChip> FaultyChip<C> {
         xs: &[&CVector],
         theta: &RVector,
         tag: u64,
-    ) -> (RVector, Vec<u64>, f64) {
+    ) -> (RVector, Vec<u64>) {
         let mut st = self.state.lock();
         let mut eff = theta.clone();
         if self.plan.drift.is_some() {
@@ -487,16 +436,14 @@ impl<C: OnnChip> FaultyChip<C> {
                 salted
             })
             .collect();
-        let boost = self.plan.boost_at(step);
-        (eff, salts, boost)
+        (eff, salts)
     }
 
     /// Whether this read's content hash schedules a hang. Pure in
-    /// `(salted, boost)`; `boost` scales the probability inside a failure
-    /// burst window.
-    fn hang_for(&self, salted: u64, boost: f64) -> Option<HangConfig> {
+    /// `salted`.
+    fn hang_for(&self, salted: u64) -> Option<HangConfig> {
         let h = self.plan.hang?;
-        (unit(splitmix64(salted ^ SALT_HANG)) < (h.prob * boost).min(1.0)).then_some(h)
+        (unit(splitmix64(salted ^ SALT_HANG)) < h.prob).then_some(h)
     }
 
     /// Simulates the stalled lab link: blocks until the abort flag is
@@ -511,8 +458,8 @@ impl<C: OnnChip> FaultyChip<C> {
     }
 
     /// Applies this read's transient fault (if any) to a field readout.
-    fn corrupt_field(&self, out: &mut CVector, salted: u64, boost: f64) {
-        if let Some(h) = self.hang_for(salted, boost) {
+    fn corrupt_field(&self, out: &mut CVector, salted: u64) {
+        if let Some(h) = self.hang_for(salted) {
             self.block_until_cancelled(h.max_block);
             for z in out.iter_mut() {
                 z.re = f64::NAN;
@@ -520,7 +467,7 @@ impl<C: OnnChip> FaultyChip<C> {
             }
             return;
         }
-        match self.transient_for(salted, boost) {
+        match self.transient_for(salted) {
             Some(Transient::Drop) => {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
                 for z in out.iter_mut() {
@@ -545,13 +492,13 @@ impl<C: OnnChip> FaultyChip<C> {
     }
 
     /// Applies this read's transient fault (if any) to a power readout.
-    fn corrupt_powers(&self, powers: &mut RVector, salted: u64, boost: f64) {
-        if let Some(h) = self.hang_for(salted, boost) {
+    fn corrupt_powers(&self, powers: &mut RVector, salted: u64) {
+        if let Some(h) = self.hang_for(salted) {
             self.block_until_cancelled(h.max_block);
             powers.fill(f64::NAN);
             return;
         }
-        match self.transient_for(salted, boost) {
+        match self.transient_for(salted) {
             Some(Transient::Drop) => {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
                 powers.fill(f64::NAN);
@@ -573,19 +520,18 @@ impl<C: OnnChip> FaultyChip<C> {
 
     /// Whether the (drop / spike / burst) family fires for this read, and
     /// with what shape. At most one family fires, tried in severity order.
-    /// `boost` scales every rate inside a failure burst window.
-    fn transient_for(&self, salted: u64, boost: f64) -> Option<Transient> {
+    fn transient_for(&self, salted: u64) -> Option<Transient> {
         let t = self.plan.transient?;
-        if unit(splitmix64(salted ^ SALT_DROP)) < (t.drop_prob * boost).min(1.0) {
+        if unit(splitmix64(salted ^ SALT_DROP)) < t.drop_prob {
             return Some(Transient::Drop);
         }
-        if unit(splitmix64(salted ^ SALT_SPIKE)) < (t.spike_prob * boost).min(1.0) {
+        if unit(splitmix64(salted ^ SALT_SPIKE)) < t.spike_prob {
             return Some(Transient::Spike {
                 port: splitmix64(salted ^ SALT_PORT),
                 scale: t.spike_scale,
             });
         }
-        if unit(splitmix64(salted ^ SALT_BURST)) < (t.burst_prob * boost).min(1.0) {
+        if unit(splitmix64(salted ^ SALT_BURST)) < t.burst_prob {
             return Some(Transient::Burst {
                 key: salted,
                 sigma: t.burst_sigma,
@@ -628,10 +574,10 @@ impl<C: OnnChip> OnnChip for FaultyChip<C> {
         theta: &RVector,
         scratch: &'s mut ChipScratch,
     ) -> &'s CVector {
-        let (eff, salted, boost) = self.prepare(x, theta, TAG_FIELD);
+        let (eff, salted) = self.prepare(x, theta, TAG_FIELD);
         self.inner.forward_into(x, &eff, scratch);
         let out = scratch.field_mut();
-        self.corrupt_field(out, salted, boost);
+        self.corrupt_field(out, salted);
         &*out
     }
 
@@ -641,11 +587,11 @@ impl<C: OnnChip> OnnChip for FaultyChip<C> {
         theta: &RVector,
         scratch: &'s mut BatchScratch,
     ) -> &'s [CVector] {
-        let (eff, salts, boost) = self.prepare_batch(xs, theta, TAG_FIELD);
+        let (eff, salts) = self.prepare_batch(xs, theta, TAG_FIELD);
         self.inner.forward_batch_into(xs, &eff, scratch);
         let fields = &mut scratch.fields_mut()[..xs.len()];
         for (out, salted) in fields.iter_mut().zip(salts) {
-            self.corrupt_field(out, salted, boost);
+            self.corrupt_field(out, salted);
         }
         &*fields
     }
@@ -656,11 +602,11 @@ impl<C: OnnChip> OnnChip for FaultyChip<C> {
         theta: &RVector,
         scratch: &'s mut BatchScratch,
     ) -> &'s [RVector] {
-        let (eff, salts, boost) = self.prepare_batch(xs, theta, TAG_POWERS);
+        let (eff, salts) = self.prepare_batch(xs, theta, TAG_POWERS);
         self.inner.forward_powers_batch_into(xs, &eff, scratch);
         let powers = &mut scratch.powers_mut()[..xs.len()];
         for (out, salted) in powers.iter_mut().zip(salts) {
-            self.corrupt_powers(out, salted, boost);
+            self.corrupt_powers(out, salted);
         }
         &*powers
     }
@@ -671,10 +617,10 @@ impl<C: OnnChip> OnnChip for FaultyChip<C> {
         theta: &RVector,
         scratch: &'s mut ChipScratch,
     ) -> &'s RVector {
-        let (eff, salted, boost) = self.prepare(x, theta, TAG_POWERS);
+        let (eff, salted) = self.prepare(x, theta, TAG_POWERS);
         self.inner.forward_powers_into(x, &eff, scratch);
         let powers = scratch.powers_mut();
-        self.corrupt_powers(powers, salted, boost);
+        self.corrupt_powers(powers, salted);
         &*powers
     }
 
@@ -867,7 +813,7 @@ impl HealthSample {
 /// phase setting `theta`, counting how many readings come back all-finite.
 ///
 /// This is the farm's out-of-band health check: dropped or hung reads
-/// surface as NaN-poisoned powers, so a chip in a failure burst (or with a
+/// surface as NaN-poisoned powers, so a chip dropping reads (or with a
 /// dead link) shows a depressed finite fraction. The probe inputs derive
 /// deterministically from `seed`, so a sweep is replayable; note that each
 /// read *does* consume chip queries and advances the transient-fault
@@ -1203,72 +1149,6 @@ mod tests {
         assert_eq!(changed.len(), 1, "exactly one port spikes");
         let i = changed[0];
         assert!((spiked.as_slice()[i] / clean.as_slice()[i] - 100.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn failure_burst_concentrates_faults_in_windows() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let arch = Architecture::single_mesh(4, 4).unwrap();
-        let chip = FabricatedChip::fabricate(&arch, &ErrorModel::with_beta(1.0), &mut rng);
-        // A tiny base drop rate, boosted 200x inside the leading 2 steps of
-        // every 10-step period: drops should land (almost) only in windows.
-        let faulty = FaultyChip::new(
-            chip,
-            FaultPlan::new(91)
-                .with_transients(TransientConfig {
-                    drop_prob: 0.004,
-                    ..TransientConfig::default()
-                })
-                .with_burst_profile(FailureBurst {
-                    period: 10,
-                    burst_len: 2,
-                    multiplier: 200.0,
-                }),
-        );
-        let theta = faulty.init_params(&mut rng);
-        let mut in_window = 0u64;
-        let mut outside = 0u64;
-        for step in 0..40u64 {
-            faulty.advance_to(step + 1);
-            let before = faulty.fault_counts().dropped;
-            for k in 0..8 {
-                let _ = faulty.forward_powers(&CVector::basis(4, k % 4), &theta);
-            }
-            let new = faulty.fault_counts().dropped - before;
-            if (step + 1) % 10 < 2 {
-                in_window += new;
-            } else {
-                outside += new;
-            }
-        }
-        assert!(
-            in_window >= 8,
-            "boosted windows must drop most reads (got {in_window})"
-        );
-        assert!(
-            outside <= 2,
-            "outside a window the base rate stays tiny (got {outside})"
-        );
-    }
-
-    #[test]
-    fn burst_boost_is_deterministic_and_identity_off_window() {
-        let b = FailureBurst {
-            period: 6,
-            burst_len: 3,
-            multiplier: 50.0,
-        };
-        for step in 0..24u64 {
-            let expect = if step % 6 < 3 { 50.0 } else { 1.0 };
-            assert_eq!(b.boost_at(step), expect);
-        }
-        // Degenerate profiles are inert, never a division by zero.
-        let off = FailureBurst {
-            period: 0,
-            burst_len: 3,
-            multiplier: 50.0,
-        };
-        assert_eq!(off.boost_at(5), 1.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Seeded open-loop arrival processes.
 //!
-//! All three processes are *open-loop*: arrival times are independent of
+//! Both processes are *open-loop*: arrival times are independent of
 //! how the servers are doing, which is what makes saturation visible (a
 //! closed-loop client slows down when the system does and hides the
 //! queueing collapse). Every generator owns a private RNG stream derived
@@ -33,16 +33,6 @@ pub enum ArrivalProcess {
         /// Mean quiet-period duration in virtual nanoseconds.
         mean_off_ns: f64,
     },
-    /// Sinusoidally modulated rate `base · (1 + amplitude · sin(2πt/T))`,
-    /// sampled by thinning against the peak rate. Models diurnal load.
-    Diurnal {
-        /// Mean arrival rate over a full period.
-        base_rate_hz: f64,
-        /// Relative modulation depth in `[0, 1]`.
-        amplitude: f64,
-        /// Modulation period in virtual nanoseconds.
-        period_ns: u64,
-    },
 }
 
 impl ArrivalProcess {
@@ -51,7 +41,6 @@ impl ArrivalProcess {
         match self {
             ArrivalProcess::Poisson { .. } => "poisson",
             ArrivalProcess::Bursty { .. } => "bursty",
-            ArrivalProcess::Diurnal { .. } => "diurnal",
         }
     }
 }
@@ -61,7 +50,7 @@ impl ArrivalProcess {
 pub struct ArrivalGen {
     process: ArrivalProcess,
     rng: StdRng,
-    // Bursty phase machine (unused by the other processes).
+    // Bursty phase machine (unused by Poisson).
     phase_on: bool,
     phase_end: f64,
 }
@@ -118,29 +107,6 @@ impl ArrivalGen {
                     self.phase_on = !self.phase_on;
                     let mean = if self.phase_on { mean_on_ns } else { mean_off_ns };
                     self.phase_end = t + exp_sample(&mut self.rng, mean);
-                }
-            }
-            ArrivalProcess::Diurnal {
-                base_rate_hz,
-                amplitude,
-                period_ns,
-            } => {
-                if base_rate_hz <= 0.0 {
-                    return u64::MAX;
-                }
-                let amp = amplitude.clamp(0.0, 1.0);
-                let peak = base_rate_hz * (1.0 + amp);
-                // Thinning (Lewis-Shedler): sample the homogeneous peak-rate
-                // process, accept each candidate with probability
-                // rate(t)/peak.
-                let mut t = now_ns as f64;
-                loop {
-                    t += exp_interval_ns(&mut self.rng, peak);
-                    let phase = 2.0 * std::f64::consts::PI * t / period_ns as f64;
-                    let rate_t = base_rate_hz * (1.0 + amp * phase.sin());
-                    if self.rng.gen::<f64>() * peak <= rate_t {
-                        break t;
-                    }
                 }
             }
         };
@@ -209,10 +175,11 @@ mod tests {
     fn arrivals_strictly_increase() {
         for p in [
             ArrivalProcess::Poisson { rate_hz: 1e9 },
-            ArrivalProcess::Diurnal {
-                base_rate_hz: 1e8,
-                amplitude: 0.8,
-                period_ns: 1_000_000,
+            ArrivalProcess::Bursty {
+                on_rate_hz: 1e9,
+                off_rate_hz: 1e7,
+                mean_on_ns: 100_000.0,
+                mean_off_ns: 100_000.0,
             },
         ] {
             let times = collect(p, 7, 1_000_000);
@@ -261,28 +228,5 @@ mod tests {
             5,
         );
         assert_eq!(gen.next_after(123), u64::MAX);
-    }
-
-    #[test]
-    fn diurnal_modulates_density() {
-        // Amplitude 1: the trough rate is ~0, the crest ~2·base. Compare
-        // arrival counts in the first (rising, sin>0) and second half of
-        // one period.
-        let period = 10_000_000u64;
-        let times = collect(
-            ArrivalProcess::Diurnal {
-                base_rate_hz: 1_000_000.0,
-                amplitude: 1.0,
-                period_ns: period,
-            },
-            11,
-            period,
-        );
-        let crest = times.iter().filter(|&&t| t < period / 2).count();
-        let trough = times.len() - crest;
-        assert!(
-            crest > trough * 2,
-            "crest half {crest} should dominate trough half {trough}"
-        );
     }
 }

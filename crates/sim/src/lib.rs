@@ -5,8 +5,8 @@
 //! when a million requests hit the farm, and what happens when replicas
 //! die?".
 //!
-//! One event loop drives seeded open-loop traffic — Poisson, bursty
-//! on/off, and diurnal-modulated arrival processes — through bounded
+//! One event loop drives seeded open-loop traffic — Poisson and bursty
+//! on/off arrival processes — through bounded
 //! per-tenant [`photon_farm::RequestQueue`]s and the microbatch
 //! [`photon_farm::CoalescePolicy`] onto a group of replicas, charging each
 //! dispatch virtual time from a [`TierCostModel`] calibrated against the

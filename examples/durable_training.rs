@@ -4,19 +4,18 @@
 //! The run appends its full loop-carried state to a write-ahead journal
 //! after every epoch; on `--resume` the journal is replayed (truncating any
 //! torn tail left by the kill) and training continues exactly where it
-//! stopped. The final parameters are written as a checkpoint whose bytes
-//! are a pure function of `(task, config, seed)` — the CI chaos gate
-//! (`scripts/chaos_resume.sh`) `cmp`s a killed-and-resumed run's checkpoint
+//! stopped. The journal holds no wall-clock time, so its bytes — every
+//! epoch's state and record, the final parameters included — are a pure
+//! function of `(task, config, seed)` at any `--threads`: the CI chaos gate
+//! (`scripts/chaos_resume.sh`) `cmp`s a killed-and-resumed run's journal
 //! against an uninterrupted control's.
 //!
 //! Run with:
 //!
 //! ```text
-//! cargo run --release --example durable_training -- \
-//!     --journal results/durable.journal --checkpoint results/durable.ckpt
+//! cargo run --release --example durable_training -- --journal results/durable.journal
 //! # ... kill -9 it mid-run, then:
-//! cargo run --release --example durable_training -- \
-//!     --journal results/durable.journal --checkpoint results/durable.ckpt --resume
+//! cargo run --release --example durable_training -- --journal results/durable.journal --resume
 //! ```
 
 use std::path::PathBuf;
@@ -25,8 +24,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use photon_zo::core::{
-    build_task, AbortReason, Checkpoint, DurableOptions, Method, RunOutcome, TaskSpec,
-    TrainConfig, Trainer,
+    build_task, AbortReason, DurableOptions, Method, RunOutcome, TaskSpec, TrainConfig, Trainer,
 };
 use photon_zo::trace::{TraceEvent, TraceHandle, TraceSink};
 
@@ -47,7 +45,6 @@ impl TraceSink for FlushThrottle {
 
 struct Args {
     journal: PathBuf,
-    checkpoint: PathBuf,
     epochs: usize,
     seed: u64,
     threads: usize,
@@ -58,7 +55,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         journal: PathBuf::from("results/durable.journal"),
-        checkpoint: PathBuf::from("results/durable.ckpt"),
         epochs: 6,
         seed: 7,
         threads: 1,
@@ -73,7 +69,6 @@ fn parse_args() -> Result<Args, String> {
         };
         match flag.as_str() {
             "--journal" => args.journal = PathBuf::from(value("--journal")?),
-            "--checkpoint" => args.checkpoint = PathBuf::from(value("--checkpoint")?),
             "--epochs" => {
                 args.epochs = value("--epochs")?
                     .parse()
@@ -139,16 +134,10 @@ fn main() -> ExitCode {
                 outcome.final_eval.accuracy,
                 outcome.training_queries
             );
-            let ckpt = Checkpoint::new(
-                task.chip.architecture().clone(),
-                outcome.theta,
-                None,
+            println!(
+                "final parameters are the last record of {}",
+                args.journal.display()
             );
-            if let Err(e) = ckpt.save(&args.checkpoint) {
-                eprintln!("durable_training: checkpoint save failed: {e}");
-                return ExitCode::from(1);
-            }
-            println!("checkpoint written to {}", args.checkpoint.display());
             ExitCode::SUCCESS
         }
         Ok(RunOutcome::Aborted {

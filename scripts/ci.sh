@@ -45,9 +45,9 @@ print(f"ci: telemetry ledger reconciles ({ledgered} queries across {sorted(categ
 EOF
 
 # Durability gate: SIGKILL a journaled run at a seeded-pseudo-random
-# instant, resume from the (possibly torn) journal, and require the final
-# checkpoint to be byte-identical to an uninterrupted control — at worker
-# pools 1 and 3.
+# instant, resume from the (possibly torn) journal, and require the resumed
+# journal — every epoch's state and record, final parameters included — to
+# be byte-identical to an uninterrupted control's, at worker pools 1 and 3.
 scripts/chaos_resume.sh
 
 # Farm chaos gate: the multi-tenant chip farm under a seeded schedule of
@@ -179,7 +179,10 @@ echo "ci: failover chaos run holds the 2x p99 bound, sheds less than control, an
 #     on both accuracy and loss;
 # (b) replay bitwise: two invocations — the second resuming from the
 #     first's write-ahead journal — must print byte-identical reports
-#     (pinned to the scalar kernel so the gate holds on every host);
+#     (pinned to the scalar kernel so the gate holds on every host), and a
+#     third run into a fresh directory must write the same journals, byte
+#     for byte, as the first wrote into the committed results/online-recal
+#     (no wall clock in them);
 # (c) hold its seams: the e2e suite covers pool-size/restart bitwise
 #     determinism, kill-at-any-byte promote/rollback atomicity, and the
 #     probe traffic's p99 budget in the serving sim.
@@ -190,6 +193,11 @@ PHOTON_KERNEL=scalar cargo run --release --offline --example online_recal -- \
 PHOTON_KERNEL=scalar cargo run --release --offline --example online_recal -- \
     --dir results/online-recal >results/online_recal_b.txt
 cmp results/online_recal_a.txt results/online_recal_b.txt
+fresh_recal="$(mktemp -d)"
+PHOTON_KERNEL=scalar cargo run --release --offline --example online_recal -- \
+    --dir "$fresh_recal/online-recal" >/dev/null
+diff -r "$fresh_recal/online-recal" results/online-recal
+rm -rf "$fresh_recal"
 grep -q "PROMOTED" results/online_recal_a.txt
 grep -q "recovered: yes" results/online_recal_a.txt
 echo "ci: online recalibration recovers, promotes, and replays byte-identically"

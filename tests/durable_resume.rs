@@ -48,8 +48,7 @@ fn eval_bits(e: &Evaluation) -> (u64, u64, usize) {
     (e.accuracy.to_bits(), e.loss.to_bits(), e.samples)
 }
 
-/// Bitwise equality of two outcomes, excluding wall-clock (`elapsed`),
-/// which is explicitly outside the determinism contract.
+/// Bitwise equality of two outcomes.
 fn assert_same_outcome(control: &TrainOutcome, resumed: &TrainOutcome) {
     assert_eq!(control.method, resumed.method);
     assert_eq!(
@@ -94,7 +93,8 @@ fn assert_same_outcome(control: &TrainOutcome, resumed: &TrainOutcome) {
 
 /// Byte length of a header-only journal with the control run's identity,
 /// so the simulated kill never cuts into the header itself (that would be
-/// a corrupt file, not a torn tail — covered by the checkpoint proptests).
+/// a corrupt file, not a torn tail — covered by the persistence proptests
+/// in tests/noise_and_checkpoint.rs).
 fn header_len(dir: &Path, method: Method, config: &TrainConfig) -> u64 {
     let header = JournalHeader {
         method,
@@ -111,7 +111,7 @@ fn header_len(dir: &Path, method: Method, config: &TrainConfig) -> u64 {
 /// The decisive test: run durably to completion (control), then simulate a
 /// kill by truncating a copy of the journal at a seeded-random byte, and
 /// resume on a freshly fabricated identical chip. Control and resumed run
-/// must agree bit for bit.
+/// must agree bit for bit, and so must their journal files.
 fn kill_and_resume(threads: usize, method: Method, kill_seed: u64, name: &str) {
     let dir = tmp_dir(name);
     let config = quick_config(threads);
@@ -153,6 +153,10 @@ fn kill_and_resume(threads: usize, method: Method, kill_seed: u64, name: &str) {
         .expect("resumed run completes");
 
     assert_same_outcome(&control, &resumed);
+    assert!(
+        fs::read(&killed_path).unwrap() == fs::read(&control_path).unwrap(),
+        "resumed journal must equal the control journal byte for byte"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -6,6 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use photon_zo::core::{build_task, Method, ModelChoice, TaskSpec, TrainConfig, Trainer};
+use photon_zo::trace::{TraceEvent, TraceHandle};
 
 fn quick(epochs: usize) -> TrainConfig {
     let mut c = TrainConfig::quick(4);
@@ -153,17 +154,29 @@ fn histories_are_complete_and_monotone_in_queries() {
     let task = build_task(&spec, 130).unwrap();
     let trainer = Trainer::new(&task.chip, &task.train, &task.test, task.head);
     let mut rng = StdRng::seed_from_u64(9);
+    let (trace, sink) = TraceHandle::memory(0);
+    let config = TrainConfig { trace, ..quick(5) };
     let out = trainer
-        .train(Method::ZoGaussian, &quick(5), &mut rng)
+        .train(Method::ZoGaussian, &config, &mut rng)
         .unwrap();
     assert_eq!(out.history.len(), 5);
+    // Wall time lives in the trace, one span per epoch, never in a record.
+    let wall_secs: Vec<f64> = sink
+        .events()
+        .into_iter()
+        .filter_map(|e| match e {
+            TraceEvent::EpochSpan { wall_secs, .. } => Some(wall_secs),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(wall_secs.len(), out.history.len());
     for (i, rec) in out.history.iter().enumerate() {
         assert_eq!(rec.epoch, i + 1);
         assert!(rec.train_loss.is_finite());
-        assert!(rec.elapsed >= 0.0);
+        assert!(wall_secs[i] >= 0.0);
         if i > 0 {
             assert!(rec.training_queries >= out.history[i - 1].training_queries);
-            assert!(rec.elapsed >= out.history[i - 1].elapsed);
+            assert!(wall_secs[i] >= wall_secs[i - 1]);
         }
     }
     assert_eq!(

@@ -1,12 +1,11 @@
 //! Integration tests of the extension features: measurement noise in the
-//! training loop, and checkpoint-based resume.
+//! training loop, and the persistence properties of the run journal.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use photon_zo::core::{
-    build_task, evaluate_chip, Checkpoint, ClassificationHead, Method, TaskSpec, TrainConfig,
-    Trainer,
+    build_task, evaluate_chip, ClassificationHead, Method, TaskSpec, TrainConfig, Trainer,
 };
 use photon_zo::data::GaussianClusters;
 use photon_zo::photonics::{Architecture, ErrorModel, FabricatedChip, MeasurementNoise};
@@ -79,33 +78,21 @@ fn checkpoint_roundtrip_resumes_training_identically() {
     let trainer = Trainer::new(&task.chip, &task.train, &task.test, task.head);
     let theta = trainer.warm_start(&config, &mut rng);
 
-    // Persist architecture + theta + oracle errors, reload, rebuild.
-    let ckpt = Checkpoint::new(
-        task.chip.architecture().clone(),
-        theta.clone(),
-        Some(task.chip.oracle_errors()),
-    );
-    let dir = std::env::temp_dir().join("photon_zo_it_ckpt");
-    let path = dir.join("resume.ckpt");
-    ckpt.save(&path).unwrap();
-    let restored = Checkpoint::load(&path).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // The restored chip replica behaves identically to the original.
+    // A replica fabricated from the chip's own error assignment behaves
+    // identically to the original.
     let replica =
-        FabricatedChip::with_errors(&restored.architecture, restored.errors.as_ref().unwrap())
-            .unwrap();
+        FabricatedChip::with_errors(task.chip.architecture(), &task.chip.oracle_errors()).unwrap();
     let x = task.train.inputs()[0].clone();
     let y_orig = task.chip.forward(&x, &theta);
-    let y_replica = replica.forward(&x, &restored.theta);
+    let y_replica = replica.forward(&x, &theta);
     // Errors roundtrip through polar form, so expect fp-rounding agreement
     // rather than bit equality.
     assert!((&y_orig - &y_replica).max_abs() < 1e-12);
 
-    // Fine-tuning from the restored theta with the same seed gives the
-    // same trajectory on the replica as on the original chip.
+    // Fine-tuning from the same theta with the same seed gives the same
+    // trajectory on the replica as on the original chip.
     let trainer_replica = Trainer::new(&replica, &task.train, &task.test, task.head);
-    let mut ta = restored.theta.clone();
+    let mut ta = theta.clone();
     let mut tb = theta.clone();
     let mut rng_a = StdRng::seed_from_u64(1202);
     let mut rng_b = StdRng::seed_from_u64(1202);
@@ -126,35 +113,36 @@ fn checkpoint_roundtrip_resumes_training_identically() {
     }
 }
 
-/// Fuzz-ish robustness properties of the persistence formats: random
-/// checkpoints round-trip exactly (including non-finite parameter values),
-/// and any corruption — truncation, flipped bytes, unknown versions,
-/// duplicated sections, torn journal tails — is rejected or repaired, never
-/// a panic.
+/// Fuzz-ish robustness properties of the run journal, the one durable
+/// format: entries round-trip exactly (including non-finite values), and
+/// any corruption — flipped bytes, unknown versions, duplicated lines,
+/// torn tails — is rejected or repaired, never a panic.
 mod persistence_properties {
+    use std::path::{Path, PathBuf};
     use std::sync::OnceLock;
 
     use proptest::prelude::*;
 
     use photon_zo::core::{
-        build_task, crc32, Checkpoint, DurableOptions, Method, RunJournal, TaskSpec, TrainConfig,
-        Trainer,
+        build_task, crc32, DurableOptions, EpochEntry, EpochRecord, JournalHeader, Method,
+        RecoveryStats, RunJournal, RunState, TaskSpec, TrainConfig, Trainer,
     };
     use photon_zo::linalg::RVector;
-    use photon_zo::photonics::{Architecture, ErrorVector};
+    use photon_zo::opt::AdamState;
+    use photon_zo::photonics::ErrorVector;
+    use photon_zo::trace::LedgerCounts;
 
-    fn arb_architecture() -> impl Strategy<Value = Architecture> {
-        (2usize..6, 1usize..3, 0usize..3, 0.01..0.95f64, 0.5..4.0f64).prop_map(
-            |(dim, layers, shape, alpha, gain)| match shape {
-                0 => Architecture::single_mesh(dim, layers).unwrap(),
-                1 => Architecture::two_mesh_classifier(dim, layers).unwrap(),
-                _ => Architecture::two_mesh_eo_classifier(dim, layers, alpha, gain).unwrap(),
-            },
-        )
+    const MAGIC: &str = "photon-zo-journal v2";
+
+    fn tmp_path(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
+            "photon-journal-props-{}-{tag}.journal",
+            std::process::id()
+        ))
     }
 
-    /// Parameter values including the ones plain-text formats get wrong:
-    /// NaN, infinities, signed zero, subnormal-scale magnitudes.
+    /// Values plain-text formats get wrong: NaN, infinities, signed zero,
+    /// subnormal-scale magnitudes.
     fn arb_value() -> impl Strategy<Value = f64> {
         (0u32..13, -10.0..10.0f64).prop_map(|(kind, finite)| match kind {
             0 => f64::NAN,
@@ -166,147 +154,117 @@ mod persistence_properties {
         })
     }
 
-    fn arb_checkpoint() -> impl Strategy<Value = Checkpoint> {
-        (arb_architecture(), any::<bool>()).prop_flat_map(|(arch, with_errors)| {
-            let n_theta = arch.param_count();
-            let (n_bs, n_ps) = arch.error_slots();
-            let n_flat = if with_errors { n_bs + 2 * n_ps } else { 0 };
-            (
-                Just(arch),
-                proptest::collection::vec(arb_value(), n_theta),
-                proptest::collection::vec(-0.5..0.5f64, n_flat),
-            )
-        })
-        .prop_map(|(arch, theta, flat)| {
-            let (n_bs, n_ps) = arch.error_slots();
-            let errors = (!flat.is_empty())
-                .then(|| ErrorVector::from_flat(n_bs, n_ps, &flat).unwrap());
-            Checkpoint::new(arch, RVector::from_vec(theta), errors)
-        })
+    fn arb_vec(n: usize) -> impl Strategy<Value = RVector> {
+        proptest::collection::vec(arb_value(), n).prop_map(RVector::from_vec)
     }
 
-    fn theta_bits(c: &Checkpoint) -> Vec<u64> {
-        c.theta.iter().map(|x| x.to_bits()).collect()
+    /// An epoch entry whose θ, Adam moments, `loss_ema` and metric errors
+    /// draw from [`arb_value`].
+    fn arb_entry() -> impl Strategy<Value = EpochEntry> {
+        (1usize..6, 0usize..3, 0usize..3)
+            .prop_flat_map(|(n, n_bs, n_ps)| {
+                (
+                    arb_vec(n),
+                    arb_vec(n),
+                    arb_vec(n),
+                    (any::<bool>(), arb_value()),
+                    (any::<bool>(), arb_vec(n_bs + 2 * n_ps)),
+                    Just((n_bs, n_ps)),
+                )
+            })
+            .prop_map(|(theta, m, v, (has_ema, ema), (has_errors, flat), (n_bs, n_ps))| EpochEntry {
+                state: RunState {
+                    epoch: 1,
+                    iteration: 3,
+                    coord_offset: 0,
+                    rollbacks_used: 0,
+                    loss_ema: has_ema.then_some(ema),
+                    eval_queries: 0,
+                    ledger: LedgerCounts::new(),
+                    recovery: RecoveryStats::default(),
+                    theta,
+                    adam: AdamState {
+                        lr: 0.01,
+                        beta1: 0.9,
+                        beta2: 0.999,
+                        eps: 1e-8,
+                        m: Some(m),
+                        v: Some(v),
+                        t: 3,
+                    },
+                    cma: None,
+                    rollback_snapshot: None,
+                    metric_errors: has_errors
+                        .then(|| ErrorVector::from_flat(n_bs, n_ps, flat.as_slice()).unwrap()),
+                    recovery_events: Vec::new(),
+                },
+                record: EpochRecord {
+                    epoch: 1,
+                    train_loss: 0.5,
+                    test: None,
+                    training_queries: 30,
+                    recovery: RecoveryStats::default(),
+                },
+            })
     }
 
-    /// Byte length of the checksummed body (everything before the trailing
-    /// `checksum` line): a flip anywhere in it must trip the CRC.
-    fn body_len(text: &str) -> usize {
-        text.rfind("checksum ").expect("v2 text has a checksum line")
+    fn header() -> JournalHeader {
+        JournalHeader {
+            method: Method::ZoGaussian,
+            root_seed: 3,
+            epochs: 1,
+            batch_size: 8,
+            q: 2,
+        }
     }
 
-    /// Re-seals a tampered body under a *valid* checksum, so the test
-    /// exercises the structural parser, not just the CRC gate.
-    fn reseal(body: &str) -> String {
-        format!("{body}checksum {:08x}", crc32(body.as_bytes()))
+    fn bits(v: &RVector) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Writes a one-entry journal at `path` and returns its bytes.
+    fn write_journal(path: &Path, entry: &EpochEntry) -> Vec<u8> {
+        let mut journal = RunJournal::create(path, &header()).unwrap();
+        journal.append_epoch(entry).unwrap();
+        drop(journal);
+        std::fs::read(path).unwrap()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Save → load is exact for any architecture and any theta,
-        /// including NaN / ±inf / -0.0 entries (compared as bit patterns:
-        /// NaN breaks `PartialEq`, not the format).
+        /// `append_epoch` → `replay` is exact for θ, the Adam moments,
+        /// `loss_ema` and the metric errors, including NaN / ±inf / -0.0 /
+        /// 1e-308 (compared as bit patterns: NaN breaks `PartialEq`, not
+        /// the format), and re-appending the replayed entry writes the
+        /// same bytes.
         #[test]
-        fn checkpoint_roundtrips_random_arch_and_theta(ckpt in arb_checkpoint()) {
-            let text = ckpt.to_string();
-            let back: Checkpoint = text.parse().expect("own output must parse");
-            prop_assert_eq!(theta_bits(&back), theta_bits(&ckpt));
-            prop_assert_eq!(back.architecture.specs(), ckpt.architecture.specs());
-            prop_assert_eq!(back.errors.is_some(), ckpt.errors.is_some());
-            // The re-serialization is byte-identical, so equality holds at
-            // the representation level even where float semantics cannot.
-            prop_assert_eq!(back.to_string(), text);
+        fn journal_roundtrips_nonfinite_values(entry in arb_entry()) {
+            let path = tmp_path("roundtrip");
+            let bytes = write_journal(&path, &entry);
+            let replay = RunJournal::replay(&path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            prop_assert_eq!(replay.entries.len(), 1);
+            let back = &replay.entries[0];
+            let (s, b) = (&entry.state, &back.state);
+            prop_assert_eq!(bits(&b.theta), bits(&s.theta));
+            prop_assert_eq!(bits(b.adam.m.as_ref().unwrap()), bits(s.adam.m.as_ref().unwrap()));
+            prop_assert_eq!(bits(b.adam.v.as_ref().unwrap()), bits(s.adam.v.as_ref().unwrap()));
+            prop_assert_eq!(b.loss_ema.map(f64::to_bits), s.loss_ema.map(f64::to_bits));
+            let flat_bits = |e: &Option<ErrorVector>| {
+                e.as_ref().map(|e| e.to_flat().iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+            };
+            prop_assert_eq!(flat_bits(&b.metric_errors), flat_bits(&s.metric_errors));
+
+            let again = tmp_path("reappend");
+            let rewritten = write_journal(&again, back);
+            let _ = std::fs::remove_file(&again);
+            prop_assert!(rewritten == bytes, "re-appended entry must write identical bytes");
         }
-
-        /// A file truncated at ANY byte is rejected with a parse error.
-        #[test]
-        fn truncated_checkpoint_is_rejected(
-            ckpt in arb_checkpoint(),
-            cut_frac in 0.0..1.0f64,
-        ) {
-            let text = ckpt.to_string();
-            let cut = ((text.len() as f64) * cut_frac) as usize;
-            prop_assume!(cut < text.len());
-            prop_assert!(text[..cut].parse::<Checkpoint>().is_err());
-        }
-
-        /// Any single-byte corruption of the checksummed body is caught.
-        #[test]
-        fn flipped_body_byte_is_rejected(
-            ckpt in arb_checkpoint(),
-            idx_frac in 0.0..1.0f64,
-            mask in 1u32..0x60,
-        ) {
-            let text = ckpt.to_string();
-            let limit = body_len(&text);
-            let idx = ((limit as f64) * idx_frac) as usize;
-            prop_assume!(idx < limit);
-            let mut bytes = text.into_bytes();
-            bytes[idx] ^= mask as u8;
-            prop_assume!(bytes[idx].is_ascii());
-            let corrupted = String::from_utf8(bytes).unwrap();
-            prop_assert!(corrupted.parse::<Checkpoint>().is_err());
-        }
-
-        /// A file claiming a future format version is rejected up front,
-        /// even when its checksum is internally consistent.
-        #[test]
-        fn unknown_version_is_rejected(ckpt in arb_checkpoint()) {
-            let text = ckpt.to_string();
-            let body = text[..body_len(&text)]
-                .replacen("photon-zo-checkpoint v2", "photon-zo-checkpoint v9", 1);
-            let err = reseal(&body).parse::<Checkpoint>().unwrap_err();
-            prop_assert!(err.to_string().contains("unsupported"), "got: {err}");
-        }
-
-        /// Duplicated sections are structural corruption: rejected even
-        /// under a recomputed (valid) checksum.
-        #[test]
-        fn duplicated_section_is_rejected(ckpt in arb_checkpoint()) {
-            let text = ckpt.to_string();
-            let body = &text[..body_len(&text)];
-            let doubled = format!("{body}errors none\n");
-            prop_assert!(reseal(&doubled).parse::<Checkpoint>().is_err());
-        }
-    }
-
-    #[test]
-    fn flipped_checksum_digit_is_rejected() {
-        let arch = Architecture::single_mesh(4, 2).unwrap();
-        let theta = RVector::zeros(arch.param_count());
-        let ckpt = Checkpoint::new(arch, theta, None);
-        let text = ckpt.to_string();
-        let tail = text.len() - 2; // last hex digit of the checksum line
-        let mut bytes = text.clone().into_bytes();
-        bytes[tail] = if bytes[tail] == b'0' { b'1' } else { b'0' };
-        let corrupted = String::from_utf8(bytes).unwrap();
-        assert_ne!(corrupted, text);
-        let err = corrupted.parse::<Checkpoint>().unwrap_err();
-        assert!(err.to_string().contains("checksum"), "got: {err}");
-    }
-
-    #[test]
-    fn truncated_checkpoint_file_is_rejected_via_load() {
-        let dir = std::env::temp_dir().join(format!(
-            "photon-ckpt-truncated-{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let arch = Architecture::single_mesh(4, 2).unwrap();
-        let theta = RVector::zeros(arch.param_count());
-        let ckpt = Checkpoint::new(arch, theta, None);
-        let path = dir.join("ckpt.txt");
-        ckpt.save(&path).unwrap();
-        assert_eq!(Checkpoint::load(&path).unwrap(), ckpt);
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &text[..text.len() / 2]).unwrap();
-        assert!(Checkpoint::load(&path).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Bytes of a real two-epoch durable-run journal, produced once and
-    /// shared by the torn-tail properties below.
+    /// shared by the corruption properties below.
     fn journal_fixture() -> &'static [u8] {
         static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
         BYTES.get_or_init(|| {
@@ -330,11 +288,32 @@ mod persistence_properties {
         })
     }
 
+    /// The fixture's records as `(payload start, payload end)` byte ranges:
+    /// the header record first, then one per epoch.
+    fn payload_ranges(bytes: &[u8]) -> Vec<(usize, usize)> {
+        let text = std::str::from_utf8(bytes).unwrap();
+        let mut at = text.find('\n').unwrap() + 1;
+        let mut ranges = Vec::new();
+        while at < text.len() {
+            let line_end = at + text[at..].find('\n').unwrap();
+            let len: usize = text[at..line_end].split(' ').nth(1).unwrap().parse().unwrap();
+            ranges.push((line_end + 1, line_end + 1 + len));
+            at = line_end + 1 + len;
+        }
+        ranges
+    }
+
+    /// Frames `payloads` under valid lengths and checksums.
+    fn seal(payloads: &[String]) -> Vec<u8> {
+        let mut out = format!("{MAGIC}\n");
+        for p in payloads {
+            out.push_str(&format!("record {} {:08x}\n{p}", p.len(), crc32(p.as_bytes())));
+        }
+        out.into_bytes()
+    }
+
     fn replay_mutated(bytes: &[u8], tag: &str) -> Result<usize, String> {
-        let path = std::env::temp_dir().join(format!(
-            "photon-journal-mutated-{}-{tag}.journal",
-            std::process::id()
-        ));
+        let path = tmp_path(&format!("mutated-{tag}"));
         std::fs::write(&path, bytes).unwrap();
         let result = RunJournal::replay(&path)
             .map(|replay| {
@@ -380,14 +359,98 @@ mod persistence_properties {
             mutated[idx] ^= mask as u8;
             let _ = replay_mutated(&mutated, &format!("flip{idx}-{mask}"));
         }
+
+        /// Any single-byte corruption of a record's payload trips its CRC:
+        /// that record and everything after it are dropped as a torn tail
+        /// (a damaged header leaves no journal at all).
+        #[test]
+        fn flipped_body_byte_is_rejected(
+            idx_frac in 0.0..1.0f64,
+            mask in 1u32..0x60,
+        ) {
+            let bytes = journal_fixture();
+            let ranges = payload_ranges(bytes);
+            let body: usize = ranges.iter().map(|(a, b)| b - a).sum();
+            let mut k = ((body as f64) * idx_frac) as usize;
+            prop_assume!(k < body);
+            let (record, idx) = ranges
+                .iter()
+                .enumerate()
+                .find_map(|(r, &(a, b))| {
+                    if k < b - a {
+                        Some((r, a + k))
+                    } else {
+                        k -= b - a;
+                        None
+                    }
+                })
+                .unwrap();
+            let mut mutated = bytes.to_vec();
+            mutated[idx] ^= mask as u8;
+            prop_assume!(mutated[idx].is_ascii());
+            match replay_mutated(&mutated, &format!("body{idx}-{mask}")) {
+                Ok(entries) => prop_assert_eq!(entries, record - 1),
+                Err(e) => {
+                    prop_assert_eq!(record, 0);
+                    prop_assert!(e.contains("no intact header"), "got: {}", e);
+                }
+            }
+        }
+
+        /// Duplicated lines are structural corruption: rejected even when
+        /// the record is resealed under a valid length and checksum.
+        #[test]
+        fn duplicated_section_is_rejected(record_frac in 0.0..1.0f64, line_frac in 0.0..1.0f64) {
+            let bytes = journal_fixture();
+            let mut payloads: Vec<String> = payload_ranges(bytes)
+                .into_iter()
+                .map(|(a, b)| String::from_utf8(bytes[a..b].to_vec()).unwrap())
+                .collect();
+            let r = ((payloads.len() as f64) * record_frac) as usize;
+            prop_assume!(r < payloads.len());
+            let mut lines: Vec<&str> = payloads[r].lines().collect();
+            let l = ((lines.len() as f64) * line_frac) as usize;
+            prop_assume!(l < lines.len());
+            lines.insert(l, lines[l]);
+            let doubled = lines.iter().map(|line| format!("{line}\n")).collect::<String>();
+            payloads[r] = doubled;
+            let path = tmp_path(&format!("dup{r}-{l}"));
+            std::fs::write(&path, seal(&payloads)).unwrap();
+            let result = RunJournal::replay(&path);
+            let _ = std::fs::remove_file(&path);
+            prop_assert!(result.is_err(), "record {} line {} duplicated yet accepted", r, l);
+        }
+    }
+
+    /// A flipped hex digit of the last record's checksum drops that record
+    /// as a torn tail; the earlier epochs survive.
+    #[test]
+    fn flipped_checksum_digit_is_rejected() {
+        let bytes = journal_fixture();
+        let (last_start, _) = *payload_ranges(bytes).last().unwrap();
+        let digit = last_start - 2; // last hex digit of the final frame line
+        let mut mutated = bytes.to_vec();
+        mutated[digit] = if mutated[digit] == b'0' { b'1' } else { b'0' };
+        assert_eq!(replay_mutated(&mutated, "crc"), Ok(1));
+    }
+
+    /// Journals of another format version — the v1 format that still
+    /// carried wall-clock time, or a future one — are refused up front.
+    #[test]
+    fn unknown_version_is_rejected() {
+        let bytes = journal_fixture();
+        let body = &bytes[MAGIC.len()..];
+        for magic in ["photon-zo-journal v1", "photon-zo-journal v9"] {
+            let mut other = magic.as_bytes().to_vec();
+            other.extend_from_slice(body);
+            let err = replay_mutated(&other, magic.rsplit(' ').next().unwrap()).unwrap_err();
+            assert!(err.contains("unsupported journal version"), "got: {err}");
+        }
     }
 
     #[test]
     fn journal_with_bad_magic_is_rejected() {
-        let path = std::env::temp_dir().join(format!(
-            "photon-journal-bad-magic-{}.journal",
-            std::process::id()
-        ));
+        let path = tmp_path("bad-magic");
         std::fs::write(&path, b"not a journal at all\n").unwrap();
         assert!(RunJournal::replay(&path).is_err());
         let _ = std::fs::remove_file(&path);
