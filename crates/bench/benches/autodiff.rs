@@ -5,8 +5,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use photon_exec::ExecPool;
 use photon_linalg::random::{normal_cvector, normal_rvector};
-use photon_photonics::{fisher_vector_product, Architecture};
+use photon_photonics::{fisher_vector_products, Architecture};
 
 fn bench_jvp_vjp(c: &mut Criterion) {
     let mut group = c.benchmark_group("autodiff");
@@ -45,9 +46,12 @@ fn bench_fisher_product(c: &mut Criterion) {
             .build_ideal();
         let theta = net.init_params(&mut rng);
         let inputs: Vec<_> = (0..4).map(|_| normal_cvector(k, &mut rng)).collect();
-        let v = normal_rvector(net.param_count(), &mut rng);
+        let v = [normal_rvector(net.param_count(), &mut rng)];
+        let pool = ExecPool::serial();
         group.bench_with_input(BenchmarkId::new("fvp_4_inputs", k), &k, |b, _| {
-            b.iter(|| fisher_vector_product(&net, &theta, &inputs, std::hint::black_box(&v)))
+            b.iter(|| {
+                fisher_vector_products(&net, &theta, &inputs, std::hint::black_box(&v), &pool)
+            })
         });
     }
     group.finish();

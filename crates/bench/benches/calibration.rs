@@ -5,6 +5,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use photon_calib::{calibrate, measure_chip, CalibrationSettings, LmSettings, ProbePlan};
+use photon_exec::ExecPool;
 use photon_photonics::{Architecture, ErrorModel, FabricatedChip};
 
 fn bench_measurement_sweep(c: &mut Criterion) {
@@ -15,7 +16,7 @@ fn bench_measurement_sweep(c: &mut Criterion) {
         let chip = FabricatedChip::fabricate(&arch, &ErrorModel::with_beta(1.0), &mut rng);
         let plan = ProbePlan::for_chip(&chip, true, 8, 3, &mut rng);
         group.bench_with_input(BenchmarkId::new("probe_sweep", k), &k, |b, _| {
-            b.iter(|| measure_chip(&chip, std::hint::black_box(&plan)))
+            b.iter(|| measure_chip(&chip, std::hint::black_box(&plan), &ExecPool::serial()))
         });
     }
     group.finish();

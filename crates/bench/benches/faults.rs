@@ -10,10 +10,7 @@ use photon_exec::ExecPool;
 use photon_faults::{DriftConfig, FaultPlan, FaultyChip, TransientConfig};
 use photon_linalg::random::normal_cvector;
 use photon_linalg::RVector;
-use photon_opt::{
-    estimate_gradient_pooled, estimate_gradient_robust_pooled, Perturbation, RobustEval,
-    ZoSettings,
-};
+use photon_opt::{estimate_gradient, Perturbation, RobustEval, ZoSettings};
 use photon_photonics::{Architecture, ErrorModel, FabricatedChip, OnnChip};
 
 const DIM: usize = 8;
@@ -78,12 +75,13 @@ fn bench_robust_estimate_overhead(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(24);
         let base = loss(&theta);
         b.iter(|| {
-            estimate_gradient_pooled(
+            estimate_gradient(
                 &loss,
                 &theta,
                 base,
                 &zo,
                 &Perturbation::Gaussian,
+                None,
                 &pool,
                 &mut rng,
             )
@@ -94,13 +92,13 @@ fn bench_robust_estimate_overhead(c: &mut Criterion) {
         let base = loss(&theta);
         let robust = RobustEval::standard();
         b.iter(|| {
-            estimate_gradient_robust_pooled(
+            estimate_gradient(
                 &loss,
                 &theta,
                 base,
                 &zo,
                 &Perturbation::Gaussian,
-                &robust,
+                Some(&robust),
                 &pool,
                 &mut rng,
             )

@@ -12,12 +12,11 @@
 //! Like `probe_eval`, this bench has a custom `main` that writes the raw
 //! numbers to `BENCH_gemm.json` at the workspace root.
 
-use std::io::Write as _;
-
 use criterion::Criterion;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use photon_bench::report::{json_fixed, json_object, json_rows, json_str, write_bench_json};
 use photon_core::ClassificationHead;
 use photon_data::{Dataset, GaussianClusters};
 use photon_linalg::random::normal_rvector;
@@ -97,24 +96,18 @@ fn bench_gemm_forward(c: &mut Criterion) {
 }
 
 fn write_report(c: &Criterion) -> std::io::Result<()> {
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let find = |path: &str| {
         let id = format!("gemm_forward/{path}");
         c.measurements().iter().find(move |m| m.id == id)
     };
-    let mut entries = String::new();
+    let mut rows = Vec::new();
     for path in ["interpreted", "compiled"] {
         if let Some(m) = find(path) {
-            if !entries.is_empty() {
-                entries.push_str(",\n");
-            }
-            entries.push_str(&format!(
-                "    {{\"path\": \"{path}\", \"mean_ns\": {}, \"min_ns\": {}}}",
-                m.mean.as_nanos(),
-                m.min.as_nanos()
-            ));
+            rows.push(json_object(&[
+                ("path", json_str(path)),
+                ("mean_ns", m.mean.as_nanos().to_string()),
+                ("min_ns", m.min.as_nanos().to_string()),
+            ]));
         }
     }
     let speedup = match (find("interpreted"), find("compiled")) {
@@ -123,19 +116,24 @@ fn write_report(c: &Criterion) -> std::io::Result<()> {
         }
         _ => f64::NAN,
     };
-    // Hand-rolled JSON: the workspace deliberately has no serde dependency.
-    let json = format!(
-        "{{\n  \"bench\": \"gemm_forward\",\n  \"mesh\": \"{DIM}x{DIM} Clements\",\n  \
-         \"q\": {Q},\n  \"batch\": {BATCH},\n  \"host_available_parallelism\": {host_threads},\n  \
-         \"speedup_compiled_vs_interpreted\": {speedup:.3},\n  \"note\": \"single-thread \
-         comparison: the speedup is per-probe compile amortization over the batch, not \
-         thread parallelism; see DESIGN.md\",\n  \
-         \"results\": [\n{entries}\n  ]\n}}\n"
-    );
-    // benches run with CWD = crate root (crates/bench); write to workspace root.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json");
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(json.as_bytes())
+    write_bench_json(
+        "BENCH_gemm.json",
+        "gemm_forward",
+        &[
+            ("mesh", json_str(&format!("{DIM}x{DIM} Clements"))),
+            ("q", Q.to_string()),
+            ("batch", BATCH.to_string()),
+            ("speedup_compiled_vs_interpreted", json_fixed(speedup, 3)),
+            (
+                "note",
+                json_str(
+                    "single-thread comparison: the speedup is per-probe compile amortization \
+                     over the batch, not thread parallelism; see DESIGN.md",
+                ),
+            ),
+            ("results", json_rows(&rows)),
+        ],
+    )
 }
 
 fn main() {

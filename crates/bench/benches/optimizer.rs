@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use photon_exec::ExecPool;
 use photon_linalg::random::normal_cvector;
 use photon_opt::{
     estimate_gradient, lcng_direction, CmaEs, LcngSettings, MetricSource, Perturbation, ZoSettings,
@@ -39,15 +40,16 @@ fn bench_zo_step(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("vanilla_q_eq_k", k), &k, |b, _| {
             let mut rng = StdRng::seed_from_u64(7);
             b.iter(|| {
-                let mut loss =
-                    |t: &photon_linalg::RVector| (&chip.forward(&x, t) - &target).norm_sqr();
+                let loss = |t: &photon_linalg::RVector| (&chip.forward(&x, t) - &target).norm_sqr();
                 let base = loss(&theta);
                 estimate_gradient(
-                    &mut loss,
+                    &loss,
                     &theta,
                     base,
                     &zo,
                     &Perturbation::Gaussian,
+                    None,
+                    &ExecPool::serial(),
                     &mut rng,
                 )
             })
@@ -71,11 +73,10 @@ fn bench_lcng_step(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("model_metric_q_eq_k", k), &k, |b, _| {
             let mut rng = StdRng::seed_from_u64(9);
             b.iter(|| {
-                let mut loss =
-                    |t: &photon_linalg::RVector| (&chip.forward(&x, t) - &target).norm_sqr();
+                let loss = |t: &photon_linalg::RVector| (&chip.forward(&x, t) - &target).norm_sqr();
                 let base = loss(&theta);
                 lcng_direction(
-                    &mut loss,
+                    &loss,
                     &theta,
                     base,
                     &settings,
@@ -84,6 +85,8 @@ fn bench_lcng_step(c: &mut Criterion) {
                         model: &model,
                         inputs: &inputs,
                     },
+                    None,
+                    &ExecPool::serial(),
                     &mut rng,
                 )
                 .unwrap()

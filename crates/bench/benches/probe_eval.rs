@@ -7,17 +7,18 @@
 //! `BENCH_parallel.json` at the workspace root so results land in the repo
 //! without any manual copying.
 
-use std::io::Write as _;
-
 use criterion::Criterion;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use photon_core::{chip_batch_loss_pooled, ClassificationHead};
+use photon_bench::report::{
+    host_parallelism, json_fixed, json_object, json_rows, json_str, write_bench_json,
+};
+use photon_core::{chip_batch_loss, ClassificationHead};
 use photon_data::{Dataset, GaussianClusters};
 use photon_exec::ExecPool;
 use photon_linalg::RVector;
-use photon_opt::{estimate_gradient_pooled, Perturbation, ZoSettings};
+use photon_opt::{estimate_gradient, Perturbation, ZoSettings};
 use photon_photonics::{Architecture, ErrorModel, FabricatedChip};
 
 const DIM: usize = 8;
@@ -37,27 +38,21 @@ fn setup() -> (FabricatedChip, Dataset, ClassificationHead, RVector) {
     (chip, data, head, theta)
 }
 
-/// Threads the host can actually run concurrently. Pool sizes above this
-/// oversubscribe the machine: their timings measure scheduler churn, not
-/// parallel speedup, so the bench skips them instead of publishing numbers
-/// that look like a scaling regression.
-fn host_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 fn bench_probe_eval(c: &mut Criterion) {
     let (chip, data, head, theta) = setup();
     let indices: Vec<usize> = (0..BATCH).collect();
     let serial = ExecPool::serial();
-    let loss = |t: &RVector| chip_batch_loss_pooled(&chip, &data, &indices, &head, t, &serial);
+    let loss = |t: &RVector| chip_batch_loss(&chip, &data, &indices, &head, t, &serial);
     let zo = ZoSettings {
         q: Q,
         mu: 1e-3 / (theta.len() as f64).sqrt(),
         lambda: 1.0 / theta.len() as f64,
     };
 
+    // Pool sizes above the host's parallelism oversubscribe the machine:
+    // their timings measure scheduler churn, not parallel speedup, so the
+    // bench skips them instead of publishing numbers that look like a
+    // scaling regression.
     let host_threads = host_parallelism();
     let mut group = c.benchmark_group("probe_eval");
     group.sample_size(15);
@@ -74,12 +69,13 @@ fn bench_probe_eval(c: &mut Criterion) {
             let mut rng = StdRng::seed_from_u64(13);
             let base = loss(&theta);
             b.iter(|| {
-                estimate_gradient_pooled(
+                estimate_gradient(
                     &loss,
                     &theta,
                     base,
                     &zo,
                     &Perturbation::Gaussian,
+                    None,
                     &pool,
                     &mut rng,
                 )
@@ -95,7 +91,7 @@ fn write_report(c: &Criterion) -> std::io::Result<()> {
         let id = format!("probe_eval/threads_{threads}");
         c.measurements().iter().find(|m| m.id == id)
     };
-    let mut entries = String::new();
+    let mut rows = Vec::new();
     let mut skipped = Vec::new();
     for threads in POOL_SIZES {
         if threads > host_threads {
@@ -103,28 +99,22 @@ fn write_report(c: &Criterion) -> std::io::Result<()> {
             continue;
         }
         if let Some(m) = find(threads) {
-            if !entries.is_empty() {
-                entries.push_str(",\n");
-            }
             // host_available_parallelism rides along on every row so a
             // reader of a single entry knows what hardware bounded it.
-            entries.push_str(&format!(
-                "    {{\"threads\": {threads}, \"mean_ns\": {}, \"min_ns\": {}, \
-                 \"host_available_parallelism\": {host_threads}}}",
-                m.mean.as_nanos(),
-                m.min.as_nanos()
-            ));
+            rows.push(json_object(&[
+                ("threads", threads.to_string()),
+                ("mean_ns", m.mean.as_nanos().to_string()),
+                ("min_ns", m.min.as_nanos().to_string()),
+                ("host_available_parallelism", host_threads.to_string()),
+            ]));
         }
     }
     let speedup_4 = match (find(1), find(4)) {
         (Some(serial), Some(pooled)) if pooled.mean.as_nanos() > 0 => {
-            format!(
-                "{:.3}",
-                serial.mean.as_nanos() as f64 / pooled.mean.as_nanos() as f64
-            )
+            serial.mean.as_nanos() as f64 / pooled.mean.as_nanos() as f64
         }
         // threads_4 skipped (host too small) or not yet measured.
-        _ => "null".to_string(),
+        _ => f64::NAN,
     };
     let note = if skipped.is_empty() {
         "all configured pool sizes fit within host_available_parallelism".to_string()
@@ -135,17 +125,18 @@ fn write_report(c: &Criterion) -> std::io::Result<()> {
             skipped.join(", ")
         )
     };
-    // Hand-rolled JSON: the workspace deliberately has no serde dependency.
-    let json = format!(
-        "{{\n  \"bench\": \"probe_eval\",\n  \"mesh\": \"{DIM}x{DIM} Clements\",\n  \
-         \"q\": {Q},\n  \"batch\": {BATCH},\n  \"host_available_parallelism\": {host_threads},\n  \
-         \"speedup_at_4_threads\": {speedup_4},\n  \"note\": \"{note}\",\n  \
-         \"results\": [\n{entries}\n  ]\n}}\n"
-    );
-    // benches run with CWD = crate root (crates/bench); write to workspace root.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(json.as_bytes())
+    write_bench_json(
+        "BENCH_parallel.json",
+        "probe_eval",
+        &[
+            ("mesh", json_str(&format!("{DIM}x{DIM} Clements"))),
+            ("q", Q.to_string()),
+            ("batch", BATCH.to_string()),
+            ("speedup_at_4_threads", json_fixed(speedup_4, 3)),
+            ("note", json_str(&note)),
+            ("results", json_rows(&rows)),
+        ],
+    )
 }
 
 fn main() {

@@ -12,12 +12,13 @@
 //! time this bench runs. Results land in `BENCH_serving.json` at the
 //! workspace root; ci.sh gates coalesced ≥ uncoalesced.
 
-use std::io::Write as _;
-
 use criterion::Criterion;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use photon_bench::report::{
+    host_parallelism, json_fixed, json_object, json_rows, json_str, write_bench_json,
+};
 use photon_farm::{CoalescePolicy, HedgePolicy};
 use photon_faults::ReplicaChaos;
 use photon_linalg::CVector;
@@ -158,47 +159,40 @@ fn bench_real_serving(c: &mut Criterion) {
 }
 
 fn write_report(c: &Criterion) -> std::io::Result<()> {
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let kernel = photon_linalg::kernel_tier().name();
+    // BENCH_parallel honesty convention: every row names the kernel tier
+    // and the host's available parallelism.
+    let host = [
+        ("kernel", json_str(photon_linalg::kernel_tier().name())),
+        ("host_available_parallelism", host_parallelism().to_string()),
+    ];
 
-    let mut rows = String::new();
-    let mut speedups = String::new();
+    let mut rows = Vec::new();
+    let mut speedups = Vec::new();
     for (name, workload) in WORKLOADS {
         let un = simulate(workload, name, false);
         let co = simulate(workload, name, true);
         for report in [&un, &co] {
             let mode = if report.max_batch > 1 { "coalesced" } else { "uncoalesced" };
             let agg = &report.aggregate;
-            if !rows.is_empty() {
-                rows.push_str(",\n");
-            }
-            // BENCH_parallel honesty convention: every row names the
-            // kernel tier and the host's available parallelism.
-            rows.push_str(&format!(
-                "    {{\"workload\": \"{name}\", \"mode\": \"{mode}\", \
-                 \"throughput_rps\": {:.1}, \"p50_ns\": {:.1}, \"p99_ns\": {:.1}, \
-                 \"p999_ns\": {:.1}, \"arrivals\": {}, \"completed\": {}, \"shed\": {}, \
-                 \"mean_batch\": {:.3}, \"peak_queue_depth\": {}, \
-                 \"kernel\": \"{kernel}\", \"host_available_parallelism\": {host_threads}}}",
-                agg.throughput_rps,
-                agg.p50_ns,
-                agg.p99_ns,
-                agg.p999_ns,
-                agg.arrivals,
-                agg.completed,
-                agg.shed,
-                report.mean_batch,
-                agg.peak_queue_depth,
-            ));
+            let mut row = vec![
+                ("workload", json_str(name)),
+                ("mode", json_str(mode)),
+                ("throughput_rps", json_fixed(agg.throughput_rps, 1)),
+                ("p50_ns", json_fixed(agg.p50_ns, 1)),
+                ("p99_ns", json_fixed(agg.p99_ns, 1)),
+                ("p999_ns", json_fixed(agg.p999_ns, 1)),
+                ("arrivals", agg.arrivals.to_string()),
+                ("completed", agg.completed.to_string()),
+                ("shed", agg.shed.to_string()),
+                ("mean_batch", json_fixed(report.mean_batch, 3)),
+                ("peak_queue_depth", agg.peak_queue_depth.to_string()),
+            ];
+            row.extend(host.iter().cloned());
+            rows.push(json_object(&row));
         }
-        if !speedups.is_empty() {
-            speedups.push_str(", ");
-        }
-        speedups.push_str(&format!(
-            "\"{name}\": {:.3}",
-            co.aggregate.throughput_rps / un.aggregate.throughput_rps
+        speedups.push((
+            name,
+            json_fixed(co.aggregate.throughput_rps / un.aggregate.throughput_rps, 3),
         ));
     }
 
@@ -207,50 +201,63 @@ fn write_report(c: &Criterion) -> std::io::Result<()> {
     let healthy = simulate_resilience("healthy-baseline");
     let resilient = simulate_resilience("resilient-faults");
     let control = simulate_resilience("control-faults");
-    let mut resilience_rows = String::new();
+    let mut resilience_rows = Vec::new();
     for report in [&healthy, &resilient, &control] {
         let agg = &report.aggregate;
-        if !resilience_rows.is_empty() {
-            resilience_rows.push_str(",\n");
-        }
-        resilience_rows.push_str(&format!(
-            "    {{\"arm\": \"{}\", \"arrivals\": {}, \"completed\": {}, \"shed\": {}, \
-             \"expired\": {}, \"lost\": {}, \"p50_ns\": {:.1}, \"p99_ns\": {:.1}, \
-             \"p999_ns\": {:.1}, \"throughput_rps\": {:.1}, \"hedges_fired\": {}, \
-             \"hedge_wins\": {}, \"duplicates\": {}, \"breaker_opens\": {}, \
-             \"tier_downshifts\": {}, \"kernel\": \"{kernel}\", \
-             \"host_available_parallelism\": {host_threads}}}",
-            report.label,
-            agg.arrivals,
-            agg.completed,
-            agg.shed,
-            agg.expired,
-            report.lost(),
-            agg.p50_ns,
-            agg.p99_ns,
-            agg.p999_ns,
-            agg.throughput_rps,
-            report.hedges_fired,
-            report.hedge_wins,
-            report.duplicates,
-            report
-                .replicas
-                .iter()
-                .flat_map(|r| &r.breaker_transitions)
-                .filter(|t| t.to == photon_farm::BreakerState::Open)
-                .count(),
-            report.replicas.iter().map(|r| r.tier_transitions).sum::<u64>(),
-        ));
+        let breaker_opens = report
+            .replicas
+            .iter()
+            .flat_map(|r| &r.breaker_transitions)
+            .filter(|t| t.to == photon_farm::BreakerState::Open)
+            .count();
+        let mut row = vec![
+            ("arm", json_str(&report.label)),
+            ("arrivals", agg.arrivals.to_string()),
+            ("completed", agg.completed.to_string()),
+            ("shed", agg.shed.to_string()),
+            ("expired", agg.expired.to_string()),
+            ("lost", report.lost().to_string()),
+            ("p50_ns", json_fixed(agg.p50_ns, 1)),
+            ("p99_ns", json_fixed(agg.p99_ns, 1)),
+            ("p999_ns", json_fixed(agg.p999_ns, 1)),
+            ("throughput_rps", json_fixed(agg.throughput_rps, 1)),
+            ("hedges_fired", report.hedges_fired.to_string()),
+            ("hedge_wins", report.hedge_wins.to_string()),
+            ("duplicates", report.duplicates.to_string()),
+            ("breaker_opens", breaker_opens.to_string()),
+            (
+                "tier_downshifts",
+                report
+                    .replicas
+                    .iter()
+                    .map(|r| r.tier_transitions)
+                    .sum::<u64>()
+                    .to_string(),
+            ),
+        ];
+        row.extend(host.iter().cloned());
+        resilience_rows.push(json_object(&row));
     }
-    let resilience_summary = format!(
-        "{{\"p99_vs_healthy\": {:.3}, \"bound\": 2.0, \"bound_held\": {}, \
-         \"resilient_lost\": {}, \"control_lost\": {}, \"sheds_less_than_control\": {}}}",
-        resilient.aggregate.p99_ns / healthy.aggregate.p99_ns.max(1.0),
-        resilient.aggregate.p99_ns <= 2.0 * healthy.aggregate.p99_ns,
-        resilient.lost(),
-        control.lost(),
-        resilient.lost() < control.lost(),
-    );
+    let resilience_summary = json_object(&[
+        (
+            "p99_vs_healthy",
+            json_fixed(
+                resilient.aggregate.p99_ns / healthy.aggregate.p99_ns.max(1.0),
+                3,
+            ),
+        ),
+        ("bound", "2.0".to_string()),
+        (
+            "bound_held",
+            (resilient.aggregate.p99_ns <= 2.0 * healthy.aggregate.p99_ns).to_string(),
+        ),
+        ("resilient_lost", resilient.lost().to_string()),
+        ("control_lost", control.lost().to_string()),
+        (
+            "sheds_less_than_control",
+            (resilient.lost() < control.lost()).to_string(),
+        ),
+    ]);
 
     // Measured wall-clock check of the amortization claim.
     let find = |arm: &str| {
@@ -261,42 +268,72 @@ fn write_report(c: &Criterion) -> std::io::Result<()> {
         (Some(b1), Some(b16)) => {
             let per_req_b1 = b1.mean.as_nanos() as f64;
             let per_req_b16 = b16.mean.as_nanos() as f64 / MAX_BATCH as f64;
-            format!(
-                "{{\"serve_b1_ns\": {}, \"serve_b16_ns\": {}, \
-                 \"measured_per_request_amortization\": {:.3}}}",
-                b1.mean.as_nanos(),
-                b16.mean.as_nanos(),
-                per_req_b1 / per_req_b16.max(1.0)
-            )
+            json_object(&[
+                ("serve_b1_ns", b1.mean.as_nanos().to_string()),
+                ("serve_b16_ns", b16.mean.as_nanos().to_string()),
+                (
+                    "measured_per_request_amortization",
+                    json_fixed(per_req_b1 / per_req_b16.max(1.0), 3),
+                ),
+            ])
         }
         _ => "null".to_string(),
     };
 
-    let json = format!(
-        "{{\n  \"bench\": \"serving_sim\",\n  \"mesh\": \"{DIM}x{DIM} Clements\",\n  \
-         \"root_seed\": {ROOT_SEED},\n  \"window_ns\": {WINDOW_NS},\n  \
-         \"workers\": {WORKERS},\n  \"queue_cap\": {QUEUE_CAP},\n  \
-         \"coalescer\": {{\"max_batch\": {MAX_BATCH}, \"max_wait_ns\": {MAX_WAIT_NS}}},\n  \
-         \"cost_model\": {{\"compile_ns\": 7400, \"per_sample_ns\": 250, \
-         \"source\": \"BENCH_gemm.json 8x8 compiled arm (32 probes x 16-sample batches)\"}},\n  \
-         \"kernel\": \"{kernel}\",\n  \"host_available_parallelism\": {host_threads},\n  \
-         \"note\": \"simulated arms are open-loop overload in virtual time (bitwise \
-         replayable, host-independent); 'measured' is real wall time of the pinned \
-         serving path at batch 1 vs 16 on this host, sanity-checking the cost model's \
-         per-call amortization\",\n  \
-         \"measured\": {measured},\n  \
-         \"coalescing_speedup\": {{{speedups}}},\n  \
-         \"results\": [\n{rows}\n  ],\n  \
-         \"resilience_note\": \"three replicas behind one endpoint, replica beta killed \
-         at 5 ms and gamma hung 4-8 ms of a 20 ms window; the resilient arm runs circuit \
-         breakers + p50-delay hedged re-dispatch + brownout tier ladder + 2 ms deadlines, \
-         the control arm runs only the dispatch watchdog and deadlines\",\n  \
-         \"resilience_summary\": {resilience_summary},\n  \
-         \"resilience\": [\n{resilience_rows}\n  ]\n}}\n"
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(json.as_bytes())
+    write_bench_json(
+        "BENCH_serving.json",
+        "serving_sim",
+        &[
+            ("mesh", json_str(&format!("{DIM}x{DIM} Clements"))),
+            ("root_seed", ROOT_SEED.to_string()),
+            ("window_ns", WINDOW_NS.to_string()),
+            ("workers", WORKERS.to_string()),
+            ("queue_cap", QUEUE_CAP.to_string()),
+            (
+                "coalescer",
+                json_object(&[
+                    ("max_batch", MAX_BATCH.to_string()),
+                    ("max_wait_ns", MAX_WAIT_NS.to_string()),
+                ]),
+            ),
+            (
+                "cost_model",
+                json_object(&[
+                    ("compile_ns", "7400".to_string()),
+                    ("per_sample_ns", "250".to_string()),
+                    (
+                        "source",
+                        json_str(
+                            "BENCH_gemm.json 8x8 compiled arm (32 probes x 16-sample batches)",
+                        ),
+                    ),
+                ]),
+            ),
+            (
+                "note",
+                json_str(
+                    "simulated arms are open-loop overload in virtual time (bitwise \
+                     replayable, host-independent); 'measured' is real wall time of the pinned \
+                     serving path at batch 1 vs 16 on this host, sanity-checking the cost \
+                     model's per-call amortization",
+                ),
+            ),
+            ("measured", measured),
+            ("coalescing_speedup", json_object(&speedups)),
+            ("results", json_rows(&rows)),
+            (
+                "resilience_note",
+                json_str(
+                    "three replicas behind one endpoint, replica beta killed at 5 ms and gamma \
+                     hung 4-8 ms of a 20 ms window; the resilient arm runs circuit breakers + \
+                     p50-delay hedged re-dispatch + brownout tier ladder + 2 ms deadlines, the \
+                     control arm runs only the dispatch watchdog and deadlines",
+                ),
+            ),
+            ("resilience_summary", resilience_summary),
+            ("resilience", json_rows(&resilience_rows)),
+        ],
+    )
 }
 
 fn main() {

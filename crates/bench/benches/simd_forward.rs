@@ -20,12 +20,11 @@
 //! A custom `main` writes the raw numbers plus per-tier speedups and the
 //! dispatched kernel tier to `BENCH_simd.json` at the workspace root.
 
-use std::io::Write as _;
-
 use criterion::Criterion;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use photon_bench::report::{json_fixed, json_object, json_rows, json_str, write_bench_json};
 use photon_core::ClassificationHead;
 use photon_data::{Dataset, GaussianClusters};
 use photon_linalg::{CVector, RVector};
@@ -106,49 +105,46 @@ fn bench_simd_forward(c: &mut Criterion) {
 }
 
 fn write_report(c: &Criterion) -> std::io::Result<()> {
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let kernel = photon_linalg::kernel_tier().name();
     let find = |arm: &str| {
         let id = format!("simd_forward/{arm}");
         c.measurements().iter().find(move |m| m.id == id)
     };
     let baseline = find("f64-full");
-    let mut entries = String::new();
+    let mut rows = Vec::new();
     for arm in ARMS {
         if let Some(m) = find(arm) {
-            if !entries.is_empty() {
-                entries.push_str(",\n");
-            }
             let speedup = match baseline {
-                Some(base) if m.mean.as_nanos() > 0 => format!(
-                    "{:.3}",
+                Some(base) if m.mean.as_nanos() > 0 => {
                     base.mean.as_nanos() as f64 / m.mean.as_nanos() as f64
-                ),
-                _ => "null".to_string(),
+                }
+                _ => f64::NAN,
             };
-            entries.push_str(&format!(
-                "    {{\"tier\": \"{arm}\", \"mean_ns\": {}, \"min_ns\": {}, \
-                 \"speedup_vs_f64_full\": {speedup}}}",
-                m.mean.as_nanos(),
-                m.min.as_nanos()
-            ));
+            rows.push(json_object(&[
+                ("tier", json_str(arm)),
+                ("mean_ns", m.mean.as_nanos().to_string()),
+                ("min_ns", m.min.as_nanos().to_string()),
+                ("speedup_vs_f64_full", json_fixed(speedup, 3)),
+            ]));
         }
     }
-    // Hand-rolled JSON: the workspace deliberately has no serde dependency.
-    let json = format!(
-        "{{\n  \"bench\": \"simd_forward\",\n  \"mesh\": \"{DIM}x{DIM} Clements\",\n  \
-         \"q\": {Q},\n  \"batch\": {BATCH},\n  \"probe_kind\": \"coordinate\",\n  \
-         \"kernel\": \"{kernel}\",\n  \"host_available_parallelism\": {host_threads},\n  \
-         \"note\": \"single-thread coordinate-probe sweep; speedups are vs the plain \
-         compiled f64 path (one full compile per probe); see DESIGN.md fast-path tiers\",\n  \
-         \"results\": [\n{entries}\n  ]\n}}\n"
-    );
-    // benches run with CWD = crate root (crates/bench); write to workspace root.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simd.json");
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(json.as_bytes())
+    write_bench_json(
+        "BENCH_simd.json",
+        "simd_forward",
+        &[
+            ("mesh", json_str(&format!("{DIM}x{DIM} Clements"))),
+            ("q", Q.to_string()),
+            ("batch", BATCH.to_string()),
+            ("probe_kind", json_str("coordinate")),
+            (
+                "note",
+                json_str(
+                    "single-thread coordinate-probe sweep; speedups are vs the plain compiled \
+                     f64 path (one full compile per probe); see DESIGN.md fast-path tiers",
+                ),
+            ),
+            ("results", json_rows(&rows)),
+        ],
+    )
 }
 
 fn main() {

@@ -13,6 +13,7 @@
 //! The fit touches only the software model — chip queries are spent solely
 //! on step 1, so calibration cost is exactly `plan.query_cost()` queries.
 
+use photon_exec::ExecPool;
 use rand::Rng;
 
 use photon_linalg::{LinalgError, RVector};
@@ -160,8 +161,15 @@ pub fn calibrate<C: OnnChip, R: Rng + ?Sized>(
         settings.num_settings,
         rng,
     );
-    let measured = measure_chip(chip, &plan);
-    calibrate_from_measurements(chip, &plan, &measured, &settings.lm)
+    let measured = measure_chip(chip, &plan, &ExecPool::serial());
+    let (n_bs, n_ps) = chip.architecture().error_slots();
+    fit_measurements(
+        chip,
+        &plan,
+        &measured,
+        &settings.lm,
+        RVector::zeros(n_bs + 2 * n_ps),
+    )
 }
 
 /// [`calibrate`], with telemetry: emits a [`TraceEvent::Calibration`] fit
@@ -231,30 +239,6 @@ pub fn recalibrate<C: OnnChip, R: Rng + ?Sized>(
         settings.num_settings,
         rng,
     );
-    let measured = measure_chip(chip, &plan);
-    recalibrate_from_measurements(chip, &plan, &measured, &settings.lm, prior)
-}
-
-/// [`recalibrate`] from an existing measurement sweep: warm-starts the fit
-/// at `prior` instead of zeros. Useful when the probe sweep was collected
-/// piggybacked on live traffic (so measurement and fitting happen at
-/// different times).
-///
-/// # Errors
-///
-/// See [`CalibError`].
-///
-/// # Panics
-///
-/// Panics when `prior`'s flat layout does not match the chip architecture's
-/// error slots.
-pub fn recalibrate_from_measurements<C: OnnChip>(
-    chip: &C,
-    plan: &ProbePlan,
-    measured: &Measurements,
-    lm: &LmSettings,
-    prior: &ErrorVector,
-) -> Result<CalibrationOutcome, CalibError> {
     let (n_bs, n_ps) = chip.architecture().error_slots();
     let flat = prior.to_flat();
     assert_eq!(
@@ -262,25 +246,14 @@ pub fn recalibrate_from_measurements<C: OnnChip>(
         n_bs + 2 * n_ps,
         "prior error vector does not match the chip architecture"
     );
-    fit_measurements(chip, plan, measured, lm, RVector::from_vec(flat))
-}
-
-/// Calibrates from an existing measurement sweep (useful when the sweep is
-/// shared across calibration budgets in an experiment). The fit cold-starts
-/// from the ideal model (zero errors); see [`recalibrate_from_measurements`]
-/// for the warm-started variant.
-///
-/// # Errors
-///
-/// See [`CalibError`].
-pub fn calibrate_from_measurements<C: OnnChip>(
-    chip: &C,
-    plan: &ProbePlan,
-    measured: &Measurements,
-    lm: &LmSettings,
-) -> Result<CalibrationOutcome, CalibError> {
-    let (n_bs, n_ps) = chip.architecture().error_slots();
-    fit_measurements(chip, plan, measured, lm, RVector::zeros(n_bs + 2 * n_ps))
+    let measured = measure_chip(chip, &plan, &ExecPool::serial());
+    fit_measurements(
+        chip,
+        &plan,
+        &measured,
+        &settings.lm,
+        RVector::from_vec(flat),
+    )
 }
 
 /// Shared fit body: damped Gauss-Newton on the power residuals, starting
@@ -425,16 +398,15 @@ mod tests {
         for (i, e) in flat.iter_mut().enumerate() {
             *e += 0.01 * (i as f64 * 0.7).sin();
         }
-        let (n_bs, n_ps) = arch.error_slots();
-        let prior = ErrorVector::from_flat(n_bs, n_ps, &flat).unwrap();
         let lm = LmSettings {
             max_iters: 12,
             ..LmSettings::default()
         };
         let plan = ProbePlan::for_chip(&chip, true, 6, 2, &mut rng);
-        let measured = measure_chip(&chip, &plan);
-        let cold = calibrate_from_measurements(&chip, &plan, &measured, &lm).unwrap();
-        let warm = recalibrate_from_measurements(&chip, &plan, &measured, &lm, &prior).unwrap();
+        let measured = measure_chip(&chip, &plan, &ExecPool::serial());
+        let cold =
+            fit_measurements(&chip, &plan, &measured, &lm, RVector::zeros(flat.len())).unwrap();
+        let warm = fit_measurements(&chip, &plan, &measured, &lm, RVector::from_vec(flat)).unwrap();
         assert!(
             warm.initial_cost < cold.initial_cost,
             "warm start must begin closer: warm {} vs cold {}",

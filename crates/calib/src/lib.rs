@@ -27,9 +27,8 @@ mod gauss_newton;
 mod probe;
 
 pub use calibrator::{
-    calibrate, calibrate_from_measurements, calibrate_traced, recalibrate,
-    recalibrate_from_measurements, CalibError, CalibrationOutcome, CalibrationSettings,
+    calibrate, calibrate_traced, recalibrate, CalibError, CalibrationOutcome, CalibrationSettings,
 };
 pub use fidelity::{evaluate_model, field_fidelity, power_fidelity, FidelityReport};
 pub use gauss_newton::{levenberg_marquardt, LmResult, LmSettings};
-pub use probe::{measure_chip, measure_chip_pooled, Measurements, ProbePlan};
+pub use probe::{measure_chip, Measurements, ProbePlan};

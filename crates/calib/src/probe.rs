@@ -82,14 +82,6 @@ pub struct Measurements {
     pub powers: Vec<Vec<RVector>>,
 }
 
-/// Runs the plan against the chip, consuming `plan.query_cost()` queries.
-///
-/// Sweeps serially so that noisy chips draw their measurement noise in plan
-/// order; use [`measure_chip_pooled`] to fan the sweep out over a worker pool.
-pub fn measure_chip<C: OnnChip>(chip: &C, plan: &ProbePlan) -> Measurements {
-    measure_chip_pooled(chip, plan, &ExecPool::serial())
-}
-
 /// Runs the plan against the chip with `(setting, input-block)` sweeps
 /// fanned out over `pool`, consuming `plan.query_cost()` queries.
 ///
@@ -97,19 +89,16 @@ pub fn measure_chip<C: OnnChip>(chip: &C, plan: &ProbePlan) -> Measurements {
 /// probe inputs through [`OnnChip::forward_powers_batch_into`], so compiled
 /// chips pay one unitary compile per block instead of one interpreted op
 /// walk per probe. Results come back in plan order regardless of pool size.
-/// For noise-free chips the powers are bitwise identical to
-/// [`measure_chip`]; noisy chips draw from a shared noise stream, so only
-/// the distribution is preserved.
+/// For noise-free chips the powers are bitwise identical for every pool
+/// size. Noisy chips draw from a shared noise stream, so only the
+/// [`ExecPool::serial`] sweep draws that noise in plan order; larger pools
+/// preserve its distribution only.
 ///
 /// A non-finite power reading (a dropped read on a faulty chip) is
 /// re-measured individually up to three times; if it stays non-finite the
 /// reading is recorded as-is and the calibrator's residual zeroes it out of
 /// the fit.
-pub fn measure_chip_pooled<C: OnnChip>(
-    chip: &C,
-    plan: &ProbePlan,
-    pool: &ExecPool,
-) -> Measurements {
+pub fn measure_chip<C: OnnChip>(chip: &C, plan: &ProbePlan, pool: &ExecPool) -> Measurements {
     let input_idx: Vec<usize> = (0..plan.inputs.len()).collect();
     let items: Vec<(usize, &[usize])> = (0..plan.settings.len())
         .flat_map(|s| input_idx.chunks(INPUT_BLOCK).map(move |block| (s, block)))
@@ -175,7 +164,7 @@ mod tests {
         let (chip, mut rng) = chip();
         let plan = ProbePlan::for_chip(&chip, true, 2, 3, &mut rng);
         chip.reset_query_count();
-        let meas = measure_chip(&chip, &plan);
+        let meas = measure_chip(&chip, &plan, &ExecPool::serial());
         assert_eq!(chip.query_count() as usize, plan.query_cost());
         assert_eq!(meas.powers.len(), 3);
         assert_eq!(meas.powers[0].len(), 6);
@@ -186,7 +175,7 @@ mod tests {
     fn powers_are_physical() {
         let (chip, mut rng) = chip();
         let plan = ProbePlan::for_chip(&chip, true, 4, 2, &mut rng);
-        let meas = measure_chip(&chip, &plan);
+        let meas = measure_chip(&chip, &plan, &ExecPool::serial());
         for setting in &meas.powers {
             for p in setting {
                 // Non-negative and total power ≤ input power (attenuation only).
@@ -197,12 +186,12 @@ mod tests {
     }
 
     #[test]
-    fn pooled_sweep_is_bitwise_identical_to_serial() {
+    fn sweep_is_bitwise_identical_across_pool_sizes() {
         let (chip, mut rng) = chip();
         let plan = ProbePlan::for_chip(&chip, true, 3, 2, &mut rng);
-        let serial = measure_chip(&chip, &plan);
+        let serial = measure_chip(&chip, &plan, &ExecPool::serial());
         for threads in [2usize, 4, 8] {
-            let pooled = measure_chip_pooled(&chip, &plan, &ExecPool::new(threads));
+            let pooled = measure_chip(&chip, &plan, &ExecPool::new(threads));
             assert_eq!(pooled.powers.len(), serial.powers.len());
             for (ps, ss) in pooled.powers.iter().zip(&serial.powers) {
                 assert_eq!(ps.len(), ss.len());

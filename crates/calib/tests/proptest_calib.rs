@@ -7,6 +7,7 @@ use photon_calib::{
     calibrate, field_fidelity, levenberg_marquardt, measure_chip, power_fidelity,
     CalibrationSettings, LmSettings, ProbePlan,
 };
+use photon_exec::ExecPool;
 use photon_linalg::{CVector, RVector, C64};
 use photon_photonics::{Architecture, ErrorModel, ErrorVector, FabricatedChip};
 
@@ -70,7 +71,7 @@ proptest! {
         let expected_inputs = random_inputs + if include_basis { 3 } else { 0 };
         prop_assert_eq!(plan.query_cost(), expected_inputs * num_settings);
         chip.reset_query_count();
-        let _ = measure_chip(&chip, &plan);
+        let _ = measure_chip(&chip, &plan, &ExecPool::serial());
         prop_assert_eq!(chip.query_count() as usize, plan.query_cost());
     }
 

@@ -56,9 +56,8 @@ pub use journal::{
 pub use experiment::{build_task, run_method, MethodResult, TaskInstance, TaskKind, TaskSpec};
 pub use loss::{mse_loss_and_grad, softmax, ClassificationHead, CoreError};
 pub use metrics::{
-    batch_inputs, chip_batch_loss, chip_batch_loss_pooled, confusion_matrix, evaluate_chip,
-    evaluate_chip_pooled, model_batch_loss, model_batch_loss_and_grad,
-    model_batch_loss_and_grad_pooled, Evaluation,
+    batch_inputs, chip_batch_loss, confusion_matrix, evaluate_chip, model_batch_loss,
+    model_batch_loss_and_grad, Evaluation,
 };
 pub use report::{downsample, recovery_report, sparkline, trace_summary, CsvWriter, TextTable};
 pub use stats::{

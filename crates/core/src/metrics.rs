@@ -22,22 +22,7 @@ fn batch_blocks(indices: &[usize]) -> Vec<&[usize]> {
 }
 
 /// Mean chip loss over the samples at `indices` (each sample = one chip
-/// query), evaluated on the [`ExecPool::from_env`] pool.
-///
-/// # Panics
-///
-/// Panics when `indices` is empty or out of range.
-pub fn chip_batch_loss<C: OnnChip>(
-    chip: &C,
-    data: &Dataset,
-    indices: &[usize],
-    head: &ClassificationHead,
-    theta: &RVector,
-) -> f64 {
-    chip_batch_loss_pooled(chip, data, indices, head, theta, &ExecPool::from_env())
-}
-
-/// Mean chip loss over the samples at `indices`, evaluated on `pool`.
+/// query), evaluated on `pool`.
 ///
 /// Samples are evaluated in fixed [`BATCH_BLOCK`]-sized blocks through
 /// [`OnnChip::forward_batch_into`], so compiled chips amortize one unitary
@@ -51,7 +36,7 @@ pub fn chip_batch_loss<C: OnnChip>(
 /// # Panics
 ///
 /// Panics when `indices` is empty or out of range.
-pub fn chip_batch_loss_pooled<C: OnnChip>(
+pub fn chip_batch_loss<C: OnnChip>(
     chip: &C,
     data: &Dataset,
     indices: &[usize],
@@ -96,22 +81,6 @@ pub fn model_batch_loss(
     acc / indices.len() as f64
 }
 
-/// Mean backprop loss and gradient over a batch on a white-box model,
-/// evaluated serially (see [`model_batch_loss_and_grad_pooled`]).
-///
-/// # Panics
-///
-/// Panics when `indices` is empty or out of range.
-pub fn model_batch_loss_and_grad(
-    model: &Network,
-    data: &Dataset,
-    indices: &[usize],
-    head: &ClassificationHead,
-    theta: &RVector,
-) -> (f64, RVector) {
-    model_batch_loss_and_grad_pooled(model, data, indices, head, theta, &ExecPool::serial())
-}
-
 /// Mean backprop loss and gradient over a batch, with the per-sample
 /// forward/backward passes fanned out across `pool`.
 ///
@@ -121,7 +90,7 @@ pub fn model_batch_loss_and_grad(
 /// # Panics
 ///
 /// Panics when `indices` is empty or out of range.
-pub fn model_batch_loss_and_grad_pooled(
+pub fn model_batch_loss_and_grad(
     model: &Network,
     data: &Dataset,
     indices: &[usize],
@@ -163,21 +132,6 @@ pub struct Evaluation {
     pub samples: usize,
 }
 
-/// Evaluates the chip on every sample of `data` (costs `data.len()` chip
-/// queries).
-///
-/// # Panics
-///
-/// Panics on an empty dataset.
-pub fn evaluate_chip<C: OnnChip>(
-    chip: &C,
-    data: &Dataset,
-    head: &ClassificationHead,
-    theta: &RVector,
-) -> Evaluation {
-    evaluate_chip_pooled(chip, data, head, theta, &ExecPool::from_env())
-}
-
 /// Evaluates the chip on every sample of `data` using `pool` (costs
 /// `data.len()` chip queries).
 ///
@@ -190,7 +144,7 @@ pub fn evaluate_chip<C: OnnChip>(
 /// # Panics
 ///
 /// Panics on an empty dataset.
-pub fn evaluate_chip_pooled<C: OnnChip>(
+pub fn evaluate_chip<C: OnnChip>(
     chip: &C,
     data: &Dataset,
     head: &ClassificationHead,
@@ -281,7 +235,7 @@ mod tests {
     fn chip_and_oracle_losses_agree() {
         let (chip, data, head, theta) = setup();
         let idx: Vec<usize> = (0..10).collect();
-        let l_chip = chip_batch_loss(&chip, &data, &idx, &head, &theta);
+        let l_chip = chip_batch_loss(&chip, &data, &idx, &head, &theta, &ExecPool::serial());
         let l_model = model_batch_loss(&chip.oracle_network(), &data, &idx, &head, &theta);
         assert!((l_chip - l_model).abs() < 1e-12);
     }
@@ -291,7 +245,8 @@ mod tests {
         let (chip, data, head, theta) = setup();
         let model = chip.oracle_network();
         let idx = [0usize, 3, 7];
-        let (_, grad) = model_batch_loss_and_grad(&model, &data, &idx, &head, &theta);
+        let (_, grad) =
+            model_batch_loss_and_grad(&model, &data, &idx, &head, &theta, &ExecPool::serial());
         let eps = 1e-6;
         for k in [0usize, 5, theta.len() - 1] {
             let mut tp = theta.clone();
@@ -312,7 +267,7 @@ mod tests {
     #[test]
     fn evaluation_counts() {
         let (chip, data, head, theta) = setup();
-        let ev = evaluate_chip(&chip, &data, &head, &theta);
+        let ev = evaluate_chip(&chip, &data, &head, &theta, &ExecPool::serial());
         assert_eq!(ev.samples, 20);
         assert!((0.0..=1.0).contains(&ev.accuracy));
         assert!(ev.loss.is_finite() && ev.loss > 0.0);
@@ -350,11 +305,10 @@ mod tests {
         let theta = chip.init_params(&mut rng);
         let idx: Vec<usize> = (0..256).collect();
 
-        let serial =
-            chip_batch_loss_pooled(&chip, &data, &idx, &head, &theta, &ExecPool::serial());
+        let serial = chip_batch_loss(&chip, &data, &idx, &head, &theta, &ExecPool::serial());
         for threads in [2usize, 4, 8] {
             let parallel =
-                chip_batch_loss_pooled(&chip, &data, &idx, &head, &theta, &ExecPool::new(threads));
+                chip_batch_loss(&chip, &data, &idx, &head, &theta, &ExecPool::new(threads));
             assert_eq!(
                 serial.to_bits(),
                 parallel.to_bits(),
@@ -365,8 +319,8 @@ mod tests {
         assert_eq!(chip.query_count(), 4 * 256);
 
         // The pooled evaluation sweep is thread-count-invariant too.
-        let ev_serial = evaluate_chip_pooled(&chip, &data, &head, &theta, &ExecPool::serial());
-        let ev_parallel = evaluate_chip_pooled(&chip, &data, &head, &theta, &ExecPool::new(4));
+        let ev_serial = evaluate_chip(&chip, &data, &head, &theta, &ExecPool::serial());
+        let ev_parallel = evaluate_chip(&chip, &data, &head, &theta, &ExecPool::new(4));
         assert_eq!(ev_serial.loss.to_bits(), ev_parallel.loss.to_bits());
         assert_eq!(ev_serial.accuracy, ev_parallel.accuracy);
     }

@@ -31,10 +31,9 @@ use photon_data::{Batcher, Dataset};
 use photon_exec::{run_guarded, ExecPool, WatchdogPolicy};
 use photon_linalg::RVector;
 use photon_opt::{
-    estimate_gradient_pooled, estimate_gradient_robust_pooled, layered_sigma_segments,
-    lcng_direction_pooled, lcng_direction_robust_pooled, penalize_non_finite, Adam,
-    BlockNaturalPreconditioner, CmaEs, LcngSettings, MetricSource, Optimizer, Perturbation,
-    RobustEval, ZoSettings,
+    estimate_gradient, layered_sigma_segments, lcng_direction, penalize_non_finite,
+    retry_non_finite, Adam, BlockNaturalPreconditioner, CmaEs, LcngSettings, MetricSource,
+    Optimizer, Perturbation, RobustEval, ZoSettings,
 };
 use photon_photonics::{ideal_model, CacheStats, ErrorVector, FabricatedChip, Network, OnnChip};
 use photon_trace::{LedgerCounts, QueryCategory, TraceEvent, TraceHandle};
@@ -45,8 +44,7 @@ use crate::journal::{
 };
 use crate::loss::{ClassificationHead, CoreError};
 use crate::metrics::{
-    batch_inputs, chip_batch_loss_pooled, evaluate_chip_pooled, model_batch_loss_and_grad_pooled,
-    Evaluation,
+    batch_inputs, chip_batch_loss, evaluate_chip, model_batch_loss_and_grad, Evaluation,
 };
 
 impl From<JournalError> for CoreError {
@@ -561,11 +559,6 @@ impl RunOutcome {
             RunOutcome::Aborted { .. } => None,
         }
     }
-
-    /// `true` when the run aborted before finishing.
-    pub fn is_aborted(&self) -> bool {
-        matches!(self, RunOutcome::Aborted { .. })
-    }
 }
 
 /// Immutable per-run context shared by every stage-2 epoch.
@@ -575,7 +568,8 @@ struct FinetuneCtx {
     zo: ZoSettings,
     lcng_settings: LcngSettings,
     rp: RecoveryPolicy,
-    robust_eval: RobustEval,
+    /// The estimators' measurement ladder; `None` when recovery is off.
+    robust: Option<RobustEval>,
     pool: ExecPool,
     serial: ExecPool,
     start: Instant,
@@ -677,7 +671,7 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
         let mut batcher = Batcher::new(self.train.len(), config.batch_size);
         for _ in 0..config.warm_epochs {
             for batch in batcher.epoch(rng) {
-                let (_, grad) = model_batch_loss_and_grad_pooled(
+                let (_, grad) = model_batch_loss_and_grad(
                     &model, self.train, &batch, &self.head, &theta, &pool,
                 );
                 adam.step(&mut theta, &grad);
@@ -764,16 +758,7 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
     ) -> Result<RunOutcome, CoreError> {
         let mut rng = StdRng::seed_from_u64(epoch_seed(opts.root_seed, 0));
         let theta = self.warm_start(config, &mut rng);
-        let header = JournalHeader {
-            method,
-            root_seed: opts.root_seed,
-            epochs: config.epochs,
-            batch_size: config.batch_size,
-            q: config.q,
-        };
-        let journal = RunJournal::create(&opts.journal_path, &header)?;
-        let state = self.initial_run_state(method, config, &theta);
-        self.durable_loop(method, config, opts, journal, state, Vec::new())
+        self.train_durable_from(method, config, opts, &theta)
     }
 
     /// Starts a durable run from caller-supplied parameters, skipping the
@@ -1001,7 +986,7 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
         // Outer-level parallelism: probes / population members / batch samples
         // fan out across `pool`; the per-probe batch loss stays serial so each
         // worker owns exactly one scratch arena (no nested pools). Inside a
-        // probe, `chip_batch_loss_pooled` evaluates the batch in compiled
+        // probe, `chip_batch_loss` evaluates the batch in compiled
         // blocks — one cached-unitary GEMM per block instead of an
         // interpreted op walk per sample — so every ZO/LCNG/robust probe and
         // CMA-ES population member amortizes its compile over the batch.
@@ -1027,11 +1012,11 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
                 ridge: config.ridge,
             },
             rp,
-            robust_eval: RobustEval {
+            robust: rp.enabled.then_some(RobustEval {
                 max_retries: rp.max_retries,
                 outlier_zscore: rp.outlier_zscore,
                 rereads: rp.rereads,
-            },
+            }),
             pool,
             serial: ExecPool::serial(),
             start: Instant::now(),
@@ -1147,7 +1132,7 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
         let zo = ctx.zo;
         let lcng_settings = ctx.lcng_settings;
         let rp = ctx.rp;
-        let robust_eval = ctx.robust_eval;
+        let robust = ctx.robust.as_ref();
         let FinetuneState {
             metric_model,
             metric_errors,
@@ -1191,7 +1176,7 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
             let batch_ref = &batch;
             let serial_ref = &serial;
             let chip_loss =
-                |t: &RVector| chip_batch_loss_pooled(chip, data, batch_ref, &head, t, serial_ref);
+                |t: &RVector| chip_batch_loss(chip, data, batch_ref, &head, t, serial_ref);
 
             // The base loss doubles as the divergence-guard signal for
             // every estimator that measures it.
@@ -1210,14 +1195,11 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
             let base_q = self.chip.query_count();
             let mut base = 0.0;
             if needs_base {
-                base = chip_loss(theta);
+                let max_retries = robust.map_or(0, |r| r.max_retries);
+                let (measured, retries) = retry_non_finite(&chip_loss, theta, max_retries);
+                base = measured;
+                epoch_recovery.retries += u64::from(retries);
                 if rp.enabled {
-                    let mut r = 0;
-                    while !base.is_finite() && r < rp.max_retries {
-                        base = chip_loss(theta);
-                        r += 1;
-                    }
-                    epoch_recovery.retries += u64::from(r);
                     let threshold = loss_ema.map(|e| rp.spike_factor * e.max(1e-12));
                     let spiking = !base.is_finite() || threshold.is_some_and(|t| base > t);
                     if spiking {
@@ -1313,23 +1295,10 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
                         }
                         _ => unreachable!(),
                     };
-                    let est = if rp.enabled {
-                        let (est, stats) = estimate_gradient_robust_pooled(
-                            &chip_loss,
-                            theta,
-                            base,
-                            &zo,
-                            &pert,
-                            &robust_eval,
-                            pool,
-                            rng,
-                        );
-                        epoch_recovery.retries += stats.retries;
-                        epoch_recovery.rejected_probes += stats.rejected + stats.unrecovered;
-                        est
-                    } else {
-                        estimate_gradient_pooled(&chip_loss, theta, base, &zo, &pert, pool, rng)
-                    };
+                    let (est, stats) =
+                        estimate_gradient(&chip_loss, theta, base, &zo, &pert, robust, pool, rng);
+                    epoch_recovery.retries += stats.retries;
+                    epoch_recovery.rejected_probes += stats.rejected + stats.unrecovered;
                     let grad = if let Method::ZoNg { .. } = method {
                         if refresh || preconditioner.is_none() {
                             let fq = self.chip.query_count();
@@ -1366,37 +1335,20 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
                         },
                         _ => unreachable!(),
                     };
-                    let step = if rp.enabled {
-                        let (step, stats) = lcng_direction_robust_pooled(
-                            &chip_loss,
-                            theta,
-                            base,
-                            &lcng_settings,
-                            &Perturbation::Gaussian,
-                            &metric,
-                            &robust_eval,
-                            pool,
-                            rng,
-                        )
-                        .map_err(|e| {
-                            CoreError::InvalidConfig(format!("LCNG solve failed: {e}"))
-                        })?;
-                        epoch_recovery.retries += stats.retries;
-                        epoch_recovery.rejected_probes += stats.rejected + stats.unrecovered;
-                        step
-                    } else {
-                        lcng_direction_pooled(
-                            &chip_loss,
-                            theta,
-                            base,
-                            &lcng_settings,
-                            &Perturbation::Gaussian,
-                            &metric,
-                            pool,
-                            rng,
-                        )
-                        .map_err(|e| CoreError::InvalidConfig(format!("LCNG solve failed: {e}")))?
-                    };
+                    let (step, stats) = lcng_direction(
+                        &chip_loss,
+                        theta,
+                        base,
+                        &lcng_settings,
+                        &Perturbation::Gaussian,
+                        &metric,
+                        robust,
+                        pool,
+                        rng,
+                    )
+                    .map_err(|e| CoreError::InvalidConfig(format!("LCNG solve failed: {e}")))?;
+                    epoch_recovery.retries += stats.retries;
+                    epoch_recovery.rejected_probes += stats.rejected + stats.unrecovered;
                     // Feed the negative direction to Adam as a surrogate
                     // gradient (the protocol the research line uses).
                     let surrogate = step.direction.scale(-1.0);
@@ -1418,7 +1370,7 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
                 }
                 Method::BpIdeal | Method::BpCalibrated | Method::BpOracle => {
                     let model = metric_model.as_ref().expect("model resolved above");
-                    let (loss, grad) = model_batch_loss_and_grad_pooled(
+                    let (loss, grad) = model_batch_loss_and_grad(
                         model, self.train, &batch, &self.head, theta, pool,
                     );
                     adam.step(theta, &grad);
@@ -1523,7 +1475,7 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
 
         let test = if config.eval_every > 0 && epoch.is_multiple_of(config.eval_every) {
             let before = self.chip.query_count();
-            let ev = evaluate_chip_pooled(self.chip, self.test, &self.head, theta, pool);
+            let ev = evaluate_chip(self.chip, self.test, &self.head, theta, pool);
             let spent = self.chip.query_count().saturating_sub(before);
             *eval_queries += spent;
             epoch_ledger.add(QueryCategory::Eval, spent);
@@ -1583,7 +1535,7 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
     ) -> Result<TrainOutcome, CoreError> {
         let trace = &config.trace;
         let before = self.chip.query_count();
-        let final_eval = evaluate_chip_pooled(self.chip, self.test, &self.head, &theta, &ctx.pool);
+        let final_eval = evaluate_chip(self.chip, self.test, &self.head, &theta, &ctx.pool);
         let final_eval_spent = self.chip.query_count().saturating_sub(before);
         st.eval_queries += final_eval_spent;
         st.ledger.add(QueryCategory::Eval, final_eval_spent);

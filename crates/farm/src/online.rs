@@ -32,9 +32,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use photon_calib::{recalibrate, CalibError, CalibrationSettings};
 use photon_core::{
-    chip_batch_loss_pooled, epoch_seed, evaluate_chip_pooled, mann_whitney_u, ClassificationHead,
-    CoreError, DurableOptions, Evaluation, JournalError, Method, ModelChoice, RecordLog,
-    RunJournal, RunOutcome, TrainConfig, TrainOutcome, Trainer, WatchdogPolicy,
+    chip_batch_loss, epoch_seed, evaluate_chip, mann_whitney_u, ClassificationHead, CoreError,
+    DurableOptions, Evaluation, JournalError, Method, ModelChoice, RecordLog, RunJournal,
+    RunOutcome, TrainConfig, TrainOutcome, Trainer, WatchdogPolicy,
 };
 use photon_data::Dataset;
 use photon_exec::ExecPool;
@@ -120,13 +120,6 @@ impl OnlineOptions {
             alpha: 0.05,
             trace: TraceHandle::null(),
         }
-    }
-
-    /// Overrides the probe sweep settings.
-    #[must_use]
-    pub fn with_probe(mut self, probe: CalibrationSettings) -> Self {
-        self.probe = probe;
-        self
     }
 
     /// Slices the shadow run into durable `budget`-epoch quanta.
@@ -597,7 +590,7 @@ pub fn run_online<C: OnnChip>(
     // cycle was replayed from the journal (fresh process after a kill).
     chip.advance_to(base);
     chip.pin_compile_base(&deployed);
-    let final_eval = evaluate_chip_pooled(chip, test, &head, &deployed, &pool);
+    let final_eval = evaluate_chip(chip, test, &head, &deployed, &pool);
     let promotions = records.iter().filter(|r| r.promoted).count() as u64;
     Ok(OnlineOutcome {
         promotions,
@@ -699,11 +692,11 @@ fn run_cycle<C: OnnChip>(
     idx.truncate(n);
     let baseline_losses: Vec<f64> = idx
         .chunks(group)
-        .map(|c| chip_batch_loss_pooled(chip, test, c, &head, deployed, pool))
+        .map(|c| chip_batch_loss(chip, test, c, &head, deployed, pool))
         .collect();
     let shadow_losses: Vec<f64> = idx
         .chunks(group)
-        .map(|c| chip_batch_loss_pooled(chip, test, c, &head, &shadow.theta, pool))
+        .map(|c| chip_batch_loss(chip, test, c, &head, &shadow.theta, pool))
         .collect();
     let mw = mann_whitney_u(&shadow_losses, &baseline_losses);
     let baseline_loss = baseline_losses.iter().sum::<f64>() / baseline_losses.len() as f64;

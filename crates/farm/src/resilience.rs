@@ -141,13 +141,6 @@ impl BreakerPolicy {
         }
     }
 
-    /// Overrides the cooldown.
-    #[must_use]
-    pub fn with_cooldown_ns(mut self, ns: u64) -> Self {
-        self.cooldown_ns = ns;
-        self
-    }
-
     /// A breaker that never trips — the "no-resilience" control arm for
     /// chaos comparisons.
     pub fn disabled() -> Self {

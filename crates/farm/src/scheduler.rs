@@ -202,13 +202,6 @@ impl JobSpec {
         self.root_seed = seed;
         self
     }
-
-    /// Attaches a job-level chip fault plan.
-    #[must_use]
-    pub fn with_chip_faults(mut self, plan: FaultPlan) -> Self {
-        self.chip_faults = Some(plan);
-        self
-    }
 }
 
 /// Live per-tenant accounting.

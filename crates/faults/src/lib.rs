@@ -768,11 +768,6 @@ impl ReplicaChaos {
         self
     }
 
-    /// Whether the replica is dead at virtual time `now_ns`.
-    pub fn is_dead(&self, now_ns: u64) -> bool {
-        self.kill_at_ns.is_some_and(|k| now_ns >= k)
-    }
-
     /// If a dispatch occupying `[start_ns, done_ns)` overlaps the hang
     /// window, the virtual time the link un-stalls; `None` when the
     /// dispatch is unaffected.

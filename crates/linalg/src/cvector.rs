@@ -115,13 +115,6 @@ impl CVector {
         self.data.extend_from_slice(src);
     }
 
-    /// Overwrites this vector with the real slice `xs` (imaginary parts
-    /// zero), reusing the existing allocation when possible.
-    pub fn copy_from_real_slice(&mut self, xs: &[f64]) {
-        self.data.clear();
-        self.data.extend(xs.iter().map(|&x| C64::from_real(x)));
-    }
-
     /// Sets every element to `value` without changing the length.
     pub fn fill(&mut self, value: C64) {
         self.data.fill(value);

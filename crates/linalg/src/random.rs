@@ -12,7 +12,6 @@ use crate::cmatrix::CMatrix;
 use crate::cvector::CVector;
 use crate::error::Result;
 use crate::qr::CQr;
-use crate::rmatrix::RMatrix;
 use crate::rvector::RVector;
 
 /// Draws one standard-normal sample via the Box-Muller transform.
@@ -57,11 +56,6 @@ pub fn normal_cvector<R: Rng + ?Sized>(n: usize, rng: &mut R) -> CVector {
 /// perturbation is treated as a `2M`-dimensional real standard normal.
 pub fn normal_cvector_unit_parts<R: Rng + ?Sized>(n: usize, rng: &mut R) -> CVector {
     CVector::from_fn(n, |_| C64::new(standard_normal(rng), standard_normal(rng)))
-}
-
-/// Real matrix with i.i.d. `N(0, 1)` entries.
-pub fn normal_rmatrix<R: Rng + ?Sized>(rows: usize, cols: usize, rng: &mut R) -> RMatrix {
-    RMatrix::from_fn(rows, cols, |_, _| standard_normal(rng))
 }
 
 /// Complex Ginibre matrix: i.i.d. standard complex normal entries.
@@ -135,6 +129,7 @@ pub fn sample_gaussian<R: Rng + ?Sized>(chol: &RCholesky, rng: &mut R) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rmatrix::RMatrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

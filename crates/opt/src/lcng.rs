@@ -25,20 +25,21 @@
 //! never materializing the `N×N` Fisher.
 //!
 //! Cost split: the `Q` probe losses ride the compiled batched chip path
-//! (`chip_batch_loss_pooled`: one cached-unitary GEMM per batch block),
-//! while the Fisher-vector products stay on the interpreted tape machinery —
-//! they need per-op forward tangents, which a fused dense matrix no longer
+//! (`chip_batch_loss`: one cached-unitary GEMM per batch block), while the
+//! Fisher-vector products stay on the interpreted tape machinery — they
+//! need per-op forward tangents, which a fused dense matrix no longer
 //! exposes.
 
 use photon_exec::ExecPool;
 use rand::Rng;
 
 use photon_linalg::{LinalgError, RCholesky, RMatrix, RVector};
-use photon_photonics::{fisher_vector_products, fisher_vector_products_pooled, Network};
+use photon_photonics::{fisher_vector_products, Network};
 
 use photon_linalg::CVector;
 
-use crate::zo::{draw_perturbation, Perturbation, ZoSettings};
+use crate::robust::{RobustEval, RobustStats};
+use crate::zo::{measure, Perturbation, ZoSettings};
 
 /// Which curvature metric shapes the linear-combination solve.
 #[derive(Debug)]
@@ -98,143 +99,83 @@ pub struct LcngStep {
 /// Computes the LCNG update direction at `theta`.
 ///
 /// `loss` is the black-box (chip) loss on the current mini-batch;
-/// `base_loss` is `ℓ(θ)` measured by the caller.
+/// `base_loss` is `ℓ(θ)` measured by the caller. The `Q` probes are
+/// measured exactly as in [`estimate_gradient`](crate::estimate_gradient)
+/// (on `pool`, through the `robust` ladder when given), then the metric
+/// products run on `pool` too. All probe directions are drawn from `rng`
+/// before any loss evaluation and every reduction runs in a fixed order,
+/// so for a deterministic `loss` the step is bitwise identical for every
+/// pool size.
 ///
 /// # Errors
 ///
-/// Returns a [`LinalgError`] when the regularized Gram matrix cannot be
-/// factorized (can only happen with a non-positive `ridge` and degenerate
-/// probes).
+/// Returns a [`LinalgError`] when a measured quotient is non-finite (only
+/// possible without `robust`, which zeroes lost probes), or when the
+/// regularized Gram matrix cannot be factorized (can only happen with a
+/// non-positive `ridge` and degenerate probes).
 ///
 /// # Examples
 ///
 /// ```
 /// use rand::SeedableRng;
+/// use photon_exec::ExecPool;
 /// use photon_linalg::RVector;
 /// use photon_opt::{lcng_direction, LcngSettings, MetricSource, Perturbation};
 ///
 /// // Minimize ‖θ − 1‖² through the identity metric (ZO-LC ablation).
-/// let mut loss = |t: &RVector| (t[0] - 1.0).powi(2) + (t[1] - 1.0).powi(2);
+/// let loss = |t: &RVector| (t[0] - 1.0).powi(2) + (t[1] - 1.0).powi(2);
 /// let theta = RVector::zeros(2);
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(3);
 /// let settings = LcngSettings::for_dimension(2, 8);
 /// let base = loss(&theta);
-/// let step = lcng_direction(&mut loss, &theta, base, &settings,
-///                           &Perturbation::Gaussian, &MetricSource::Identity,
-///                           &mut rng)?;
+/// let (step, _) = lcng_direction(&loss, &theta, base, &settings,
+///                                &Perturbation::Gaussian, &MetricSource::Identity,
+///                                None, &ExecPool::serial(), &mut rng)?;
 /// // The direction points toward (1, 1).
 /// assert!(step.direction[0] > 0.0 && step.direction[1] > 0.0);
 /// # Ok::<(), photon_linalg::LinalgError>(())
 /// ```
+#[allow(clippy::too_many_arguments)] // the measure stage's inputs plus the metric
 pub fn lcng_direction<R: Rng + ?Sized>(
-    loss: &mut dyn FnMut(&RVector) -> f64,
-    theta: &RVector,
-    base_loss: f64,
-    settings: &LcngSettings,
-    pert: &Perturbation<'_>,
-    metric: &MetricSource<'_>,
-    rng: &mut R,
-) -> Result<LcngStep, LinalgError> {
-    let n = theta.len();
-    let q = settings.zo.q;
-    let mu = settings.zo.mu;
-
-    // All probe directions are drawn up front: the RNG stream is consumed
-    // identically to the pooled variant, so both paths probe the same points.
-    let directions: Vec<RVector> = (0..q).map(|k| draw_perturbation(pert, n, k, rng)).collect();
-
-    // Probe the chip.
-    let mut probe = theta.clone();
-    let quotients: Vec<f64> = directions
-        .iter()
-        .map(|delta| {
-            probe.copy_from(theta);
-            probe.axpy(mu, delta);
-            (loss(&probe) - base_loss) / mu
-        })
-        .collect();
-
-    // Metric products F·δθ_q on the software model (or identity).
-    let metric_dirs: Vec<RVector> = match metric {
-        MetricSource::Identity => directions.clone(),
-        MetricSource::Model { model, inputs } => {
-            fisher_vector_products(model, theta, inputs, &directions)
-        }
-    };
-
-    solve_in_span(theta, settings, directions, quotients, metric_dirs)
-}
-
-/// Pool-parallel variant of [`lcng_direction`]: the `Q` chip probes and the
-/// Fisher-metric products are both evaluated on `pool`.
-///
-/// All probe directions are drawn from `rng` before any loss evaluation and
-/// every reduction runs in a fixed order, so for a deterministic `loss` the
-/// returned step is bitwise identical for every pool size. (The metric path
-/// uses [`fisher_vector_products_pooled`], whose fixed-shape input reduction
-/// differs from the serial variant's running sum by fp rounding only.)
-///
-/// # Errors
-///
-/// Same as [`lcng_direction`].
-#[allow(clippy::too_many_arguments)] // mirrors `lcng_direction` plus the pool handle
-pub fn lcng_direction_pooled<R: Rng + ?Sized>(
     loss: &(dyn Fn(&RVector) -> f64 + Sync),
     theta: &RVector,
     base_loss: f64,
     settings: &LcngSettings,
     pert: &Perturbation<'_>,
     metric: &MetricSource<'_>,
+    robust: Option<&RobustEval>,
     pool: &ExecPool,
     rng: &mut R,
-) -> Result<LcngStep, LinalgError> {
+) -> Result<(LcngStep, RobustStats), LinalgError> {
     let n = theta.len();
     let q = settings.zo.q;
-    let mu = settings.zo.mu;
-
-    let directions: Vec<RVector> = (0..q).map(|k| draw_perturbation(pert, n, k, rng)).collect();
-
-    let quotients = pool.map_with(
-        &directions,
-        || theta.clone(),
-        |probe, _, delta| {
-            probe.copy_from(theta);
-            probe.axpy(mu, delta);
-            (loss(probe) - base_loss) / mu
-        },
+    let (directions, quotients, stats) = measure(
+        loss,
+        theta,
+        base_loss,
+        &settings.zo,
+        pert,
+        robust,
+        pool,
+        rng,
     );
-
-    let metric_dirs: Vec<RVector> = match metric {
-        MetricSource::Identity => directions.clone(),
-        MetricSource::Model { model, inputs } => {
-            fisher_vector_products_pooled(model, theta, inputs, &directions, pool)
-        }
-    };
-
-    solve_in_span(theta, settings, directions, quotients, metric_dirs)
-}
-
-/// Assembles the Gram matrix and solves for the in-span step (shared tail of
-/// the serial and pooled entry points).
-pub(crate) fn solve_in_span(
-    theta: &RVector,
-    settings: &LcngSettings,
-    directions: Vec<RVector>,
-    quotients: Vec<f64>,
-    metric_dirs: Vec<RVector>,
-) -> Result<LcngStep, LinalgError> {
-    let n = theta.len();
-    let q = settings.zo.q;
 
     // A NaN quotient would silently poison the normal equations (the
     // Cholesky may still "succeed" on a partially-NaN Gram), so reject
-    // non-finite measurements before they enter the solve. The robust entry
-    // points in `robust.rs` sanitize quotients *before* calling here.
+    // non-finite measurements before they enter the solve.
     if let Some(k) = quotients.iter().position(|v| !v.is_finite()) {
         return Err(LinalgError::NonFinite {
             context: format!("difference quotient {k} of the LCNG solve"),
         });
     }
+
+    // Metric products F·δθ_q on the software model (or identity).
+    let metric_dirs: Vec<RVector> = match metric {
+        MetricSource::Identity => directions.clone(),
+        MetricSource::Model { model, inputs } => {
+            fisher_vector_products(model, theta, inputs, &directions, pool)
+        }
+    };
 
     // Gram G = Pᵀ(FP), symmetrized against fp noise.
     let mut gram = RMatrix::zeros(q, q);
@@ -267,13 +208,14 @@ pub(crate) fn solve_in_span(
         direction.axpy(*c, d);
     }
 
-    Ok(LcngStep {
+    let step = LcngStep {
         direction,
         coefficients,
         quotients,
         queries: q,
         gram_scale,
-    })
+    };
+    Ok((step, stats))
 }
 
 #[cfg(test)]
@@ -300,21 +242,24 @@ mod tests {
         let a = [1.0, 1.0, 1.0];
         let b = [1.0, -2.0, 0.5];
         let theta = RVector::zeros(3);
-        let mut loss = |t: &RVector| quad_loss(&a, &b, t);
+        let loss = |t: &RVector| quad_loss(&a, &b, t);
         let mut rng = StdRng::seed_from_u64(7);
         let mut settings = LcngSettings::for_dimension(3, 24);
         settings.ridge = 1e-6;
         settings.zo.mu = 1e-6;
         let step = lcng_direction(
-            &mut loss,
+            &loss,
             &theta,
             0.0,
             &settings,
             &Perturbation::Gaussian,
             &MetricSource::Identity,
+            None,
+            &ExecPool::serial(),
             &mut rng,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         // −∇ℓ(0) = b.
         let neg_grad = RVector::from_slice(&b);
         let cos =
@@ -333,7 +278,7 @@ mod tests {
         let a = [100.0, 1.0];
         let b = [10.0, 1.0];
         let theta = RVector::zeros(2);
-        let mut loss = |t: &RVector| quad_loss(&a, &b, t);
+        let loss = |t: &RVector| quad_loss(&a, &b, t);
         let mut rng = StdRng::seed_from_u64(9);
 
         // Build the Gram with the identity metric: direction ≈ −∇ℓ = b,
@@ -343,15 +288,18 @@ mod tests {
         settings.zo.mu = 1e-7;
         settings.ridge = 1e-8;
         let lc = lcng_direction(
-            &mut loss,
+            &loss,
             &theta,
             0.0,
             &settings,
             &Perturbation::Gaussian,
             &MetricSource::Identity,
+            None,
+            &ExecPool::serial(),
             &mut rng,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         // Identity metric: ratio dir₀/dir₁ ≈ b₀/b₁ = 10.
         let ratio_lc = lc.direction[0] / lc.direction[1];
         assert!((ratio_lc - 10.0).abs() < 1.0, "ratio {ratio_lc}");
@@ -372,7 +320,7 @@ mod tests {
         let net = model.clone();
         let xx = x.clone();
         let tt = target.clone();
-        let mut loss = move |t: &RVector| {
+        let loss = move |t: &RVector| {
             let y = net.forward(&xx, t);
             (&y - &tt).norm_sqr()
         };
@@ -381,7 +329,7 @@ mod tests {
         let inputs = vec![x.clone()];
         let settings = LcngSettings::for_dimension(model.param_count(), 12);
         let step = lcng_direction(
-            &mut loss,
+            &loss,
             &theta,
             base,
             &settings,
@@ -390,9 +338,12 @@ mod tests {
                 model: &model,
                 inputs: &inputs,
             },
+            None,
+            &ExecPool::serial(),
             &mut rng,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(step.queries, 12);
         assert!(step.gram_scale > 0.0);
         // Walk a modest fraction of the proposed step; loss must drop.
@@ -402,7 +353,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_direction_is_thread_count_invariant() {
+    fn direction_is_thread_count_invariant() {
         let mut seed_rng = StdRng::seed_from_u64(17);
         let arch = Architecture::single_mesh(4, 2).unwrap();
         let model = arch.build_ideal();
@@ -412,80 +363,36 @@ mod tests {
         let b = vec![1.0; theta.len()];
         let loss = |t: &RVector| quad_loss(&a, &b, t);
         let settings = LcngSettings::for_dimension(theta.len(), 8);
-
-        let reference = {
-            let mut rng = StdRng::seed_from_u64(18);
-            lcng_direction_pooled(
-                &loss,
-                &theta,
-                loss(&theta),
-                &settings,
-                &Perturbation::Gaussian,
-                &MetricSource::Model {
-                    model: &model,
-                    inputs: &inputs,
-                },
-                &ExecPool::serial(),
-                &mut rng,
-            )
-            .unwrap()
+        let model_metric = MetricSource::Model {
+            model: &model,
+            inputs: &inputs,
         };
-        for threads in [2usize, 4, 8] {
-            let mut rng = StdRng::seed_from_u64(18);
-            let step = lcng_direction_pooled(
-                &loss,
-                &theta,
-                loss(&theta),
-                &settings,
-                &Perturbation::Gaussian,
-                &MetricSource::Model {
-                    model: &model,
-                    inputs: &inputs,
-                },
-                &ExecPool::new(threads),
-                &mut rng,
-            )
-            .unwrap();
-            for (x, y) in reference.direction.iter().zip(step.direction.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{threads} threads");
+
+        for metric in [&model_metric, &MetricSource::Identity] {
+            let direction = |threads: usize| {
+                let mut rng = StdRng::seed_from_u64(18);
+                lcng_direction(
+                    &loss,
+                    &theta,
+                    loss(&theta),
+                    &settings,
+                    &Perturbation::Gaussian,
+                    metric,
+                    None,
+                    &ExecPool::new(threads),
+                    &mut rng,
+                )
+                .unwrap()
+                .0
+            };
+            let reference = direction(1);
+            for threads in [2usize, 4, 8] {
+                let step = direction(threads);
+                for (x, y) in reference.direction.iter().zip(step.direction.iter()) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{metric:?}, {threads} threads");
+                }
+                assert_eq!(reference.quotients, step.quotients);
             }
-            assert_eq!(reference.quotients, step.quotients);
-        }
-    }
-
-    #[test]
-    fn pooled_identity_metric_matches_serial_bitwise() {
-        let a = [3.0, 1.0, 8.0, 2.0];
-        let b = [1.0, 1.0, 1.0, 1.0];
-        let theta = RVector::zeros(4);
-        let settings = LcngSettings::for_dimension(4, 12);
-        let serial = {
-            let mut rng = StdRng::seed_from_u64(19);
-            lcng_direction(
-                &mut |t: &RVector| quad_loss(&a, &b, t),
-                &theta,
-                0.0,
-                &settings,
-                &Perturbation::Gaussian,
-                &MetricSource::Identity,
-                &mut rng,
-            )
-            .unwrap()
-        };
-        let mut rng = StdRng::seed_from_u64(19);
-        let pooled = lcng_direction_pooled(
-            &|t: &RVector| quad_loss(&a, &b, t),
-            &theta,
-            0.0,
-            &settings,
-            &Perturbation::Gaussian,
-            &MetricSource::Identity,
-            &ExecPool::new(4),
-            &mut rng,
-        )
-        .unwrap();
-        for (x, y) in serial.direction.iter().zip(pooled.direction.iter()) {
-            assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 
@@ -493,7 +400,7 @@ mod tests {
     fn ridge_keeps_gram_factorizable_with_duplicate_probes() {
         // Identical probe directions make the un-ridged Gram singular.
         let theta = RVector::zeros(2);
-        let mut loss = |t: &RVector| t.norm_sqr();
+        let loss = |t: &RVector| t.norm_sqr();
         let mut rng = StdRng::seed_from_u64(13);
         let settings = LcngSettings {
             zo: ZoSettings {
@@ -505,15 +412,18 @@ mod tests {
         };
         // Coordinate probes with offset cycling repeat after n=2.
         let step = lcng_direction(
-            &mut loss,
+            &loss,
             &theta,
             0.0,
             &settings,
             &Perturbation::Coordinate { offset: 0 },
             &MetricSource::Identity,
+            None,
+            &ExecPool::serial(),
             &mut rng,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(step.direction.iter().all(|d| d.is_finite()));
     }
 
@@ -522,20 +432,23 @@ mod tests {
         let a = [3.0, 1.0, 8.0, 2.0];
         let b = [1.0, 1.0, 1.0, 1.0];
         let theta = RVector::zeros(4);
-        let mut loss = |t: &RVector| quad_loss(&a, &b, t);
+        let loss = |t: &RVector| quad_loss(&a, &b, t);
         let base = 0.0;
         let mut rng = StdRng::seed_from_u64(15);
         let settings = LcngSettings::for_dimension(4, 16);
         let step = lcng_direction(
-            &mut loss,
+            &loss,
             &theta,
             base,
             &settings,
             &Perturbation::Gaussian,
             &MetricSource::Identity,
+            None,
+            &ExecPool::serial(),
             &mut rng,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         // Walk a small step along the direction; loss must drop.
         let mut trial = theta.clone();
         trial.axpy(0.1 / step.direction.norm().max(1e-9), &step.direction);

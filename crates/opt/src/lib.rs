@@ -10,11 +10,17 @@
 //!   ([`lcng_direction`]) — a subspace Newton/natural step whose first-order
 //!   term comes from chip measurements and whose curvature comes from a
 //!   (calibrated) software model's Fisher metric;
+//! - an optional retry → reject → re-read ladder ([`RobustEval`]) for
+//!   faulty chip readouts, shared by both estimators;
 //! - block natural-gradient preconditioning and layered covariance shaping
 //!   ([`BlockNaturalPreconditioner`], [`layered_sigma_segments`]) for the
 //!   ablation grid;
 //! - a from-scratch [`CmaEs`] baseline;
 //! - a log-uniform [`random_search`] tuner standing in for Optuna.
+//!
+//! Both estimators evaluate their probes on a
+//! [`photon_exec::ExecPool`]; `ExecPool::serial()` runs them inline on the
+//! caller's thread, and every pool size gives bitwise-identical results.
 //!
 //! # Examples
 //!
@@ -22,17 +28,18 @@
 //!
 //! ```
 //! use rand::SeedableRng;
+//! use photon_exec::ExecPool;
 //! use photon_linalg::RVector;
 //! use photon_opt::{estimate_gradient, Perturbation, ZoSettings};
 //!
-//! let mut loss = |t: &RVector| (t[0] - 1.0).powi(2) + t[1] * t[1];
+//! let loss = |t: &RVector| (t[0] - 1.0).powi(2) + t[1] * t[1];
 //! let theta = RVector::zeros(2);
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let base = loss(&theta);
-//! let est = estimate_gradient(
-//!     &mut loss, &theta, base,
+//! let (est, _) = estimate_gradient(
+//!     &loss, &theta, base,
 //!     &ZoSettings { q: 500, mu: 1e-5, lambda: 1.0 },
-//!     &Perturbation::Gaussian, &mut rng,
+//!     &Perturbation::Gaussian, None, &ExecPool::serial(), &mut rng,
 //! );
 //! assert!(est.gradient[0] < 0.0); // points downhill toward θ₀ = 1
 //! ```
@@ -50,14 +57,8 @@ mod zo;
 
 pub use cmaes::{penalize_non_finite, CmaEs, CmaEsState};
 pub use first_order::{Adam, AdamState, Optimizer, Sgd};
-pub use lcng::{lcng_direction, lcng_direction_pooled, LcngSettings, LcngStep, MetricSource};
-pub use robust::{
-    estimate_gradient_robust_pooled, lcng_direction_robust_pooled, retry_non_finite, RobustEval,
-    RobustStats,
-};
+pub use lcng::{lcng_direction, LcngSettings, LcngStep, MetricSource};
 pub use natural::{layered_sigma_segments, sigma_from_fisher, BlockNaturalPreconditioner};
+pub use robust::{retry_non_finite, RobustEval, RobustStats};
 pub use tuning::{random_search, tune, LogUniform, Trial};
-pub use zo::{
-    draw_perturbation, estimate_gradient, estimate_gradient_pooled, Perturbation, ZoEstimate,
-    ZoSettings,
-};
+pub use zo::{draw_perturbation, estimate_gradient, Perturbation, ZoEstimate, ZoSettings};

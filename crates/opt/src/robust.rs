@@ -1,9 +1,9 @@
-//! Fault-tolerant measurement wrappers for the ZO estimators.
+//! The robust measurement ladder of the ZO estimators.
 //!
 //! Real chip readouts occasionally fail: a dropped read comes back NaN, an
-//! outlier spike turns one difference quotient into garbage. The robust
-//! entry points here wrap [`estimate_gradient_pooled`] /
-//! [`lcng_direction_pooled`] measurement loops with the recovery ladder
+//! outlier spike turns one difference quotient into garbage. Passing a
+//! [`RobustEval`] to [`estimate_gradient`] or [`lcng_direction`] runs the
+//! probe measurements through the ladder
 //!
 //! 1. **retry** — a non-finite loss reading is re-measured up to
 //!    `max_retries` times (each re-read is a fresh chip query);
@@ -21,17 +21,10 @@
 //! and index-ordered, so every re-measured loss reads the same content keys
 //! regardless of pool size.
 //!
-//! [`estimate_gradient_pooled`]: crate::estimate_gradient_pooled
-//! [`lcng_direction_pooled`]: crate::lcng_direction_pooled
+//! [`estimate_gradient`]: crate::estimate_gradient
+//! [`lcng_direction`]: crate::lcng_direction
 
-use photon_exec::ExecPool;
-use rand::Rng;
-
-use photon_linalg::{LinalgError, RVector};
-use photon_photonics::fisher_vector_products_pooled;
-
-use crate::lcng::{solve_in_span, LcngSettings, LcngStep, MetricSource};
-use crate::zo::{assemble_estimate, draw_perturbations, Perturbation, ZoEstimate, ZoSettings};
+use photon_linalg::RVector;
 
 /// Settings of the robust measurement ladder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,6 +46,32 @@ impl RobustEval {
             outlier_zscore: 6.0,
             rereads: 3,
         }
+    }
+
+    /// The ladder's median/MAD screen: indices of the quotients that are
+    /// non-finite or lie more than `outlier_zscore` robust standard
+    /// deviations from the median of the finite ones (all of them when
+    /// none is finite).
+    pub(crate) fn flag_outliers(&self, quotients: &[f64]) -> Vec<usize> {
+        let finite: Vec<f64> = quotients
+            .iter()
+            .copied()
+            .filter(|v| v.is_finite())
+            .collect();
+        if finite.is_empty() {
+            return (0..quotients.len()).collect();
+        }
+        let med = median(&finite);
+        let deviations: Vec<f64> = finite.iter().map(|v| (v - med).abs()).collect();
+        // 1.4826·MAD ≈ σ for Gaussian data; the floor keeps a zero-spread
+        // batch (e.g. a flat loss landscape) from flagging fp noise.
+        let scale = (1.4826 * median(&deviations)).max(1e-9 * med.abs().max(1.0));
+        quotients
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| !v.is_finite() || (**v - med).abs() > self.outlier_zscore * scale)
+            .map(|(i, _)| i)
+            .collect()
     }
 }
 
@@ -94,7 +113,7 @@ pub fn retry_non_finite(
 }
 
 /// Median of a non-empty slice (even lengths average the middle pair).
-fn median(values: &[f64]) -> f64 {
+pub(crate) fn median(values: &[f64]) -> f64 {
     debug_assert!(!values.is_empty());
     let mut sorted = values.to_vec();
     // Callers screen for finite values, but a NaN slipping through must
@@ -108,168 +127,14 @@ fn median(values: &[f64]) -> f64 {
     }
 }
 
-/// Measures the `Q` difference quotients for `directions` with the full
-/// retry → reject → re-read ladder.
-fn measure_quotients_robust(
-    loss: &(dyn Fn(&RVector) -> f64 + Sync),
-    theta: &RVector,
-    base_loss: f64,
-    mu: f64,
-    directions: &[RVector],
-    robust: &RobustEval,
-    pool: &ExecPool,
-) -> (Vec<f64>, RobustStats) {
-    let mut stats = RobustStats::default();
-
-    // Stage 1: sweep all probes, retrying non-finite readings in place.
-    let sweep: Vec<(f64, u32)> = pool.map_with(
-        directions,
-        || theta.clone(),
-        |probe, _, delta| {
-            probe.copy_from(theta);
-            probe.axpy(mu, delta);
-            let (l, retries) = retry_non_finite(loss, probe, robust.max_retries);
-            ((l - base_loss) / mu, retries)
-        },
-    );
-    let mut quotients: Vec<f64> = sweep.iter().map(|&(q, _)| q).collect();
-    stats.retries = sweep.iter().map(|&(_, r)| r as u64).sum();
-
-    // Stage 2: median/MAD outlier screen over the finite quotients.
-    let finite: Vec<f64> = quotients.iter().copied().filter(|v| v.is_finite()).collect();
-    let flagged: Vec<usize> = if finite.is_empty() {
-        (0..quotients.len()).collect()
-    } else {
-        let med = median(&finite);
-        let deviations: Vec<f64> = finite.iter().map(|v| (v - med).abs()).collect();
-        // 1.4826·MAD ≈ σ for Gaussian data; the floor keeps a zero-spread
-        // batch (e.g. a flat loss landscape) from flagging fp noise.
-        let scale = (1.4826 * median(&deviations)).max(1e-9 * med.abs().max(1.0));
-        quotients
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_finite() || (**v - med).abs() > robust.outlier_zscore * scale)
-            .map(|(i, _)| i)
-            .collect()
-    };
-    if flagged.is_empty() {
-        return (quotients, stats);
-    }
-    stats.rejected = flagged.len() as u64;
-
-    // Stage 3: re-read every flagged probe `rereads` times and take the
-    // median of the finite readings.
-    let rereads = robust.rereads.max(1);
-    let replacements: Vec<f64> = pool.map_subset(
-        directions,
-        &flagged,
-        || theta.clone(),
-        |probe, _, delta| {
-            probe.copy_from(theta);
-            probe.axpy(mu, delta);
-            let readings: Vec<f64> = (0..rereads)
-                .filter_map(|_| {
-                    let (l, _) = retry_non_finite(loss, probe, robust.max_retries);
-                    l.is_finite().then(|| (l - base_loss) / mu)
-                })
-                .collect();
-            if readings.is_empty() {
-                f64::NAN
-            } else {
-                median(&readings)
-            }
-        },
-    );
-    for (&i, &q) in flagged.iter().zip(&replacements) {
-        if q.is_finite() {
-            quotients[i] = q;
-        } else {
-            // The probe is lost; a zero quotient removes it from the
-            // estimate without poisoning the rest.
-            quotients[i] = 0.0;
-            stats.unrecovered += 1;
-        }
-    }
-    (quotients, stats)
-}
-
-/// Fault-tolerant variant of
-/// [`estimate_gradient_pooled`](crate::estimate_gradient_pooled): the probe
-/// measurements run through the retry → reject → re-read ladder.
-///
-/// `base_loss` must already be finite (the trainer's divergence guard
-/// retries the base measurement before calling any estimator).
-#[allow(clippy::too_many_arguments)] // mirrors the non-robust entry point
-pub fn estimate_gradient_robust_pooled<R: Rng + ?Sized>(
-    loss: &(dyn Fn(&RVector) -> f64 + Sync),
-    theta: &RVector,
-    base_loss: f64,
-    settings: &ZoSettings,
-    pert: &Perturbation<'_>,
-    robust: &RobustEval,
-    pool: &ExecPool,
-    rng: &mut R,
-) -> (ZoEstimate, RobustStats) {
-    let directions = draw_perturbations(pert, theta.len(), settings.q, rng);
-    let (quotients, stats) = measure_quotients_robust(
-        loss,
-        theta,
-        base_loss,
-        settings.mu,
-        &directions,
-        robust,
-        pool,
-    );
-    (
-        assemble_estimate(theta.len(), settings, directions, quotients),
-        stats,
-    )
-}
-
-/// Fault-tolerant variant of
-/// [`lcng_direction_pooled`](crate::lcng_direction_pooled): probe
-/// measurements run through the retry → reject → re-read ladder before the
-/// in-span solve (which therefore never sees a non-finite quotient).
-///
-/// # Errors
-///
-/// Same as [`lcng_direction_pooled`](crate::lcng_direction_pooled).
-#[allow(clippy::too_many_arguments)] // mirrors the non-robust entry point
-pub fn lcng_direction_robust_pooled<R: Rng + ?Sized>(
-    loss: &(dyn Fn(&RVector) -> f64 + Sync),
-    theta: &RVector,
-    base_loss: f64,
-    settings: &LcngSettings,
-    pert: &Perturbation<'_>,
-    metric: &MetricSource<'_>,
-    robust: &RobustEval,
-    pool: &ExecPool,
-    rng: &mut R,
-) -> Result<(LcngStep, RobustStats), LinalgError> {
-    let n = theta.len();
-    let directions = draw_perturbations(pert, n, settings.zo.q, rng);
-    let (quotients, stats) = measure_quotients_robust(
-        loss,
-        theta,
-        base_loss,
-        settings.zo.mu,
-        &directions,
-        robust,
-        pool,
-    );
-    let metric_dirs: Vec<RVector> = match metric {
-        MetricSource::Identity => directions.clone(),
-        MetricSource::Model { model, inputs } => {
-            fisher_vector_products_pooled(model, theta, inputs, &directions, pool)
-        }
-    };
-    let step = solve_in_span(theta, settings, directions, quotients, metric_dirs)?;
-    Ok((step, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{
+        estimate_gradient, lcng_direction, LcngSettings, MetricSource, Perturbation, ZoSettings,
+    };
+    use photon_exec::ExecPool;
+    use photon_linalg::LinalgError;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashMap;
@@ -343,28 +208,29 @@ mod tests {
         let robust = RobustEval::standard();
         let clean = {
             let mut rng = StdRng::seed_from_u64(33);
-            let loss = |t: &RVector| quadratic(t);
-            crate::estimate_gradient_pooled(
-                &loss,
+            estimate_gradient(
+                &quadratic,
                 &theta,
                 quadratic(&theta),
                 &settings,
                 &Perturbation::Gaussian,
+                None,
                 &ExecPool::serial(),
                 &mut rng,
             )
+            .0
         };
         let oracle =
             FaultyLoss::new(|h, attempt| (h % 4 == 0 && attempt == 0).then_some(f64::NAN));
         let loss = |t: &RVector| oracle.eval(t);
         let mut rng = StdRng::seed_from_u64(33);
-        let (est, stats) = estimate_gradient_robust_pooled(
+        let (est, stats) = estimate_gradient(
             &loss,
             &theta,
             quadratic(&theta),
             &settings,
             &Perturbation::Gaussian,
-            &robust,
+            Some(&robust),
             &ExecPool::serial(),
             &mut rng,
         );
@@ -382,27 +248,28 @@ mod tests {
         let settings = ZoSettings::for_dimension(4, 16);
         let clean = {
             let mut rng = StdRng::seed_from_u64(35);
-            let loss = |t: &RVector| quadratic(t);
-            crate::estimate_gradient_pooled(
-                &loss,
+            estimate_gradient(
+                &quadratic,
                 &theta,
                 quadratic(&theta),
                 &settings,
                 &Perturbation::Gaussian,
+                None,
                 &ExecPool::serial(),
                 &mut rng,
             )
+            .0
         };
         let oracle = FaultyLoss::new(|h, attempt| (h % 8 == 0 && attempt == 0).then_some(1e6));
         let loss = |t: &RVector| oracle.eval(t);
         let mut rng = StdRng::seed_from_u64(35);
-        let (est, stats) = estimate_gradient_robust_pooled(
+        let (est, stats) = estimate_gradient(
             &loss,
             &theta,
             quadratic(&theta),
             &settings,
             &Perturbation::Gaussian,
-            &RobustEval::standard(),
+            Some(&RobustEval::standard()),
             &ExecPool::serial(),
             &mut rng,
         );
@@ -421,13 +288,13 @@ mod tests {
         let oracle = FaultyLoss::new(|h, _| (h % 3 == 0).then_some(f64::NAN));
         let loss = |t: &RVector| oracle.eval(t);
         let mut rng = StdRng::seed_from_u64(37);
-        let (est, stats) = estimate_gradient_robust_pooled(
+        let (est, stats) = estimate_gradient(
             &loss,
             &theta,
             quadratic(&theta),
             &settings,
             &Perturbation::Gaussian,
-            &RobustEval::standard(),
+            Some(&RobustEval::standard()),
             &ExecPool::serial(),
             &mut rng,
         );
@@ -443,31 +310,32 @@ mod tests {
         let oracle = FaultyLoss::new(|h, attempt| (h % 5 == 0 && attempt == 0).then_some(f64::NAN));
         let loss = |t: &RVector| oracle.eval(t);
         let mut rng = StdRng::seed_from_u64(39);
-        let (step, _) = lcng_direction_robust_pooled(
+        let (step, _) = lcng_direction(
             &loss,
             &theta,
             quadratic(&theta),
             &settings,
             &Perturbation::Gaussian,
             &MetricSource::Identity,
-            &RobustEval::standard(),
+            Some(&RobustEval::standard()),
             &ExecPool::serial(),
             &mut rng,
         )
         .unwrap();
         assert!(step.direction.iter().all(|v| v.is_finite()));
 
-        // The raw (non-robust) pooled path must refuse NaN quotients.
+        // Without the ladder the solve must refuse NaN quotients.
         let oracle = FaultyLoss::new(|_, _| Some(f64::NAN));
         let loss = |t: &RVector| oracle.eval(t);
         let mut rng = StdRng::seed_from_u64(39);
-        let err = crate::lcng_direction_pooled(
+        let err = lcng_direction(
             &loss,
             &theta,
             0.0,
             &settings,
             &Perturbation::Gaussian,
             &MetricSource::Identity,
+            None,
             &ExecPool::serial(),
             &mut rng,
         )

@@ -11,8 +11,16 @@
 //! coordinate-wise one-hot probes, and covariance-shaped Gaussian draws
 //! (used by the layered-perturbation extension).
 //!
+//! [`estimate_gradient`] and [`lcng_direction`](crate::lcng_direction)
+//! share one draw → measure → combine pipeline. The measure stage draws all
+//! `Q` directions up front, builds each probe point (sparsely for one-hot
+//! probes), and evaluates the probes on an [`ExecPool`] — a plain sweep, or
+//! the retry → reject → re-read ladder of [`RobustEval`] when the caller
+//! passes one. The estimators differ only in how they combine the measured
+//! quotients.
+//!
 //! The loss closure is opaque to the estimator; in the training loop it is
-//! `chip_batch_loss_pooled`, which evaluates each probe's batch through the
+//! `chip_batch_loss`, which evaluates each probe's batch through the
 //! compiled batched chip path (one cached-unitary GEMM per block), so the
 //! per-probe cost is `O(ops·N) + O(N²·B)` rather than `O(ops·B)`.
 
@@ -21,6 +29,8 @@ use rand::Rng;
 
 use photon_linalg::random::{normal_rvector, sample_gaussian};
 use photon_linalg::{RCholesky, RVector};
+
+use crate::robust::{median, retry_non_finite, RobustEval, RobustStats};
 
 /// Hyperparameters of the finite-difference ZO estimator.
 ///
@@ -136,115 +146,151 @@ pub struct ZoEstimate {
 /// Estimates `∇ℓ(θ)` from loss evaluations only.
 ///
 /// `base_loss` must be `ℓ(θ)` (measured by the caller so it can be shared
-/// across estimators); `loss` is charged once per probe.
+/// across estimators); `loss` is charged once per probe, plus whatever
+/// re-reads the `robust` ladder spends (see [`RobustEval`]). With `robust`
+/// set, `base_loss` must already be finite. The `Q` probe losses are
+/// evaluated on `pool`; [`ExecPool::serial`] runs them inline.
+///
+/// All probe directions are drawn from `rng` before any loss evaluation and
+/// the estimate is assembled in probe order, so for a deterministic `loss`
+/// the result is bitwise identical for every pool size.
 ///
 /// # Examples
 ///
 /// ```
 /// use rand::SeedableRng;
+/// use photon_exec::ExecPool;
 /// use photon_linalg::RVector;
 /// use photon_opt::{estimate_gradient, Perturbation, ZoSettings};
 ///
 /// // ℓ(θ) = ‖θ‖²: the true gradient at θ=(1,0) is (2,0).
-/// let mut loss = |t: &RVector| t.norm_sqr();
+/// let loss = |t: &RVector| t.norm_sqr();
 /// let theta = RVector::from_slice(&[1.0, 0.0]);
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 /// let settings = ZoSettings { q: 2000, mu: 1e-4, lambda: 1.0 };
-/// let est = estimate_gradient(&mut loss, &theta, theta.norm_sqr(),
-///                             &settings, &Perturbation::Gaussian, &mut rng);
+/// let (est, _) = estimate_gradient(&loss, &theta, theta.norm_sqr(), &settings,
+///                                  &Perturbation::Gaussian, None,
+///                                  &ExecPool::serial(), &mut rng);
 /// assert_eq!(est.queries, 2000);
 /// assert!((est.gradient[0] - 2.0).abs() < 0.2);
 /// ```
+#[allow(clippy::too_many_arguments)] // the measure stage's inputs plus the ladder and the pool
 pub fn estimate_gradient<R: Rng + ?Sized>(
-    loss: &mut dyn FnMut(&RVector) -> f64,
-    theta: &RVector,
-    base_loss: f64,
-    settings: &ZoSettings,
-    pert: &Perturbation<'_>,
-    rng: &mut R,
-) -> ZoEstimate {
-    // All probe directions are drawn up front: the RNG stream is consumed
-    // identically to the pooled variant, so both paths probe the same points.
-    let n = theta.len();
-    let directions = draw_perturbations(pert, n, settings.q, rng);
-    let mut probe = theta.clone();
-    let quotients: Vec<f64> = directions
-        .iter()
-        .enumerate()
-        .map(|(k, delta)| {
-            probe.copy_from(theta);
-            match pert.one_hot_index(n, k) {
-                Some(i) => probe.as_mut_slice()[i] = theta[i] + settings.mu,
-                None => probe.axpy(settings.mu, delta),
-            }
-            (loss(&probe) - base_loss) / settings.mu
-        })
-        .collect();
-    assemble_estimate(n, settings, directions, quotients)
-}
-
-/// Pool-parallel variant of [`estimate_gradient`]: the `Q` probe losses are
-/// evaluated concurrently on `pool`.
-///
-/// All probe directions are drawn from `rng` before any loss evaluation and
-/// the estimate is assembled in probe order, so for a deterministic `loss`
-/// the result is bitwise identical to the serial estimator for every pool
-/// size.
-pub fn estimate_gradient_pooled<R: Rng + ?Sized>(
     loss: &(dyn Fn(&RVector) -> f64 + Sync),
     theta: &RVector,
     base_loss: f64,
     settings: &ZoSettings,
     pert: &Perturbation<'_>,
+    robust: Option<&RobustEval>,
     pool: &ExecPool,
     rng: &mut R,
-) -> ZoEstimate {
-    let n = theta.len();
-    let directions = draw_perturbations(pert, n, settings.q, rng);
-    let quotients = pool.map_with(
-        &directions,
-        || theta.clone(),
-        |probe, k, delta| {
-            probe.copy_from(theta);
-            match pert.one_hot_index(n, k) {
-                Some(i) => probe.as_mut_slice()[i] = theta[i] + settings.mu,
-                None => probe.axpy(settings.mu, delta),
-            }
-            (loss(probe) - base_loss) / settings.mu
-        },
-    );
-    assemble_estimate(n, settings, directions, quotients)
-}
-
-/// Draws the `q` probe directions of one estimate in index order.
-pub(crate) fn draw_perturbations<R: Rng + ?Sized>(
-    pert: &Perturbation<'_>,
-    n: usize,
-    q: usize,
-    rng: &mut R,
-) -> Vec<RVector> {
-    (0..q).map(|k| draw_perturbation(pert, n, k, rng)).collect()
-}
-
-/// Combines probe directions and measured quotients into the ZO estimate,
-/// accumulating in probe order.
-pub(crate) fn assemble_estimate(
-    n: usize,
-    settings: &ZoSettings,
-    directions: Vec<RVector>,
-    quotients: Vec<f64>,
-) -> ZoEstimate {
-    let mut gradient = RVector::zeros(n);
+) -> (ZoEstimate, RobustStats) {
+    let (directions, quotients, stats) =
+        measure(loss, theta, base_loss, settings, pert, robust, pool, rng);
+    let mut gradient = RVector::zeros(theta.len());
     for (dl, delta) in quotients.iter().zip(&directions) {
         gradient.axpy(*dl, delta);
     }
     gradient = gradient.scale(settings.lambda / settings.q as f64);
-    ZoEstimate {
+    let estimate = ZoEstimate {
         gradient,
         directions,
         quotients,
         queries: settings.q,
+    };
+    (estimate, stats)
+}
+
+/// The measure stage of every estimator: draws the `Q` probe directions
+/// from `rng` in index order, then measures their difference quotients on
+/// `pool` — one plain sweep, or with `robust` the retry → reject → re-read
+/// ladder. Results are index-ordered, so they do not depend on the pool
+/// size.
+#[allow(clippy::too_many_arguments)] // mirrors the public entry points
+pub(crate) fn measure<R: Rng + ?Sized>(
+    loss: &(dyn Fn(&RVector) -> f64 + Sync),
+    theta: &RVector,
+    base_loss: f64,
+    settings: &ZoSettings,
+    pert: &Perturbation<'_>,
+    robust: Option<&RobustEval>,
+    pool: &ExecPool,
+    rng: &mut R,
+) -> (Vec<RVector>, Vec<f64>, RobustStats) {
+    let n = theta.len();
+    let mu = settings.mu;
+    let directions: Vec<RVector> = (0..settings.q)
+        .map(|k| draw_perturbation(pert, n, k, rng))
+        .collect();
+    // Writes the probe point θ + μ·δθ_k. One-hot probes write only their
+    // perturbed coordinate (see `Perturbation::one_hot_index`).
+    let build_probe = |probe: &mut RVector, k: usize, delta: &RVector| {
+        probe.copy_from(theta);
+        match pert.one_hot_index(n, k) {
+            Some(i) => probe.as_mut_slice()[i] = theta[i] + mu,
+            None => probe.axpy(mu, delta),
+        }
+    };
+    let max_retries = robust.map_or(0, |r| r.max_retries);
+
+    // Sweep every probe once; the ladder retries non-finite readings in
+    // place.
+    let sweep: Vec<(f64, u32)> = pool.map_with(
+        &directions,
+        || theta.clone(),
+        |probe, k, delta| {
+            build_probe(probe, k, delta);
+            let (l, retries) = retry_non_finite(loss, probe, max_retries);
+            ((l - base_loss) / mu, retries)
+        },
+    );
+    let mut quotients: Vec<f64> = sweep.iter().map(|&(q, _)| q).collect();
+    let mut stats = RobustStats {
+        retries: sweep.iter().map(|&(_, r)| u64::from(r)).sum(),
+        ..RobustStats::default()
+    };
+    let Some(robust) = robust else {
+        return (directions, quotients, stats);
+    };
+
+    // Reject: re-read every flagged probe `rereads` times and take the
+    // median of the finite readings.
+    let flagged = robust.flag_outliers(&quotients);
+    if flagged.is_empty() {
+        return (directions, quotients, stats);
     }
+    stats.rejected = flagged.len() as u64;
+    let rereads = robust.rereads.max(1);
+    let replacements: Vec<f64> = pool.map_subset(
+        &directions,
+        &flagged,
+        || theta.clone(),
+        |probe, k, delta| {
+            build_probe(probe, k, delta);
+            let readings: Vec<f64> = (0..rereads)
+                .filter_map(|_| {
+                    let (l, _) = retry_non_finite(loss, probe, robust.max_retries);
+                    l.is_finite().then(|| (l - base_loss) / mu)
+                })
+                .collect();
+            if readings.is_empty() {
+                f64::NAN
+            } else {
+                median(&readings)
+            }
+        },
+    );
+    for (&i, &q) in flagged.iter().zip(&replacements) {
+        if q.is_finite() {
+            quotients[i] = q;
+        } else {
+            // The probe is lost; a zero quotient removes it from the
+            // estimate without poisoning the rest.
+            quotients[i] = 0.0;
+            stats.unrecovered += 1;
+        }
+    }
+    (directions, quotients, stats)
 }
 
 #[cfg(test)]
@@ -266,19 +312,20 @@ mod tests {
     fn gaussian_estimate_aligns_with_true_gradient() {
         let theta = RVector::from_slice(&[1.0, -1.0, 0.5]);
         let true_grad = RVector::from_slice(&[2.0, -4.0, 3.0]);
-        let mut loss = |t: &RVector| quadratic(t);
         let mut rng = StdRng::seed_from_u64(1);
         let settings = ZoSettings {
             q: 4000,
             mu: 1e-5,
             lambda: 1.0,
         };
-        let est = estimate_gradient(
-            &mut loss,
+        let (est, _) = estimate_gradient(
+            &quadratic,
             &theta,
             quadratic(&theta),
             &settings,
             &Perturbation::Gaussian,
+            None,
+            &ExecPool::serial(),
             &mut rng,
         );
         let cos = est.gradient.dot(&true_grad).unwrap() / (est.gradient.norm() * true_grad.norm());
@@ -291,19 +338,20 @@ mod tests {
         // exact up to O(μ); coordinate probing scaled by λ=1, Q=n touches
         // every coordinate once.
         let theta = RVector::from_slice(&[0.5, -0.25]);
-        let mut loss = |t: &RVector| quadratic(t);
         let mut rng = StdRng::seed_from_u64(2);
         let settings = ZoSettings {
             q: 2,
             mu: 1e-7,
             lambda: 2.0, // λ/Q · Σ e_i δℓ_i = (2/2)·[δℓ_0, δℓ_1]
         };
-        let est = estimate_gradient(
-            &mut loss,
+        let (est, _) = estimate_gradient(
+            &quadratic,
             &theta,
             quadratic(&theta),
             &settings,
             &Perturbation::Coordinate { offset: 0 },
+            None,
+            &ExecPool::serial(),
             &mut rng,
         );
         assert!((est.gradient[0] - 1.0).abs() < 1e-4);
@@ -354,54 +402,53 @@ mod tests {
 
     #[test]
     fn query_accounting() {
-        let mut count = 0usize;
-        let mut loss = |t: &RVector| {
-            count += 1;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let count = AtomicUsize::new(0);
+        let loss = |t: &RVector| {
+            count.fetch_add(1, Ordering::Relaxed);
             t.norm_sqr()
         };
         let theta = RVector::zeros(3);
         let mut rng = StdRng::seed_from_u64(6);
         let settings = ZoSettings::for_dimension(3, 7);
-        let est = estimate_gradient(
-            &mut loss,
+        let (est, stats) = estimate_gradient(
+            &loss,
             &theta,
             0.0,
             &settings,
             &Perturbation::Gaussian,
+            None,
+            &ExecPool::new(3),
             &mut rng,
         );
         assert_eq!(est.queries, 7);
-        assert_eq!(count, 7);
+        assert_eq!(count.load(Ordering::Relaxed), 7);
+        assert_eq!(stats, RobustStats::default());
         assert_eq!(est.directions.len(), 7);
         assert_eq!(est.quotients.len(), 7);
     }
 
     #[test]
-    fn pooled_estimate_is_bitwise_identical_to_serial() {
+    fn estimate_is_bitwise_identical_across_pool_sizes() {
         let theta = RVector::from_slice(&[1.0, -1.0, 0.5, 0.25, -0.75, 2.0]);
         let settings = ZoSettings::for_dimension(6, 16);
-        let serial = {
+        let estimate = |threads: usize| {
             let mut rng = StdRng::seed_from_u64(21);
-            estimate_gradient(
-                &mut |t| quadratic(t),
+            let (est, _) = estimate_gradient(
+                &quadratic,
                 &theta,
                 quadratic(&theta),
                 &settings,
                 &Perturbation::Gaussian,
-                &mut rng,
-            )
-        };
-        for threads in [1usize, 2, 4, 8] {
-            let mut rng = StdRng::seed_from_u64(21);
-            let pooled = estimate_gradient_pooled(
-                &|t| quadratic(t),
-                &theta,
-                quadratic(&theta),
-                &settings,
-                &Perturbation::Gaussian,
+                None,
                 &ExecPool::new(threads),
                 &mut rng,
             );
+            est
+        };
+        let serial = estimate(1);
+        for threads in [2usize, 4, 8] {
+            let pooled = estimate(threads);
             for (a, b) in serial.gradient.iter().zip(pooled.gradient.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{threads} threads");
             }

@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 
+use photon_exec::ExecPool;
 use photon_linalg::{RMatrix, RVector};
 use photon_opt::{
     draw_perturbation, estimate_gradient, lcng_direction, Adam, CmaEs, LcngSettings, MetricSource,
@@ -69,12 +70,13 @@ proptest! {
         let gvec = RVector::from_slice(&g);
         prop_assume!(gvec.norm() > 0.1);
         let gv = gvec.clone();
-        let mut loss = move |t: &RVector| t.dot(&gv).unwrap();
+        let loss = move |t: &RVector| t.dot(&gv).unwrap();
         let theta = RVector::zeros(4);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let settings = ZoSettings { q: 64, mu: 1e-6, lambda: 1.0 };
-        let est = estimate_gradient(&mut loss, &theta, 0.0, &settings,
-                                    &Perturbation::Gaussian, &mut rng);
+        let (est, _) = estimate_gradient(&loss, &theta, 0.0, &settings,
+                                         &Perturbation::Gaussian, None,
+                                         &ExecPool::serial(), &mut rng);
         // ⟨ĝ, g⟩ > 0 with overwhelming probability at Q=64.
         prop_assert!(est.gradient.dot(&gvec).unwrap() > 0.0);
     }
@@ -108,15 +110,14 @@ proptest! {
         };
         let gnorm: f64 = lin.iter().map(|x| x * x).sum::<f64>();
         prop_assume!(gnorm > 0.01);
-        let mut loss = f.clone();
         let theta = RVector::zeros(4);
-        let base = loss(&theta);
+        let base = f(&theta);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut settings = LcngSettings::for_dimension(4, 12);
         settings.zo.mu = 1e-6;
-        let step = lcng_direction(&mut loss, &theta, base, &settings,
-                                  &Perturbation::Gaussian, &MetricSource::Identity,
-                                  &mut rng).unwrap();
+        let (step, _) = lcng_direction(&f, &theta, base, &settings,
+                                       &Perturbation::Gaussian, &MetricSource::Identity,
+                                       None, &ExecPool::serial(), &mut rng).unwrap();
         prop_assume!(step.direction.norm() > 1e-9);
         let mut trial = theta.clone();
         trial.axpy(0.05 / step.direction.norm(), &step.direction);

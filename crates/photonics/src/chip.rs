@@ -471,11 +471,6 @@ impl FabricatedChip {
         self
     }
 
-    /// `true` when the f32 fast path is enabled for batched measurements.
-    pub fn f32_fast_path(&self) -> bool {
-        self.fast32
-    }
-
     /// Enables nearest-neighbour thermal heater crosstalk: every
     /// measurement uses the effective phases
     /// `θ_eff = θ + coupling·(chain neighbours)` — see

@@ -19,8 +19,14 @@ use photon_linalg::{hermitian_eig, CMatrix, CVector, RMatrix, RVector};
 use crate::module::OnnModule;
 use crate::network::Network;
 
-/// Matrix-free Fisher-metric product `F·v` averaged over `inputs`, where
-/// `F = (1/|inputs|) Σᵢ J(xᵢ)ᵀ_r J(xᵢ)_r` at parameters `theta`.
+/// Matrix-free Fisher-metric products `F·v` for a batch of directions,
+/// where `F = (1/|inputs|) Σᵢ J(xᵢ)ᵀ_r J(xᵢ)_r` at parameters `theta` (the
+/// LCNG Gram assembly path). Returns one `F·v` per direction, in order.
+///
+/// The inputs fan out across `pool`'s workers: each records the forward
+/// tape of its input once and pushes every direction through it. The
+/// per-input contributions are then combined along a fixed-shape reduction
+/// tree, so the result is bitwise identical for every pool size.
 ///
 /// # Panics
 ///
@@ -30,83 +36,20 @@ use crate::network::Network;
 ///
 /// ```
 /// use rand::SeedableRng;
+/// use photon_exec::ExecPool;
 /// use photon_linalg::random::{normal_cvector, normal_rvector};
-/// use photon_photonics::{fisher_vector_product, Architecture};
+/// use photon_photonics::{fisher_vector_products, Architecture};
 ///
 /// let net = Architecture::single_mesh(4, 4)?.build_ideal();
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 /// let theta = net.init_params(&mut rng);
 /// let inputs: Vec<_> = (0..3).map(|_| normal_cvector(4, &mut rng)).collect();
 /// let v = normal_rvector(net.param_count(), &mut rng);
-/// let fv = fisher_vector_product(&net, &theta, &inputs, &v);
-/// assert_eq!(fv.len(), net.param_count());
+/// let fv = fisher_vector_products(&net, &theta, &inputs, &[v], &ExecPool::serial());
+/// assert_eq!(fv[0].len(), net.param_count());
 /// # Ok::<(), photon_photonics::NetworkError>(())
 /// ```
-pub fn fisher_vector_product(
-    net: &Network,
-    theta: &RVector,
-    inputs: &[CVector],
-    v: &RVector,
-) -> RVector {
-    assert!(
-        !inputs.is_empty(),
-        "fisher product needs at least one input"
-    );
-    let mut acc = RVector::zeros(net.param_count());
-    for x in inputs {
-        let (_, tape) = net.forward_tape(x, theta);
-        let dy = net.jvp(&tape, theta, &CVector::zeros(net.input_dim()), v);
-        let (_, grad) = net.vjp(&tape, theta, &dy);
-        acc += &grad;
-    }
-    acc.scale(1.0 / inputs.len() as f64)
-}
-
-/// Fisher-metric products for a batch of directions, reusing the forward
-/// tapes across directions (the LCNG Gram assembly path).
-///
-/// Returns one `F·v` per direction, in order.
-///
-/// # Panics
-///
-/// Panics when `inputs` is empty or shapes mismatch.
 pub fn fisher_vector_products(
-    net: &Network,
-    theta: &RVector,
-    inputs: &[CVector],
-    directions: &[RVector],
-) -> Vec<RVector> {
-    assert!(
-        !inputs.is_empty(),
-        "fisher product needs at least one input"
-    );
-    let n = net.param_count();
-    let mut acc: Vec<RVector> = directions.iter().map(|_| RVector::zeros(n)).collect();
-    let zero_in = CVector::zeros(net.input_dim());
-    for x in inputs {
-        let (_, tape) = net.forward_tape(x, theta);
-        for (k, v) in directions.iter().enumerate() {
-            let dy = net.jvp(&tape, theta, &zero_in, v);
-            let (_, grad) = net.vjp(&tape, theta, &dy);
-            acc[k] += &grad;
-        }
-    }
-    let scale = 1.0 / inputs.len() as f64;
-    acc.into_iter().map(|a| a.scale(scale)).collect()
-}
-
-/// Pool-parallel variant of [`fisher_vector_products`], fanning the inputs
-/// out across the pool's workers.
-///
-/// Each worker records the forward tape of its input once and pushes every
-/// direction through it (the same tape reuse as the serial variant); the
-/// per-input contributions are then combined along a fixed-shape reduction
-/// tree, so the result is bitwise identical for every pool size.
-///
-/// # Panics
-///
-/// Panics when `inputs` is empty or shapes mismatch.
-pub fn fisher_vector_products_pooled(
     net: &Network,
     theta: &RVector,
     inputs: &[CVector],
@@ -296,7 +239,14 @@ mod tests {
         let inputs: Vec<CVector> = (0..3).map(|_| normal_cvector(4, &mut rng)).collect();
         let v = normal_rvector(net.param_count(), &mut rng);
 
-        let fv = fisher_vector_product(&net, &theta, &inputs, &v);
+        let fv = fisher_vector_products(
+            &net,
+            &theta,
+            &inputs,
+            std::slice::from_ref(&v),
+            &ExecPool::serial(),
+        )
+        .remove(0);
 
         let module = &net.modules()[0];
         let f = module_fisher_block(module.as_ref(), theta.as_slice(), &inputs);
@@ -411,7 +361,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_fvp_is_thread_count_invariant() {
+    fn fvp_is_thread_count_invariant() {
         let mut rng = StdRng::seed_from_u64(57);
         let net = Architecture::single_mesh(4, 2).unwrap().build_ideal();
         let theta = net.init_params(&mut rng);
@@ -419,27 +369,15 @@ mod tests {
         let dirs: Vec<RVector> = (0..4)
             .map(|_| normal_rvector(net.param_count(), &mut rng))
             .collect();
-        let serial =
-            fisher_vector_products_pooled(&net, &theta, &inputs, &dirs, &ExecPool::serial());
+        let serial = fisher_vector_products(&net, &theta, &inputs, &dirs, &ExecPool::serial());
         for threads in [2usize, 4, 8] {
-            let pooled = fisher_vector_products_pooled(
-                &net,
-                &theta,
-                &inputs,
-                &dirs,
-                &ExecPool::new(threads),
-            );
+            let pooled =
+                fisher_vector_products(&net, &theta, &inputs, &dirs, &ExecPool::new(threads));
             for (a, b) in serial.iter().zip(&pooled) {
                 for (va, vb) in a.iter().zip(b.iter()) {
                     assert_eq!(va.to_bits(), vb.to_bits());
                 }
             }
-        }
-        // Same operator as the linear-accumulation variant, up to fp
-        // reassociation.
-        let linear = fisher_vector_products(&net, &theta, &inputs, &dirs);
-        for (a, b) in serial.iter().zip(&linear) {
-            assert!((a - b).max_abs() < 1e-12);
         }
     }
 
@@ -452,10 +390,12 @@ mod tests {
         let dirs: Vec<RVector> = (0..3)
             .map(|_| normal_rvector(net.param_count(), &mut rng))
             .collect();
-        let batched = fisher_vector_products(&net, &theta, &inputs, &dirs);
+        let pool = ExecPool::serial();
+        let batched = fisher_vector_products(&net, &theta, &inputs, &dirs, &pool);
         for (k, d) in dirs.iter().enumerate() {
-            let single = fisher_vector_product(&net, &theta, &inputs, d);
-            assert!((&batched[k] - &single).max_abs() < 1e-12);
+            let single =
+                fisher_vector_products(&net, &theta, &inputs, std::slice::from_ref(d), &pool);
+            assert!((&batched[k] - &single[0]).max_abs() < 1e-12);
         }
     }
 }

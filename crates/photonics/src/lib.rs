@@ -20,7 +20,7 @@
 //!   rank-1 incremental updates ([`PinnedBase`]), an opt-in f32 SIMD
 //!   evaluation tier, and `i16` fixed-point deployment artifacts
 //!   ([`QuantizedNetwork`]);
-//! - Fisher-information machinery ([`fisher_vector_product`],
+//! - Fisher-information machinery ([`fisher_vector_products`],
 //!   [`module_fisher_block`], [`output_covariance`]) used by the linear
 //!   combination natural gradient optimizer.
 //!
@@ -75,9 +75,8 @@ pub use error::{
     zeta_from_parts, ErrorCursor, ErrorModel, ErrorRmse, ErrorVector, ErrorVectorError,
 };
 pub use fisher::{
-    anisotropy_ratio, covariance_eigenvalues, fisher_vector_product, fisher_vector_products,
-    fisher_vector_products_pooled, module_fisher_block, module_jacobian, output_covariance,
-    standard_perturbations,
+    anisotropy_ratio, covariance_eigenvalues, fisher_vector_products, module_fisher_block,
+    module_jacobian, output_covariance, standard_perturbations,
 };
 pub use mesh::{MeshKind, MeshModule};
 pub use modrelu::ModRelu;

@@ -293,13 +293,6 @@ pub struct NetworkTape {
     tapes: Vec<ModuleTape>,
 }
 
-impl NetworkTape {
-    /// Per-module tapes, in pipeline order.
-    pub fn module_tapes(&self) -> &[ModuleTape] {
-        &self.tapes
-    }
-}
-
 /// Reusable evaluation buffers for the allocation-free network paths
 /// ([`Network::forward_into`], [`Network::forward_tape_into`]).
 ///

@@ -72,20 +72,6 @@ impl CostModel {
         self
     }
 
-    /// Overrides the recalibration pass duration.
-    #[must_use]
-    pub fn with_recal_service_ns(mut self, ns: u64) -> Self {
-        self.recal_service_ns = ns;
-        self
-    }
-
-    /// Overrides the per-probe duration.
-    #[must_use]
-    pub fn with_probe_service_ns(mut self, ns: u64) -> Self {
-        self.probe_service_ns = ns;
-        self
-    }
-
     /// Virtual service time of one coalesced dispatch of `batch` requests,
     /// excluding hangs.
     ///

@@ -15,6 +15,7 @@ use photon_zo::core::{
     evaluate_chip, ClassificationHead, Method, ModelChoice, TextTable, TrainConfig, Trainer,
 };
 use photon_zo::data::GaussianClusters;
+use photon_zo::exec::ExecPool;
 use photon_zo::photonics::{Architecture, ErrorModel, FabricatedChip};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -42,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut config = TrainConfig::quick(k);
         config.epochs = 15;
         let theta0 = trainer.warm_start(&config, &mut rng);
-        let warm = evaluate_chip(&chip, &test, trainer.head(), &theta0);
+        let warm = evaluate_chip(&chip, &test, trainer.head(), &theta0, &ExecPool::from_env());
         let mut theta = theta0;
         let out = trainer.finetune(
             Method::Lcng {

@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use photon_zo::core::{
-    build_task, evaluate_chip_pooled, Method, ModelChoice, TaskSpec, TrainConfig, Trainer,
+    build_task, evaluate_chip, Method, ModelChoice, TaskSpec, TrainConfig, Trainer,
 };
 use photon_zo::exec::ExecPool;
 use photon_zo::farm::{run_online, OnlineOptions};
@@ -156,7 +156,7 @@ fn main() -> ExitCode {
     stale_chip.advance_to(final_step);
     stale_chip.pin_compile_base(&deployed.theta);
     let pool = ExecPool::with_threads(Some(args.threads));
-    let stale = evaluate_chip_pooled(&stale_chip, &task.test, &task.head, &deployed.theta, &pool);
+    let stale = evaluate_chip(&stale_chip, &task.test, &task.head, &deployed.theta, &pool);
     println!(
         "stale deployment at step {final_step}: accuracy {:.4}, loss {:.6}",
         stale.accuracy, stale.loss

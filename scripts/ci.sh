@@ -75,6 +75,10 @@ assert speedup == speedup and speedup > 1.0, f"compiled path slower than interpr
 print(f"ci: gemm_forward speedup {speedup:.2f}x")
 EOF
 
+# Pool-scaling bench: regenerates BENCH_parallel.json (the ZO probe sweep
+# at every pool size this host can run concurrently).
+cargo bench -q --offline -p photon-bench --bench probe_eval >/dev/null
+
 # Fast-path gate: the equivalence property suites must hold on BOTH kernel
 # tiers — the portable scalar reference (PHOTON_KERNEL=scalar) and whatever
 # SIMD tier the host dispatches natively (AVX2-FMA / NEON / scalar). This is
@@ -155,6 +159,21 @@ assert summary["sheds_less_than_control"], \
     f"resilient arm lost {summary['resilient_lost']} >= control {summary['control_lost']}"
 print(f"ci: resilience p99 {summary['p99_vs_healthy']:.2f}x healthy (bound 2.0), "
       f"lost {summary['resilient_lost']} vs control {summary['control_lost']}")
+EOF
+
+# Bench-report gate: every BENCH_*.json at the root (all regenerated above
+# by the benches' shared JSON writer) parses and names, at top level, the
+# kernel tier and host parallelism that produced its numbers.
+python3 - <<'EOF'
+import glob, json
+paths = sorted(glob.glob("BENCH_*.json"))
+assert paths, "no BENCH_*.json reports at the workspace root"
+for path in paths:
+    with open(path) as f:
+        report = json.load(f)
+    missing = {"kernel", "host_available_parallelism"} - report.keys()
+    assert not missing, f"{path} lacks top-level {sorted(missing)}"
+print(f"ci: {len(paths)} BENCH reports parse and carry kernel + host_available_parallelism")
 EOF
 
 # Failover chaos gate. The resilient replica-group layer must

@@ -117,6 +117,7 @@ pub mod prelude {
         TaskSpec, TrainConfig, Trainer, WatchdogPolicy,
     };
     pub use photon_data::{Dataset, GaussianClusters, SyntheticFashion, SyntheticMnist};
+    pub use photon_exec::ExecPool;
     pub use photon_farm::{
         BreakerPolicy, BrownoutPolicy, ChaosPlan, ChipHealth, Farm, FarmConfig, FarmReport,
         HealthPolicy, HedgePolicy, JobSpec, RejectReason, TenantSpec, WorkerSpec,

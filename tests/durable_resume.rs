@@ -476,7 +476,7 @@ fn train_durable_from_starts_at_given_theta_and_kill_resumes_bitwise() {
 
 mod online_atomicity {
     use super::*;
-    use photon_zo::core::evaluate_chip_pooled;
+    use photon_zo::core::evaluate_chip;
     use photon_zo::exec::ExecPool;
     use photon_zo::farm::{run_online, OnlineOptions, OnlineOutcome, ONLINE_WAL};
     use photon_zo::faults::{DriftConfig, FaultyChip};
@@ -644,7 +644,7 @@ mod online_atomicity {
         let final_step = control.cycles.last().unwrap().next_step;
         chip.advance_to(final_step);
         let pool = ExecPool::with_threads(Some(1));
-        let stale_eval = evaluate_chip_pooled(&chip, &task.test, &task.head, &stale, &pool);
+        let stale_eval = evaluate_chip(&chip, &task.test, &task.head, &stale, &pool);
         assert!(
             control.final_eval.loss < stale_eval.loss,
             "online loop must beat the stale deployment: {} vs {}",

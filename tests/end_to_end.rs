@@ -70,7 +70,13 @@ fn zo_training_improves_over_warm_start_on_chip() {
 
     // Evaluate right after warm start (theta from stage 1 only).
     let theta0 = trainer.warm_start(&config, &mut rng);
-    let before = evaluate_chip(&task.chip, &task.test, trainer.head(), &theta0);
+    let before = evaluate_chip(
+        &task.chip,
+        &task.test,
+        trainer.head(),
+        &theta0,
+        &ExecPool::from_env(),
+    );
 
     // Stage 2 with vanilla ZO from the same warm start.
     let mut theta = theta0;

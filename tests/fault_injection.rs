@@ -7,8 +7,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use photon_zo::core::{
-    build_task, chip_batch_loss_pooled, recovery_report, Method, ModelChoice, RecoveryPolicy,
-    TaskSpec, TrainConfig, TrainOutcome, Trainer,
+    build_task, chip_batch_loss, recovery_report, Method, ModelChoice, RecoveryPolicy, TaskSpec,
+    TrainConfig, TrainOutcome, Trainer,
 };
 use photon_zo::exec::ExecPool;
 use photon_zo::faults::{DriftConfig, FaultPlan, FaultyChip, StuckShifter, TransientConfig};
@@ -106,7 +106,7 @@ fn faulty_measurements_are_bitwise_stable_across_pool_sizes() {
         let mut bits = Vec::new();
         for step in 1..=5u64 {
             faulty.advance_to(step);
-            let l = chip_batch_loss_pooled(&faulty, &task.train, &idx, &task.head, &theta, &pool);
+            let l = chip_batch_loss(&faulty, &task.train, &idx, &task.head, &theta, &pool);
             bits.push(l.to_bits());
         }
         bits

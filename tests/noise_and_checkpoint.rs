@@ -8,6 +8,7 @@ use photon_zo::core::{
     build_task, evaluate_chip, ClassificationHead, Method, TaskSpec, TrainConfig, Trainer,
 };
 use photon_zo::data::GaussianClusters;
+use photon_zo::exec::ExecPool;
 use photon_zo::photonics::{Architecture, ErrorModel, FabricatedChip, MeasurementNoise};
 
 #[test]
@@ -31,7 +32,7 @@ fn zo_training_survives_measurement_noise() {
     // larger smoothing step restores signal in the quotients.
     config.mu_override = Some(0.05);
     let theta0 = trainer.warm_start(&config, &mut rng);
-    let before = evaluate_chip(&chip, &test, trainer.head(), &theta0);
+    let before = evaluate_chip(&chip, &test, trainer.head(), &theta0, &ExecPool::from_env());
     let mut theta = theta0;
     let out = trainer
         .finetune(Method::ZoGaussian, &config, &mut theta, &mut rng)

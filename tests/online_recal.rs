@@ -9,9 +9,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use photon_zo::core::{
-    build_task, evaluate_chip_pooled, Method, ModelChoice, TaskSpec, TrainConfig,
-};
+use photon_zo::core::{build_task, evaluate_chip, Method, ModelChoice, TaskSpec, TrainConfig};
 use photon_zo::data::Dataset;
 use photon_zo::exec::ExecPool;
 use photon_zo::farm::{run_online, OnlineOptions, OnlineOutcome, ONLINE_WAL};
@@ -131,7 +129,7 @@ fn online_recalibration_recovers_accuracy_and_promotes() {
     sc.chip.advance_to(final_step);
     sc.chip.pin_compile_base(&stale);
     let pool = ExecPool::with_threads(Some(1));
-    let baseline = evaluate_chip_pooled(&sc.chip, &sc.test, &sc.head, &stale, &pool);
+    let baseline = evaluate_chip(&sc.chip, &sc.test, &sc.head, &stale, &pool);
     assert!(
         outcome.final_eval.accuracy >= baseline.accuracy,
         "online {} vs stale baseline {}",
