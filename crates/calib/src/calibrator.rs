@@ -16,11 +16,11 @@
 use photon_exec::ExecPool;
 use rand::Rng;
 
-use photon_linalg::{LinalgError, RVector};
-use photon_photonics::{ErrorVector, Network, NetworkError, NetworkScratch, OnnChip};
+use photon_linalg::{CVector, LinalgError, RMatrix, RVector};
+use photon_photonics::{Architecture, ErrorVector, Network, NetworkError, NetworkScratch, OnnChip};
 use photon_trace::{QueryCategory, TraceEvent, TraceHandle};
 
-use crate::gauss_newton::{levenberg_marquardt, LmSettings};
+use crate::gauss_newton::{solve, LeastSquares, LmSettings};
 use crate::probe::{measure_chip, Measurements, ProbePlan};
 
 /// Calibration hyperparameters.
@@ -80,6 +80,14 @@ pub enum CalibError {
     /// Rebuilding the model from the fitted errors failed (never occurs for
     /// plans generated from the chip's own architecture).
     Network(NetworkError),
+    /// A recalibration prior holds a NaN or infinite error. The fit zeroes
+    /// non-finite residual entries, so such a model would read as a
+    /// perfect fit.
+    NonFinitePrior {
+        /// Flat index (layout of `ErrorVector::to_flat`) of the first
+        /// non-finite entry.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for CalibError {
@@ -87,6 +95,9 @@ impl std::fmt::Display for CalibError {
         match self {
             CalibError::Linalg(e) => write!(f, "calibration solve failed: {e}"),
             CalibError::Network(e) => write!(f, "calibrated model rebuild failed: {e}"),
+            CalibError::NonFinitePrior { index } => {
+                write!(f, "recalibration prior is not finite at flat index {index}")
+            }
         }
     }
 }
@@ -96,6 +107,7 @@ impl std::error::Error for CalibError {
         match self {
             CalibError::Linalg(e) => Some(e),
             CalibError::Network(e) => Some(e),
+            CalibError::NonFinitePrior { .. } => None,
         }
     }
 }
@@ -220,7 +232,8 @@ pub fn calibrate_traced<C: OnnChip, R: Rng + ?Sized>(
 ///
 /// # Errors
 ///
-/// See [`CalibError`].
+/// [`CalibError::NonFinitePrior`] when `prior` holds a NaN or infinite
+/// error (checked before any chip query); otherwise see [`CalibError`].
 ///
 /// # Panics
 ///
@@ -232,19 +245,22 @@ pub fn recalibrate<C: OnnChip, R: Rng + ?Sized>(
     settings: &CalibrationSettings,
     rng: &mut R,
 ) -> Result<CalibrationOutcome, CalibError> {
-    let plan = ProbePlan::for_chip(
-        chip,
-        settings.include_basis,
-        settings.random_inputs,
-        settings.num_settings,
-        rng,
-    );
     let (n_bs, n_ps) = chip.architecture().error_slots();
     let flat = prior.to_flat();
     assert_eq!(
         flat.len(),
         n_bs + 2 * n_ps,
         "prior error vector does not match the chip architecture"
+    );
+    if let Some(index) = flat.iter().position(|e| !e.is_finite()) {
+        return Err(CalibError::NonFinitePrior { index });
+    }
+    let plan = ProbePlan::for_chip(
+        chip,
+        settings.include_basis,
+        settings.random_inputs,
+        settings.num_settings,
+        rng,
     );
     let measured = measure_chip(chip, &plan, &ExecPool::serial());
     fit_measurements(
@@ -266,43 +282,10 @@ fn fit_measurements<C: OnnChip>(
     lm: &LmSettings,
     init: RVector,
 ) -> Result<CalibrationOutcome, CalibError> {
-    let arch = chip.architecture().clone();
-    let (n_bs, n_ps) = arch.error_slots();
-    let k_out = chip.output_dim();
-    let n_residuals = plan.residual_count(k_out);
-
-    // One forward scratch for every residual evaluation of the whole fit:
-    // the inner probe sweep performs no per-sample heap allocation.
-    let mut scratch = NetworkScratch::new();
-    let mut residual = |flat: &RVector| -> RVector {
-        let errors = ErrorVector::from_flat(n_bs, n_ps, flat.as_slice())
-            .expect("length constructed to match");
-        let model = arch
-            .build_with_errors(&errors)
-            .expect("flat layout matches the architecture");
-        let mut r = RVector::zeros(n_residuals);
-        let mut idx = 0;
-        for (s, theta) in plan.settings.iter().enumerate() {
-            for (p, x) in plan.inputs.iter().enumerate() {
-                let y = model.forward_into(x, theta, &mut scratch);
-                let target = &measured.powers[s][p];
-                for d in 0..k_out {
-                    // A dropped/NaN reading must not poison the whole fit:
-                    // its residual entry is zeroed, removing that detector
-                    // sample from the least-squares objective.
-                    let e = y[d].norm_sqr() - target[d];
-                    r[idx] = if e.is_finite() { e } else { 0.0 };
-                    idx += 1;
-                }
-            }
-        }
-        r
-    };
-
-    let fit = levenberg_marquardt(&mut residual, &init, lm)?;
-    let errors = ErrorVector::from_flat(n_bs, n_ps, fit.params.as_slice())
-        .expect("length constructed to match");
-    let model = arch.build_with_errors(&errors)?;
+    let mut problem = PowerFit::new(chip.architecture().clone(), plan, measured);
+    let fit = solve(&mut problem, &init, lm)?;
+    let errors = problem.errors(&fit.params);
+    let model = problem.arch.build_with_errors(&errors)?;
     Ok(CalibrationOutcome {
         errors,
         model,
@@ -311,6 +294,109 @@ fn fit_measurements<C: OnnChip>(
         iterations: fit.iterations,
         chip_queries: plan.query_cost(),
     })
+}
+
+/// The calibration least-squares problem: the residuals
+/// `|y_model(x_p; θ_s, e)|² − measured` of the model built from the flat
+/// error vector `e`, over every (setting, input) pair of the plan.
+struct PowerFit<'a> {
+    arch: Architecture,
+    plan: &'a ProbePlan,
+    measured: &'a Measurements,
+    n_bs: usize,
+    n_ps: usize,
+    k_out: usize,
+    // One forward scratch for every model evaluation of the whole fit: the
+    // probe sweeps perform no per-sample heap allocation.
+    scratch: NetworkScratch,
+}
+
+impl<'a> PowerFit<'a> {
+    fn new(arch: Architecture, plan: &'a ProbePlan, measured: &'a Measurements) -> Self {
+        let (n_bs, n_ps) = arch.error_slots();
+        let k_out = arch.output_dim();
+        PowerFit {
+            arch,
+            plan,
+            measured,
+            n_bs,
+            n_ps,
+            k_out,
+            scratch: NetworkScratch::new(),
+        }
+    }
+
+    fn errors(&self, flat: &RVector) -> ErrorVector {
+        ErrorVector::from_flat(self.n_bs, self.n_ps, flat.as_slice())
+            .expect("length constructed to match")
+    }
+
+    fn model(&self, flat: &RVector) -> Network {
+        self.arch
+            .build_with_errors(&self.errors(flat))
+            .expect("flat layout matches the architecture")
+    }
+}
+
+/// Writes one probe's power residuals `|y_d|² − target_d` into `out`.
+///
+/// A dropped/NaN reading must not poison the whole fit: its residual entry
+/// is zeroed, removing that detector sample from the least-squares
+/// objective.
+fn power_residuals(y: &CVector, target: &RVector, out: &mut [f64]) {
+    for ((o, z), &t) in out.iter_mut().zip(y.iter()).zip(target.iter()) {
+        let e = z.norm_sqr() - t;
+        *o = if e.is_finite() { e } else { 0.0 };
+    }
+}
+
+impl LeastSquares for PowerFit<'_> {
+    fn residual(&mut self, flat: &RVector) -> RVector {
+        let model = self.model(flat);
+        let mut r = RVector::zeros(self.plan.residual_count(self.k_out));
+        let mut rows = r.as_mut_slice().chunks_exact_mut(self.k_out);
+        for (s, theta) in self.plan.settings.iter().enumerate() {
+            for (p, x) in self.plan.inputs.iter().enumerate() {
+                let y = model.forward_into(x, theta, &mut self.scratch);
+                let row = rows.next().expect("one residual row per probe");
+                power_residuals(y, &self.measured.powers[s][p], row);
+            }
+        }
+        r
+    }
+
+    /// The default's columns, one probe at a time: each (setting, input)
+    /// pair is taped once and every error nudge restarts from that tape
+    /// ([`Network::for_each_nudged_output`]) instead of rebuilding the
+    /// network and re-running every probe. Only one probe tape is alive at
+    /// a time.
+    fn jacobian_t(&mut self, flat: &RVector, r: &RVector, step: f64) -> RMatrix {
+        let model = self.model(flat);
+        let k_out = self.k_out;
+        let mut jt = RMatrix::zeros(flat.len(), r.len());
+        let mut tape = model.new_tape();
+        let mut y = CVector::zeros(0);
+        let mut nudged = vec![0.0; k_out];
+        let mut at = 0;
+        for (s, theta) in self.plan.settings.iter().enumerate() {
+            for (p, x) in self.plan.inputs.iter().enumerate() {
+                let scratch = &mut self.scratch;
+                model.forward_tape_into(x, theta, scratch, &mut y, &mut tape);
+                let target = &self.measured.powers[s][p];
+                let base = &r.as_slice()[at..at + k_out];
+                let errors = flat.as_slice();
+                model.for_each_nudged_output(&tape, theta, errors, step, scratch, |k, y| {
+                    power_residuals(y, target, &mut nudged);
+                    let col = &mut jt.row_mut(k)[at..at + k_out];
+                    for ((j, &a), &b) in col.iter_mut().zip(&nudged).zip(base) {
+                        *j = (a - b) / step;
+                    }
+                });
+                at += k_out;
+            }
+        }
+        jt
+    }
 }
 
 #[cfg(test)]
@@ -437,6 +523,86 @@ mod tests {
         assert_eq!(chip.query_count(), 12);
         // From the oracle prior the residual is already ~zero.
         assert!(outcome.initial_cost < 1e-12, "{}", outcome.initial_cost);
+    }
+
+    #[test]
+    fn recalibrate_rejects_a_non_finite_prior() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let arch = Architecture::single_mesh(4, 2).unwrap();
+        let chip = FabricatedChip::fabricate(&arch, &ErrorModel::with_beta(1.0), &mut rng);
+        chip.reset_query_count();
+        let mut prior = chip.oracle_errors();
+        prior.phase[1] = f64::NAN;
+        let flat_index = prior.n_beam_splitters() + prior.n_phase_shifters() + 1;
+        let settings = CalibrationSettings {
+            random_inputs: 2,
+            num_settings: 2,
+            lm: LmSettings {
+                max_iters: 4,
+                ..LmSettings::default()
+            },
+            ..CalibrationSettings::default()
+        };
+        match recalibrate(&chip, &prior, &settings, &mut rng) {
+            Err(CalibError::NonFinitePrior { index }) => assert_eq!(index, flat_index),
+            other => panic!("a NaN prior must be rejected, got {other:?}"),
+        }
+        assert_eq!(chip.query_count(), 0, "rejected before measuring");
+    }
+
+    /// Wraps the calibration problem with the default Jacobian: one
+    /// network rebuild and full probe sweep per error parameter.
+    struct RebuildOracle<'a>(PowerFit<'a>);
+
+    impl LeastSquares for RebuildOracle<'_> {
+        fn residual(&mut self, x: &RVector) -> RVector {
+            self.0.residual(x)
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The tape-restarted Jacobian and the fit it drives are bitwise the
+    /// rebuild-per-column oracle's, with a dropped (NaN) reading whose
+    /// residual entries the fit zeroes.
+    #[test]
+    fn tape_restarted_fit_matches_rebuild_oracle_bitwise() {
+        let mut rng = StdRng::seed_from_u64(37);
+        let arch = Architecture::two_mesh_classifier(4, 2).unwrap();
+        let chip = FabricatedChip::fabricate(&arch, &ErrorModel::with_beta(1.0), &mut rng);
+        for num_settings in [1, 3] {
+            // One setting: 24 residuals < 52 parameters (dual path); three:
+            // 144 residuals (primal path).
+            let plan = ProbePlan::for_chip(&chip, true, 2 * num_settings, num_settings, &mut rng);
+            let mut measured = measure_chip(&chip, &plan, &ExecPool::serial());
+            measured.powers[0][1][2] = f64::NAN;
+            let (n_bs, n_ps) = arch.error_slots();
+            let x = RVector::from_vec(
+                ErrorVector::sample(n_bs, n_ps, &ErrorModel::with_beta(0.5), &mut rng).to_flat(),
+            );
+            let mut fast = PowerFit::new(arch.clone(), &plan, &measured);
+            let mut oracle = RebuildOracle(PowerFit::new(arch.clone(), &plan, &measured));
+            let r = fast.residual(&x);
+            assert_eq!(bits(r.as_slice()), bits(oracle.residual(&x).as_slice()));
+            let jt = fast.jacobian_t(&x, &r, 1e-6);
+            let jt_oracle = oracle.jacobian_t(&x, &r, 1e-6);
+            assert_eq!(bits(jt.as_slice()), bits(jt_oracle.as_slice()));
+            // Setting 0, input 1, detector 2 is residual 1·4 + 2.
+            let zeroed = (0..jt.rows()).all(|k| jt.row(k)[6] == 0.0);
+            assert!(zeroed, "NaN reading zeroed");
+
+            let lm = LmSettings {
+                max_iters: 3,
+                ..LmSettings::default()
+            };
+            let a = solve(&mut fast, &RVector::zeros(x.len()), &lm).unwrap();
+            let b = solve(&mut oracle, &RVector::zeros(x.len()), &lm).unwrap();
+            assert_eq!(bits(a.params.as_slice()), bits(b.params.as_slice()));
+            assert_eq!(a.cost.to_bits(), b.cost.to_bits());
+            assert_eq!(a.iterations, b.iterations);
+        }
     }
 
     #[test]

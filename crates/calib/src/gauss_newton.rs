@@ -1,9 +1,12 @@
 //! Damped Gauss-Newton (Levenberg-Marquardt) nonlinear least squares with a
-//! finite-difference Jacobian.
+//! forward-difference Jacobian.
 //!
 //! The calibrator fits the error vector of a software model to chip
 //! measurements; the residual function is a cheap white-box model
-//! evaluation, so finite differences cost no chip queries.
+//! evaluation, so finite differences cost no chip queries. The loop keeps
+//! the Jacobian transposed (`n × m`, one contiguous row per parameter): the
+//! dual Gram `JJᵀ` is then [`RMatrix::gram`] of it and both `Jᵀ·v`
+//! products are plain row dot products.
 
 use photon_linalg::{LinalgError, RCholesky, RMatrix, RVector};
 
@@ -53,7 +56,40 @@ pub struct LmResult {
     pub converged: bool,
 }
 
-/// Minimizes `‖r(x)‖²` starting from `init`.
+/// A nonlinear least-squares problem for the Levenberg-Marquardt loop: its
+/// residuals and the Jacobian the loop linearizes them with.
+pub(crate) trait LeastSquares {
+    /// The residual vector `r(x)`.
+    fn residual(&mut self, x: &RVector) -> RVector;
+
+    /// The transposed forward-difference Jacobian `Jᵀ` (`n × m`) at `x`,
+    /// given `r = r(x)`: row `k` is `(r(x + step·e_k) − r) / step`.
+    ///
+    /// The default evaluates one full residual per parameter; a problem
+    /// that can produce the nudged residuals more cheaply overrides it and
+    /// must return the same bits.
+    fn jacobian_t(&mut self, x: &RVector, r: &RVector, step: f64) -> RMatrix {
+        let mut jt = RMatrix::zeros(x.len(), r.len());
+        for k in 0..x.len() {
+            let mut xp = x.clone();
+            xp[k] += step;
+            let rp = self.residual(&xp);
+            for ((j, &a), &b) in jt.row_mut(k).iter_mut().zip(rp.iter()).zip(r.iter()) {
+                *j = (a - b) / step;
+            }
+        }
+        jt
+    }
+}
+
+impl<F: FnMut(&RVector) -> RVector + ?Sized> LeastSquares for F {
+    fn residual(&mut self, x: &RVector) -> RVector {
+        self(x)
+    }
+}
+
+/// Minimizes `‖r(x)‖²` starting from `init`, with a forward-difference
+/// Jacobian of `residual`.
 ///
 /// # Errors
 ///
@@ -83,9 +119,19 @@ pub fn levenberg_marquardt(
     init: &RVector,
     settings: &LmSettings,
 ) -> Result<LmResult, LinalgError> {
+    solve(residual, init, settings)
+}
+
+/// The Levenberg-Marquardt loop behind [`levenberg_marquardt`], on any
+/// [`LeastSquares`] problem.
+pub(crate) fn solve<P: LeastSquares + ?Sized>(
+    problem: &mut P,
+    init: &RVector,
+    settings: &LmSettings,
+) -> Result<LmResult, LinalgError> {
     let n = init.len();
     let mut x = init.clone();
-    let mut r = residual(&x);
+    let mut r = problem.residual(&x);
     let mut cost = r.norm_sqr();
     let initial_cost = cost;
     let mut lambda = settings.lambda_init;
@@ -94,26 +140,17 @@ pub fn levenberg_marquardt(
 
     for _ in 0..settings.max_iters {
         iterations += 1;
-        // Forward-difference Jacobian (m × n).
-        let m = r.len();
-        let mut jac = RMatrix::zeros(m, n);
-        for k in 0..n {
-            let mut xp = x.clone();
-            xp[k] += settings.fd_step;
-            let rp = residual(&xp);
-            for row in 0..m {
-                jac[(row, k)] = (rp[row] - r[row]) / settings.fd_step;
-            }
-        }
+        let jt = problem.jacobian_t(&x, &r, settings.fd_step);
         // For over-parameterized fits (m < n, the common calibration case)
         // solve in the m-dimensional residual space via the push-through
         // identity (JᵀJ + λI)⁻¹Jᵀ = Jᵀ(JJᵀ + λI)⁻¹ — the factorization
-        // drops from O(n³) to O(m³).
-        let dual = m < n;
+        // drops from O(n³) to O(m³). The dual Gram JJᵀ is the Gram of Jᵀ's
+        // columns; the primal JᵀJ needs J itself, one transposed copy.
+        let dual = r.len() < n;
         let (gram, jtr) = if dual {
-            (jac.transpose().gram(), RVector::zeros(0))
+            (jt.gram(), RVector::zeros(0))
         } else {
-            (jac.gram(), jac.transpose_mul_vec(&r)?)
+            (jt.transpose().gram(), jt.mul_vec(&r)?)
         };
 
         // Inner damping loop: grow λ until a step is accepted.
@@ -131,13 +168,13 @@ pub fn levenberg_marquardt(
             };
             let delta = if dual {
                 let z = chol.solve(&r)?;
-                jac.transpose_mul_vec(&z)?
+                jt.mul_vec(&z)?
             } else {
                 chol.solve(&jtr)?
             };
             let mut trial = x.clone();
             trial.axpy(-1.0, &delta);
-            let r_trial = residual(&trial);
+            let r_trial = problem.residual(&trial);
             let cost_trial = r_trial.norm_sqr();
             if cost_trial < cost {
                 let rel_gain = (cost - cost_trial) / cost.max(1e-300);

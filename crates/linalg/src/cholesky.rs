@@ -50,21 +50,52 @@ impl RCholesky {
         let n = a.rows();
         let mut l = RMatrix::zeros(n, n);
         for j in 0..n {
+            // Rows up to j are final once row j takes its pivot; the rows
+            // below receive column j.
+            let (done, below) = l.as_mut_slice().split_at_mut((j + 1) * n);
+            let lj = &mut done[j * n..(j + 1) * n];
             let mut d = a[(j, j)];
-            for k in 0..j {
-                d -= l[(j, k)] * l[(j, k)];
+            for &v in &lj[..j] {
+                d -= v * v;
             }
             if d <= 0.0 || !d.is_finite() {
                 return Err(LinalgError::NotPositiveDefinite);
             }
             let dj = d.sqrt();
-            l[(j, j)] = dj;
-            for i in j + 1..n {
-                let mut s = a[(i, j)];
-                for k in 0..j {
-                    s -= l[(i, k)] * l[(j, k)];
+            lj[j] = dj;
+            let lj = &lj[..j];
+            // Four rows of column j at a time: four independent
+            // subtraction chains, each in the one-row loop's order, hide
+            // the add latency without changing a bit.
+            let mut rows = below.chunks_exact_mut(n);
+            let mut i = j + 1;
+            while i + 4 <= n {
+                let (r0, r1, r2, r3) = (
+                    rows.next().expect("row in range"),
+                    rows.next().expect("row in range"),
+                    rows.next().expect("row in range"),
+                    rows.next().expect("row in range"),
+                );
+                let mut s = [a[(i, j)], a[(i + 1, j)], a[(i + 2, j)], a[(i + 3, j)]];
+                let (v0, v1, v2, v3) = (&r0[..j], &r1[..j], &r2[..j], &r3[..j]);
+                for (k, &b) in lj.iter().enumerate() {
+                    s[0] -= v0[k] * b;
+                    s[1] -= v1[k] * b;
+                    s[2] -= v2[k] * b;
+                    s[3] -= v3[k] * b;
                 }
-                l[(i, j)] = s / dj;
+                r0[j] = s[0] / dj;
+                r1[j] = s[1] / dj;
+                r2[j] = s[2] / dj;
+                r3[j] = s[3] / dj;
+                i += 4;
+            }
+            for (i, row) in (i..n).zip(rows) {
+                let mut s = a[(i, j)];
+                for (&v, &b) in row[..j].iter().zip(lj) {
+                    s -= v * b;
+                }
+                row[j] = s / dj;
             }
         }
         Ok(RCholesky { l })

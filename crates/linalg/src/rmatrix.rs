@@ -3,9 +3,13 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
-
 use crate::error::{LinalgError, Result};
 use crate::rvector::RVector;
+
+/// Output rows [`RMatrix::gram`] accumulates per pass over the matrix: 16
+/// rows of a 1 152-wide Gram are 147 KB, which stays in L2 while the rows
+/// stream past.
+const GRAM_BLOCK: usize = 16;
 
 /// A dense, row-major real (`f64`) matrix.
 ///
@@ -138,6 +142,12 @@ impl RMatrix {
     #[inline]
     pub fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Mutably borrows row `r` as a slice.
+    #[inline]
+    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Extracts column `c` as a vector.
@@ -312,17 +322,51 @@ impl RMatrix {
     }
 
     /// Symmetric Gram matrix `AᵀA` (size `cols × cols`).
+    ///
+    /// Entry `(i, j)` is `Σ_r A[r][i]·A[r][j]`, accumulated from `0.0` in
+    /// ascending `r` — the textbook triple loop's order, bit for bit. The
+    /// loop is blocked over output rows: each pass streams the rows of `A`
+    /// once and adds their contributions to a block of 16 upper-triangle
+    /// output rows, four rows of `A` per load of an output row. The inner loop runs over independent entries in contiguous
+    /// memory (and vectorizes) instead of walking two columns of `A` at a
+    /// row stride.
     pub fn gram(&self) -> RMatrix {
         let n = self.cols;
         let mut g = RMatrix::zeros(n, n);
-        for i in 0..n {
-            for j in i..n {
-                let mut acc = 0.0;
-                for r in 0..self.rows {
-                    acc += self[(r, i)] * self[(r, j)];
+        for i0 in (0..n).step_by(GRAM_BLOCK) {
+            let block = i0..(i0 + GRAM_BLOCK).min(n);
+            let mut quads = self.data.chunks_exact(4 * n);
+            for quad in &mut quads {
+                let rows: [&[f64]; 4] = std::array::from_fn(|q| &quad[q * n..(q + 1) * n]);
+                for i in block.clone() {
+                    let out = &mut g.data[i * n + i..(i + 1) * n];
+                    let [x0, x1, x2, x3] = rows.map(|row| row[i]);
+                    let [c0, c1, c2, c3] = rows.map(|row| &row[i..]);
+                    // One add per row, in row order: each entry still
+                    // accumulates its products one at a time, ascending r.
+                    for (j, o) in out.iter_mut().enumerate() {
+                        let mut v = *o;
+                        v += x0 * c0[j];
+                        v += x1 * c1[j];
+                        v += x2 * c2[j];
+                        v += x3 * c3[j];
+                        *o = v;
+                    }
                 }
-                g[(i, j)] = acc;
-                g[(j, i)] = acc;
+            }
+            for row in quads.remainder().chunks_exact(n) {
+                for i in block.clone() {
+                    let a = row[i];
+                    let out = &mut g.data[i * n + i..(i + 1) * n];
+                    for (o, &b) in out.iter_mut().zip(&row[i..]) {
+                        *o += a * b;
+                    }
+                }
+            }
+        }
+        for i in 0..n {
+            for j in i + 1..n {
+                g.data[j * n + i] = g.data[i * n + j];
             }
         }
         g

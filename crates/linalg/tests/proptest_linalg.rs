@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 
 use photon_linalg::{
-    hermitian_eig, symmetric_eig, CLu, CMatrix, CVector, RCholesky, RMatrix, RVector, C64,
+    hermitian_eig, symmetric_eig, CLu, CMatrix, CVector, LinalgError, RCholesky, RMatrix, RVector,
+    C64,
 };
 
 fn arb_c64() -> impl Strategy<Value = C64> {
@@ -23,6 +24,90 @@ fn arb_cmat(rows: usize, cols: usize) -> impl Strategy<Value = CMatrix> {
 fn arb_rmat(rows: usize, cols: usize) -> impl Strategy<Value = RMatrix> {
     proptest::collection::vec(-2.0..2.0f64, rows * cols)
         .prop_map(move |v| RMatrix::from_vec(rows, cols, v))
+}
+
+fn bits(m: &RMatrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// The textbook Gram loop: entry `(i, j)` accumulated from `0.0` over the
+/// rows in order. `RMatrix::gram` must reproduce it bit for bit.
+fn naive_gram(a: &RMatrix) -> RMatrix {
+    let n = a.cols();
+    let mut g = RMatrix::zeros(n, n);
+    for i in 0..n {
+        for j in i..n {
+            let mut acc = 0.0;
+            for r in 0..a.rows() {
+                acc += a[(r, i)] * a[(r, j)];
+            }
+            g[(i, j)] = acc;
+            g[(j, i)] = acc;
+        }
+    }
+    g
+}
+
+/// The one-row-at-a-time Cholesky loop, `None` where a pivot is not
+/// positive. `RCholesky::new` must reproduce it bit for bit.
+fn naive_cholesky(a: &RMatrix) -> Option<RMatrix> {
+    let n = a.rows();
+    let mut l = RMatrix::zeros(n, n);
+    for j in 0..n {
+        let mut d = a[(j, j)];
+        for k in 0..j {
+            d -= l[(j, k)] * l[(j, k)];
+        }
+        if d <= 0.0 || !d.is_finite() {
+            return None;
+        }
+        let dj = d.sqrt();
+        l[(j, j)] = dj;
+        for i in j + 1..n {
+            let mut s = a[(i, j)];
+            for k in 0..j {
+                s -= l[(i, k)] * l[(j, k)];
+            }
+            l[(i, j)] = s / dj;
+        }
+    }
+    Some(l)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // Row counts from zero through two four-row steps plus a remainder,
+    // and column counts on both sides of the 16-row output block.
+    #[test]
+    fn blocked_gram_matches_naive_loop_bitwise(
+        a in (0..11usize, 0..40usize).prop_flat_map(|(r, c)| arb_rmat(r, c)),
+    ) {
+        prop_assert_eq!(bits(&a.gram()), bits(&naive_gram(&a)));
+    }
+
+    // Sizes on both sides of the four-row step, from 0; a shift below the
+    // smallest eigenvalue makes some inputs indefinite, and those must
+    // still be rejected.
+    #[test]
+    fn blocked_cholesky_matches_naive_loop_bitwise(
+        b in (0..23usize).prop_flat_map(|n| arb_rmat(n, n)),
+        shift in -0.3..1.0f64,
+    ) {
+        let n = b.rows();
+        let mut a = naive_gram(&b).scale(1.0 / (n.max(1) as f64));
+        a.add_diagonal(shift);
+        match (RCholesky::new(&a), naive_cholesky(&a)) {
+            (Ok(chol), Some(l)) => prop_assert_eq!(bits(chol.factor()), bits(&l)),
+            (Err(LinalgError::NotPositiveDefinite), None) => {}
+            (got, want) => prop_assert!(
+                false,
+                "blocked {:?} vs naive {:?}",
+                got.map(|c| c.factor().clone()),
+                want
+            ),
+        }
+    }
 }
 
 proptest! {

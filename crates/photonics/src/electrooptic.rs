@@ -122,6 +122,7 @@ impl OnnModule for ElectroOptic {
             y,
             ModuleTape {
                 states: vec![x.clone()],
+                gates: Vec::new(),
             },
         )
     }

@@ -157,6 +157,47 @@ impl MeshModule {
         }
         m
     }
+
+    /// Applies the mesh to `x` with the gates recorded on `tape`: bitwise
+    /// [`OnnModule::forward_into`] at the tape's parameters, with no trig.
+    pub(crate) fn forward_gated_into(&self, tape: &ModuleTape, x: &CVector, out: &mut CVector) {
+        debug_assert_eq!(tape.gates.len(), self.ops.len());
+        out.copy_from(x);
+        for (op, &gate) in self.ops.iter().zip(&tape.gates) {
+            op.apply_gate(out, gate);
+        }
+    }
+
+    /// Calls `f` with the mesh output for every op that `replace` maps to
+    /// a replacement, in op order, each time with that one op swapped.
+    ///
+    /// `tape` must have been recorded at `theta` on this mesh. Each output
+    /// is bitwise what the mesh with the replaced op computes on the tape's
+    /// input: the walk restarts from the tape's state before the op,
+    /// applies the replacement, and replays the later ops from their
+    /// recorded gates. `state` is the working buffer.
+    pub(crate) fn for_each_replaced_output(
+        &self,
+        tape: &ModuleTape,
+        theta: &[f64],
+        state: &mut CVector,
+        mut replace: impl FnMut(&Op) -> Option<Op>,
+        mut f: impl FnMut(&CVector),
+    ) {
+        debug_assert_eq!(tape.states.len(), self.ops.len() + 1);
+        debug_assert_eq!(tape.gates.len(), self.ops.len());
+        for (i, op) in self.ops.iter().enumerate() {
+            let Some(replaced) = replace(op) else {
+                continue;
+            };
+            state.copy_from(&tape.states[i]);
+            replaced.apply(state, theta);
+            for (later, &gate) in self.ops[i + 1..].iter().zip(&tape.gates[i + 1..]) {
+                later.apply_gate(state, gate);
+            }
+            f(state);
+        }
+    }
 }
 
 fn push_mzi(ops: &mut Vec<Op>, port: usize, param: &mut usize) {
@@ -244,8 +285,11 @@ impl OnnModule for MeshModule {
         // running state and cloning it per op.
         tape.truncate(self.ops.len() + 1);
         tape.record(0, x);
+        tape.gates.clear();
         for (i, op) in self.ops.iter().enumerate() {
-            op.apply(tape.advance(i), theta);
+            let gate = op.gate(theta);
+            tape.gates.push(gate);
+            op.apply_gate(tape.advance(i), gate);
         }
         out.copy_from(tape.output());
     }
@@ -308,11 +352,15 @@ impl OnnModule for MeshModule {
         true
     }
 
-    fn jvp(&self, tape: &ModuleTape, theta: &[f64], dx: &CVector, dtheta: &[f64]) -> CVector {
+    // The tape's gates were evaluated at the recorded parameters, which are
+    // the `theta` every caller linearizes at, so the passes below read them
+    // instead of `theta`.
+    fn jvp(&self, tape: &ModuleTape, _theta: &[f64], dx: &CVector, dtheta: &[f64]) -> CVector {
         debug_assert_eq!(tape.states.len(), self.ops.len() + 1);
+        debug_assert_eq!(tape.gates.len(), self.ops.len());
         let mut dstate = dx.clone();
-        for (i, op) in self.ops.iter().enumerate() {
-            op.jvp(&tape.states[i], &mut dstate, theta, dtheta);
+        for ((op, pre), &gate) in self.ops.iter().zip(&tape.states).zip(&tape.gates) {
+            op.jvp_gate(pre, &mut dstate, gate, dtheta);
         }
         dstate
     }
@@ -320,16 +368,21 @@ impl OnnModule for MeshModule {
     fn vjp(
         &self,
         tape: &ModuleTape,
-        theta: &[f64],
+        _theta: &[f64],
         gy: &CVector,
         grad_theta: &mut [f64],
     ) -> CVector {
         debug_assert_eq!(tape.states.len(), self.ops.len() + 1);
+        debug_assert_eq!(tape.gates.len(), self.ops.len());
         let mut gstate = gy.clone();
-        for (i, op) in self.ops.iter().enumerate().rev() {
-            op.vjp(&tape.states[i], &mut gstate, theta, grad_theta);
+        for ((op, pre), &gate) in self.ops.iter().zip(&tape.states).zip(&tape.gates).rev() {
+            op.vjp_gate(pre, &mut gstate, gate, grad_theta);
         }
         gstate
+    }
+
+    fn as_mesh(&self) -> Option<&MeshModule> {
+        Some(self)
     }
 
     fn with_errors(

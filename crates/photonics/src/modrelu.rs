@@ -87,6 +87,7 @@ impl OnnModule for ModRelu {
             y,
             ModuleTape {
                 states: vec![x.clone()],
+                gates: Vec::new(),
             },
         )
     }

@@ -5,6 +5,7 @@ use std::fmt;
 use photon_linalg::{CMatrix, CVector, C64};
 
 use crate::error::{ErrorCursor, ErrorVector, ErrorVectorError};
+use crate::mesh::MeshModule;
 
 /// Compile-time snapshot of one phase shifter inside a fused linear stage,
 /// recorded by [`OnnModule::compile_apply_probed`] and completed by
@@ -42,12 +43,16 @@ pub struct PsSnapshot {
 /// [`OnnModule::vjp`].
 ///
 /// For a mesh of `n` ops the tape holds `n + 1` states: the input, the state
-/// after each op, the last being the module output. Element-wise modules
-/// store only the input.
+/// after each op, the last being the module output. It also holds the `n`
+/// op gates ([`crate::Op::gate`]) at the recorded parameters, so passes over
+/// the tape evaluate no trigonometry. Element-wise modules store only the
+/// input and no gates.
 #[derive(Debug, Clone)]
 pub struct ModuleTape {
     /// Intermediate amplitude states, in forward order.
     pub states: Vec<CVector>,
+    /// Per-op gates at the recorded parameters, in op order.
+    pub gates: Vec<C64>,
 }
 
 impl ModuleTape {
@@ -56,7 +61,10 @@ impl ModuleTape {
     /// the recorded state buffers alive, so steady-state re-recording
     /// performs no heap allocation.
     pub fn empty() -> Self {
-        ModuleTape { states: Vec::new() }
+        ModuleTape {
+            states: Vec::new(),
+            gates: Vec::new(),
+        }
     }
 
     /// Truncates to `len` recorded states (buffer capacity is retained).
@@ -283,6 +291,15 @@ pub trait OnnModule: fmt::Debug + Send + Sync {
         grad_theta: &mut [f64],
     ) -> CVector;
 
+    /// This module as a [`MeshModule`], or `None` for element-wise modules.
+    ///
+    /// Meshes are the only modules that carry fabrication errors, so
+    /// [`crate::Network::for_each_nudged_output`] restarts its error nudges
+    /// inside them through this view.
+    fn as_mesh(&self) -> Option<&MeshModule> {
+        None
+    }
+
     /// Rebuilds this module with fabrication errors taken from `cursor`
     /// (consumed in netlist order).
     ///
@@ -321,6 +338,7 @@ mod tests {
                 CVector::from_vec(vec![C64::ONE]),
                 CVector::from_vec(vec![C64::I]),
             ],
+            gates: Vec::new(),
         };
         assert_eq!(tape.input()[0], C64::ONE);
         assert_eq!(tape.output()[0], C64::I);

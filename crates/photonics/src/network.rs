@@ -8,10 +8,11 @@ use rand::Rng;
 use photon_linalg::{CVector, RVector};
 
 use crate::electrooptic::ElectroOptic;
-use crate::error::{ErrorCursor, ErrorVector};
+use crate::error::{zeta_from_parts, ErrorCursor, ErrorVector};
 use crate::mesh::MeshModule;
 use crate::modrelu::ModRelu;
 use crate::module::{ModuleTape, OnnModule};
+use crate::ops::Op;
 
 /// Errors raised while assembling a [`Network`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -304,6 +305,7 @@ pub struct NetworkTape {
 pub struct NetworkScratch {
     ping: CVector,
     pong: CVector,
+    nudge: CVector,
 }
 
 impl NetworkScratch {
@@ -571,6 +573,116 @@ impl Network {
         (gstate, grad)
     }
 
+    /// Forward-difference outputs for the calibrator's Jacobian: for every
+    /// fabrication-error slot `k`, in flat order, calls `f(k, y_k)` where
+    /// `y_k` is the output at the taped point with `errors[k]` moved to
+    /// `errors[k] + step`.
+    ///
+    /// `tape` must have been recorded by [`Network::forward_tape_into`] at
+    /// `(x, theta)` on a network built from the flat errors `errors`
+    /// (layout of [`ErrorVector::to_flat`]). Each `y_k` is bitwise equal to
+    /// `build_with_errors(nudged).forward_into(x, theta)`, without the
+    /// rebuild or the full forward: the walk restarts inside the nudged
+    /// mesh from the tape's state before the nudged op, applies that op
+    /// with its nudged error, replays the mesh's later ops from the taped
+    /// gates, then runs every later module — meshes from their taped gates,
+    /// element-wise modules through [`OnnModule::forward_into`]. A nudged
+    /// `ζ` is rebuilt from the flat `(attenuation, phase)` pair exactly as
+    /// [`ErrorCursor`] builds it; recovering the pair from `ζ` would not
+    /// round-trip bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `errors` does not have the flat length of this
+    /// network's error slots or `theta` has the wrong length.
+    pub fn for_each_nudged_output(
+        &self,
+        tape: &NetworkTape,
+        theta: &RVector,
+        errors: &[f64],
+        step: f64,
+        scratch: &mut NetworkScratch,
+        mut f: impl FnMut(usize, &CVector),
+    ) {
+        #[derive(Clone, Copy)]
+        enum Family {
+            Gamma,
+            Attenuation,
+            Phase,
+        }
+        assert_eq!(theta.len(), self.param_count, "parameter count mismatch");
+        let (n_bs, n_ps) = self.modules.iter().fold((0, 0), |(b, p), m| {
+            let (mb, mp) = m.error_slots();
+            (b + mb, p + mp)
+        });
+        assert_eq!(errors.len(), n_bs + 2 * n_ps, "flat error length mismatch");
+        let (gamma, zeta_parts) = errors.split_at(n_bs);
+        let (attenuation, phase) = zeta_parts.split_at(n_ps);
+        let NetworkScratch { ping, pong, nudge } = scratch;
+        let mut k = 0;
+        // The flat layout lists every γ, then every attenuation, then every
+        // phase; within a family the slots run through the meshes in
+        // pipeline order and through each mesh in op order — the order
+        // `build_with_errors` consumes them in.
+        for family in [Family::Gamma, Family::Attenuation, Family::Phase] {
+            let (mut bs, mut ps) = (0, 0);
+            for (m, module) in self.modules.iter().enumerate() {
+                let Some(mesh) = module.as_mesh() else {
+                    let slots = module.error_slots();
+                    assert_eq!(slots, (0, 0), "only meshes carry error slots");
+                    continue;
+                };
+                let th = &theta.as_slice()[self.module_param_range(m)];
+                let replace = |op: &Op| {
+                    let nudged = match (*op, family) {
+                        (Op::Bs { port, .. }, Family::Gamma) => Some(Op::Bs {
+                            port,
+                            gamma: gamma[bs] + step,
+                        }),
+                        (Op::Ps { port, param, .. }, Family::Attenuation) => Some(Op::Ps {
+                            port,
+                            param,
+                            zeta: zeta_from_parts(attenuation[ps] + step, phase[ps]),
+                        }),
+                        (Op::Ps { port, param, .. }, Family::Phase) => Some(Op::Ps {
+                            port,
+                            param,
+                            zeta: zeta_from_parts(attenuation[ps], phase[ps] + step),
+                        }),
+                        _ => None,
+                    };
+                    match op {
+                        Op::Bs { .. } => bs += 1,
+                        Op::Ps { .. } => ps += 1,
+                    }
+                    nudged
+                };
+                mesh.for_each_replaced_output(&tape.tapes[m], th, nudge, replace, |y| {
+                    ping.copy_from(y);
+                    let mut cur_is_ping = true;
+                    for (j, later) in self.modules.iter().enumerate().skip(m + 1) {
+                        let (src, dst) = if cur_is_ping {
+                            (&*ping, &mut *pong)
+                        } else {
+                            (&*pong, &mut *ping)
+                        };
+                        match later.as_mesh() {
+                            Some(mesh) => mesh.forward_gated_into(&tape.tapes[j], src, dst),
+                            None => {
+                                let th = &theta.as_slice()[self.module_param_range(j)];
+                                later.forward_into(src, th, dst);
+                            }
+                        }
+                        cur_is_ping = !cur_is_ping;
+                    }
+                    f(k, if cur_is_ping { ping } else { pong });
+                    k += 1;
+                });
+            }
+        }
+        debug_assert_eq!(k, errors.len(), "every error slot nudged once");
+    }
+
     /// The current error assignment baked into this network's modules.
     pub fn collect_errors(&self) -> ErrorVector {
         let mut out = ErrorVector::default();
@@ -827,6 +939,61 @@ mod tests {
         let lhs = rdot(&dy, &g);
         let rhs = rdot(&dx, &gx) + dtheta.dot(&gtheta).unwrap();
         assert!((lhs - rhs).abs() < 1e-9);
+    }
+
+    /// The tape-restarted nudges must reproduce rebuilding the network
+    /// with each nudged error and running it forward, bit for bit, through
+    /// modReLU, the electro-optic activation and Reck meshes alike.
+    #[test]
+    fn nudged_outputs_match_rebuild_and_forward_bitwise() {
+        let reck = Architecture::new(vec![
+            ModuleSpec::Reck { dim: 4 },
+            ModuleSpec::PhaseDiag { dim: 4 },
+            ModuleSpec::ModRelu { dim: 4 },
+            ModuleSpec::Reck { dim: 4 },
+        ])
+        .unwrap();
+        let archs = [
+            Architecture::two_mesh_classifier(4, 3).unwrap(),
+            Architecture::two_mesh_eo_classifier(4, 2, 0.1, 1.0).unwrap(),
+            reck,
+        ];
+        let bits = |v: &CVector| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        for (seed, arch) in archs.into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(40 + seed as u64);
+            let (n_bs, n_ps) = arch.error_slots();
+            let model = ErrorModel::with_beta(2.0);
+            let flat = ErrorVector::sample(n_bs, n_ps, &model, &mut rng).to_flat();
+            let errors = ErrorVector::from_flat(n_bs, n_ps, &flat).unwrap();
+            let net = arch.build_with_errors(&errors).unwrap();
+            let mut theta = net.init_params(&mut rng);
+            for k in net.module_param_range(2) {
+                theta[k] = 0.1;
+            }
+            let x = normal_cvector(4, &mut rng);
+            let step = 1e-6;
+            let mut scratch = NetworkScratch::new();
+            let mut tape = net.new_tape();
+            let mut y = CVector::zeros(0);
+            net.forward_tape_into(&x, &theta, &mut scratch, &mut y, &mut tape);
+
+            let mut oracle_scratch = NetworkScratch::new();
+            let mut seen = 0;
+            net.for_each_nudged_output(&tape, &theta, &flat, step, &mut scratch, |k, yk| {
+                assert_eq!(k, seen, "slots come in flat order");
+                seen += 1;
+                let mut nudged = flat.clone();
+                nudged[k] += step;
+                let oracle = arch
+                    .build_with_errors(&ErrorVector::from_flat(n_bs, n_ps, &nudged).unwrap())
+                    .unwrap();
+                let expected = oracle.forward_into(&x, &theta, &mut oracle_scratch);
+                assert_eq!(bits(yk), bits(expected), "slot {k} of {arch:?}");
+            });
+            assert_eq!(seen, flat.len());
+        }
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use std::f64::consts::FRAC_PI_2;
 
-
 use photon_linalg::{mzi_rotate, scale_slice, CMatrix, CVector, C64};
 
 /// A primitive operation in a linear photonic module.
@@ -37,18 +36,42 @@ pub enum Op {
 }
 
 impl Op {
+    /// The op's *gate*: its trigonometry at parameters `theta`, packed in
+    /// one complex number — the factor `ζ·e^{jθ}` for a phase shifter,
+    /// `cos φ + j·sin φ` for a beam splitter.
+    ///
+    /// A gate depends only on the op and `theta`, so a forward tape records
+    /// it once and every later pass over the tape (JVP, VJP, replays)
+    /// reuses it instead of re-evaluating the trig. The gate-taking forms
+    /// ([`Op::apply_gate`], [`Op::jvp_gate`], [`Op::vjp_gate`]) are the
+    /// arithmetic; the θ-taking forms are `gate(θ)` followed by them.
+    #[inline]
+    pub fn gate(&self, theta: &[f64]) -> C64 {
+        match *self {
+            Op::Ps { param, zeta, .. } => zeta * C64::cis(theta[param]),
+            Op::Bs { gamma, .. } => {
+                let phi = (FRAC_PI_2 + gamma) / 2.0;
+                C64::new(phi.cos(), phi.sin())
+            }
+        }
+    }
+
     /// Applies the op to `state` in place using parameters `theta`
     /// (module-local indexing).
     #[inline]
     pub fn apply(&self, state: &mut CVector, theta: &[f64]) {
+        self.apply_gate(state, self.gate(theta));
+    }
+
+    /// [`Op::apply`] with the op's [`Op::gate`] already evaluated.
+    #[inline]
+    pub fn apply_gate(&self, state: &mut CVector, gate: C64) {
         match *self {
-            Op::Ps { port, param, zeta } => {
-                state[port] *= zeta * C64::cis(theta[param]);
+            Op::Ps { port, .. } => {
+                state[port] *= gate;
             }
-            Op::Bs { port, gamma } => {
-                let phi = (FRAC_PI_2 + gamma) / 2.0;
-                let c = phi.cos();
-                let s = phi.sin();
+            Op::Bs { port, .. } => {
+                let (c, s) = (gate.re, gate.im);
                 let a = state[port];
                 let b = state[port + 1];
                 state[port] = a.scale(c) + C64::new(-s * b.im, s * b.re);
@@ -67,14 +90,12 @@ impl Op {
     /// or two contiguous rows, serviced by the fused multi-RHS kernels.
     #[inline]
     pub fn apply_to_rows(&self, acc: &mut CMatrix, theta: &[f64]) {
+        let gate = self.gate(theta);
         match *self {
-            Op::Ps { port, param, zeta } => {
-                scale_slice(acc.row_mut(port), zeta * C64::cis(theta[param]));
-            }
-            Op::Bs { port, gamma } => {
-                let phi = (FRAC_PI_2 + gamma) / 2.0;
+            Op::Ps { port, .. } => scale_slice(acc.row_mut(port), gate),
+            Op::Bs { port, .. } => {
                 let (top, bot) = acc.rows_pair_mut(port);
-                mzi_rotate(top, bot, phi.cos(), phi.sin());
+                mzi_rotate(top, bot, gate.re, gate.im);
             }
         }
     }
@@ -91,20 +112,17 @@ impl Op {
     pub fn apply_to_cols(&self, acc: &mut CMatrix, theta: &[f64]) {
         let n_rows = acc.rows();
         let n_cols = acc.cols();
+        let gate = self.gate(theta);
+        let data = acc.as_mut_slice();
         match *self {
-            Op::Ps { port, param, zeta } => {
-                let f = zeta * C64::cis(theta[param]);
-                let data = acc.as_mut_slice();
+            Op::Ps { port, .. } => {
                 for r in 0..n_rows {
                     let v = &mut data[r * n_cols + port];
-                    *v = f * *v;
+                    *v = gate * *v;
                 }
             }
-            Op::Bs { port, gamma } => {
-                let phi = (FRAC_PI_2 + gamma) / 2.0;
-                let c = phi.cos();
-                let s = phi.sin();
-                let data = acc.as_mut_slice();
+            Op::Bs { port, .. } => {
+                let (c, s) = (gate.re, gate.im);
                 for r in 0..n_rows {
                     let a = data[r * n_cols + port];
                     let b = data[r * n_cols + port + 1];
@@ -121,22 +139,21 @@ impl Op {
     /// forward tape) and `dtheta` the parameter tangent.
     #[inline]
     pub fn jvp(&self, pre: &CVector, dstate: &mut CVector, theta: &[f64], dtheta: &[f64]) {
+        self.jvp_gate(pre, dstate, self.gate(theta), dtheta);
+    }
+
+    /// [`Op::jvp`] with the op's [`Op::gate`] already evaluated.
+    #[inline]
+    pub fn jvp_gate(&self, pre: &CVector, dstate: &mut CVector, gate: C64, dtheta: &[f64]) {
         match *self {
-            Op::Ps { port, param, zeta } => {
-                let f = zeta * C64::cis(theta[param]);
+            Op::Ps { port, param, .. } => {
                 // y = f·x  ⇒  dy = f·dx + j·dθ·f·x
-                let y = f * pre[port];
-                dstate[port] = f * dstate[port] + C64::new(-y.im, y.re).scale(dtheta[param]);
+                let y = gate * pre[port];
+                dstate[port] = gate * dstate[port] + C64::new(-y.im, y.re).scale(dtheta[param]);
             }
-            Op::Bs { port, gamma } => {
-                let phi = (FRAC_PI_2 + gamma) / 2.0;
-                let c = phi.cos();
-                let s = phi.sin();
-                let a = dstate[port];
-                let b = dstate[port + 1];
-                dstate[port] = a.scale(c) + C64::new(-s * b.im, s * b.re);
-                dstate[port + 1] = C64::new(-s * a.im, s * a.re) + b.scale(c);
-            }
+            // A splitter is linear in the state, so the tangent takes the
+            // forward step itself.
+            Op::Bs { .. } => self.apply_gate(dstate, gate),
         }
     }
 
@@ -149,19 +166,22 @@ impl Op {
     /// `y = U·x` therefore backpropagates as `g_x = Uᴴ·g_y`.
     #[inline]
     pub fn vjp(&self, pre: &CVector, gstate: &mut CVector, theta: &[f64], grad_theta: &mut [f64]) {
+        self.vjp_gate(pre, gstate, self.gate(theta), grad_theta);
+    }
+
+    /// [`Op::vjp`] with the op's [`Op::gate`] already evaluated.
+    #[inline]
+    pub fn vjp_gate(&self, pre: &CVector, gstate: &mut CVector, gate: C64, grad_theta: &mut [f64]) {
         match *self {
-            Op::Ps { port, param, zeta } => {
-                let f = zeta * C64::cis(theta[param]);
+            Op::Ps { port, param, .. } => {
                 let g = gstate[port];
                 // ∂ℓ/∂θ = ⟨j·y, g⟩_R = Im(conj(y)·g), y = f·x.
-                let y = f * pre[port];
+                let y = gate * pre[port];
                 grad_theta[param] += (y.conj() * g).im;
-                gstate[port] = f.conj() * g;
+                gstate[port] = gate.conj() * g;
             }
-            Op::Bs { port, gamma } => {
-                let phi = (FRAC_PI_2 + gamma) / 2.0;
-                let c = phi.cos();
-                let s = phi.sin();
+            Op::Bs { port, .. } => {
+                let (c, s) = (gate.re, gate.im);
                 let a = gstate[port];
                 let b = gstate[port + 1];
                 // Bᴴ = [[c, -j·s], [-j·s, c]]

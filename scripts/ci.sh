@@ -161,6 +161,10 @@ print(f"ci: resilience p99 {summary['p99_vs_healthy']:.2f}x healthy (bound 2.0),
       f"lost {summary['resilient_lost']} vs control {summary['control_lost']}")
 EOF
 
+# Calibration bench: regenerates BENCH_calib.json, the seconds per
+# Levenberg-Marquardt iteration of the calibration fit at K = 10 and K = 16.
+cargo bench -q --offline -p photon-bench --bench calibration >/dev/null
+
 # Bench-report gate: every BENCH_*.json at the root (all regenerated above
 # by the benches' shared JSON writer) parses and names, at top level, the
 # kernel tier and host parallelism that produced its numbers.
