@@ -33,7 +33,6 @@ fn bench_width(k: usize) -> String {
     let settings = CalibrationSettings {
         lm: LmSettings {
             max_iters: LM_ITERS,
-            ..LmSettings::default()
         },
         ..CalibrationSettings::default()
     };

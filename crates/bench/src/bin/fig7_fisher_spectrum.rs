@@ -20,7 +20,6 @@ use photon_linalg::{RCholesky, RVector};
 use photon_opt::sigma_from_fisher;
 use photon_photonics::{
     anisotropy_ratio, covariance_eigenvalues, module_fisher_block, output_covariance, MeshModule,
-    OnnModule,
 };
 
 fn main() {

@@ -56,10 +56,7 @@ fn main() {
             // failure the paper reports).
             let include_cma = k == ks[0];
             let calib_settings = CalibrationSettings {
-                lm: LmSettings {
-                    max_iters: 10,
-                    ..LmSettings::default()
-                },
+                lm: LmSettings { max_iters: 10 },
                 ..CalibrationSettings::default()
             };
 

@@ -69,7 +69,6 @@ fn main() {
                     num_settings,
                     lm: LmSettings {
                         max_iters: args.pick(6, 20),
-                        ..LmSettings::default()
                     },
                 };
                 let out = calibrate(&task.chip, &settings, &mut rng).expect("calibration");

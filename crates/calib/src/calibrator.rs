@@ -416,10 +416,7 @@ mod tests {
         let settings = CalibrationSettings {
             random_inputs: 8,
             num_settings: 3,
-            lm: LmSettings {
-                max_iters: 12,
-                ..LmSettings::default()
-            },
+            lm: LmSettings { max_iters: 12 },
             ..CalibrationSettings::default()
         };
         let outcome = calibrate(&chip, &settings, &mut rng).unwrap();
@@ -446,10 +443,7 @@ mod tests {
         let settings = CalibrationSettings {
             random_inputs: 4,
             num_settings: 2,
-            lm: LmSettings {
-                max_iters: 3,
-                ..LmSettings::default()
-            },
+            lm: LmSettings { max_iters: 3 },
             ..CalibrationSettings::default()
         };
         let outcome = calibrate(&chip, &settings, &mut rng).unwrap();
@@ -484,10 +478,7 @@ mod tests {
         for (i, e) in flat.iter_mut().enumerate() {
             *e += 0.01 * (i as f64 * 0.7).sin();
         }
-        let lm = LmSettings {
-            max_iters: 12,
-            ..LmSettings::default()
-        };
+        let lm = LmSettings { max_iters: 12 };
         let plan = ProbePlan::for_chip(&chip, true, 6, 2, &mut rng);
         let measured = measure_chip(&chip, &plan, &ExecPool::serial());
         let cold =
@@ -512,10 +503,7 @@ mod tests {
         let settings = CalibrationSettings {
             random_inputs: 2,
             num_settings: 2,
-            lm: LmSettings {
-                max_iters: 4,
-                ..LmSettings::default()
-            },
+            lm: LmSettings { max_iters: 4 },
             ..CalibrationSettings::default()
         };
         let outcome = recalibrate(&chip, &chip.oracle_errors(), &settings, &mut rng).unwrap();
@@ -537,10 +525,7 @@ mod tests {
         let settings = CalibrationSettings {
             random_inputs: 2,
             num_settings: 2,
-            lm: LmSettings {
-                max_iters: 4,
-                ..LmSettings::default()
-            },
+            lm: LmSettings { max_iters: 4 },
             ..CalibrationSettings::default()
         };
         match recalibrate(&chip, &prior, &settings, &mut rng) {
@@ -593,10 +578,7 @@ mod tests {
             let zeroed = (0..jt.rows()).all(|k| jt.row(k)[6] == 0.0);
             assert!(zeroed, "NaN reading zeroed");
 
-            let lm = LmSettings {
-                max_iters: 3,
-                ..LmSettings::default()
-            };
+            let lm = LmSettings { max_iters: 3 };
             let a = solve(&mut fast, &RVector::zeros(x.len()), &lm).unwrap();
             let b = solve(&mut oracle, &RVector::zeros(x.len()), &lm).unwrap();
             assert_eq!(bits(a.params.as_slice()), bits(b.params.as_slice()));

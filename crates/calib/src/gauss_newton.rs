@@ -10,33 +10,30 @@
 
 use photon_linalg::{LinalgError, RCholesky, RMatrix, RVector};
 
-/// Levenberg-Marquardt hyperparameters.
+/// Forward-difference step for the Jacobian.
+const FD_STEP: f64 = 1e-6;
+/// Initial damping λ.
+const LAMBDA_INIT: f64 = 1e-3;
+/// Damping multiplier on a rejected step.
+const LAMBDA_UP: f64 = 10.0;
+/// Damping divisor on an accepted step.
+const LAMBDA_DOWN: f64 = 10.0;
+/// Stop when the relative cost improvement falls below this.
+const TOL: f64 = 1e-10;
+
+/// Levenberg-Marquardt settings: callers choose only the iteration budget.
+/// The forward-difference step (1e-6), the damping schedule (λ₀ = 1e-3,
+/// ×10 after a rejected step, ÷10 after an accepted one) and the stopping
+/// tolerance (relative cost gain below 1e-10) are fixed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LmSettings {
     /// Maximum outer iterations.
     pub max_iters: usize,
-    /// Forward-difference step for the Jacobian.
-    pub fd_step: f64,
-    /// Initial damping λ.
-    pub lambda_init: f64,
-    /// Damping multiplier on a rejected step.
-    pub lambda_up: f64,
-    /// Damping divisor on an accepted step.
-    pub lambda_down: f64,
-    /// Stop when the relative cost improvement falls below this.
-    pub tol: f64,
 }
 
 impl Default for LmSettings {
     fn default() -> Self {
-        LmSettings {
-            max_iters: 30,
-            fd_step: 1e-6,
-            lambda_init: 1e-3,
-            lambda_up: 10.0,
-            lambda_down: 10.0,
-            tol: 1e-10,
-        }
+        LmSettings { max_iters: 30 }
     }
 }
 
@@ -134,13 +131,13 @@ pub(crate) fn solve<P: LeastSquares + ?Sized>(
     let mut r = problem.residual(&x);
     let mut cost = r.norm_sqr();
     let initial_cost = cost;
-    let mut lambda = settings.lambda_init;
+    let mut lambda = LAMBDA_INIT;
     let mut converged = false;
     let mut iterations = 0;
 
     for _ in 0..settings.max_iters {
         iterations += 1;
-        let jt = problem.jacobian_t(&x, &r, settings.fd_step);
+        let jt = problem.jacobian_t(&x, &r, FD_STEP);
         // For over-parameterized fits (m < n, the common calibration case)
         // solve in the m-dimensional residual space via the push-through
         // identity (JᵀJ + λI)⁻¹Jᵀ = Jᵀ(JJᵀ + λI)⁻¹ — the factorization
@@ -162,7 +159,7 @@ pub(crate) fn solve<P: LeastSquares + ?Sized>(
             let chol = match RCholesky::new(&a) {
                 Ok(c) => c,
                 Err(_) => {
-                    lambda *= settings.lambda_up;
+                    lambda *= LAMBDA_UP;
                     continue;
                 }
             };
@@ -181,14 +178,14 @@ pub(crate) fn solve<P: LeastSquares + ?Sized>(
                 x = trial;
                 r = r_trial;
                 cost = cost_trial;
-                lambda = (lambda / settings.lambda_down).max(1e-12);
+                lambda = (lambda / LAMBDA_DOWN).max(1e-12);
                 accepted = true;
-                if rel_gain < settings.tol {
+                if rel_gain < TOL {
                     converged = true;
                 }
                 break;
             }
-            lambda *= settings.lambda_up;
+            lambda *= LAMBDA_UP;
         }
         if !accepted {
             converged = true; // damping saturated: local optimum
@@ -247,10 +244,7 @@ mod tests {
         // r = (1−x, 10(y−x²)): the classic valley.
         let mut res =
             |p: &RVector| RVector::from_vec(vec![1.0 - p[0], 10.0 * (p[1] - p[0] * p[0])]);
-        let settings = LmSettings {
-            max_iters: 200,
-            ..LmSettings::default()
-        };
+        let settings = LmSettings { max_iters: 200 };
         let fit =
             levenberg_marquardt(&mut res, &RVector::from_slice(&[-1.2, 1.0]), &settings).unwrap();
         assert!(fit.cost < 1e-10, "cost {}", fit.cost);

@@ -85,10 +85,10 @@ pub struct Measurements {
 /// Runs the plan against the chip with `(setting, input-block)` sweeps
 /// fanned out over `pool`, consuming `plan.query_cost()` queries.
 ///
-/// Each work item measures one phase setting on a fixed [`INPUT_BLOCK`] of
-/// probe inputs through [`OnnChip::forward_powers_batch_into`], so compiled
-/// chips pay one unitary compile per block instead of one interpreted op
-/// walk per probe. Results come back in plan order regardless of pool size.
+/// Each work item measures one phase setting on a fixed block of 32 probe
+/// inputs (`INPUT_BLOCK`) through [`OnnChip::forward_powers_batch_into`], so
+/// compiled chips pay one unitary compile per block instead of one
+/// interpreted op walk per probe. Results come back in plan order regardless of pool size.
 /// For noise-free chips the powers are bitwise identical for every pool
 /// size. Noisy chips draw from a shared noise stream, so only the
 /// [`ExecPool::serial`] sweep draws that noise in plan order; larger pools

@@ -50,7 +50,7 @@ proptest! {
         let fit = levenberg_marquardt(
             &mut residual,
             &RVector::from_slice(&start),
-            &LmSettings { max_iters: 10, ..LmSettings::default() },
+            &LmSettings { max_iters: 10 },
         ).unwrap();
         prop_assert!(fit.cost <= fit.initial_cost + 1e-12);
         prop_assert!(fit.params.iter().all(|v| v.is_finite()));
@@ -86,7 +86,7 @@ proptest! {
         let settings = CalibrationSettings {
             random_inputs: 3,
             num_settings: 2,
-            lm: LmSettings { max_iters: 4, ..LmSettings::default() },
+            lm: LmSettings { max_iters: 4 },
             ..CalibrationSettings::default()
         };
         let out = calibrate(&chip, &settings, &mut rng).unwrap();
@@ -103,7 +103,7 @@ proptest! {
         let settings = CalibrationSettings {
             random_inputs: 4,
             num_settings: 2,
-            lm: LmSettings { max_iters: 5, ..LmSettings::default() },
+            lm: LmSettings { max_iters: 5 },
             ..CalibrationSettings::default()
         };
         let out = calibrate(&chip, &settings, &mut rng).unwrap();

@@ -54,10 +54,10 @@ pub use journal::{
     RollbackSnapshot, RunJournal, RunState,
 };
 pub use experiment::{build_task, run_method, MethodResult, TaskInstance, TaskKind, TaskSpec};
-pub use loss::{mse_loss_and_grad, softmax, ClassificationHead, CoreError};
+pub use loss::{softmax, ClassificationHead, CoreError};
 pub use metrics::{
-    batch_inputs, chip_batch_loss, confusion_matrix, evaluate_chip, model_batch_loss,
-    model_batch_loss_and_grad, Evaluation,
+    batch_inputs, chip_batch_loss, evaluate_chip, model_batch_loss, model_batch_loss_and_grad,
+    Evaluation,
 };
 pub use report::{downsample, recovery_report, sparkline, trace_summary, CsvWriter, TextTable};
 pub use stats::{

@@ -1,5 +1,4 @@
-//! Losses over ONN outputs: the optical power-readout classification head
-//! and an MSE regression head.
+//! Losses over ONN outputs: the optical power-readout classification head.
 
 use photon_linalg::{CVector, RVector};
 
@@ -14,9 +13,10 @@ use photon_linalg::{CVector, RVector};
 /// use photon_core::ClassificationHead;
 ///
 /// let head = ClassificationHead::new(16, 10, 10.0)?;
-/// // All power in the port of class 3 → class 3 wins.
+/// // The ten classes sit on the central ports 3..13. All power on port 6,
+/// // the port of class 3 → class 3 wins.
 /// let mut y = CVector::zeros(16);
-/// y[head.port_of_class(3)] = C64::ONE;
+/// y[6] = C64::ONE;
 /// assert_eq!(head.predict(&y), 3);
 /// assert!(head.loss(&y, 3) < head.loss(&y, 5));
 /// # Ok::<(), photon_core::CoreError>(())
@@ -100,16 +100,6 @@ impl ClassificationHead {
         self.num_classes
     }
 
-    /// The output port carrying class `c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `c >= num_classes`.
-    pub fn port_of_class(&self, c: usize) -> usize {
-        assert!(c < self.num_classes, "class out of range");
-        self.offset + c
-    }
-
     /// Scaled power logits of the central ports.
     ///
     /// # Panics
@@ -183,29 +173,6 @@ pub fn softmax(logits: &RVector) -> RVector {
     exps.scale(1.0 / sum)
 }
 
-/// Mean-squared-error regression head: `ℓ = ‖y − t‖²`.
-///
-/// # Examples
-///
-/// ```
-/// use photon_linalg::{C64, CVector};
-/// use photon_core::mse_loss_and_grad;
-///
-/// let y = CVector::from_vec(vec![C64::ONE]);
-/// let t = CVector::from_vec(vec![C64::ZERO]);
-/// let (loss, g) = mse_loss_and_grad(&y, &t);
-/// assert!((loss - 1.0).abs() < 1e-12);
-/// assert!((g[0] - C64::from_real(2.0)).abs() < 1e-12);
-/// ```
-pub fn mse_loss_and_grad(y: &CVector, target: &CVector) -> (f64, CVector) {
-    assert_eq!(y.len(), target.len(), "target dimension mismatch");
-    let diff = y - target;
-    let loss = diff.norm_sqr();
-    // ∂‖y−t‖²/∂Re(y_m) = 2·Re(y_m − t_m), likewise Im ⇒ g = 2·(y − t).
-    let g = diff.scale_real(2.0);
-    (loss, g)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,10 +185,9 @@ mod tests {
     #[test]
     fn central_ports_are_selected() {
         let h = head();
-        assert_eq!(h.port_of_class(0), 3);
-        assert_eq!(h.port_of_class(9), 12);
+        assert_eq!((h.offset, h.offset + 9), (3, 12));
         let exact = ClassificationHead::new(10, 10, 1.0).unwrap();
-        assert_eq!(exact.port_of_class(0), 0);
+        assert_eq!(exact.offset, 0);
     }
 
     #[test]
@@ -248,7 +214,7 @@ mod tests {
     fn loss_prefers_correct_class() {
         let h = head();
         let mut y = CVector::zeros(16);
-        y[h.port_of_class(7)] = C64::from_polar(1.0, 0.3);
+        y[h.offset + 7] = C64::from_polar(1.0, 0.3);
         assert_eq!(h.predict(&y), 7);
         assert!(h.loss(&y, 7) < h.loss(&y, 2));
         let p = h.probabilities(&y);
@@ -283,22 +249,6 @@ mod tests {
                     "port {m} part {part}: fd {fd} vs {analytic}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn mse_grad_matches_finite_difference() {
-        let y = CVector::from_vec(vec![C64::new(0.5, -0.3), C64::new(-1.0, 0.2)]);
-        let t = CVector::from_vec(vec![C64::new(0.1, 0.1), C64::new(0.0, 0.0)]);
-        let (_, g) = mse_loss_and_grad(&y, &t);
-        let eps = 1e-6;
-        for m in 0..2 {
-            let mut yp = y.clone();
-            yp[m] = yp[m] + eps;
-            let mut ym = y.clone();
-            ym[m] = ym[m] - eps;
-            let fd = (mse_loss_and_grad(&yp, &t).0 - mse_loss_and_grad(&ym, &t).0) / (2.0 * eps);
-            assert!((fd - g[m].re).abs() < 1e-6);
         }
     }
 

@@ -1,4 +1,4 @@
-//! Evaluation metrics: batch losses, accuracy, confusion matrices.
+//! Evaluation metrics: batch losses and accuracy.
 
 use photon_data::Dataset;
 use photon_exec::{tree_reduce, tree_sum, ExecPool};
@@ -24,7 +24,7 @@ fn batch_blocks(indices: &[usize]) -> Vec<&[usize]> {
 /// Mean chip loss over the samples at `indices` (each sample = one chip
 /// query), evaluated on `pool`.
 ///
-/// Samples are evaluated in fixed [`BATCH_BLOCK`]-sized blocks through
+/// Samples are evaluated in fixed 32-sample blocks (`BATCH_BLOCK`) through
 /// [`OnnChip::forward_batch_into`], so compiled chips amortize one unitary
 /// compile across a whole block instead of re-walking the op list per
 /// sample. Per-sample losses are flattened back into index order and
@@ -135,7 +135,7 @@ pub struct Evaluation {
 /// Evaluates the chip on every sample of `data` using `pool` (costs
 /// `data.len()` chip queries).
 ///
-/// Samples run in fixed [`BATCH_BLOCK`]-sized blocks through
+/// Samples run in fixed 32-sample blocks (`BATCH_BLOCK`) through
 /// [`OnnChip::forward_batch_into`] (one compile + one GEMM per block on
 /// compiled chips). Losses are flattened back into index order and combined
 /// along a fixed-shape reduction tree, so a noise-free chip yields a
@@ -173,35 +173,6 @@ pub fn evaluate_chip<C: OnnChip>(
         loss: tree_sum(&losses) / data.len() as f64,
         samples: data.len(),
     }
-}
-
-/// Confusion matrix `counts[truth][predicted]` of the chip on a dataset.
-///
-/// Runs in [`BATCH_BLOCK`]-sized blocks with one reused [`BatchScratch`],
-/// so the sweep performs no per-sample heap allocation.
-///
-/// # Panics
-///
-/// Panics on an empty dataset.
-pub fn confusion_matrix<C: OnnChip>(
-    chip: &C,
-    data: &Dataset,
-    head: &ClassificationHead,
-    theta: &RVector,
-) -> Vec<Vec<usize>> {
-    assert!(!data.is_empty(), "cannot evaluate on an empty dataset");
-    let c = head.num_classes();
-    let mut counts = vec![vec![0usize; c]; c];
-    let indices: Vec<usize> = (0..data.len()).collect();
-    let mut scratch = BatchScratch::new();
-    for block in batch_blocks(&indices) {
-        let xs: Vec<&CVector> = block.iter().map(|&i| data.sample(i).0).collect();
-        let ys = chip.forward_batch_into(&xs, theta, &mut scratch);
-        for (y, &i) in ys.iter().zip(block.iter()) {
-            counts[data.sample(i).1][head.predict(y)] += 1;
-        }
-    }
-    counts
 }
 
 /// Helper: the feature vectors of the samples at `indices` (the Fisher
@@ -271,16 +242,6 @@ mod tests {
         assert_eq!(ev.samples, 20);
         assert!((0.0..=1.0).contains(&ev.accuracy));
         assert!(ev.loss.is_finite() && ev.loss > 0.0);
-    }
-
-    #[test]
-    fn confusion_matrix_rows_sum_to_class_counts() {
-        let (chip, data, head, theta) = setup();
-        let cm = confusion_matrix(&chip, &data, &head, &theta);
-        let counts = data.class_counts();
-        for (c, row) in cm.iter().enumerate() {
-            assert_eq!(row.iter().sum::<usize>(), counts[c]);
-        }
     }
 
     #[test]

@@ -117,12 +117,6 @@ impl CsvWriter {
             .push(cells.iter().map(|s| s.to_string()).collect());
     }
 
-    /// Appends a record of numeric cells.
-    pub fn record_values(&mut self, cells: &[f64]) {
-        self.records
-            .push(cells.iter().map(|v| format!("{v}")).collect());
-    }
-
     /// Number of records.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -751,7 +745,7 @@ mod tests {
     #[test]
     fn csv_roundtrip() {
         let mut w = CsvWriter::new(&["epoch", "loss"]);
-        w.record_values(&[1.0, 0.5]);
+        w.record(&["1", "0.5"]);
         w.record(&["2", "0.25"]);
         let s = w.render();
         assert_eq!(s, "epoch,loss\n1,0.5\n2,0.25\n");
@@ -773,7 +767,7 @@ mod tests {
         let dir = std::env::temp_dir().join("photon_zo_csv_test");
         let path = dir.join("nested/out.csv");
         let mut w = CsvWriter::new(&["x"]);
-        w.record_values(&[42.0]);
+        w.record(&["42"]);
         w.write_to(&path).unwrap();
         let back = std::fs::read_to_string(&path).unwrap();
         assert!(back.contains("42"));

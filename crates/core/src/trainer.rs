@@ -33,7 +33,7 @@ use photon_linalg::RVector;
 use photon_opt::{
     estimate_gradient, layered_sigma_segments, lcng_direction, penalize_non_finite,
     retry_non_finite, Adam, BlockNaturalPreconditioner, CmaEs, LcngSettings, MetricSource,
-    Optimizer, Perturbation, RobustEval, ZoSettings,
+    Perturbation, RobustEval, ZoSettings,
 };
 use photon_photonics::{ideal_model, CacheStats, ErrorVector, FabricatedChip, Network, OnnChip};
 use photon_trace::{LedgerCounts, QueryCategory, TraceEvent, TraceHandle};
@@ -1309,7 +1309,6 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
                                     theta,
                                     &fisher_inputs,
                                     config.rho,
-                                    true,
                                 )
                                 .map_err(|e| {
                                     CoreError::InvalidConfig(format!(

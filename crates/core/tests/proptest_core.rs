@@ -42,7 +42,8 @@ proptest! {
         let head = ClassificationHead::new(8, 4, 10.0).unwrap();
         let base = head.loss(&y, label);
         let mut boosted = y.clone();
-        let port = head.port_of_class(label);
+        // The four classes sit on the central ports 2..6.
+        let port = 2 + label;
         boosted[port] += C64::from_real(boost);
         // Adding in-phase amplitude to the correct port adds power there.
         prop_assume!(boosted[port].norm_sqr() > y[port].norm_sqr());

@@ -177,15 +177,6 @@ impl Dataset {
         let (train_idx, test_idx) = idx.split_at(n_train.min(self.len()));
         (self.subset(train_idx), self.subset(test_idx))
     }
-
-    /// Per-class sample counts.
-    pub fn class_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.num_classes];
-        for &l in &self.labels {
-            counts[l] += 1;
-        }
-        counts
-    }
 }
 
 /// Epoch-wise mini-batch index iterator with reshuffling.
@@ -228,11 +219,6 @@ impl Batcher {
         idx.shuffle(rng);
         let bs = self.batch_size;
         (0..self.n.div_ceil(bs)).map(move |b| idx[b * bs..((b + 1) * bs).min(idx.len())].to_vec())
-    }
-
-    /// Number of batches per epoch.
-    pub fn batches_per_epoch(&self) -> usize {
-        self.n.div_ceil(self.batch_size)
     }
 }
 
@@ -277,7 +263,7 @@ mod tests {
         let (x, l) = ds.sample(4);
         assert_eq!(l, 1);
         assert_eq!(x.len(), 4);
-        assert_eq!(ds.class_counts(), vec![3, 3, 3]);
+        assert!((0..3).all(|c| ds.labels().iter().filter(|&&l| l == c).count() == 3));
     }
 
     #[test]
@@ -305,7 +291,6 @@ mod tests {
     fn batcher_covers_every_index_once() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut batcher = Batcher::new(13, 5);
-        assert_eq!(batcher.batches_per_epoch(), 3);
         let mut seen = [false; 13];
         for batch in batcher.epoch(&mut rng) {
             for i in batch {

@@ -157,15 +157,6 @@ impl Image {
             *p = (*p + sigma * standard_normal(rng)).clamp(0.0, 1.0);
         }
     }
-
-    /// Mean pixel intensity.
-    pub fn mean_intensity(&self) -> f64 {
-        if self.pixels.is_empty() {
-            0.0
-        } else {
-            self.pixels.iter().sum::<f64>() / self.pixels.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -181,7 +172,7 @@ mod tests {
         img.set(0, 100, 1.0);
         assert_eq!(img.get(-1, 0), 0.0);
         assert_eq!(img.get(0, 100), 0.0);
-        assert_eq!(img.mean_intensity(), 0.0);
+        assert!(img.pixels().iter().all(|&p| p == 0.0));
     }
 
     #[test]
@@ -199,7 +190,7 @@ mod tests {
         img.draw_line((1.0, 5.0), (8.0, 5.0), 1.5, 1.0);
         assert!(img.get(4, 5) > 0.0);
         assert_eq!(img.get(4, 0), 0.0);
-        assert!(img.mean_intensity() > 0.0);
+        assert!(img.pixels().iter().sum::<f64>() > 0.0);
     }
 
     #[test]

@@ -79,7 +79,11 @@ proptest! {
         for &l in train.labels().iter().chain(test.labels()) {
             all_counts[l] += 1;
         }
-        prop_assert_eq!(all_counts, ds.class_counts());
+        let mut counts = vec![0usize; 3];
+        for &l in ds.labels() {
+            counts[l] += 1;
+        }
+        prop_assert_eq!(all_counts, counts);
     }
 
     /// One epoch of the batcher is a permutation of 0..n in batches of at
@@ -132,5 +136,5 @@ fn images_to_dataset_validates() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(9);
     let images = SyntheticFashion::new().generate_balanced(2, &mut rng);
     let ds: Dataset = photon_data::images_to_dataset(&images, 12, 10).unwrap();
-    assert_eq!(ds.class_counts(), vec![2; 10]);
+    assert!((0..10).all(|c| ds.labels().iter().filter(|&&l| l == c).count() == 2));
 }

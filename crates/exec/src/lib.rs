@@ -175,11 +175,6 @@ impl ExecPool {
         photon_linalg::kernel_tier().name()
     }
 
-    /// `true` when the pool runs everything inline on the caller's thread.
-    pub fn is_serial(&self) -> bool {
-        self.threads == 1
-    }
-
     /// Apply `f` to every item, returning results in item order.
     ///
     /// `f` receives `(index, &item)`. Results are index-ordered and therefore
@@ -395,7 +390,6 @@ mod tests {
     #[test]
     fn pool_size_one_runs_inline() {
         let pool = ExecPool::new(0);
-        assert!(pool.is_serial());
         assert_eq!(pool.threads(), 1);
         let caller = std::thread::current().id();
         let ids = pool.map(&[1, 2, 3], |_, _| std::thread::current().id());

@@ -1,11 +1,10 @@
 //! Deterministic chaos schedules for farm tests and CI gates.
 //!
 //! A [`ChaosPlan`] scripts infrastructure failures against *workers* (never
-//! against job state): kill a worker partway through its nth slice, or yank
-//! it into quarantine before a dispatch. Schedules are keyed on each
-//! worker's own dispatch counter, so a plan replays identically however the
-//! scheduler interleaves tenants — which is what lets the chaos gate assert
-//! bitwise-exact results.
+//! against job state): kill a worker partway through its nth slice.
+//! Schedules are keyed on each worker's own dispatch counter, so a plan
+//! replays identically however the scheduler interleaves tenants — which is
+//! what lets the chaos gate assert bitwise-exact results.
 //!
 //! Hang injection is not scripted here: hangs are a property of a worker's
 //! lab link, configured per worker via
@@ -24,23 +23,11 @@ pub struct KillSpec {
     pub after_epochs: usize,
 }
 
-/// Force one worker into quarantine before it reaches a dispatch ordinal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuarantineSpec {
-    /// Worker name.
-    pub worker: String,
-    /// Takes effect before the worker's `before_dispatch`-th (1-based)
-    /// dispatch.
-    pub before_dispatch: u64,
-}
-
 /// A scripted, seedless, fully deterministic failure schedule.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChaosPlan {
     /// Scheduled worker kills.
     pub kills: Vec<KillSpec>,
-    /// Scheduled forced quarantines.
-    pub quarantines: Vec<QuarantineSpec>,
 }
 
 impl ChaosPlan {
@@ -61,17 +48,6 @@ impl ChaosPlan {
         self
     }
 
-    /// Adds a forced quarantine of `worker` before its
-    /// `before_dispatch`-th slice.
-    #[must_use]
-    pub fn with_quarantine(mut self, worker: &str, before_dispatch: u64) -> Self {
-        self.quarantines.push(QuarantineSpec {
-            worker: worker.to_string(),
-            before_dispatch,
-        });
-        self
-    }
-
     /// If `worker`'s `dispatch`-th slice is scripted to die, the number of
     /// epochs it may commit first.
     pub(crate) fn kill_for(&self, worker: &str, dispatch: u64) -> Option<usize> {
@@ -79,14 +55,6 @@ impl ChaosPlan {
             .iter()
             .find(|k| k.worker == worker && k.at_dispatch == dispatch)
             .map(|k| k.after_epochs)
-    }
-
-    /// Whether `worker` must be quarantined before its `next_dispatch`-th
-    /// slice.
-    pub(crate) fn quarantine_before(&self, worker: &str, next_dispatch: u64) -> bool {
-        self.quarantines
-            .iter()
-            .any(|q| q.worker == worker && q.before_dispatch <= next_dispatch)
     }
 }
 
@@ -101,14 +69,5 @@ mod tests {
         assert_eq!(plan.kill_for("w0", 2), Some(1));
         assert_eq!(plan.kill_for("w0", 3), None);
         assert_eq!(plan.kill_for("w1", 2), None);
-    }
-
-    #[test]
-    fn quarantine_triggers_at_or_after_its_ordinal() {
-        let plan = ChaosPlan::none().with_quarantine("w1", 3);
-        assert!(!plan.quarantine_before("w1", 2));
-        assert!(plan.quarantine_before("w1", 3));
-        assert!(plan.quarantine_before("w1", 4));
-        assert!(!plan.quarantine_before("w0", 3));
     }
 }

@@ -19,8 +19,8 @@
 //! Slices that burn their watchdog budget count against the worker; enough
 //! failures walk it healthy → degraded → quarantined, after which it is
 //! never dispatched to again and its in-flight jobs migrate. The
-//! [`ChaosPlan`] scripts kills and forced quarantines deterministically for
-//! tests and CI gates.
+//! [`ChaosPlan`] scripts worker kills deterministically for tests and CI
+//! gates.
 //!
 //! Accounting: every chip query is attributed to exactly one
 //! (tenant, worker) pair — including queries burned by discarded attempts
@@ -57,7 +57,7 @@ mod resilience;
 mod scheduler;
 mod serving;
 
-pub use chaos::{ChaosPlan, KillSpec, QuarantineSpec};
+pub use chaos::{ChaosPlan, KillSpec};
 pub use health::{ChipHealth, HealthMonitor, HealthPolicy, HealthTransition};
 pub use online::{
     run_online, CycleRecord, OnlineError, OnlineOptions, OnlineOutcome, ONLINE_WAL,
@@ -629,27 +629,6 @@ impl Farm {
         self.jobs[idx].phase = JobPhase::Done(result);
     }
 
-    /// Applies scripted quarantines due before each serving worker's next
-    /// dispatch.
-    fn apply_scheduled_quarantines(&mut self) {
-        for w in 0..self.workers.len() {
-            let worker = &self.workers[w];
-            if !worker.monitor.state().can_serve() {
-                continue;
-            }
-            let next = worker.dispatches + 1;
-            if self.config.chaos.quarantine_before(&worker.spec.name, next) {
-                let name = self.workers[w].spec.name.clone();
-                if let Some(t) = self.workers[w]
-                    .monitor
-                    .force(ChipHealth::Quarantined, "chaos quarantine")
-                {
-                    self.emit_health(&name, &t);
-                }
-            }
-        }
-    }
-
     /// Drives every submitted job to a terminal state and returns the
     /// reconciled shutdown report.
     ///
@@ -672,7 +651,6 @@ impl Farm {
                 break;
             }
             self.rounds += 1;
-            self.apply_scheduled_quarantines();
             let free: Vec<usize> = (0..self.workers.len())
                 .filter(|&w| self.workers[w].monitor.state().can_serve())
                 .collect();

@@ -310,14 +310,6 @@ impl CircuitBreaker {
         self.open_until_ns = now_ns.saturating_add(self.policy.cooldown_ns);
         self.transition(now_ns, BreakerState::Open);
     }
-
-    /// Trips the breaker permanently (replica confirmed dead): it never
-    /// half-opens again.
-    pub fn force_open_forever(&mut self, now_ns: u64) {
-        self.open_until_ns = u64::MAX;
-        self.probe_inflight = false;
-        self.transition(now_ns, BreakerState::Open);
-    }
 }
 
 /// Hysteresis thresholds for the brownout tier ladder, in queued requests
@@ -701,18 +693,6 @@ mod tests {
         assert_eq!(b.wake_at_ns(), Some(2_200), "cooldown restarts from the probe failure");
         assert!(!b.allow(2_199));
         assert!(b.allow(2_200));
-    }
-
-    #[test]
-    fn forced_open_never_half_opens() {
-        let mut b = quick_breaker();
-        b.force_open_forever(50);
-        assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.wake_at_ns(), None);
-        assert!(!b.allow(u64::MAX - 1));
-        // Late completions from before the kill are ignored.
-        b.record_success(60);
-        assert_eq!(b.state(), BreakerState::Open);
     }
 
     #[test]

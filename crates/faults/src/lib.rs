@@ -360,16 +360,6 @@ impl<C: OnnChip> FaultyChip<C> {
         }
     }
 
-    /// The current per-parameter drift offsets (a copy).
-    pub fn drift_snapshot(&self) -> RVector {
-        self.state.lock().drift.clone()
-    }
-
-    /// The logical step last passed to [`OnnChip::advance_to`].
-    pub fn current_step(&self) -> u64 {
-        self.state.lock().step
-    }
-
     /// Content key: a pure function of what is being measured — never of
     /// when or on which thread. Distinct probes hash to distinct keys
     /// (almost surely, for continuous-valued probes), so per-read fault
@@ -646,7 +636,7 @@ impl<C: OnnChip> OnnChip for FaultyChip<C> {
 
     /// Pins the inner chip's compile base at the *fault-effective* phases:
     /// drift and stuck offsets are resolved at the current step exactly as
-    /// [`FaultyChip::prepare_batch`] would, so the pin matches the theta
+    /// a batched read resolves them, so the pin matches the theta
     /// the inner chip actually sees for batched reads issued at this step.
     /// Serial control point, like [`OnnChip::advance_to`].
     fn pin_compile_base(&self, theta: &RVector) {
@@ -774,63 +764,6 @@ impl ReplicaChaos {
     pub fn hang_release(&self, start_ns: u64, done_ns: u64) -> Option<u64> {
         let (from, until) = self.hang_window_ns?;
         (start_ns < until && done_ns > from).then_some(until)
-    }
-}
-
-/// The result of a [`probe_health`] sweep: how many probe reads came back
-/// with all-finite powers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthSample {
-    /// Probe reads issued.
-    pub reads: u64,
-    /// Reads whose every detector power was finite.
-    pub finite: u64,
-}
-
-impl HealthSample {
-    /// Fraction of probe reads that came back clean (1.0 for zero reads:
-    /// an unprobed chip is not evidence of sickness).
-    pub fn finite_fraction(&self) -> f64 {
-        if self.reads == 0 {
-            1.0
-        } else {
-            self.finite as f64 / self.reads as f64
-        }
-    }
-
-    /// Whether the clean-read fraction clears `min_finite_fraction`.
-    pub fn passes(&self, min_finite_fraction: f64) -> bool {
-        self.finite_fraction() >= min_finite_fraction
-    }
-}
-
-/// Actively probes a chip's read path with `reads` seeded random inputs at
-/// phase setting `theta`, counting how many readings come back all-finite.
-///
-/// This is the farm's out-of-band health check: dropped or hung reads
-/// surface as NaN-poisoned powers, so a chip dropping reads (or with a
-/// dead link) shows a depressed finite fraction. The probe inputs derive
-/// deterministically from `seed`, so a sweep is replayable; note that each
-/// read *does* consume chip queries and advances the transient-fault
-/// attempt counters, so account for the spend (`reads` queries) wherever
-/// ledgers are reconciled. Do not interleave with a guarded training epoch
-/// on the same chip.
-pub fn probe_health<C: OnnChip>(chip: &C, theta: &RVector, reads: usize, seed: u64) -> HealthSample {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut scratch = ChipScratch::new();
-    let dim = chip.input_dim();
-    let mut finite = 0u64;
-    for _ in 0..reads {
-        let x = photon_linalg::random::normal_cvector(dim, &mut rng);
-        let x = x.normalized().unwrap_or(x);
-        let powers = chip.forward_powers_into(&x, theta, &mut scratch);
-        if powers.iter().all(|p| p.is_finite()) {
-            finite += 1;
-        }
-    }
-    HealthSample {
-        reads: reads as u64,
-        finite,
     }
 }
 
@@ -1039,13 +972,13 @@ mod tests {
     #[test]
     fn drift_walks_and_stays_bounded() {
         let (faulty, _, _) = base_chip(23);
-        assert_eq!(faulty.drift_snapshot().max_abs(), 0.0);
+        assert_eq!(faulty.state.lock().drift.max_abs(), 0.0);
         faulty.advance_to(500);
-        let d = faulty.drift_snapshot();
+        let d = faulty.state.lock().drift.clone();
         assert!(d.max_abs() > 0.0, "drift should have moved");
         // OU is stationary with σ = 0.02: 10σ is an extremely safe bound.
         assert!(d.max_abs() < 0.2, "drift {:.3} out of bounds", d.max_abs());
-        assert_eq!(faulty.current_step(), 500);
+        assert_eq!(faulty.state.lock().step, 500);
     }
 
     #[test]
@@ -1144,56 +1077,5 @@ mod tests {
         assert_eq!(changed.len(), 1, "exactly one port spikes");
         let i = changed[0];
         assert!((spiked.as_slice()[i] / clean.as_slice()[i] - 100.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn probe_health_separates_clean_from_bursting_chips() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let arch = Architecture::single_mesh(4, 4).unwrap();
-        let chip = FabricatedChip::fabricate(&arch, &ErrorModel::with_beta(1.0), &mut rng);
-        let theta = chip.init_params(&mut rng);
-
-        let clean = FaultyChip::new(chip, FaultPlan::new(3));
-        let sample = probe_health(&clean, &theta, 32, 11);
-        assert_eq!(sample.reads, 32);
-        assert_eq!(sample.finite, 32, "a passthrough chip probes clean");
-        assert!(sample.passes(1.0));
-
-        let mut rng2 = StdRng::seed_from_u64(23);
-        let chip2 = FabricatedChip::fabricate(&arch, &ErrorModel::with_beta(1.0), &mut rng2);
-        let sick = FaultyChip::new(
-            chip2,
-            FaultPlan::new(5).with_transients(TransientConfig {
-                drop_prob: 0.5,
-                ..TransientConfig::default()
-            }),
-        );
-        let sample = probe_health(&sick, &theta, 64, 11);
-        assert!(
-            !sample.passes(0.9),
-            "a 50%-drop chip cannot probe 90% clean: {sample:?}"
-        );
-        // The probe is replayable: same seed, same verdict.
-        let sick2 = FaultyChip::new(
-            FabricatedChip::fabricate(
-                &arch,
-                &ErrorModel::with_beta(1.0),
-                &mut StdRng::seed_from_u64(23),
-            ),
-            FaultPlan::new(5).with_transients(TransientConfig {
-                drop_prob: 0.5,
-                ..TransientConfig::default()
-            }),
-        );
-        assert_eq!(probe_health(&sick2, &theta, 64, 11), sample);
-        // Probe reads are real chip queries and must be accounted for.
-        assert_eq!(sick2.query_count(), 64);
-    }
-
-    #[test]
-    fn zero_read_probe_is_vacuously_healthy() {
-        let s = HealthSample { reads: 0, finite: 0 };
-        assert_eq!(s.finite_fraction(), 1.0);
-        assert!(s.passes(1.0));
     }
 }

@@ -162,15 +162,6 @@ impl C64 {
     pub fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
     }
-
-    /// Fused multiply-add: `self * b + c`, written out for inlining.
-    #[inline]
-    pub fn mul_add(self, b: C64, c: C64) -> Self {
-        C64 {
-            re: self.re * b.re - self.im * b.im + c.re,
-            im: self.re * b.im + self.im * b.re + c.im,
-        }
-    }
 }
 
 impl fmt::Display for C64 {
@@ -459,13 +450,5 @@ mod tests {
     fn display_formats_sign() {
         assert_eq!(C64::new(1.0, 2.0).to_string(), "1+2j");
         assert_eq!(C64::new(1.0, -2.0).to_string(), "1-2j");
-    }
-
-    #[test]
-    fn mul_add_matches_expanded_form() {
-        let a = C64::new(1.5, -2.0);
-        let b = C64::new(0.25, 3.0);
-        let c = C64::new(-1.0, 1.0);
-        assert!(close(a.mul_add(b, c), a * b + c));
     }
 }

@@ -1,9 +1,6 @@
 //! Cholesky factorization of symmetric / Hermitian positive-definite
 //! matrices, plus covariance-shaped Gaussian sampling.
 
-use crate::c64::C64;
-use crate::cmatrix::CMatrix;
-use crate::cvector::CVector;
 use crate::error::{LinalgError, Result};
 use crate::rmatrix::RMatrix;
 use crate::rvector::RVector;
@@ -174,113 +171,6 @@ impl RCholesky {
     }
 }
 
-/// Cholesky factorization `A = L·Lᴴ` of a complex Hermitian
-/// positive-definite matrix.
-///
-/// # Examples
-///
-/// ```
-/// use photon_linalg::{C64, CMatrix, CCholesky};
-///
-/// let a = CMatrix::from_rows(&[
-///     vec![C64::from_real(2.0), C64::new(0.0, 1.0)],
-///     vec![C64::new(0.0, -1.0), C64::from_real(2.0)],
-/// ]);
-/// let chol = CCholesky::new(&a)?;
-/// assert_eq!(chol.dim(), 2);
-/// # Ok::<(), photon_linalg::LinalgError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct CCholesky {
-    l: CMatrix,
-}
-
-impl CCholesky {
-    /// Factorizes a Hermitian positive-definite matrix.
-    ///
-    /// Only the lower triangle of `a` is read.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::NotSquare`] for non-square input,
-    /// [`LinalgError::NotPositiveDefinite`] when a pivot is non-positive.
-    pub fn new(a: &CMatrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        let n = a.rows();
-        let mut l = CMatrix::zeros(n, n);
-        for j in 0..n {
-            let mut d = a[(j, j)].re;
-            for k in 0..j {
-                d -= l[(j, k)].norm_sqr();
-            }
-            if d <= 0.0 || !d.is_finite() {
-                return Err(LinalgError::NotPositiveDefinite);
-            }
-            let dj = d.sqrt();
-            l[(j, j)] = C64::from_real(dj);
-            for i in j + 1..n {
-                let mut s = a[(i, j)];
-                for k in 0..j {
-                    s -= l[(i, k)] * l[(j, k)].conj();
-                }
-                l[(i, j)] = s / dj;
-            }
-        }
-        Ok(CCholesky { l })
-    }
-
-    /// Dimension of the factorized matrix.
-    pub fn dim(&self) -> usize {
-        self.l.rows()
-    }
-
-    /// The lower-triangular factor `L`.
-    pub fn factor(&self) -> &CMatrix {
-        &self.l
-    }
-
-    /// Solves `A·x = b` by two triangular solves.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::ShapeMismatch`] when `b.len() != self.dim()`.
-    pub fn solve(&self, b: &CVector) -> Result<CVector> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("length {n}"),
-                found: format!("length {}", b.len()),
-            });
-        }
-        let mut y = b.clone();
-        for i in 0..n {
-            let mut acc = y[i];
-            for k in 0..i {
-                acc -= self.l[(i, k)] * y[k];
-            }
-            y[i] = acc / self.l[(i, i)];
-        }
-        for i in (0..n).rev() {
-            let mut acc = y[i];
-            for k in i + 1..n {
-                acc -= self.l[(k, i)].conj() * y[k];
-            }
-            y[i] = acc / self.l[(i, i)];
-        }
-        Ok(y)
-    }
-
-    /// Log-determinant of `A` (real, since `A` is HPD).
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].re.ln()).sum::<f64>() * 2.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,54 +232,5 @@ mod tests {
         assert!((s[0] - l[(0, 0)]).abs() < 1e-14);
         assert!((s[2] - l[(2, 0)]).abs() < 1e-14);
         assert!(chol.sample_from_standard(&RVector::zeros(2)).is_err());
-    }
-
-    #[test]
-    fn complex_factor_reconstructs() {
-        let a = CMatrix::from_rows(&[
-            vec![C64::from_real(3.0), C64::new(1.0, 1.0)],
-            vec![C64::new(1.0, -1.0), C64::from_real(4.0)],
-        ]);
-        let chol = CCholesky::new(&a).unwrap();
-        let l = chol.factor();
-        let recon = l.mul_mat(&l.adjoint()).unwrap();
-        assert!((&recon - &a).max_abs() < 1e-12);
-    }
-
-    #[test]
-    fn complex_solve_roundtrip() {
-        let a = CMatrix::from_rows(&[
-            vec![C64::from_real(3.0), C64::new(1.0, 1.0)],
-            vec![C64::new(1.0, -1.0), C64::from_real(4.0)],
-        ]);
-        let chol = CCholesky::new(&a).unwrap();
-        let x_true = CVector::from_vec(vec![C64::new(1.0, 2.0), C64::new(-0.5, 0.0)]);
-        let b = a.mul_vec(&x_true).unwrap();
-        let x = chol.solve(&b).unwrap();
-        assert!((&x - &x_true).max_abs() < 1e-10);
-        assert!(chol.solve(&CVector::zeros(3)).is_err());
-    }
-
-    #[test]
-    fn complex_rejects_non_pd() {
-        let a = CMatrix::from_rows(&[
-            vec![C64::from_real(1.0), C64::from_real(2.0)],
-            vec![C64::from_real(2.0), C64::from_real(1.0)],
-        ]);
-        assert!(matches!(
-            CCholesky::new(&a),
-            Err(LinalgError::NotPositiveDefinite)
-        ));
-    }
-
-    #[test]
-    fn complex_log_det() {
-        let a = CMatrix::from_rows(&[
-            vec![C64::from_real(2.0), C64::new(0.0, 1.0)],
-            vec![C64::new(0.0, -1.0), C64::from_real(2.0)],
-        ]);
-        // det = 4 - |i|² = 3
-        let chol = CCholesky::new(&a).unwrap();
-        assert!((chol.log_det() - 3.0f64.ln()).abs() < 1e-12);
     }
 }

@@ -216,29 +216,6 @@ impl CMatrix {
         Ok(y)
     }
 
-    /// Adjoint-vector product `Aᴴ·x` without materializing the adjoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] when `x.len() != self.rows()`.
-    pub fn adjoint_mul_vec(&self, x: &CVector) -> Result<CVector> {
-        if x.len() != self.rows {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("vector of length {}", self.rows),
-                found: format!("length {}", x.len()),
-            });
-        }
-        let mut y = CVector::zeros(self.cols);
-        for r in 0..self.rows {
-            let xr = x[r];
-            let row = self.row(r);
-            for c in 0..self.cols {
-                y[c] += row[c].conj() * xr;
-            }
-        }
-        Ok(y)
-    }
-
     /// Matrix product `A·B`.
     ///
     /// # Errors
@@ -541,16 +518,6 @@ mod tests {
         assert!(approx(&ah.adjoint(), &a, 1e-15));
         // transpose + conj = adjoint
         assert!(approx(&a.transpose().conj(), &ah, 1e-15));
-    }
-
-    #[test]
-    fn adjoint_mul_vec_matches_materialized() {
-        let a = CMatrix::from_fn(3, 2, |r, c| C64::new(r as f64 + 1.0, c as f64 - 1.0));
-        let x = CVector::from_vec(vec![C64::ONE, C64::I, C64::new(1.0, 1.0)]);
-        let fast = a.adjoint_mul_vec(&x).unwrap();
-        let slow = a.adjoint().mul_vec(&x).unwrap();
-        assert!((&fast - &slow).max_abs() < 1e-14);
-        assert!(a.adjoint_mul_vec(&CVector::zeros(2)).is_err());
     }
 
     #[test]

@@ -156,25 +156,6 @@ impl CVector {
             .fold(C64::ZERO, |acc, (a, b)| acc + a.conj() * *b))
     }
 
-    /// Unconjugated (bilinear) dot product `Σᵢ selfᵢ · otherᵢ`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] when lengths differ.
-    pub fn dot_unconj(&self, other: &CVector) -> Result<C64> {
-        if self.len() != other.len() {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("length {}", self.len()),
-                found: format!("length {}", other.len()),
-            });
-        }
-        Ok(self
-            .data
-            .iter()
-            .zip(&other.data)
-            .fold(C64::ZERO, |acc, (a, b)| acc + *a * *b))
-    }
-
     /// Squared Euclidean norm `Σᵢ |selfᵢ|²` — total optical power.
     pub fn norm_sqr(&self) -> f64 {
         self.data.iter().map(|z| z.norm_sqr()).sum()
@@ -450,7 +431,6 @@ mod tests {
         let a = CVector::zeros(2);
         let b = CVector::zeros(3);
         assert!(matches!(a.dot(&b), Err(LinalgError::ShapeMismatch { .. })));
-        assert!(a.dot_unconj(&b).is_err());
     }
 
     #[test]

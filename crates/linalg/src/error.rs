@@ -8,9 +8,9 @@ use std::fmt;
 /// # Examples
 ///
 /// ```
-/// use photon_linalg::{CMatrix, LinalgError};
+/// use photon_linalg::{LinalgError, RMatrix};
 ///
-/// let singular = CMatrix::zeros(2, 2);
+/// let singular = RMatrix::zeros(2, 2);
 /// match singular.inverse() {
 ///     Err(LinalgError::Singular) => {}
 ///     other => panic!("expected singular, got {other:?}"),

@@ -214,21 +214,6 @@ impl Panel32 {
         }
     }
 
-    /// Demotes a whole f64 panel into this panel.
-    pub fn copy_from_cpanel(&mut self, p: &CPanel) {
-        self.dim = p.dim();
-        self.batch = p.batch();
-        let n = self.dim * self.batch;
-        self.re.clear();
-        self.im.clear();
-        self.re.reserve(n);
-        self.im.reserve(n);
-        for z in p.as_slice() {
-            self.re.push(z.re as f32);
-            self.im.push(z.im as f32);
-        }
-    }
-
     /// Promotes this panel into an f64 panel.
     pub fn copy_to_cpanel(&self, p: &mut CPanel) {
         p.resize(self.dim, self.batch);
@@ -371,6 +356,16 @@ mod tests {
         C64::new(re, im)
     }
 
+    /// Demotes a whole f64 panel, column by column.
+    fn demote(x: &CPanel) -> Panel32 {
+        let mut x32 = Panel32::new();
+        x32.resize(x.dim(), x.batch());
+        for b in 0..x.batch() {
+            x32.set_col_c64(b, x.col(b));
+        }
+        x32
+    }
+
     fn dense_case(rows: usize, cols: usize, batch: usize) -> (CMatrix, CPanel) {
         let a = CMatrix::from_fn(rows, cols, |r, k| {
             c(
@@ -400,8 +395,7 @@ mod tests {
 
             let mut a32 = Matrix32::new();
             a32.copy_from_cmatrix(&a);
-            let mut x32 = Panel32::new();
-            x32.copy_from_cpanel(&x);
+            let x32 = demote(&x);
             let mut y32 = Panel32::new();
             gemm32_into(&a32, &x32, &mut y32);
             let mut y32p = CPanel::new();
@@ -421,8 +415,7 @@ mod tests {
         let (a, x) = dense_case(16, 16, 9);
         let mut a32 = Matrix32::new();
         a32.copy_from_cmatrix(&a);
-        let mut x32 = Panel32::new();
-        x32.copy_from_cpanel(&x);
+        let x32 = demote(&x);
         let mut y = Panel32::new();
         gemm32_into(&a32, &x32, &mut y);
         // Recompute with the portable scalar microkernel directly.

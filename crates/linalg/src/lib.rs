@@ -9,9 +9,9 @@
 //! - [`C64`]: double-precision complex scalars;
 //! - [`CVector`] / [`RVector`]: dense complex / real vectors;
 //! - [`CMatrix`] / [`RMatrix`]: dense row-major complex / real matrices;
-//! - [`CLu`] / [`RLu`]: LU factorization with partial pivoting;
-//! - [`RCholesky`] / [`CCholesky`]: Cholesky factorization of positive
-//!   definite matrices (also the engine for `N(0, Σ)` sampling);
+//! - [`RLu`]: LU factorization with partial pivoting;
+//! - [`RCholesky`]: Cholesky factorization of positive definite matrices
+//!   (also the engine for `N(0, Σ)` sampling);
 //! - [`CQr`]: Householder QR;
 //! - [`symmetric_eig`] / [`hermitian_eig`]: Jacobi eigensolvers;
 //! - [`CPanel`] / [`gemm_into`] / [`mzi_rotate`]: packed `N×B` multi-RHS
@@ -63,14 +63,14 @@ mod rvector;
 pub mod random;
 
 pub use c64::C64;
-pub use cholesky::{CCholesky, RCholesky};
+pub use cholesky::RCholesky;
 pub use cmatrix::CMatrix;
 pub use cvector::CVector;
 pub use eig::{hermitian_eig, symmetric_eig, HermitianEig, SymmetricEig};
 pub use error::{LinalgError, Result};
 pub use gemm::{gemm_into, mzi_rotate, scale_slice, CPanel};
 pub use gemm32::{gemm32_into, kernel_tier, KernelTier, Matrix32, Panel32};
-pub use lu::{CLu, RLu};
+pub use lu::RLu;
 pub use qr::CQr;
 pub use rmatrix::RMatrix;
 pub use rvector::RVector;

@@ -1,186 +1,8 @@
-//! LU decomposition with partial pivoting, for real and complex matrices.
+//! LU decomposition with partial pivoting, for real matrices.
 
-use crate::c64::C64;
-use crate::cmatrix::CMatrix;
-use crate::cvector::CVector;
 use crate::error::{LinalgError, Result};
 use crate::rmatrix::RMatrix;
 use crate::rvector::RVector;
-
-/// LU factorization `P·A = L·U` of a square complex matrix.
-///
-/// # Examples
-///
-/// ```
-/// use photon_linalg::{C64, CMatrix, CVector, CLu};
-///
-/// let a = CMatrix::from_rows(&[
-///     vec![C64::from_real(4.0), C64::from_real(3.0)],
-///     vec![C64::from_real(6.0), C64::from_real(3.0)],
-/// ]);
-/// let lu = CLu::new(&a)?;
-/// let b = CVector::from_real_slice(&[10.0, 12.0]);
-/// let x = lu.solve(&b)?;
-/// let back = a.mul_vec(&x)?;
-/// assert!((&back - &b).max_abs() < 1e-10);
-/// # Ok::<(), photon_linalg::LinalgError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct CLu {
-    lu: CMatrix,
-    pivots: Vec<usize>,
-    sign_flips: usize,
-}
-
-impl CLu {
-    /// Factorizes a square matrix.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::NotSquare`] for non-square input,
-    /// [`LinalgError::Singular`] when a pivot vanishes to working precision.
-    pub fn new(a: &CMatrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        let n = a.rows();
-        let mut lu = a.clone();
-        let mut pivots = Vec::with_capacity(n);
-        let mut sign_flips = 0;
-        let scale = a.max_abs().max(1.0);
-
-        for k in 0..n {
-            // Partial pivot: largest |entry| in column k at or below row k.
-            let mut p = k;
-            let mut best = lu[(k, k)].abs();
-            for r in k + 1..n {
-                let v = lu[(r, k)].abs();
-                if v > best {
-                    best = v;
-                    p = r;
-                }
-            }
-            if best <= f64::EPSILON * scale * n as f64 {
-                return Err(LinalgError::Singular);
-            }
-            if p != k {
-                for c in 0..n {
-                    let tmp = lu[(k, c)];
-                    lu[(k, c)] = lu[(p, c)];
-                    lu[(p, c)] = tmp;
-                }
-                sign_flips += 1;
-            }
-            pivots.push(p);
-
-            let pivot_inv = lu[(k, k)].recip();
-            for r in k + 1..n {
-                let factor = lu[(r, k)] * pivot_inv;
-                lu[(r, k)] = factor;
-                for c in k + 1..n {
-                    let sub = factor * lu[(k, c)];
-                    lu[(r, c)] -= sub;
-                }
-            }
-        }
-        Ok(CLu {
-            lu,
-            pivots,
-            sign_flips,
-        })
-    }
-
-    /// Dimension of the factorized matrix.
-    pub fn dim(&self) -> usize {
-        self.lu.rows()
-    }
-
-    /// Solves `A·x = b`.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::ShapeMismatch`] when `b.len() != self.dim()`.
-    pub fn solve(&self, b: &CVector) -> Result<CVector> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("length {n}"),
-                found: format!("length {}", b.len()),
-            });
-        }
-        let mut x = b.clone();
-        // Apply row permutation.
-        for (k, &p) in self.pivots.iter().enumerate() {
-            if p != k {
-                let tmp = x[k];
-                x[k] = x[p];
-                x[p] = tmp;
-            }
-        }
-        // Forward substitution (L has unit diagonal).
-        for r in 1..n {
-            let mut acc = x[r];
-            for c in 0..r {
-                acc -= self.lu[(r, c)] * x[c];
-            }
-            x[r] = acc;
-        }
-        // Back substitution.
-        for r in (0..n).rev() {
-            let mut acc = x[r];
-            for c in r + 1..n {
-                acc -= self.lu[(r, c)] * x[c];
-            }
-            x[r] = acc / self.lu[(r, r)];
-        }
-        Ok(x)
-    }
-
-    /// Solves `A·X = B` column by column.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::ShapeMismatch`] when `b.rows() != self.dim()`.
-    pub fn solve_mat(&self, b: &CMatrix) -> Result<CMatrix> {
-        if b.rows() != self.dim() {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("{} rows", self.dim()),
-                found: format!("{} rows", b.rows()),
-            });
-        }
-        let mut out = CMatrix::zeros(b.rows(), b.cols());
-        for c in 0..b.cols() {
-            let x = self.solve(&b.col(c))?;
-            out.set_col(c, &x);
-        }
-        Ok(out)
-    }
-
-    /// Matrix inverse `A⁻¹`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solve errors (shape errors cannot occur here).
-    pub fn inverse(&self) -> Result<CMatrix> {
-        self.solve_mat(&CMatrix::identity(self.dim()))
-    }
-
-    /// Determinant of the factorized matrix.
-    pub fn det(&self) -> C64 {
-        let mut d = if self.sign_flips.is_multiple_of(2) {
-            C64::ONE
-        } else {
-            -C64::ONE
-        };
-        for i in 0..self.dim() {
-            d *= self.lu[(i, i)];
-        }
-        d
-    }
-}
 
 /// LU factorization `P·A = L·U` of a square real matrix.
 ///
@@ -342,39 +164,6 @@ impl RLu {
     }
 }
 
-impl CMatrix {
-    /// Computes the inverse via LU factorization.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::NotSquare`] or [`LinalgError::Singular`].
-    pub fn inverse(&self) -> Result<CMatrix> {
-        CLu::new(self)?.inverse()
-    }
-
-    /// Solves `self·x = b` via LU factorization.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::NotSquare`], [`LinalgError::Singular`], or shape errors.
-    pub fn solve(&self, b: &CVector) -> Result<CVector> {
-        CLu::new(self)?.solve(b)
-    }
-
-    /// Determinant via LU factorization; zero for singular matrices.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::NotSquare`] for non-square matrices.
-    pub fn det(&self) -> Result<C64> {
-        match CLu::new(self) {
-            Ok(lu) => Ok(lu.det()),
-            Err(LinalgError::Singular) => Ok(C64::ZERO),
-            Err(e) => Err(e),
-        }
-    }
-}
-
 impl RMatrix {
     /// Computes the inverse via LU factorization.
     ///
@@ -451,40 +240,9 @@ mod tests {
     }
 
     #[test]
-    fn complex_solve_roundtrip() {
-        let a = CMatrix::from_rows(&[
-            vec![C64::new(2.0, 1.0), C64::new(0.0, -1.0)],
-            vec![C64::new(1.0, 0.0), C64::new(3.0, 2.0)],
-        ]);
-        let x_true = CVector::from_vec(vec![C64::new(1.0, -1.0), C64::new(0.5, 2.0)]);
-        let b = a.mul_vec(&x_true).unwrap();
-        let x = a.solve(&b).unwrap();
-        assert!((&x - &x_true).max_abs() < 1e-10);
-    }
-
-    #[test]
-    fn complex_inverse_and_det() {
-        let a = CMatrix::from_rows(&[vec![C64::ONE, C64::I], vec![-C64::I, C64::from_real(2.0)]]);
-        let inv = a.inverse().unwrap();
-        let prod = a.mul_mat(&inv).unwrap();
-        assert!((&prod - &CMatrix::identity(2)).max_abs() < 1e-12);
-        // det = 1*2 - i*(-i) = 2 - 1 = 1
-        assert!((a.det().unwrap() - C64::ONE).abs() < 1e-12);
-    }
-
-    #[test]
-    fn complex_singular_detected() {
-        let a = CMatrix::from_rows(&[vec![C64::ONE, C64::ONE], vec![C64::ONE, C64::ONE]]);
-        assert!(matches!(CLu::new(&a), Err(LinalgError::Singular)));
-        assert_eq!(a.det().unwrap(), C64::ZERO);
-    }
-
-    #[test]
     fn non_square_rejected() {
         let a = RMatrix::zeros(2, 3);
         assert!(matches!(RLu::new(&a), Err(LinalgError::NotSquare { .. })));
-        let c = CMatrix::zeros(3, 2);
-        assert!(matches!(CLu::new(&c), Err(LinalgError::NotSquare { .. })));
     }
 
     #[test]

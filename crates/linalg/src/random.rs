@@ -51,13 +51,6 @@ pub fn normal_cvector<R: Rng + ?Sized>(n: usize, rng: &mut R) -> CVector {
     })
 }
 
-/// Complex vector whose real and imaginary parts are each i.i.d. `N(0, 1)`
-/// (so `E[|z|²] = 2`). This is the convention used when a complex output
-/// perturbation is treated as a `2M`-dimensional real standard normal.
-pub fn normal_cvector_unit_parts<R: Rng + ?Sized>(n: usize, rng: &mut R) -> CVector {
-    CVector::from_fn(n, |_| C64::new(standard_normal(rng), standard_normal(rng)))
-}
-
 /// Complex Ginibre matrix: i.i.d. standard complex normal entries.
 pub fn ginibre<R: Rng + ?Sized>(rows: usize, cols: usize, rng: &mut R) -> CMatrix {
     let s = std::f64::consts::FRAC_1_SQRT_2;
@@ -150,9 +143,6 @@ mod tests {
         let v = normal_cvector(10_000, &mut rng);
         let avg_power = v.norm_sqr() / 10_000.0;
         assert!((avg_power - 1.0).abs() < 0.05, "power {avg_power}");
-        let w = normal_cvector_unit_parts(10_000, &mut rng);
-        let avg_power2 = w.norm_sqr() / 10_000.0;
-        assert!((avg_power2 - 2.0).abs() < 0.1, "power {avg_power2}");
     }
 
     #[test]

@@ -214,23 +214,6 @@ impl RVector {
         }
     }
 
-    /// Element-wise product (Hadamard).
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn hadamard(&self, other: &RVector) -> RVector {
-        assert_eq!(self.len(), other.len(), "hadamard length mismatch");
-        RVector {
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(a, b)| a * b)
-                .collect(),
-        }
-    }
-
     /// Extracts `self[start..start+len]` as a new vector.
     ///
     /// # Panics
@@ -427,7 +410,6 @@ mod tests {
         assert_eq!((&b - &a)[0], 2.0);
         assert_eq!((&a * 2.0)[1], 4.0);
         assert_eq!((-&a)[0], -1.0);
-        assert_eq!(a.hadamard(&b)[1], 8.0);
         let mut c = a.clone();
         c.axpy(10.0, &b);
         assert_eq!(c[0], 31.0);

@@ -133,11 +133,6 @@ impl CmaEs {
         self.dim
     }
 
-    /// Population size λ.
-    pub fn population_size(&self) -> usize {
-        self.lambda
-    }
-
     /// Current distribution mean.
     pub fn mean(&self) -> &RVector {
         &self.mean
@@ -335,26 +330,6 @@ impl CmaEs {
         self.eig_sqrt = RVector::from_fn(self.dim, |i| eig.values[i].max(1e-20).sqrt());
         Ok(())
     }
-
-    /// Convenience driver: runs `generations` ask/tell cycles against `f`,
-    /// returning the best `(candidate, loss)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CmaEs::tell`] failures.
-    pub fn optimize<R: Rng + ?Sized>(
-        &mut self,
-        f: &mut dyn FnMut(&RVector) -> f64,
-        generations: usize,
-        rng: &mut R,
-    ) -> Result<(RVector, f64), LinalgError> {
-        for _ in 0..generations {
-            let xs = self.ask(rng);
-            let losses: Vec<f64> = xs.iter().map(&mut *f).collect();
-            self.tell(&xs, &losses)?;
-        }
-        Ok(self.best.clone().expect("at least one generation ran"))
-    }
 }
 
 /// A serializable snapshot of a [`CmaEs`] optimizer's evolving state.
@@ -436,13 +411,27 @@ mod tests {
         assert!(all_bad.iter().all(|v| v.is_finite()));
     }
 
+    /// Runs `generations` ask/tell cycles against `f`, returning the best
+    /// `(candidate, loss)`.
+    fn run(
+        es: &mut CmaEs,
+        f: &mut dyn FnMut(&RVector) -> f64,
+        generations: usize,
+        rng: &mut StdRng,
+    ) -> (RVector, f64) {
+        for _ in 0..generations {
+            let xs = es.ask(rng);
+            let losses: Vec<f64> = xs.iter().map(&mut *f).collect();
+            es.tell(&xs, &losses).unwrap();
+        }
+        es.best().expect("at least one generation ran")
+    }
+
     #[test]
     fn sphere_converges() {
         let mut es = CmaEs::new(&RVector::from_slice(&[2.0, -1.5, 3.0]), 0.8);
         let mut rng = StdRng::seed_from_u64(1);
-        let (x, loss) = es
-            .optimize(&mut |t: &RVector| t.norm_sqr(), 120, &mut rng)
-            .unwrap();
+        let (x, loss) = run(&mut es, &mut |t: &RVector| t.norm_sqr(), 120, &mut rng);
         assert!(loss < 1e-6, "loss {loss}");
         assert!(x.norm() < 1e-2);
     }
@@ -455,7 +444,7 @@ mod tests {
         };
         let mut es = CmaEs::with_population(&RVector::from_slice(&[-1.0, 1.0]), 0.5, 12);
         let mut rng = StdRng::seed_from_u64(2);
-        let (x, loss) = es.optimize(&mut rosen, 400, &mut rng).unwrap();
+        let (x, loss) = run(&mut es, &mut rosen, 400, &mut rng);
         assert!(loss < 1e-4, "loss {loss}");
         assert!((x[0] - 1.0).abs() < 0.05 && (x[1] - 1.0).abs() < 0.1);
     }
@@ -466,7 +455,7 @@ mod tests {
         let mut f = |t: &RVector| 1000.0 * t[0] * t[0] + t[1] * t[1];
         let mut es = CmaEs::new(&RVector::from_slice(&[1.0, 1.0]), 0.3);
         let mut rng = StdRng::seed_from_u64(3);
-        let (_, loss) = es.optimize(&mut f, 250, &mut rng).unwrap();
+        let (_, loss) = run(&mut es, &mut f, 250, &mut rng);
         assert!(loss < 1e-5, "loss {loss}");
     }
 
@@ -487,9 +476,9 @@ mod tests {
 
     #[test]
     fn default_population_formula() {
-        let es = CmaEs::new(&RVector::zeros(10), 1.0);
+        let mut es = CmaEs::new(&RVector::zeros(10), 1.0);
         assert_eq!(
-            es.population_size(),
+            es.ask(&mut StdRng::seed_from_u64(5)).len(),
             4 + (3.0 * 10f64.ln()).floor() as usize
         );
         assert_eq!(es.dim(), 10);

@@ -1,116 +1,9 @@
-//! First-order parameter-update rules: SGD (with momentum) and Adam.
+//! The first-order parameter-update rule: Adam.
 //!
 //! These consume gradient *estimates* — exact backprop gradients in the
 //! warm-start stage, ZO/LCNG surrogate gradients in the black-box stage.
 
 use photon_linalg::RVector;
-
-/// A stateful first-order update rule `θ ← step(θ, ĝ)`.
-pub trait Optimizer: std::fmt::Debug + Send {
-    /// Applies one update in place given the gradient (estimate) `grad`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `grad.len() != theta.len()`.
-    fn step(&mut self, theta: &mut RVector, grad: &RVector);
-
-    /// Clears all internal state (moments, step counters).
-    fn reset(&mut self);
-
-    /// The configured learning rate.
-    fn learning_rate(&self) -> f64;
-
-    /// Overrides the learning rate (used by the hyperparameter tuner).
-    fn set_learning_rate(&mut self, lr: f64);
-
-    /// Short name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// Stochastic gradient descent with optional classical momentum.
-///
-/// # Examples
-///
-/// ```
-/// use photon_linalg::RVector;
-/// use photon_opt::{Optimizer, Sgd};
-///
-/// let mut opt = Sgd::new(0.5);
-/// let mut theta = RVector::from_slice(&[1.0, -2.0]);
-/// opt.step(&mut theta, &RVector::from_slice(&[1.0, 1.0]));
-/// assert_eq!(theta.as_slice(), &[0.5, -2.5]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f64,
-    momentum: f64,
-    velocity: Option<RVector>,
-}
-
-impl Sgd {
-    /// Plain SGD with learning rate `lr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lr <= 0`.
-    pub fn new(lr: f64) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: None,
-        }
-    }
-
-    /// SGD with classical momentum `μ ∈ [0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lr <= 0` or `momentum ∉ [0, 1)`.
-    pub fn with_momentum(lr: f64, momentum: f64) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        Sgd {
-            lr,
-            momentum,
-            velocity: None,
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, theta: &mut RVector, grad: &RVector) {
-        assert_eq!(theta.len(), grad.len(), "gradient length mismatch");
-        if self.momentum == 0.0 {
-            theta.axpy(-self.lr, grad);
-            return;
-        }
-        let v = self
-            .velocity
-            .get_or_insert_with(|| RVector::zeros(theta.len()));
-        assert_eq!(v.len(), theta.len(), "optimizer state dimension changed");
-        for i in 0..v.len() {
-            v[i] = self.momentum * v[i] + grad[i];
-        }
-        theta.axpy(-self.lr, v);
-    }
-
-    fn reset(&mut self) {
-        self.velocity = None;
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
-    }
-
-    fn name(&self) -> &'static str {
-        "sgd"
-    }
-}
 
 /// The Adam optimizer (Kingma & Ba, 2014) with bias correction.
 ///
@@ -118,7 +11,7 @@ impl Optimizer for Sgd {
 ///
 /// ```
 /// use photon_linalg::RVector;
-/// use photon_opt::{Adam, Optimizer};
+/// use photon_opt::Adam;
 ///
 /// let mut opt = Adam::new(0.1);
 /// let mut theta = RVector::zeros(2);
@@ -223,8 +116,14 @@ impl Adam {
     }
 }
 
-impl Optimizer for Adam {
-    fn step(&mut self, theta: &mut RVector, grad: &RVector) {
+impl Adam {
+    /// Applies one update `θ ← step(θ, ĝ)` in place given the gradient
+    /// (estimate) `grad`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `grad.len() != theta.len()`.
+    pub fn step(&mut self, theta: &mut RVector, grad: &RVector) {
         assert_eq!(theta.len(), grad.len(), "gradient length mismatch");
         let n = theta.len();
         let m = self.m.get_or_insert_with(|| RVector::zeros(n));
@@ -242,22 +141,14 @@ impl Optimizer for Adam {
         }
     }
 
-    fn reset(&mut self) {
-        self.m = None;
-        self.v = None;
-        self.t = 0;
-    }
-
-    fn learning_rate(&self) -> f64 {
+    /// The configured learning rate.
+    pub fn learning_rate(&self) -> f64 {
         self.lr
     }
 
-    fn set_learning_rate(&mut self, lr: f64) {
+    /// Overrides the learning rate (the recovery policy's backoff).
+    pub fn set_learning_rate(&mut self, lr: f64) {
         self.lr = lr;
-    }
-
-    fn name(&self) -> &'static str {
-        "adam"
     }
 }
 
@@ -266,7 +157,7 @@ mod tests {
     use super::*;
 
     /// Minimize the quadratic ‖θ − t‖² with exact gradients.
-    fn quadratic_descent(opt: &mut dyn Optimizer, steps: usize) -> f64 {
+    fn quadratic_descent(opt: &mut Adam, steps: usize) -> f64 {
         let target = RVector::from_slice(&[1.0, -2.0, 0.5]);
         let mut theta = RVector::zeros(3);
         for _ in 0..steps {
@@ -274,18 +165,6 @@ mod tests {
             opt.step(&mut theta, &grad);
         }
         (&theta - &target).norm()
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        assert!(quadratic_descent(&mut opt, 200) < 1e-6);
-    }
-
-    #[test]
-    fn momentum_converges_on_quadratic() {
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        assert!(quadratic_descent(&mut opt, 300) < 1e-6);
     }
 
     #[test]
@@ -304,24 +183,11 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_state() {
-        let mut opt = Adam::new(0.1);
-        let mut theta = RVector::zeros(2);
-        opt.step(&mut theta, &RVector::from_slice(&[1.0, 1.0]));
-        opt.reset();
-        let mut theta2 = RVector::zeros(2);
-        opt.step(&mut theta2, &RVector::from_slice(&[1.0, 1.0]));
-        assert_eq!(theta, theta2);
-    }
-
-    #[test]
     fn learning_rate_accessors() {
-        let mut s = Sgd::new(0.3);
-        assert_eq!(s.learning_rate(), 0.3);
-        s.set_learning_rate(0.7);
-        assert_eq!(s.learning_rate(), 0.7);
-        assert_eq!(s.name(), "sgd");
-        assert_eq!(Adam::new(1.0).name(), "adam");
+        let mut opt = Adam::new(0.3);
+        assert_eq!(opt.learning_rate(), 0.3);
+        opt.set_learning_rate(0.7);
+        assert_eq!(opt.learning_rate(), 0.7);
     }
 
     #[test]
@@ -356,13 +222,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_lr_rejected() {
-        let _ = Sgd::new(0.0);
+        let _ = Adam::new(0.0);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn shape_mismatch_panics() {
-        let mut opt = Sgd::new(0.1);
+        let mut opt = Adam::new(0.1);
         let mut theta = RVector::zeros(2);
         opt.step(&mut theta, &RVector::zeros(3));
     }

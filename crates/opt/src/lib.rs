@@ -2,7 +2,7 @@
 //!
 //! Optimizers for black-box ONN training:
 //!
-//! - first-order update rules ([`Sgd`], [`Adam`]) fed by exact or surrogate
+//! - the first-order update rule [`Adam`], fed by exact or surrogate
 //!   gradients;
 //! - the vanilla zeroth-order estimator ([`estimate_gradient`]) with
 //!   Gaussian / Bernoulli / coordinate-wise / covariance-shaped probes;
@@ -56,7 +56,7 @@ mod tuning;
 mod zo;
 
 pub use cmaes::{penalize_non_finite, CmaEs, CmaEsState};
-pub use first_order::{Adam, AdamState, Optimizer, Sgd};
+pub use first_order::{Adam, AdamState};
 pub use lcng::{lcng_direction, LcngSettings, LcngStep, MetricSource};
 pub use natural::{layered_sigma_segments, sigma_from_fisher, BlockNaturalPreconditioner};
 pub use robust::{retry_non_finite, RobustEval, RobustStats};

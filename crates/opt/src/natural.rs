@@ -11,9 +11,38 @@
 //!   `N(0, Σ_u)` with `Σ_u = (1 + ρ)(F_u + ρ·I)⁻¹` on layered modules, so
 //!   the induced output perturbations become near-isotropic.
 
+use std::ops::Range;
+
 use photon_linalg::CVector;
 use photon_linalg::{LinalgError, RCholesky, RMatrix, RVector};
-use photon_photonics::{module_fisher_block, Network};
+use photon_photonics::{module_fisher_block, Module, Network};
+
+/// The Fisher blocks `F_u` of `model`'s layered meshes, with their parameter
+/// ranges: the one walk behind both consumers. Each Fisher input is
+/// propagated through the earlier modules, so every block sees its *own*
+/// input distribution.
+fn layered_fisher_blocks(
+    model: &Network,
+    theta: &RVector,
+    inputs: &[CVector],
+) -> Vec<(Range<usize>, RMatrix)> {
+    assert!(!inputs.is_empty(), "need at least one Fisher input");
+    let mut blocks = Vec::new();
+    let mut states: Vec<CVector> = inputs.to_vec();
+    for (i, module) in model.modules().iter().enumerate() {
+        let range = model.module_param_range(i);
+        let theta_u = &theta.as_slice()[range.clone()];
+        if let Module::Mesh(mesh) = module {
+            if mesh.is_layered() {
+                blocks.push((range, module_fisher_block(mesh, theta_u, &states)));
+            }
+        }
+        for s in &mut states {
+            *s = module.forward(s, theta_u);
+        }
+    }
+    blocks
+}
 
 /// Per-module Fisher blocks of a software model, with damping.
 ///
@@ -21,16 +50,15 @@ use photon_photonics::{module_fisher_block, Network};
 /// cheaply to every subsequent gradient estimate.
 #[derive(Debug)]
 pub struct BlockNaturalPreconditioner {
-    blocks: Vec<(std::ops::Range<usize>, RCholesky)>,
+    blocks: Vec<(Range<usize>, RCholesky)>,
     dim: usize,
 }
 
 impl BlockNaturalPreconditioner {
-    /// Assembles damped per-module Fisher blocks `F_u + ρ·I` for every
-    /// module of `model` at parameters `theta`, averaged over `inputs`.
-    ///
-    /// `layered_only` restricts preconditioning to layered (mesh) modules —
-    /// element-wise modules already have (near-)diagonal Fisher blocks.
+    /// Assembles damped Fisher blocks `F_u + ρ·I` for the layered meshes of
+    /// `model` at parameters `theta`, averaged over `inputs`; every other
+    /// module (phase diagonals and activations, whose Fisher blocks are
+    /// already (near-)diagonal) passes its coordinates through.
     ///
     /// # Errors
     ///
@@ -45,26 +73,15 @@ impl BlockNaturalPreconditioner {
         theta: &RVector,
         inputs: &[CVector],
         rho: f64,
-        layered_only: bool,
     ) -> Result<Self, LinalgError> {
         assert!(rho >= 0.0, "damping must be non-negative");
-        assert!(!inputs.is_empty(), "need at least one Fisher input");
-        let mut blocks = Vec::new();
-        // Propagate each Fisher input through the earlier modules so every
-        // block sees its *own* input distribution.
-        let mut states: Vec<CVector> = inputs.to_vec();
-        for (i, module) in model.modules().iter().enumerate() {
-            let range = model.module_param_range(i);
-            let theta_u = &theta.as_slice()[range.clone()];
-            if !layered_only || module.is_layered() {
-                let mut f = module_fisher_block(module.as_ref(), theta_u, &states);
+        let blocks = layered_fisher_blocks(model, theta, inputs)
+            .into_iter()
+            .map(|(range, mut f)| {
                 f.add_diagonal(rho);
-                blocks.push((range.clone(), RCholesky::new(&f)?));
-            }
-            for s in &mut states {
-                *s = module.forward(s, theta_u);
-            }
-        }
+                Ok((range, RCholesky::new(&f)?))
+            })
+            .collect::<Result<_, LinalgError>>()?;
         Ok(BlockNaturalPreconditioner {
             blocks,
             dim: theta.len(),
@@ -86,11 +103,6 @@ impl BlockNaturalPreconditioner {
             out.set_subvector(range.start, &d_u);
         }
         out
-    }
-
-    /// Number of preconditioned blocks.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
     }
 }
 
@@ -115,26 +127,10 @@ pub fn layered_sigma_segments(
     rho: f64,
 ) -> Result<Vec<(usize, RCholesky)>, LinalgError> {
     assert!(rho > 0.0, "rho must be positive");
-    assert!(!inputs.is_empty(), "need at least one Fisher input");
-    let mut segments = Vec::new();
-    let mut states: Vec<CVector> = inputs.to_vec();
-    for (i, module) in model.modules().iter().enumerate() {
-        let range = model.module_param_range(i);
-        let theta_u = &theta.as_slice()[range.clone()];
-        if module.is_layered() {
-            let mut f = module_fisher_block(module.as_ref(), theta_u, &states);
-            f.add_diagonal(rho);
-            let sigma = f.inverse()?.scale(1.0 + rho);
-            // Symmetrize against fp drift before factorizing.
-            let mut sym = sigma;
-            sym.symmetrize();
-            segments.push((range.start, RCholesky::new(&sym)?));
-        }
-        for s in &mut states {
-            *s = module.forward(s, theta_u);
-        }
-    }
-    Ok(segments)
+    layered_fisher_blocks(model, theta, inputs)
+        .into_iter()
+        .map(|(range, f)| Ok((range.start, RCholesky::new(&sigma_from_fisher(&f, rho)?)?)))
+        .collect()
 }
 
 /// Dense damped-inverse covariance for a single Fisher block — the shape
@@ -171,17 +167,22 @@ mod tests {
 
     #[test]
     fn assemble_covers_layered_modules() {
-        let (net, theta, inputs, _) = setup();
-        let pre = BlockNaturalPreconditioner::assemble(&net, &theta, &inputs, 0.1, true).unwrap();
-        assert_eq!(pre.block_count(), 2); // the two Clements meshes
-        let all = BlockNaturalPreconditioner::assemble(&net, &theta, &inputs, 0.1, false).unwrap();
-        assert_eq!(all.block_count(), 5);
+        // Blocks for the two Clements meshes (modules 0 and 3), none for
+        // the phase diagonals (1, 4) or modReLU (2).
+        let (net, theta, inputs, mut rng) = setup();
+        let pre = BlockNaturalPreconditioner::assemble(&net, &theta, &inputs, 0.1).unwrap();
+        let g = normal_rvector(net.param_count(), &mut rng);
+        let d = pre.apply(&g);
+        for (i, layered) in [true, false, false, true, false].into_iter().enumerate() {
+            let changed = net.module_param_range(i).any(|k| d[k] != g[k]);
+            assert_eq!(changed, layered, "module {i}");
+        }
     }
 
     #[test]
     fn apply_is_identity_outside_blocks() {
         let (net, theta, inputs, mut rng) = setup();
-        let pre = BlockNaturalPreconditioner::assemble(&net, &theta, &inputs, 0.1, true).unwrap();
+        let pre = BlockNaturalPreconditioner::assemble(&net, &theta, &inputs, 0.1).unwrap();
         let g = normal_rvector(net.param_count(), &mut rng);
         let d = pre.apply(&g);
         // Non-layered coordinates (PSdiag, modReLU) pass through unchanged.
@@ -199,10 +200,12 @@ mod tests {
         // apply(F_u·v + ρ·v) ≈ v on a layered block.
         let (net, theta, inputs, mut rng) = setup();
         let rho = 0.05;
-        let pre = BlockNaturalPreconditioner::assemble(&net, &theta, &inputs, rho, true).unwrap();
+        let pre = BlockNaturalPreconditioner::assemble(&net, &theta, &inputs, rho).unwrap();
         let range = net.module_param_range(0);
-        let module = &net.modules()[0];
-        let mut f = module_fisher_block(module.as_ref(), &theta.as_slice()[range.clone()], &inputs);
+        let Module::Mesh(mesh) = &net.modules()[0] else {
+            panic!("module 0 is a Clements mesh");
+        };
+        let mut f = module_fisher_block(mesh, &theta.as_slice()[range.clone()], &inputs);
         f.add_diagonal(rho);
         let v = normal_rvector(range.len(), &mut rng);
         let fv = f.mul_vec(&v).unwrap();
@@ -241,6 +244,6 @@ mod tests {
     #[should_panic(expected = "at least one Fisher input")]
     fn empty_inputs_panics() {
         let (net, theta, _, _) = setup();
-        let _ = BlockNaturalPreconditioner::assemble(&net, &theta, &[], 0.1, true);
+        let _ = BlockNaturalPreconditioner::assemble(&net, &theta, &[], 0.1);
     }
 }

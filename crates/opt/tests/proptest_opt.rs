@@ -7,35 +7,11 @@ use photon_exec::ExecPool;
 use photon_linalg::{RMatrix, RVector};
 use photon_opt::{
     draw_perturbation, estimate_gradient, lcng_direction, Adam, CmaEs, LcngSettings, MetricSource,
-    Optimizer, Perturbation, Sgd, ZoSettings,
+    Perturbation, ZoSettings,
 };
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// SGD with a zero gradient never moves the parameters.
-    #[test]
-    fn sgd_zero_gradient_is_identity(theta0 in proptest::collection::vec(-5.0..5.0f64, 4)) {
-        let mut opt = Sgd::new(0.5);
-        let mut theta = RVector::from_slice(&theta0);
-        opt.step(&mut theta, &RVector::zeros(4));
-        prop_assert_eq!(theta.as_slice(), theta0.as_slice());
-    }
-
-    /// One SGD step is exactly θ − η·g for any gradient.
-    #[test]
-    fn sgd_step_formula(
-        theta0 in proptest::collection::vec(-5.0..5.0f64, 3),
-        grad in proptest::collection::vec(-5.0..5.0f64, 3),
-        lr in 0.001..1.0f64,
-    ) {
-        let mut opt = Sgd::new(lr);
-        let mut theta = RVector::from_slice(&theta0);
-        opt.step(&mut theta, &RVector::from_slice(&grad));
-        for i in 0..3 {
-            prop_assert!((theta[i] - (theta0[i] - lr * grad[i])).abs() < 1e-12);
-        }
-    }
 
     /// Adam's per-coordinate step magnitude is bounded by roughly the
     /// learning rate (the bounded-update property).

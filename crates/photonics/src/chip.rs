@@ -474,7 +474,7 @@ impl FabricatedChip {
     /// Enables nearest-neighbour thermal heater crosstalk: every
     /// measurement uses the effective phases
     /// `θ_eff = θ + coupling·(chain neighbours)` — see
-    /// [`Network::apply_thermal_crosstalk`].
+    /// [`Network::apply_thermal_crosstalk_into`].
     ///
     /// Crosstalk is an *unmodeled* error: the [`Architecture`] error family
     /// (γ, ζ) cannot represent it, so even a perfectly calibrated model
@@ -485,22 +485,12 @@ impl FabricatedChip {
         self
     }
 
-    /// The thermal-crosstalk coupling (0 when disabled).
-    pub fn thermal_crosstalk(&self) -> f64 {
-        self.crosstalk
-    }
-
     /// Enables readout noise on every subsequent measurement, seeded for
     /// reproducibility.
     pub fn with_measurement_noise(mut self, noise: MeasurementNoise, seed: u64) -> Self {
         self.noise = Some(noise);
         self.noise_rng = Mutex::new(StdRng::seed_from_u64(seed));
         self
-    }
-
-    /// The active measurement-noise model, if any.
-    pub fn measurement_noise(&self) -> Option<MeasurementNoise> {
-        self.noise
     }
 
     /// The chip's architecture (public: the designer knows the netlist, just
@@ -756,32 +746,8 @@ impl FabricatedChip {
     pub fn pin_compile_base(&self, theta: &RVector) {
         let mut eff = RVector::zeros(0);
         let th = self.effective_theta(theta, &mut eff);
-        *self.pinned.lock() = PinnedBase::compile(&self.network, th);
+        *self.pinned.lock() = Some(PinnedBase::compile(&self.network, th));
         *self.pinned_theta.lock() = Some(theta.clone());
-    }
-
-    /// Atomically replaces the deployed pin with `theta`, returning the
-    /// previously deployed theta (if any) — the promote primitive of
-    /// online recalibration. The new base is compiled *before* either pin
-    /// slot changes, so the swap itself is a pointer exchange.
-    ///
-    /// Like [`pin_compile_base`](Self::pin_compile_base), call only from a
-    /// serial control point: a serve racing the swap could pair the old
-    /// deployed theta with the new base.
-    pub fn swap_pinned_base(&self, theta: &RVector) -> Option<RVector> {
-        let mut eff = RVector::zeros(0);
-        let th = self.effective_theta(theta, &mut eff);
-        let pin = PinnedBase::compile(&self.network, th);
-        let prev = self.pinned_theta.lock().replace(theta.clone());
-        *self.pinned.lock() = pin;
-        prev
-    }
-
-    /// Drops the pinned compile base, if any: batched measurements fall
-    /// back to plain per-theta compiles.
-    pub fn unpin_compile_base(&self) {
-        *self.pinned.lock() = None;
-        *self.pinned_theta.lock() = None;
     }
 
     /// Whether a compile base is currently pinned.
@@ -824,14 +790,14 @@ impl FabricatedChip {
 
     /// Freezes the *deployed* theta — the phases
     /// [`pin_compile_base`](Self::pin_compile_base) was last called with —
-    /// into an `i16` fixed-point [`QuantizedNetwork`] serving artifact, the
-    /// bottom rung of the evaluation-tier ladder
+    /// into an `i16` fixed-point [`QuantizedNetwork`](crate::QuantizedNetwork)
+    /// serving artifact, the bottom rung of the evaluation-tier ladder
     /// ([`ServingTier`](crate::ServingTier)).
     ///
     /// Crosstalk is resolved exactly once (like the pin itself), so the
     /// artifact answers at the same effective phases the pinned f64 path
     /// serves. Returns `None` when nothing is pinned or when the network
-    /// contains a nonlinear module (not compilable to one dense transfer
+    /// contains an activation (not compilable to one dense transfer
     /// matrix). Quantizing reads no measurements, so it counts zero chip
     /// queries; serves on the artifact are off-chip electronics and are
     /// not metered here either.
@@ -978,38 +944,9 @@ impl OnnChip for FabricatedChip {
     }
 }
 
-/// Convenience constructors for the two software models that accompany a
-/// chip during training.
-///
-/// Both are plain [`Network`]s — they differ from the chip only in the
-/// error assignment baked into their components.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelKind {
-    /// Error-free model (`γ = 0`, `ζ = 1`): what a designer has before any
-    /// measurement.
-    Ideal,
-    /// Model carrying an estimated error assignment from `photon-calib`.
-    Calibrated,
-    /// Oracle model carrying the chip's true errors (upper bound only).
-    OracleTrue,
-}
-
 /// Builds the ideal (error-free) software model of an architecture.
 pub fn ideal_model(arch: &Architecture) -> Network {
     arch.build_ideal()
-}
-
-/// Builds a software model carrying an estimated error assignment.
-///
-/// # Errors
-///
-/// [`NetworkError::ErrorSlotMismatch`] when the estimate does not match the
-/// architecture.
-pub fn calibrated_model(
-    arch: &Architecture,
-    estimated_errors: &ErrorVector,
-) -> Result<Network, NetworkError> {
-    arch.build_with_errors(estimated_errors)
 }
 
 #[cfg(test)]
@@ -1061,18 +998,6 @@ mod tests {
         let y_chip = chip.forward(&x, &theta);
         let y_oracle = oracle.forward(&x, &theta);
         assert!((&y_chip - &y_oracle).max_abs() < 1e-15);
-    }
-
-    #[test]
-    fn calibrated_model_roundtrip() {
-        let (chip, mut rng) = chip_and_rng();
-        let theta = chip.init_params(&mut rng);
-        // Perfect calibration (oracle errors) reproduces the chip.
-        let model = calibrated_model(chip.architecture(), &chip.oracle_errors()).unwrap();
-        let x = CVector::basis(4, 2);
-        assert!((&chip.forward(&x, &theta) - &model.forward(&x, &theta)).max_abs() < 1e-15);
-        // Wrong slot count is rejected.
-        assert!(calibrated_model(chip.architecture(), &ErrorVector::zeros(1, 1)).is_err());
     }
 
     #[test]
@@ -1145,34 +1070,11 @@ mod tests {
             assert!((a - b).max_abs() == 0.0, "serve must equal batch path");
         }
 
-        chip.unpin_compile_base();
-        assert!(!chip.has_pinned_base());
-        assert!(chip.serve_pinned_batch_into(&refs, &mut scratch).is_none());
-    }
-
-    #[test]
-    fn swap_pinned_base_promotes_atomically() {
-        let (chip, mut rng) = chip_and_rng();
-        let old = chip.init_params(&mut rng);
-        let new = chip.init_params(&mut rng);
-        assert!(chip.pinned_theta().is_none());
-
-        // First deployment: swap on an unpinned chip returns no predecessor.
-        assert!(chip.swap_pinned_base(&old).is_none());
-        assert_eq!(chip.pinned_theta().unwrap(), old);
-
-        // Promotion: the old theta comes back for rollback bookkeeping and
-        // serves immediately reflect the new deployment.
-        let prev = chip.swap_pinned_base(&new).expect("old pin returned");
-        assert_eq!(prev, old);
-        assert_eq!(chip.pinned_theta().unwrap(), new);
-
-        let x = photon_linalg::random::normal_cvector(4, &mut rng);
-        let mut scratch = BatchScratch::new();
-        let served = chip.serve_pinned_batch_into(&[&x], &mut scratch).unwrap()[0].clone();
-        let mut scratch2 = BatchScratch::new();
-        let direct = chip.forward_batch_into(&[&x], &new, &mut scratch2)[0].clone();
-        assert!((&served - &direct).max_abs() == 0.0);
+        let (unpinned, _) = chip_and_rng();
+        assert!(!unpinned.has_pinned_base());
+        assert!(unpinned
+            .serve_pinned_batch_into(&refs, &mut scratch)
+            .is_none());
     }
 
     #[test]
@@ -1208,7 +1110,6 @@ mod tests {
         let noisy_chip = FabricatedChip::with_errors(&arch, &chip.oracle_errors())
             .unwrap()
             .with_measurement_noise(MeasurementNoise::realistic(), 99);
-        assert!(noisy_chip.measurement_noise().is_some());
 
         let noisy_field = noisy_chip.forward(&x, &theta);
         let noisy_power = noisy_chip.forward_powers(&x, &theta);
@@ -1239,7 +1140,6 @@ mod tests {
         )
         .unwrap()
         .with_thermal_crosstalk(0.02);
-        assert_eq!(xtalk_chip.thermal_crosstalk(), 0.02);
         let warped = xtalk_chip.forward(&x, &theta);
         let dev = (&warped - &clean).max_abs();
         assert!(dev > 1e-4, "crosstalk should be visible, dev {dev}");
@@ -1260,19 +1160,23 @@ mod tests {
             .build_ideal();
         let n = net.param_count();
         let coupling = 0.05;
+        let crosstalk = |theta: &RVector| {
+            let mut out = RVector::zeros(0);
+            net.apply_thermal_crosstalk_into(theta, coupling, &mut out);
+            out
+        };
         // Linearity.
         let a = photon_linalg::RVector::from_fn(n, |i| (i as f64 * 0.37).sin());
         let b = photon_linalg::RVector::from_fn(n, |i| (i as f64 * 0.11).cos());
-        let lhs = net.apply_thermal_crosstalk(&(&a + &b), coupling);
-        let rhs =
-            &net.apply_thermal_crosstalk(&a, coupling) + &net.apply_thermal_crosstalk(&b, coupling);
+        let lhs = crosstalk(&(&a + &b));
+        let rhs = &crosstalk(&a) + &crosstalk(&b);
         assert!((&lhs - &rhs).max_abs() < 1e-12);
         // Module-local: a basis vector at the last index of module 0 leaks
         // to its previous neighbour but not into module 1.
         let m0 = net.module_param_range(0);
         let m1 = net.module_param_range(1);
         let e = photon_linalg::RVector::basis(n, m0.end - 1);
-        let out = net.apply_thermal_crosstalk(&e, coupling);
+        let out = crosstalk(&e);
         assert_eq!(out[m0.end - 2], coupling);
         assert_eq!(out[m1.start], 0.0);
     }

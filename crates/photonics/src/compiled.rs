@@ -18,7 +18,6 @@
 //! is bitwise-independent of the batch partition, which preserves
 //! worker-pool determinism.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -26,7 +25,8 @@ use photon_linalg::{
     gemm32_into, gemm_into, CMatrix, CPanel, CVector, Matrix32, Panel32, RVector, C64,
 };
 
-use crate::module::PsSnapshot;
+use crate::mesh::MeshModule;
+use crate::module::{Module, PsSnapshot};
 use crate::network::Network;
 
 /// Maximum number of changed phases an incremental serve will absorb; any
@@ -48,11 +48,39 @@ pub const MULTI_PHASE_DELTA_LIMIT: f64 = 1e-4;
 /// counter never trips there and pool-size determinism is preserved.
 pub const FORCED_RECOMPILE_PERIOD: u64 = 256;
 
+/// The stage split shared by [`PinnedBase`] and [`CompiledNetwork`]:
+/// `(true, run)` for each maximal run of consecutive meshes, which fuses
+/// into one linear stage, and `(false, i..i + 1)` for each activation, a
+/// pointwise stage of its own; in pipeline order.
+fn stage_split(modules: &[Module]) -> Vec<(bool, Range<usize>)> {
+    let mut start = 0;
+    modules
+        .chunk_by(|a, b| matches!((a, b), (Module::Mesh(_), Module::Mesh(_))))
+        .map(|run| {
+            let range = start..start + run.len();
+            start = range.end;
+            (matches!(run[0], Module::Mesh(_)), range)
+        })
+        .collect()
+}
+
+/// The meshes of a linear stage's module range, each with its global theta
+/// range.
+fn stage_meshes(
+    net: &Network,
+    modules: Range<usize>,
+) -> impl Iterator<Item = (&MeshModule, Range<usize>)> {
+    modules.map(move |i| match &net.modules()[i] {
+        Module::Mesh(mesh) => (mesh, net.module_param_range(i)),
+        _ => unreachable!("a linear stage holds only meshes"),
+    })
+}
+
 /// One execution stage of a compiled plan.
 #[derive(Debug, Clone)]
 enum Stage {
-    /// A fused run of consecutive compilable (linear) modules, evaluated as
-    /// a single GEMM with the cached product matrix.
+    /// A fused run of consecutive meshes, evaluated as a single GEMM with
+    /// the cached product matrix.
     Linear {
         /// Dense transfer matrix of the fused module run at the cached
         /// `theta`.
@@ -78,13 +106,11 @@ enum BaseStage {
     Linear {
         /// Fused transfer matrix at the pinned theta.
         matrix: CMatrix,
-        /// Global theta indices covered by this stage's modules.
+        /// Global theta indices covered by this stage's meshes.
         params: Range<usize>,
-        /// Global theta index → entry in `snaps`. Phases driven by more
-        /// than one shifter (never produced by this crate's meshes) are
-        /// excluded, downgrading changes to them to a full recompile.
-        lookup: HashMap<usize, usize>,
-        /// Prefix/suffix snapshots recorded at compile time, in op order.
+        /// Prefix/suffix snapshots recorded at compile time, in op order:
+        /// every phase drives exactly one shifter, and the meshes number
+        /// their phases in op order, so phase `k` is `snaps[k - params.start]`.
         snaps: Vec<PsSnapshot>,
     },
     Pointwise,
@@ -112,9 +138,7 @@ pub struct PinnedBase {
 }
 
 impl PinnedBase {
-    /// Compiles a pinned base for `net` at `theta`, returning `None` when
-    /// the network has a module that cannot be compiled (the caller then
-    /// simply serves without a pin — today's behavior).
+    /// Compiles a pinned base for `net` at `theta`.
     ///
     /// The forward walk is arithmetic-for-arithmetic identical to the plain
     /// stage compile, so an exact-match serve from the base is bitwise
@@ -123,30 +147,22 @@ impl PinnedBase {
     /// # Panics
     ///
     /// Panics when `theta.len() != net.param_count()`.
-    pub fn compile(net: &Network, theta: &RVector) -> Option<Arc<PinnedBase>> {
+    pub fn compile(net: &Network, theta: &RVector) -> Arc<PinnedBase> {
         assert_eq!(theta.len(), net.param_count(), "parameter count mismatch");
-        let modules = net.modules();
-        let mut stages = Vec::new();
-        let mut run_start = None;
-        for (i, m) in modules.iter().enumerate() {
-            if m.is_compilable() {
-                if run_start.is_none() {
-                    run_start = Some(i);
+        let stages = stage_split(net.modules())
+            .into_iter()
+            .map(|(linear, modules)| {
+                if linear {
+                    Self::compile_linear(net, theta, modules)
+                } else {
+                    BaseStage::Pointwise
                 }
-            } else {
-                if let Some(start) = run_start.take() {
-                    stages.push(Self::compile_linear(net, theta, start..i)?);
-                }
-                stages.push(BaseStage::Pointwise);
-            }
-        }
-        if let Some(start) = run_start {
-            stages.push(Self::compile_linear(net, theta, start..modules.len())?);
-        }
-        Some(Arc::new(PinnedBase {
+            })
+            .collect();
+        Arc::new(PinnedBase {
             stages,
             theta: theta.clone(),
-        }))
+        })
     }
 
     /// The exact theta this base was compiled at.
@@ -155,60 +171,30 @@ impl PinnedBase {
         &self.theta
     }
 
-    fn compile_linear(net: &Network, theta: &RVector, range: Range<usize>) -> Option<BaseStage> {
-        let modules = net.modules();
-        let dim = modules[range.start].input_dim();
+    fn compile_linear(net: &Network, theta: &RVector, range: Range<usize>) -> BaseStage {
+        let dim = net.modules()[range.start].dim();
         let mut matrix = CMatrix::identity(dim);
         let mut snaps: Vec<PsSnapshot> = Vec::new();
-        // (module index, snapshot span) per module, for the reverse walk.
+        // (mesh, theta range, snapshot span) per mesh, for the reverse walk.
         let mut spans = Vec::new();
-        for i in range.clone() {
-            let pr = net.module_param_range(i);
+        for (mesh, pr) in stage_meshes(net, range.clone()) {
             let before = snaps.len();
-            if !modules[i].compile_apply_probed(&theta.as_slice()[pr.clone()], &mut matrix, &mut snaps)
-            {
-                return None;
-            }
-            for s in &mut snaps[before..] {
-                s.param += pr.start;
-            }
-            spans.push((i, before, snaps.len()));
+            mesh.compile_apply_probed(&theta.as_slice()[pr.clone()], &mut matrix, &mut snaps);
+            spans.push((mesh, pr, before, snaps.len()));
         }
-        // Reverse walk fills the suffix columns. A module that does not
-        // support the walk breaks the suffix products of everything before
-        // it, so probing is abandoned for the whole stage (the stage still
-        // serves exact-theta matches from its matrix).
+        // The reverse walk fills the suffix columns.
         let mut acc = CMatrix::identity(dim);
-        let mut probed = true;
-        for &(i, s0, s1) in spans.iter().rev() {
-            let pr = net.module_param_range(i);
-            if !modules[i].compile_suffix_probed(&theta.as_slice()[pr], &mut acc, &mut snaps[s0..s1])
-            {
-                probed = false;
-                break;
-            }
-        }
-        if !probed {
-            snaps.clear();
+        for (mesh, pr, s0, s1) in spans.into_iter().rev() {
+            mesh.compile_suffix_probed(&theta.as_slice()[pr], &mut acc, &mut snaps[s0..s1]);
         }
         let params =
             net.module_param_range(range.start).start..net.module_param_range(range.end - 1).end;
-        let mut lookup = HashMap::new();
-        let mut dup = Vec::new();
-        for (k, s) in snaps.iter().enumerate() {
-            if lookup.insert(s.param, k).is_some() {
-                dup.push(s.param);
-            }
-        }
-        for p in dup {
-            lookup.remove(&p);
-        }
-        Some(BaseStage::Linear {
+        debug_assert_eq!(params.len(), snaps.len(), "one shifter per phase");
+        BaseStage::Linear {
             matrix,
             params,
-            lookup,
             snaps,
-        })
+        }
     }
 }
 
@@ -226,7 +212,6 @@ impl PinnedBase {
 #[derive(Debug, Clone, Default)]
 pub struct CompiledNetwork {
     stages: Vec<Stage>,
-    structured: bool,
     cached_theta: RVector,
     valid: bool,
     generation: u64,
@@ -351,35 +336,23 @@ impl CompiledNetwork {
     }
 
     fn build_structure(&mut self, net: &Network) {
-        self.stages.clear();
-        let modules = net.modules();
-        let mut run_start = None;
-        for (i, m) in modules.iter().enumerate() {
-            if m.is_compilable() {
-                if run_start.is_none() {
-                    run_start = Some(i);
-                }
-            } else {
-                if let Some(start) = run_start.take() {
-                    let dim = modules[start].input_dim();
-                    self.stages.push(Stage::Linear {
+        self.stages = stage_split(net.modules())
+            .into_iter()
+            .map(|(linear, modules)| {
+                if linear {
+                    let dim = net.modules()[modules.start].dim();
+                    Stage::Linear {
                         matrix: CMatrix::identity(dim),
-                        modules: start..i,
+                        modules,
                         dim,
-                    });
+                    }
+                } else {
+                    Stage::Pointwise {
+                        module: modules.start,
+                    }
                 }
-                self.stages.push(Stage::Pointwise { module: i });
-            }
-        }
-        if let Some(start) = run_start {
-            let dim = modules[start].input_dim();
-            self.stages.push(Stage::Linear {
-                matrix: CMatrix::identity(dim),
-                modules: start..modules.len(),
-                dim,
-            });
-        }
-        self.structured = true;
+            })
+            .collect();
     }
 
     /// Makes the plan valid for `net` at `theta`, rebuilding the linear
@@ -396,7 +369,7 @@ impl CompiledNetwork {
     /// Panics when `theta.len() != net.param_count()`.
     pub fn ensure(&mut self, net: &Network, theta: &RVector) -> bool {
         assert_eq!(theta.len(), net.param_count(), "parameter count mismatch");
-        if !self.structured {
+        if self.stages.is_empty() {
             self.build_structure(net);
         }
         if self.valid && self.cached_theta.as_slice() == theta.as_slice() {
@@ -418,11 +391,8 @@ impl CompiledNetwork {
                 } = stage
                 {
                     matrix.reset_identity(*dim);
-                    for i in modules.clone() {
-                        let range = net.module_param_range(i);
-                        let applied =
-                            net.modules()[i].compile_apply(&theta.as_slice()[range], matrix);
-                        debug_assert!(applied, "linear stage contains a non-compilable module");
+                    for (mesh, range) in stage_meshes(net, modules.clone()) {
+                        mesh.compile_apply(&theta.as_slice()[range], matrix);
                     }
                 }
             }
@@ -466,21 +436,18 @@ impl CompiledNetwork {
         if self.diff_idx.len() > 1 && max_delta > MULTI_PHASE_DELTA_LIMIT {
             return false;
         }
-        // Feasibility pass: every changed phase inside a linear stage must
-        // have a usable snapshot (changes to pointwise-module parameters
-        // need no matrix work — those stages read live theta at eval time).
-        for (stage, bstage) in self.stages.iter().zip(&pin.stages) {
-            match (stage, bstage) {
-                (Stage::Linear { .. }, BaseStage::Linear { params, lookup, .. }) => {
-                    for &k in &self.diff_idx {
-                        if params.contains(&k) && !lookup.contains_key(&k) {
-                            return false;
-                        }
-                    }
-                }
-                (Stage::Pointwise { .. }, BaseStage::Pointwise) => {}
-                _ => return false,
-            }
+        // The pin must have this plan's stage structure. Changes to
+        // pointwise-module parameters need no matrix work — those stages
+        // read live theta at eval time.
+        let same_structure = self.stages.iter().zip(&pin.stages).all(|pair| {
+            matches!(
+                pair,
+                (Stage::Linear { .. }, BaseStage::Linear { .. })
+                    | (Stage::Pointwise { .. }, BaseStage::Pointwise)
+            )
+        });
+        if !same_structure {
+            return false;
         }
         // Commit: copy the base matrices and apply one rank-1 correction
         // per changed phase, in ascending phase order (a fixed order, so
@@ -491,7 +458,6 @@ impl CompiledNetwork {
                 BaseStage::Linear {
                     matrix: base_matrix,
                     params,
-                    lookup,
                     snaps,
                 },
             ) = (stage, bstage)
@@ -501,7 +467,7 @@ impl CompiledNetwork {
                     if !params.contains(&k) {
                         continue;
                     }
-                    let snap = &snaps[lookup[&k]];
+                    let snap = &snaps[k - params.start];
                     let delta = snap.zeta * (C64::cis(req[k]) - C64::cis(base[k]));
                     for r in 0..*dim {
                         let coef = delta * snap.suffix[r];
@@ -560,7 +526,7 @@ impl CompiledNetwork {
                 Stage::Pointwise { module } => {
                     let m = &net.modules()[*module];
                     let th = &theta.as_slice()[net.module_param_range(*module)];
-                    dst.resize(m.output_dim(), b);
+                    dst.resize(m.dim(), b);
                     for j in 0..b {
                         col_in.copy_from_slice(src.col(j));
                         m.forward_into(col_in, th, col_out);
@@ -621,7 +587,7 @@ impl CompiledNetwork {
                 Stage::Pointwise { module } => {
                     let m = &net.modules()[*module];
                     let th = &theta.as_slice()[net.module_param_range(*module)];
-                    dst.resize(m.output_dim(), b);
+                    dst.resize(m.dim(), b);
                     col_in.resize_zeroed(src.dim());
                     for j in 0..b {
                         src.col_to_c64(j, col_in.as_mut_slice());
@@ -697,7 +663,7 @@ mod tests {
         let mut plain = CompiledNetwork::new();
         let want = plain.forward_batch(&net, &theta, &refs).clone();
 
-        let pin = PinnedBase::compile(&net, &theta).expect("meshes are compilable");
+        let pin = PinnedBase::compile(&net, &theta);
         let mut pinned = CompiledNetwork::new();
         pinned.set_pinned(Some(pin));
         let got = pinned.forward_batch(&net, &theta, &refs);
@@ -713,7 +679,7 @@ mod tests {
         let theta = net.init_params(&mut rng);
         let xs = batch(6, 3, &mut rng);
         let refs: Vec<&CVector> = xs.iter().collect();
-        let pin = PinnedBase::compile(&net, &theta).unwrap();
+        let pin = PinnedBase::compile(&net, &theta);
 
         for k in [0usize, 7, net.param_count() - 1] {
             let mut theta2 = theta.clone();
@@ -742,7 +708,7 @@ mod tests {
         let theta = net.init_params(&mut rng);
         let xs = batch(4, 2, &mut rng);
         let refs: Vec<&CVector> = xs.iter().collect();
-        let pin = PinnedBase::compile(&net, &theta).unwrap();
+        let pin = PinnedBase::compile(&net, &theta);
         let mut plan = CompiledNetwork::new();
         plan.set_pinned(Some(pin));
         let mut theta2 = theta.clone();
@@ -762,7 +728,7 @@ mod tests {
         let theta = net.init_params(&mut rng);
         let xs = batch(3, 1, &mut rng);
         let refs: Vec<&CVector> = xs.iter().collect();
-        let pin = PinnedBase::compile(&net, &theta).unwrap();
+        let pin = PinnedBase::compile(&net, &theta);
         let mut plan = CompiledNetwork::new();
         plan.set_pinned(Some(pin));
         let mut theta2 = theta.clone();

@@ -13,9 +13,6 @@
 
 use photon_linalg::{CVector, C64};
 
-use crate::error::{ErrorCursor, ErrorVector, ErrorVectorError};
-use crate::module::{ModuleTape, OnnModule};
-
 /// Electro-optic activation layer with one trainable bias `φ_b` per
 /// waveguide.
 ///
@@ -23,9 +20,9 @@ use crate::module::{ModuleTape, OnnModule};
 ///
 /// ```
 /// use photon_linalg::{C64, CVector};
-/// use photon_photonics::{ElectroOptic, OnnModule};
+/// use photon_photonics::{ElectroOptic, Module};
 ///
-/// let act = ElectroOptic::new(2, 0.1, 1.0);
+/// let act = Module::ElectroOptic(ElectroOptic::new(2, 0.1, 1.0));
 /// let x = CVector::from_vec(vec![C64::ONE, C64::I]);
 /// let y = act.forward(&x, &[0.0, 0.0]);
 /// // Passive tap: the activation can only lose power.
@@ -33,7 +30,7 @@ use crate::module::{ModuleTape, OnnModule};
 /// ```
 #[derive(Debug, Clone)]
 pub struct ElectroOptic {
-    dim: usize,
+    pub(crate) dim: usize,
     /// Tap ratio α ∈ [0, 1): fraction of power diverted to the detector.
     alpha: f64,
     /// Electro-optic gain `g` (radians per unit power).
@@ -72,64 +69,17 @@ impl ElectroOptic {
         (h, phi)
     }
 
-    /// `∂h/∂φ = √(1−α)·e^{−2jφ}·(−1)`? — see module docs; the derivative of
-    /// `j e^{−jφ} cos φ` w.r.t. φ is `−e^{−2jφ}`·... computed here exactly.
+    /// `∂h/∂φ = √(1−α)·e^{−2jφ}`: the derivative of `j·e^{−jφ}·cos φ` is
+    /// `j·(−j·e^{−jφ}·cos φ − e^{−jφ}·sin φ) = e^{−jφ}·(cos φ − j·sin φ)`.
     #[inline]
     fn dh_dphi(&self, phi: f64) -> C64 {
-        // d/dφ [ j·e^{−jφ}·cosφ ] = j·(−j e^{−jφ} cosφ − e^{−jφ} sinφ)
-        //                         = e^{−jφ}(cosφ − j·sinφ) = e^{−2jφ}, times −? —
-        // expand: j·(−j)e^{−jφ}cosφ = e^{−jφ}cosφ; j·(−e^{−jφ}sinφ) = −j e^{−jφ} sinφ
-        // ⇒ e^{−jφ}(cosφ − j sinφ) = e^{−2jφ}.
         let root = (1.0 - self.alpha).sqrt();
         C64::cis(-2.0 * phi) * root
-    }
-}
-
-impl OnnModule for ElectroOptic {
-    fn name(&self) -> String {
-        format!("EOAct({},α={})", self.dim, self.alpha)
-    }
-
-    fn input_dim(&self) -> usize {
-        self.dim
-    }
-
-    fn output_dim(&self) -> usize {
-        self.dim
-    }
-
-    fn param_count(&self) -> usize {
-        self.dim
-    }
-
-    fn is_layered(&self) -> bool {
-        false
-    }
-
-    fn error_slots(&self) -> (usize, usize) {
-        (0, 0)
-    }
-
-    fn forward(&self, x: &CVector, theta: &[f64]) -> CVector {
-        let mut out = CVector::zeros(0);
-        self.forward_into(x, theta, &mut out);
-        out
-    }
-
-    fn forward_tape(&self, x: &CVector, theta: &[f64]) -> (CVector, ModuleTape) {
-        let y = self.forward(x, theta);
-        (
-            y,
-            ModuleTape {
-                states: vec![x.clone()],
-                gates: Vec::new(),
-            },
-        )
     }
 
     // Debug-only checks: lengths are validated once at the `Network`/chip
     // boundary before the per-module hot loop runs.
-    fn forward_into(&self, x: &CVector, theta: &[f64], out: &mut CVector) {
+    pub(crate) fn forward_into(&self, x: &CVector, theta: &[f64], out: &mut CVector) {
         debug_assert_eq!(x.len(), self.dim, "input dimension mismatch");
         debug_assert_eq!(theta.len(), self.dim, "parameter count mismatch");
         out.resize_zeroed(self.dim);
@@ -140,14 +90,8 @@ impl OnnModule for ElectroOptic {
         }
     }
 
-    fn forward_tape_into(&self, x: &CVector, theta: &[f64], out: &mut CVector, tape: &mut ModuleTape) {
-        self.forward_into(x, theta, out);
-        tape.truncate(1);
-        tape.record(0, x);
-    }
-
-    fn jvp(&self, tape: &ModuleTape, theta: &[f64], dx: &CVector, dtheta: &[f64]) -> CVector {
-        let x = tape.input();
+    /// Output tangent at input `x` (the taped module input).
+    pub(crate) fn jvp(&self, x: &CVector, theta: &[f64], dx: &CVector, dtheta: &[f64]) -> CVector {
         CVector::from_fn(self.dim, |k| {
             let z = x[k];
             let u = z.norm_sqr();
@@ -160,14 +104,15 @@ impl OnnModule for ElectroOptic {
         })
     }
 
-    fn vjp(
+    /// Input cotangent at input `x`; the bias cotangent accumulates into
+    /// `grad_theta`.
+    pub(crate) fn vjp(
         &self,
-        tape: &ModuleTape,
+        x: &CVector,
         theta: &[f64],
         gy: &CVector,
         grad_theta: &mut [f64],
     ) -> CVector {
-        let x = tape.input();
         CVector::from_fn(self.dim, |k| {
             let z = x[k];
             let u = z.norm_sqr();
@@ -179,23 +124,12 @@ impl OnnModule for ElectroOptic {
             let w = zdh.re * g.re + zdh.im * g.im;
             // ∂ℓ/∂θ: dφ/dθ = 1/2.
             grad_theta[k] += 0.5 * w;
-            // State cotangent: adjoint of dz ↦ h·dz is conj(h)·g; adjoint
-            // of dz ↦ z·dh·g·⟨z,dz⟩_R is z·(g·…)-weighted, i.e. + z·g·w·…
+            // State cotangent: the adjoint of dz ↦ h·dz is conj(h)·g. The
+            // power path dz ↦ z·dh·gain·⟨z, dz⟩_R pairs with g to
+            // gain·w·⟨z, dz⟩_R, so its adjoint is gain·w·z. Together:
+            // conj(h)·g + gain·w·z.
             h.conj() * g + z.scale(self.gain * w)
         })
-    }
-
-    fn with_errors(
-        &self,
-        _cursor: &mut ErrorCursor<'_>,
-    ) -> Result<Box<dyn OnnModule>, ErrorVectorError> {
-        Ok(Box::new(self.clone()))
-    }
-
-    fn collect_errors(&self, _out: &mut ErrorVector) {}
-
-    fn clone_box(&self) -> Box<dyn OnnModule> {
-        Box::new(self.clone())
     }
 }
 
@@ -203,13 +137,14 @@ impl OnnModule for ElectroOptic {
 mod tests {
     use super::*;
     use crate::gradcheck::{check_adjoint, check_jvp};
+    use crate::module::Module;
     use photon_linalg::random::normal_cvector;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     #[test]
     fn passive_activation_never_gains_power() {
-        let act = ElectroOptic::new(4, 0.1, 1.5);
+        let act = Module::ElectroOptic(ElectroOptic::new(4, 0.1, 1.5));
         let mut rng = StdRng::seed_from_u64(71);
         for _ in 0..20 {
             let x = normal_cvector(4, &mut rng);
@@ -223,7 +158,7 @@ mod tests {
     fn bias_pi_blocks_light_at_zero_power() {
         // For vanishing input power, φ → φ_b/2; φ_b = π gives cos(π/2) = 0:
         // the channel is pinched off for weak signals.
-        let act = ElectroOptic::new(1, 0.0, 1.0);
+        let act = Module::ElectroOptic(ElectroOptic::new(1, 0.0, 1.0));
         let x = CVector::from_vec(vec![C64::from_real(1e-6)]);
         let y = act.forward(&x, &[std::f64::consts::PI]);
         assert!(y[0].abs() < 1e-9);
@@ -236,7 +171,7 @@ mod tests {
     fn nonlinearity_is_power_dependent() {
         // The same bias must transmit differently at different powers —
         // that's what makes it an activation.
-        let act = ElectroOptic::new(1, 0.0, 2.0);
+        let act = Module::ElectroOptic(ElectroOptic::new(1, 0.0, 2.0));
         let weak = act.forward(&CVector::from_vec(vec![C64::from_real(0.1)]), &[0.5]);
         let strong = act.forward(&CVector::from_vec(vec![C64::from_real(1.0)]), &[0.5]);
         let t_weak = weak[0].abs() / 0.1;
@@ -249,7 +184,7 @@ mod tests {
 
     #[test]
     fn jvp_matches_finite_difference() {
-        let act = ElectroOptic::new(5, 0.1, 1.2);
+        let act = Module::ElectroOptic(ElectroOptic::new(5, 0.1, 1.2));
         let mut rng = StdRng::seed_from_u64(72);
         let theta: Vec<f64> = (0..5).map(|_| rng.gen::<f64>() * 3.0).collect();
         let check = check_jvp(&act, &theta, 8, 1e-5, &mut rng);
@@ -258,7 +193,7 @@ mod tests {
 
     #[test]
     fn vjp_is_exact_adjoint() {
-        let act = ElectroOptic::new(6, 0.2, 0.8);
+        let act = Module::ElectroOptic(ElectroOptic::new(6, 0.2, 0.8));
         let mut rng = StdRng::seed_from_u64(73);
         let theta: Vec<f64> = (0..6).map(|_| rng.gen::<f64>() * 3.0 - 1.5).collect();
         let check = check_adjoint(&act, &theta, 10, 1e-9, &mut rng);
@@ -268,11 +203,11 @@ mod tests {
     #[test]
     fn no_error_slots_and_zero_init() {
         let act = ElectroOptic::new(3, 0.1, 1.0);
-        assert_eq!(act.error_slots(), (0, 0));
-        assert!(!act.random_init());
         assert_eq!(act.alpha(), 0.1);
         assert_eq!(act.gain(), 1.0);
-        assert!(act.name().starts_with("EOAct"));
+        let module = Module::ElectroOptic(act);
+        assert_eq!(module.error_slots(), (0, 0));
+        assert!(!module.is_layered());
     }
 
     #[test]

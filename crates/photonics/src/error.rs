@@ -345,16 +345,6 @@ impl<'a> ErrorCursor<'a> {
         self.next_ps += 1;
         Ok(z)
     }
-
-    /// Number of beam-splitter slots consumed so far.
-    pub fn beam_splitters_used(&self) -> usize {
-        self.next_bs
-    }
-
-    /// Number of phase-shifter slots consumed so far.
-    pub fn phase_shifters_used(&self) -> usize {
-        self.next_ps
-    }
 }
 
 #[cfg(test)]
@@ -485,8 +475,6 @@ mod tests {
         assert!((z.abs() - 0.99).abs() < 1e-12);
         assert!((z.arg() - 0.5).abs() < 1e-12);
         assert_eq!(cur.next_gamma().unwrap(), 0.2);
-        assert_eq!(cur.beam_splitters_used(), 2);
-        assert_eq!(cur.phase_shifters_used(), 1);
     }
 
     #[test]

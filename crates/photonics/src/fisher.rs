@@ -12,11 +12,11 @@
 //! blocks and output covariances are also provided.
 
 use photon_exec::{tree_reduce, ExecPool};
-use rand::Rng;
 
 use photon_linalg::{hermitian_eig, CMatrix, CVector, RMatrix, RVector};
 
-use crate::module::OnnModule;
+use crate::mesh::MeshModule;
+use crate::module::ModuleTape;
 use crate::network::Network;
 
 /// Matrix-free Fisher-metric products `F·v` for a batch of directions,
@@ -83,42 +83,45 @@ pub fn fisher_vector_products(
     summed.into_iter().map(|g| g.scale(scale)).collect()
 }
 
-/// Dense complex Jacobian `∂y/∂θ ∈ ℂ^{M×N}` of a single module at `(x, θ)`,
+/// The tape of `mesh` at `(x, θ)`.
+fn mesh_tape(mesh: &MeshModule, x: &CVector, theta: &[f64]) -> ModuleTape {
+    let mut tape = ModuleTape::empty();
+    mesh.forward_tape_into(x, theta, &mut CVector::zeros(0), &mut tape);
+    tape
+}
+
+/// Dense complex Jacobian `∂y/∂θ ∈ ℂ^{N×P}` of a single mesh at `(x, θ)`,
 /// built column-by-column from JVPs.
-///
-/// Exact for linear (holomorphic) modules; for modReLU it is the ℂ-linear
-/// part evaluated along real parameter tangents, which is what the output
-/// perturbation analysis uses.
 ///
 /// # Panics
 ///
 /// Panics on shape mismatch.
-pub fn module_jacobian(module: &dyn OnnModule, x: &CVector, theta: &[f64]) -> CMatrix {
+pub fn module_jacobian(module: &MeshModule, x: &CVector, theta: &[f64]) -> CMatrix {
     let n = module.param_count();
-    let m = module.output_dim();
-    let (_, tape) = module.forward_tape(x, theta);
+    let m = module.dim();
+    let tape = mesh_tape(module, x, theta);
     let mut j = CMatrix::zeros(m, n);
-    let zero_in = CVector::zeros(module.input_dim());
+    let zero_in = CVector::zeros(module.dim());
     let mut dtheta = vec![0.0; n];
     for col in 0..n {
         dtheta[col] = 1.0;
-        let dy = module.jvp(&tape, theta, &zero_in, &dtheta);
+        let dy = module.jvp(&tape, &zero_in, &dtheta);
         j.set_col(col, &dy);
         dtheta[col] = 0.0;
     }
     j
 }
 
-/// Dense module Fisher block `F_u = Re(JᴴJ)` averaged over `inputs`.
+/// Dense mesh Fisher block `F_u = Re(JᴴJ)` averaged over `inputs`.
 ///
-/// This is the real Gauss-Newton metric restricted to one module's
+/// This is the real Gauss-Newton metric restricted to one mesh's
 /// parameters — the quantity whose spectrum demonstrates how interrelated
 /// layered parameters are.
 ///
 /// # Panics
 ///
 /// Panics when `inputs` is empty.
-pub fn module_fisher_block(module: &dyn OnnModule, theta: &[f64], inputs: &[CVector]) -> RMatrix {
+pub fn module_fisher_block(module: &MeshModule, theta: &[f64], inputs: &[CVector]) -> RMatrix {
     assert!(!inputs.is_empty(), "fisher block needs at least one input");
     let n = module.param_count();
     let mut f = RMatrix::zeros(n, n);
@@ -141,10 +144,10 @@ pub fn module_fisher_block(module: &dyn OnnModule, theta: &[f64], inputs: &[CVec
     f.scale(1.0 / inputs.len() as f64)
 }
 
-/// Empirical output covariance `C_y = (1/Q) Σ_q δy_q δy_qᴴ` of a module under
+/// Empirical output covariance `C_y = (1/Q) Σ_q δy_q δy_qᴴ` of a mesh under
 /// parameter perturbations `δθ_q`.
 ///
-/// `perturbations` are mapped through the module Jacobian at `(x, θ)`.
+/// `perturbations` are mapped through the mesh Jacobian at `(x, θ)`.
 /// The eigenvalue spread of the result measures how *isotropic* the output
 /// perturbations are — the diagnostic motivating natural-gradient
 /// preconditioning.
@@ -153,7 +156,7 @@ pub fn module_fisher_block(module: &dyn OnnModule, theta: &[f64], inputs: &[CVec
 ///
 /// Panics when `perturbations` is empty.
 pub fn output_covariance(
-    module: &dyn OnnModule,
+    module: &MeshModule,
     x: &CVector,
     theta: &[f64],
     perturbations: &[RVector],
@@ -162,12 +165,12 @@ pub fn output_covariance(
         !perturbations.is_empty(),
         "output covariance needs at least one perturbation"
     );
-    let m = module.output_dim();
-    let (_, tape) = module.forward_tape(x, theta);
-    let zero_in = CVector::zeros(module.input_dim());
+    let m = module.dim();
+    let tape = mesh_tape(module, x, theta);
+    let zero_in = CVector::zeros(module.dim());
     let mut c = CMatrix::zeros(m, m);
     for dtheta in perturbations {
-        let dy = module.jvp(&tape, theta, &zero_in, dtheta.as_slice());
+        let dy = module.jvp(&tape, &zero_in, dtheta.as_slice());
         for r in 0..m {
             for col in 0..m {
                 let add = dy[r] * dy[col].conj();
@@ -202,17 +205,10 @@ pub fn anisotropy_ratio(eigs: &RVector, floor: f64) -> f64 {
     max / min
 }
 
-/// Draws `q` standard-normal perturbation directions of dimension `n`.
-pub fn standard_perturbations<R: Rng + ?Sized>(n: usize, q: usize, rng: &mut R) -> Vec<RVector> {
-    (0..q)
-        .map(|_| photon_linalg::random::normal_rvector(n, rng))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mesh::MeshModule;
+    use crate::module::Module;
     use crate::network::Architecture;
     use photon_linalg::random::{normal_cvector, normal_rvector};
     use rand::rngs::StdRng;
@@ -248,8 +244,10 @@ mod tests {
         )
         .remove(0);
 
-        let module = &net.modules()[0];
-        let f = module_fisher_block(module.as_ref(), theta.as_slice(), &inputs);
+        let Module::Mesh(mesh) = &net.modules()[0] else {
+            panic!("a single Clements mesh");
+        };
+        let f = module_fisher_block(mesh, theta.as_slice(), &inputs);
         let dense_fv = f.mul_vec(&v).unwrap();
         assert!((&fv - &dense_fv).max_abs() < 1e-10);
     }
@@ -312,12 +310,13 @@ mod tests {
         let j = module_jacobian(&mesh, &x, &theta);
 
         let eps = 1e-6;
+        let module = Module::Mesh(mesh.clone());
         for col in 0..mesh.param_count() {
             let mut tp = theta.clone();
             tp[col] += eps;
             let mut tm = theta.clone();
             tm[col] -= eps;
-            let fd = (&mesh.forward(&x, &tp) - &mesh.forward(&x, &tm)).scale_real(0.5 / eps);
+            let fd = (&module.forward(&x, &tp) - &module.forward(&x, &tm)).scale_real(0.5 / eps);
             assert!((&j.col(col) - &fd).max_abs() < 1e-6, "column {col}");
         }
     }

@@ -1,17 +1,17 @@
-//! Gradient checking utilities.
+//! Gradient checking: the test oracle for the three [`Module`] kinds.
 //!
-//! Anyone implementing a new [`OnnModule`] must uphold two contracts:
-//! the JVP must match finite differences of the forward pass, and the VJP
-//! must be the exact real-adjoint of the JVP. These helpers verify both on
-//! random probes; the crate's own modules are validated with them in tests,
-//! and downstream implementations can (and should) do the same.
+//! Every module's derivatives uphold two contracts: the JVP matches finite
+//! differences of the forward pass, and the VJP is the exact real-adjoint
+//! of the JVP. These helpers verify both on random probes; the crate's
+//! tests run them on meshes (ideal and with errors), modReLU and the
+//! electro-optic activation.
 
 use rand::Rng;
 
 use photon_linalg::random::{normal_cvector, normal_rvector};
 use photon_linalg::CVector;
 
-use crate::module::OnnModule;
+use crate::module::Module;
 
 /// The outcome of one gradient check.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,16 +50,16 @@ fn real_dot(a: &CVector, b: &CVector) -> f64 {
 ///
 /// ```
 /// use rand::SeedableRng;
-/// use photon_photonics::{gradcheck, MeshModule, OnnModule};
+/// use photon_photonics::{gradcheck, MeshModule, Module};
 ///
-/// let mesh = MeshModule::clements(4, 2);
+/// let mesh = Module::Mesh(MeshModule::clements(4, 2));
 /// let theta = vec![0.3; mesh.param_count()];
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 /// let check = gradcheck::check_jvp(&mesh, &theta, 5, 1e-6, &mut rng);
 /// assert!(check.passed(), "max error {}", check.max_error);
 /// ```
 pub fn check_jvp<R: Rng + ?Sized>(
-    module: &dyn OnnModule,
+    module: &Module,
     theta: &[f64],
     probes: usize,
     tolerance: f64,
@@ -73,8 +73,8 @@ pub fn check_jvp<R: Rng + ?Sized>(
     let eps = 1e-6;
     let mut max_error = 0.0f64;
     for _ in 0..probes {
-        let x = normal_cvector(module.input_dim(), rng);
-        let dx = normal_cvector(module.input_dim(), rng);
+        let x = normal_cvector(module.dim(), rng);
+        let dx = normal_cvector(module.dim(), rng);
         let dtheta = normal_rvector(module.param_count(), rng);
 
         let (_, tape) = module.forward_tape(&x, theta);
@@ -107,7 +107,7 @@ pub fn check_jvp<R: Rng + ?Sized>(
 ///
 /// Panics when `theta.len() != module.param_count()`.
 pub fn check_adjoint<R: Rng + ?Sized>(
-    module: &dyn OnnModule,
+    module: &Module,
     theta: &[f64],
     probes: usize,
     tolerance: f64,
@@ -120,10 +120,10 @@ pub fn check_adjoint<R: Rng + ?Sized>(
     );
     let mut max_error = 0.0f64;
     for _ in 0..probes {
-        let x = normal_cvector(module.input_dim(), rng);
-        let dx = normal_cvector(module.input_dim(), rng);
+        let x = normal_cvector(module.dim(), rng);
+        let dx = normal_cvector(module.dim(), rng);
         let dtheta = normal_rvector(module.param_count(), rng);
-        let g = normal_cvector(module.output_dim(), rng);
+        let g = normal_cvector(module.dim(), rng);
 
         let (_, tape) = module.forward_tape(&x, theta);
         let dy = module.jvp(&tape, theta, &dx, dtheta.as_slice());
@@ -144,6 +144,7 @@ pub fn check_adjoint<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::electrooptic::ElectroOptic;
     use crate::error::{ErrorCursor, ErrorModel, ErrorVector};
     use crate::mesh::MeshModule;
     use crate::modrelu::ModRelu;
@@ -153,47 +154,39 @@ mod tests {
     #[test]
     fn all_builtin_modules_pass_jvp_check() {
         let mut rng = StdRng::seed_from_u64(61);
-        let modules: Vec<Box<dyn OnnModule>> = vec![
-            Box::new(MeshModule::clements(4, 4)),
-            Box::new(MeshModule::clements(5, 2)),
-            Box::new(MeshModule::reck(4)),
-            Box::new(MeshModule::phase_diag(4)),
-            Box::new(ModRelu::new(4)),
+        let modules = [
+            Module::Mesh(MeshModule::clements(4, 4)),
+            Module::Mesh(MeshModule::clements(5, 2)),
+            Module::Mesh(MeshModule::reck(4)),
+            Module::Mesh(MeshModule::phase_diag(4)),
+            Module::ModRelu(ModRelu::new(4)),
+            Module::ElectroOptic(ElectroOptic::new(4, 0.1, 1.2)),
         ];
         for m in &modules {
             let theta: Vec<f64> = (0..m.param_count())
                 .map(|_| rng.gen::<f64>() * 0.8 + 0.1)
                 .collect();
-            let check = check_jvp(m.as_ref(), &theta, 6, 1e-5, &mut rng);
-            assert!(
-                check.passed(),
-                "{}: jvp error {}",
-                m.name(),
-                check.max_error
-            );
+            let check = check_jvp(m, &theta, 6, 1e-5, &mut rng);
+            assert!(check.passed(), "{m:?}: jvp error {}", check.max_error);
         }
     }
 
     #[test]
     fn all_builtin_modules_pass_adjoint_check() {
         let mut rng = StdRng::seed_from_u64(62);
-        let modules: Vec<Box<dyn OnnModule>> = vec![
-            Box::new(MeshModule::clements(4, 4)),
-            Box::new(MeshModule::reck(5)),
-            Box::new(MeshModule::phase_diag(3)),
-            Box::new(ModRelu::new(6)),
+        let modules = [
+            Module::Mesh(MeshModule::clements(4, 4)),
+            Module::Mesh(MeshModule::reck(5)),
+            Module::Mesh(MeshModule::phase_diag(3)),
+            Module::ModRelu(ModRelu::new(6)),
+            Module::ElectroOptic(ElectroOptic::new(6, 0.2, 0.8)),
         ];
         for m in &modules {
             let theta: Vec<f64> = (0..m.param_count())
                 .map(|_| rng.gen::<f64>() - 0.3)
                 .collect();
-            let check = check_adjoint(m.as_ref(), &theta, 8, 1e-9, &mut rng);
-            assert!(
-                check.passed(),
-                "{}: adjoint error {}",
-                m.name(),
-                check.max_error
-            );
+            let check = check_adjoint(m, &theta, 8, 1e-9, &mut rng);
+            assert!(check.passed(), "{m:?}: adjoint error {}", check.max_error);
         }
     }
 
@@ -203,16 +196,16 @@ mod tests {
         let ideal = MeshModule::clements(4, 3);
         let (n_bs, n_ps) = ideal.error_slots();
         let ev = ErrorVector::sample(n_bs, n_ps, &ErrorModel::with_beta(3.0), &mut rng);
-        let noisy = ideal.with_errors(&mut ErrorCursor::new(&ev)).unwrap();
+        let noisy = Module::Mesh(ideal.with_errors(&mut ErrorCursor::new(&ev)).unwrap());
         let theta: Vec<f64> = (0..noisy.param_count()).map(|_| rng.gen()).collect();
-        assert!(check_jvp(noisy.as_ref(), &theta, 4, 1e-5, &mut rng).passed());
-        assert!(check_adjoint(noisy.as_ref(), &theta, 4, 1e-9, &mut rng).passed());
+        assert!(check_jvp(&noisy, &theta, 4, 1e-5, &mut rng).passed());
+        assert!(check_adjoint(&noisy, &theta, 4, 1e-9, &mut rng).passed());
     }
 
     #[test]
     fn gradcheck_reports_probe_count() {
         let mut rng = StdRng::seed_from_u64(64);
-        let m = MeshModule::phase_diag(2);
+        let m = Module::Mesh(MeshModule::phase_diag(2));
         let check = check_jvp(&m, &[0.1, 0.2], 3, 1e-5, &mut rng);
         assert_eq!(check.probes, 3);
         assert_eq!(check.tolerance, 1e-5);

@@ -5,8 +5,9 @@
 //!
 //! - phase shifters carrying attenuation-phase errors `ζ` and beam splitters
 //!   carrying splitting-angle errors `γ` ([`ErrorModel`], [`ErrorVector`]);
-//! - Clements meshes (full and truncated), Reck triangles, diagonal phase
-//!   layers ([`MeshModule`]) and the modReLU nonlinearity ([`ModRelu`]);
+//! - one [`Module`] type over Clements meshes (full and truncated), Reck
+//!   triangles, diagonal phase layers ([`MeshModule`]), the modReLU
+//!   ([`ModRelu`]) and the electro-optic activation ([`ElectroOptic`]);
 //! - end-to-end networks with packed parameters ([`Architecture`],
 //!   [`Network`]) and exact forward/reverse differentiation in the Wirtinger
 //!   convention (the reverse pass is the exact real-adjoint of the forward
@@ -63,8 +64,7 @@ mod quantized;
 mod tier;
 
 pub use chip::{
-    calibrated_model, ideal_model, AbortFlag, BatchScratch, ChipScratch, FabricatedChip,
-    MeasurementNoise, ModelKind, OnnChip,
+    ideal_model, AbortFlag, BatchScratch, ChipScratch, FabricatedChip, MeasurementNoise, OnnChip,
 };
 pub use compiled::{
     CacheStats, CompiledNetwork, PinnedBase, FORCED_RECOMPILE_PERIOD, MAX_INCREMENTAL_PHASES,
@@ -76,11 +76,11 @@ pub use error::{
 };
 pub use fisher::{
     anisotropy_ratio, covariance_eigenvalues, fisher_vector_products, module_fisher_block,
-    module_jacobian, output_covariance, standard_perturbations,
+    module_jacobian, output_covariance,
 };
 pub use mesh::{MeshKind, MeshModule};
 pub use modrelu::ModRelu;
-pub use module::{ModuleTape, OnnModule, PsSnapshot};
+pub use module::{Module, ModuleTape, PsSnapshot};
 pub use network::{Architecture, ModuleSpec, Network, NetworkError, NetworkScratch, NetworkTape};
 pub use ops::Op;
 pub use quantized::{QMatrix, QuantizedNetwork};

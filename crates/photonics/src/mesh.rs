@@ -5,7 +5,7 @@
 use photon_linalg::{CMatrix, CVector, C64};
 
 use crate::error::{ErrorCursor, ErrorVector, ErrorVectorError};
-use crate::module::{ModuleTape, OnnModule, PsSnapshot};
+use crate::module::{ModuleTape, PsSnapshot};
 use crate::ops::Op;
 
 /// The topology family of a [`MeshModule`], kept for naming and reporting.
@@ -25,13 +25,13 @@ pub enum MeshKind {
 /// A linear photonic module: an ordered list of [`Op`]s on `dim` waveguides.
 ///
 /// Construct via [`MeshModule::clements`], [`MeshModule::reck`] or
-/// [`MeshModule::phase_diag`].
+/// [`MeshModule::phase_diag`]. Meshes alone carry fabrication errors and
+/// compile to a dense transfer matrix.
 ///
 /// # Examples
 ///
 /// ```
 /// use photon_photonics::MeshModule;
-/// use photon_photonics::OnnModule;
 ///
 /// let mesh = MeshModule::clements(8, 8);
 /// assert_eq!(mesh.param_count(), 56); // 28 MZIs × 2 phases
@@ -131,16 +131,6 @@ impl MeshModule {
         &self.ops
     }
 
-    /// Number of MZIs in the module (half the phase count for MZI meshes,
-    /// zero for phase layers).
-    pub fn mzi_count(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|op| matches!(op, Op::Bs { .. }))
-            .count()
-            / 2
-    }
-
     /// Materializes the transfer matrix by pushing basis vectors through.
     ///
     /// With zero errors, the result is unitary for every `theta`.
@@ -151,15 +141,16 @@ impl MeshModule {
     pub fn transfer_matrix(&self, theta: &[f64]) -> CMatrix {
         assert_eq!(theta.len(), self.param_count, "parameter count mismatch");
         let mut m = CMatrix::zeros(self.dim, self.dim);
+        let mut y = CVector::zeros(0);
         for k in 0..self.dim {
-            let y = self.forward(&CVector::basis(self.dim, k), theta);
+            self.forward_into(&CVector::basis(self.dim, k), theta, &mut y);
             m.set_col(k, &y);
         }
         m
     }
 
     /// Applies the mesh to `x` with the gates recorded on `tape`: bitwise
-    /// [`OnnModule::forward_into`] at the tape's parameters, with no trig.
+    /// [`MeshModule::forward_into`] at the tape's parameters, with no trig.
     pub(crate) fn forward_gated_into(&self, tape: &ModuleTape, x: &CVector, out: &mut CVector) {
         debug_assert_eq!(tape.gates.len(), self.ops.len());
         out.copy_from(x);
@@ -198,6 +189,237 @@ impl MeshModule {
             f(state);
         }
     }
+
+    /// Short human-readable name, e.g. `Clements(8,8)`.
+    pub fn name(&self) -> String {
+        match self.kind {
+            MeshKind::Clements { layers } => format!("Clements({},{})", self.dim, layers),
+            MeshKind::Reck => format!("Reck({})", self.dim),
+            MeshKind::PhaseDiag => format!("PSdiag({})", self.dim),
+        }
+    }
+
+    /// Number of waveguides in and out.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Number of trainable phases.
+    pub fn param_count(&self) -> usize {
+        self.param_count
+    }
+
+    /// `true` for Clements and Reck meshes, whose phases sit in
+    /// interrelated optical layers; `false` for a phase diagonal.
+    pub fn is_layered(&self) -> bool {
+        !matches!(self.kind, MeshKind::PhaseDiag)
+    }
+
+    /// `(beam splitters, phase shifters)` — the fabrication-error slots this
+    /// mesh consumes, in netlist order.
+    pub fn error_slots(&self) -> (usize, usize) {
+        let n_bs = self
+            .ops
+            .iter()
+            .filter(|op| matches!(op, Op::Bs { .. }))
+            .count();
+        let n_ps = self.ops.len() - n_bs;
+        (n_bs, n_ps)
+    }
+
+    // Dimension checks in the per-op hot paths are debug-only: callers go
+    // through the validated `Network`/chip boundary, which asserts input and
+    // parameter lengths once per evaluation.
+
+    /// Applies the mesh into a caller-owned output buffer.
+    pub fn forward_into(&self, x: &CVector, theta: &[f64], out: &mut CVector) {
+        debug_assert_eq!(x.len(), self.dim, "input dimension mismatch");
+        debug_assert_eq!(theta.len(), self.param_count, "parameter count mismatch");
+        out.copy_from(x);
+        for op in &self.ops {
+            op.apply(out, theta);
+        }
+    }
+
+    /// Applies the mesh, recording every intermediate state and every op's
+    /// gate on `tape` (see [`ModuleTape`]).
+    pub fn forward_tape_into(
+        &self,
+        x: &CVector,
+        theta: &[f64],
+        out: &mut CVector,
+        tape: &mut ModuleTape,
+    ) {
+        debug_assert_eq!(x.len(), self.dim, "input dimension mismatch");
+        debug_assert_eq!(theta.len(), self.param_count, "parameter count mismatch");
+        // Push-then-apply: each slot is seeded with a copy of its
+        // predecessor and the op is applied in place, instead of mutating a
+        // running state and cloning it per op.
+        tape.truncate(self.ops.len() + 1);
+        tape.record(0, x);
+        tape.gates.clear();
+        for (i, op) in self.ops.iter().enumerate() {
+            let gate = op.gate(theta);
+            tape.gates.push(gate);
+            op.apply_gate(tape.advance(i), gate);
+        }
+        out.copy_from(tape.output());
+    }
+
+    /// Premultiplies this mesh's transfer matrix onto the accumulator `acc`
+    /// (shape `N×W` for any panel width `W`).
+    ///
+    /// Walking the op list over `acc`'s rows costs `O(ops·W)` with the trig
+    /// hoisted to once per op; consecutive meshes chain on the same
+    /// accumulator, fusing a whole linear run into one matrix without any
+    /// `O(N³)` matrix-matrix product.
+    pub fn compile_apply(&self, theta: &[f64], acc: &mut CMatrix) {
+        debug_assert_eq!(theta.len(), self.param_count, "parameter count mismatch");
+        debug_assert_eq!(acc.rows(), self.dim, "accumulator row mismatch");
+        for op in &self.ops {
+            op.apply_to_rows(acc, theta);
+        }
+    }
+
+    /// Like [`MeshModule::compile_apply`], but additionally records one
+    /// [`PsSnapshot`] per phase shifter (prefix rows filled, suffix columns
+    /// left empty for [`MeshModule::compile_suffix_probed`]), appended to
+    /// `snaps` in op order. It premultiplies exactly the same arithmetic as
+    /// `compile_apply`, so a probed compile is bitwise identical to a plain
+    /// one.
+    pub fn compile_apply_probed(
+        &self,
+        theta: &[f64],
+        acc: &mut CMatrix,
+        snaps: &mut Vec<PsSnapshot>,
+    ) {
+        debug_assert_eq!(theta.len(), self.param_count, "parameter count mismatch");
+        debug_assert_eq!(acc.rows(), self.dim, "accumulator row mismatch");
+        for op in &self.ops {
+            if let Op::Ps { port, zeta, .. } = *op {
+                snaps.push(PsSnapshot {
+                    port,
+                    zeta,
+                    prefix: acc.row(port).to_vec(),
+                    suffix: Vec::new(),
+                });
+            }
+            op.apply_to_rows(acc, theta);
+        }
+    }
+
+    /// Completes the suffix columns of this mesh's snapshots by walking the
+    /// op list in reverse while postmultiplying onto `acc`.
+    ///
+    /// On entry `acc` must hold the product of every op applied *after* this
+    /// mesh in the fused stage (identity for the last mesh); on exit it has
+    /// absorbed this mesh too, ready for the preceding one. `snaps` is
+    /// exactly the slice this mesh appended in
+    /// [`MeshModule::compile_apply_probed`], still in op order.
+    pub fn compile_suffix_probed(
+        &self,
+        theta: &[f64],
+        acc: &mut CMatrix,
+        snaps: &mut [PsSnapshot],
+    ) {
+        debug_assert_eq!(acc.cols(), self.dim, "suffix accumulator column mismatch");
+        let mut k = snaps.len();
+        for op in self.ops.iter().rev() {
+            if let Op::Ps { port, .. } = *op {
+                debug_assert!(k > 0, "snapshot/op walk out of sync");
+                k -= 1;
+                let snap = &mut snaps[k];
+                debug_assert_eq!(snap.port, port, "snapshot/op walk out of sync");
+                snap.suffix = acc.col(port).as_slice().to_vec();
+            }
+            op.apply_to_cols(acc, theta);
+        }
+        debug_assert_eq!(k, 0, "snapshot/op walk out of sync");
+    }
+
+    /// Compiles this mesh's dense transfer matrix at `theta` (errors are
+    /// already baked into the op list).
+    pub fn compile_matrix(&self, theta: &[f64]) -> CMatrix {
+        let mut acc = CMatrix::identity(self.dim);
+        self.compile_apply(theta, &mut acc);
+        acc
+    }
+
+    // The tape's gates were evaluated at the recorded parameters, which are
+    // the `theta` every caller linearizes at, so the passes below read them
+    // and take no `theta`.
+
+    /// Forward-mode derivative at the tape point: the output tangent for
+    /// input tangent `dx` and phase tangent `dtheta`.
+    pub fn jvp(&self, tape: &ModuleTape, dx: &CVector, dtheta: &[f64]) -> CVector {
+        debug_assert_eq!(tape.states.len(), self.ops.len() + 1);
+        debug_assert_eq!(tape.gates.len(), self.ops.len());
+        let mut dstate = dx.clone();
+        for ((op, pre), &gate) in self.ops.iter().zip(&tape.states).zip(&tape.gates) {
+            op.jvp_gate(pre, &mut dstate, gate, dtheta);
+        }
+        dstate
+    }
+
+    /// Reverse-mode derivative at the tape point: consumes the output
+    /// cotangent `gy`, returns the input cotangent and accumulates the phase
+    /// cotangent into `grad_theta`.
+    pub fn vjp(&self, tape: &ModuleTape, gy: &CVector, grad_theta: &mut [f64]) -> CVector {
+        debug_assert_eq!(tape.states.len(), self.ops.len() + 1);
+        debug_assert_eq!(tape.gates.len(), self.ops.len());
+        let mut gstate = gy.clone();
+        for ((op, pre), &gate) in self.ops.iter().zip(&tape.states).zip(&tape.gates).rev() {
+            op.vjp_gate(pre, &mut gstate, gate, grad_theta);
+        }
+        gstate
+    }
+
+    /// Rebuilds this mesh with fabrication errors taken from `cursor`
+    /// (consumed in netlist order).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ErrorVectorError`] when the cursor runs out of error slots
+    /// before the mesh is fully instantiated.
+    pub fn with_errors(
+        &self,
+        cursor: &mut ErrorCursor<'_>,
+    ) -> Result<MeshModule, ErrorVectorError> {
+        let mut ops = Vec::with_capacity(self.ops.len());
+        for op in &self.ops {
+            ops.push(match *op {
+                Op::Ps { port, param, .. } => Op::Ps {
+                    port,
+                    param,
+                    zeta: cursor.next_zeta()?,
+                },
+                Op::Bs { port, .. } => Op::Bs {
+                    port,
+                    gamma: cursor.next_gamma()?,
+                },
+            });
+        }
+        Ok(MeshModule {
+            dim: self.dim,
+            ops,
+            param_count: self.param_count,
+            kind: self.kind,
+        })
+    }
+
+    /// Appends this mesh's current error assignment to `out` in netlist
+    /// order.
+    pub fn collect_errors(&self, out: &mut ErrorVector) {
+        for op in &self.ops {
+            match *op {
+                Op::Ps { zeta, .. } => {
+                    out.attenuation.push(1.0 - zeta.abs());
+                    out.phase.push(zeta.arg());
+                }
+                Op::Bs { gamma, .. } => out.gamma.push(gamma),
+            }
+        }
+    }
 }
 
 fn push_mzi(ops: &mut Vec<Op>, port: usize, param: &mut usize) {
@@ -217,221 +439,11 @@ fn push_mzi(ops: &mut Vec<Op>, port: usize, param: &mut usize) {
     *param += 2;
 }
 
-impl OnnModule for MeshModule {
-    fn name(&self) -> String {
-        match self.kind {
-            MeshKind::Clements { layers } => format!("Clements({},{})", self.dim, layers),
-            MeshKind::Reck => format!("Reck({})", self.dim),
-            MeshKind::PhaseDiag => format!("PSdiag({})", self.dim),
-        }
-    }
-
-    fn input_dim(&self) -> usize {
-        self.dim
-    }
-
-    fn output_dim(&self) -> usize {
-        self.dim
-    }
-
-    fn param_count(&self) -> usize {
-        self.param_count
-    }
-
-    fn is_layered(&self) -> bool {
-        !matches!(self.kind, MeshKind::PhaseDiag)
-    }
-
-    fn error_slots(&self) -> (usize, usize) {
-        let n_bs = self
-            .ops
-            .iter()
-            .filter(|op| matches!(op, Op::Bs { .. }))
-            .count();
-        let n_ps = self.ops.len() - n_bs;
-        (n_bs, n_ps)
-    }
-
-    fn forward(&self, x: &CVector, theta: &[f64]) -> CVector {
-        let mut state = CVector::zeros(0);
-        self.forward_into(x, theta, &mut state);
-        state
-    }
-
-    fn forward_tape(&self, x: &CVector, theta: &[f64]) -> (CVector, ModuleTape) {
-        let mut out = CVector::zeros(0);
-        let mut tape = ModuleTape::empty();
-        self.forward_tape_into(x, theta, &mut out, &mut tape);
-        (out, tape)
-    }
-
-    // Dimension checks in the per-op hot paths are debug-only: callers go
-    // through the validated `Network`/chip boundary, which asserts input and
-    // parameter lengths once per evaluation.
-    fn forward_into(&self, x: &CVector, theta: &[f64], out: &mut CVector) {
-        debug_assert_eq!(x.len(), self.dim, "input dimension mismatch");
-        debug_assert_eq!(theta.len(), self.param_count, "parameter count mismatch");
-        out.copy_from(x);
-        for op in &self.ops {
-            op.apply(out, theta);
-        }
-    }
-
-    fn forward_tape_into(&self, x: &CVector, theta: &[f64], out: &mut CVector, tape: &mut ModuleTape) {
-        debug_assert_eq!(x.len(), self.dim, "input dimension mismatch");
-        debug_assert_eq!(theta.len(), self.param_count, "parameter count mismatch");
-        // Push-then-apply: each slot is seeded with a copy of its
-        // predecessor and the op is applied in place, instead of mutating a
-        // running state and cloning it per op.
-        tape.truncate(self.ops.len() + 1);
-        tape.record(0, x);
-        tape.gates.clear();
-        for (i, op) in self.ops.iter().enumerate() {
-            let gate = op.gate(theta);
-            tape.gates.push(gate);
-            op.apply_gate(tape.advance(i), gate);
-        }
-        out.copy_from(tape.output());
-    }
-
-    fn is_compilable(&self) -> bool {
-        true
-    }
-
-    fn compile_apply(&self, theta: &[f64], acc: &mut CMatrix) -> bool {
-        debug_assert_eq!(theta.len(), self.param_count, "parameter count mismatch");
-        debug_assert_eq!(acc.rows(), self.dim, "accumulator row mismatch");
-        for op in &self.ops {
-            op.apply_to_rows(acc, theta);
-        }
-        true
-    }
-
-    fn compile_apply_probed(
-        &self,
-        theta: &[f64],
-        acc: &mut CMatrix,
-        snaps: &mut Vec<PsSnapshot>,
-    ) -> bool {
-        debug_assert_eq!(theta.len(), self.param_count, "parameter count mismatch");
-        debug_assert_eq!(acc.rows(), self.dim, "accumulator row mismatch");
-        for op in &self.ops {
-            if let Op::Ps { port, param, zeta } = *op {
-                snaps.push(PsSnapshot {
-                    param,
-                    port,
-                    zeta,
-                    prefix: acc.row(port).to_vec(),
-                    suffix: Vec::new(),
-                });
-            }
-            op.apply_to_rows(acc, theta);
-        }
-        true
-    }
-
-    fn compile_suffix_probed(
-        &self,
-        theta: &[f64],
-        acc: &mut CMatrix,
-        snaps: &mut [PsSnapshot],
-    ) -> bool {
-        debug_assert_eq!(acc.cols(), self.dim, "suffix accumulator column mismatch");
-        let mut k = snaps.len();
-        for op in self.ops.iter().rev() {
-            if let Op::Ps { port, .. } = *op {
-                debug_assert!(k > 0, "snapshot/op walk out of sync");
-                k -= 1;
-                let snap = &mut snaps[k];
-                debug_assert_eq!(snap.port, port, "snapshot/op walk out of sync");
-                snap.suffix = acc.col(port).as_slice().to_vec();
-            }
-            op.apply_to_cols(acc, theta);
-        }
-        debug_assert_eq!(k, 0, "snapshot/op walk out of sync");
-        true
-    }
-
-    // The tape's gates were evaluated at the recorded parameters, which are
-    // the `theta` every caller linearizes at, so the passes below read them
-    // instead of `theta`.
-    fn jvp(&self, tape: &ModuleTape, _theta: &[f64], dx: &CVector, dtheta: &[f64]) -> CVector {
-        debug_assert_eq!(tape.states.len(), self.ops.len() + 1);
-        debug_assert_eq!(tape.gates.len(), self.ops.len());
-        let mut dstate = dx.clone();
-        for ((op, pre), &gate) in self.ops.iter().zip(&tape.states).zip(&tape.gates) {
-            op.jvp_gate(pre, &mut dstate, gate, dtheta);
-        }
-        dstate
-    }
-
-    fn vjp(
-        &self,
-        tape: &ModuleTape,
-        _theta: &[f64],
-        gy: &CVector,
-        grad_theta: &mut [f64],
-    ) -> CVector {
-        debug_assert_eq!(tape.states.len(), self.ops.len() + 1);
-        debug_assert_eq!(tape.gates.len(), self.ops.len());
-        let mut gstate = gy.clone();
-        for ((op, pre), &gate) in self.ops.iter().zip(&tape.states).zip(&tape.gates).rev() {
-            op.vjp_gate(pre, &mut gstate, gate, grad_theta);
-        }
-        gstate
-    }
-
-    fn as_mesh(&self) -> Option<&MeshModule> {
-        Some(self)
-    }
-
-    fn with_errors(
-        &self,
-        cursor: &mut ErrorCursor<'_>,
-    ) -> Result<Box<dyn OnnModule>, ErrorVectorError> {
-        let mut ops = Vec::with_capacity(self.ops.len());
-        for op in &self.ops {
-            ops.push(match *op {
-                Op::Ps { port, param, .. } => Op::Ps {
-                    port,
-                    param,
-                    zeta: cursor.next_zeta()?,
-                },
-                Op::Bs { port, .. } => Op::Bs {
-                    port,
-                    gamma: cursor.next_gamma()?,
-                },
-            });
-        }
-        Ok(Box::new(MeshModule {
-            dim: self.dim,
-            ops,
-            param_count: self.param_count,
-            kind: self.kind,
-        }))
-    }
-
-    fn collect_errors(&self, out: &mut ErrorVector) {
-        for op in &self.ops {
-            match *op {
-                Op::Ps { zeta, .. } => {
-                    out.attenuation.push(1.0 - zeta.abs());
-                    out.phase.push(zeta.arg());
-                }
-                Op::Bs { gamma, .. } => out.gamma.push(gamma),
-            }
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn OnnModule> {
-        Box::new(self.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::{ErrorModel, ErrorVector};
+    use crate::module::Module;
     use photon_linalg::random::normal_cvector;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -447,11 +459,9 @@ mod tests {
         // Clements(8,8): 28 MZIs, 56 phases — matches the published counts.
         let full = MeshModule::clements(8, 8);
         assert_eq!(full.param_count(), 56);
-        assert_eq!(full.mzi_count(), 28);
         // Truncated Clements(8,4): 14 MZIs, 28 phases.
         let trunc = MeshModule::clements(8, 4);
         assert_eq!(trunc.param_count(), 28);
-        assert_eq!(trunc.mzi_count(), 14);
         // With PSdiag(8): 56 + 8 = 64 = 8² parameters, universal.
         assert_eq!(MeshModule::phase_diag(8).param_count(), 8);
     }
@@ -459,9 +469,36 @@ mod tests {
     #[test]
     fn reck_parameter_count() {
         let reck = MeshModule::reck(6);
-        assert_eq!(reck.mzi_count(), 15); // 6·5/2
-        assert_eq!(reck.param_count(), 30);
+        assert_eq!(reck.param_count(), 30); // 6·5/2 MZIs
         assert!(reck.is_layered());
+    }
+
+    /// The pinned serve finds phase `k`'s compile snapshot at index `k`
+    /// of the mesh's snapshots, so each mesh must number its phases in op
+    /// order, one shifter per phase.
+    #[test]
+    fn phases_are_numbered_in_op_order() {
+        for mesh in [
+            MeshModule::clements(5, 5),
+            MeshModule::clements(6, 3),
+            MeshModule::reck(5),
+            MeshModule::phase_diag(4),
+        ] {
+            let params: Vec<usize> = mesh
+                .ops()
+                .iter()
+                .filter_map(|op| match *op {
+                    Op::Ps { param, .. } => Some(param),
+                    Op::Bs { .. } => None,
+                })
+                .collect();
+            assert_eq!(
+                params,
+                (0..mesh.param_count()).collect::<Vec<_>>(),
+                "{}",
+                mesh.name()
+            );
+        }
     }
 
     #[test]
@@ -494,7 +531,7 @@ mod tests {
         let (n_bs, n_ps) = ideal.error_slots();
         let ev = ErrorVector::sample(n_bs, n_ps, &ErrorModel::with_beta(4.0), &mut rng);
         let mut cursor = ErrorCursor::new(&ev);
-        let noisy = ideal.with_errors(&mut cursor).unwrap();
+        let noisy = Module::Mesh(ideal.with_errors(&mut cursor).unwrap());
         let theta = random_theta(noisy.param_count(), &mut rng);
         let x = normal_cvector(6, &mut rng);
         let y = noisy.forward(&x, &theta);
@@ -519,20 +556,21 @@ mod tests {
     #[test]
     fn forward_tape_matches_forward() {
         let mut rng = StdRng::seed_from_u64(2);
-        let m = MeshModule::clements(5, 3);
+        let mesh = MeshModule::clements(5, 3);
+        let m = Module::Mesh(mesh.clone());
         let theta = random_theta(m.param_count(), &mut rng);
         let x = normal_cvector(5, &mut rng);
         let y1 = m.forward(&x, &theta);
         let (y2, tape) = m.forward_tape(&x, &theta);
         assert!((&y1 - &y2).max_abs() < 1e-14);
-        assert_eq!(tape.states.len(), m.ops().len() + 1);
+        assert_eq!(tape.states.len(), mesh.ops().len() + 1);
         assert!((tape.output() - &y1).max_abs() < 1e-14);
     }
 
     #[test]
     fn jvp_matches_finite_difference() {
         let mut rng = StdRng::seed_from_u64(21);
-        let m = MeshModule::clements(4, 4);
+        let m = Module::Mesh(MeshModule::clements(4, 4));
         let theta = random_theta(m.param_count(), &mut rng);
         let x = normal_cvector(4, &mut rng);
         let dtheta: Vec<f64> = (0..m.param_count())
@@ -560,7 +598,7 @@ mod tests {
     #[test]
     fn vjp_is_adjoint_of_jvp() {
         let mut rng = StdRng::seed_from_u64(23);
-        let m = MeshModule::clements(4, 2);
+        let m = Module::Mesh(MeshModule::clements(4, 2));
         let n = m.param_count();
         let theta = random_theta(n, &mut rng);
         let x = normal_cvector(4, &mut rng);
@@ -587,7 +625,7 @@ mod tests {
 
     #[test]
     fn phase_diag_is_elementwise() {
-        let m = MeshModule::phase_diag(3);
+        let m = Module::Mesh(MeshModule::phase_diag(3));
         assert!(!m.is_layered());
         let theta = [0.1, 0.2, 0.3];
         let x = CVector::from_real_slice(&[1.0, 1.0, 1.0]);
@@ -610,12 +648,8 @@ mod tests {
             let ev = ErrorVector::sample(n_bs, n_ps, &ErrorModel::with_beta(2.0), &mut rng);
             let noisy = module.with_errors(&mut ErrorCursor::new(&ev)).unwrap();
             let theta = random_theta(noisy.param_count(), &mut rng);
-            let compiled = noisy.compile_matrix(&theta).expect("meshes are compilable");
-            let mut reference = CMatrix::zeros(module.input_dim(), module.input_dim());
-            for k in 0..module.input_dim() {
-                let y = noisy.forward(&CVector::basis(module.input_dim(), k), &theta);
-                reference.set_col(k, &y);
-            }
+            let compiled = noisy.compile_matrix(&theta);
+            let reference = noisy.transfer_matrix(&theta);
             assert!(
                 (&compiled - &reference).max_abs() < 1e-13,
                 "{} compiled matrix diverges",
@@ -633,7 +667,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn forward_rejects_wrong_input_dim() {
-        let m = MeshModule::clements(4, 2);
+        let m = Module::Mesh(MeshModule::clements(4, 2));
         let theta = vec![0.0; m.param_count()];
         let _ = m.forward(&CVector::zeros(3), &theta);
     }

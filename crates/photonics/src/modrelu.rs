@@ -2,9 +2,6 @@
 
 use photon_linalg::{CVector, C64};
 
-use crate::error::{ErrorCursor, ErrorVector, ErrorVectorError};
-use crate::module::{ModuleTape, OnnModule};
-
 /// Element-wise modReLU activation with one trainable bias per waveguide:
 ///
 /// ```text
@@ -21,9 +18,9 @@ use crate::module::{ModuleTape, OnnModule};
 ///
 /// ```
 /// use photon_linalg::{C64, CVector};
-/// use photon_photonics::{ModRelu, OnnModule};
+/// use photon_photonics::{ModRelu, Module};
 ///
-/// let act = ModRelu::new(2);
+/// let act = Module::ModRelu(ModRelu::new(2));
 /// let x = CVector::from_vec(vec![C64::new(3.0, 4.0), C64::new(0.1, 0.0)]);
 /// // Bias -1: |3+4j| = 5 → modulus 4; |0.1| - 1 < 0 → gated to zero.
 /// let y = act.forward(&x, &[-1.0, -1.0]);
@@ -32,7 +29,7 @@ use crate::module::{ModuleTape, OnnModule};
 /// ```
 #[derive(Debug, Clone)]
 pub struct ModRelu {
-    dim: usize,
+    pub(crate) dim: usize,
 }
 
 impl ModRelu {
@@ -45,56 +42,10 @@ impl ModRelu {
         assert!(dim >= 1, "modReLU needs at least 1 waveguide");
         ModRelu { dim }
     }
-}
-
-/// Numerical floor under which an amplitude is treated as dark (no phase).
-const DARK: f64 = 1e-300;
-
-impl OnnModule for ModRelu {
-    fn name(&self) -> String {
-        format!("modReLU({})", self.dim)
-    }
-
-    fn input_dim(&self) -> usize {
-        self.dim
-    }
-
-    fn output_dim(&self) -> usize {
-        self.dim
-    }
-
-    fn param_count(&self) -> usize {
-        self.dim
-    }
-
-    fn is_layered(&self) -> bool {
-        false
-    }
-
-    fn error_slots(&self) -> (usize, usize) {
-        (0, 0)
-    }
-
-    fn forward(&self, x: &CVector, theta: &[f64]) -> CVector {
-        let mut out = CVector::zeros(0);
-        self.forward_into(x, theta, &mut out);
-        out
-    }
-
-    fn forward_tape(&self, x: &CVector, theta: &[f64]) -> (CVector, ModuleTape) {
-        let y = self.forward(x, theta);
-        (
-            y,
-            ModuleTape {
-                states: vec![x.clone()],
-                gates: Vec::new(),
-            },
-        )
-    }
 
     // Debug-only checks: lengths are validated once at the `Network`/chip
     // boundary before the per-module hot loop runs.
-    fn forward_into(&self, x: &CVector, theta: &[f64], out: &mut CVector) {
+    pub(crate) fn forward_into(&self, x: &CVector, theta: &[f64], out: &mut CVector) {
         debug_assert_eq!(x.len(), self.dim, "input dimension mismatch");
         debug_assert_eq!(theta.len(), self.dim, "parameter count mismatch");
         out.resize_zeroed(self.dim);
@@ -109,14 +60,8 @@ impl OnnModule for ModRelu {
         }
     }
 
-    fn forward_tape_into(&self, x: &CVector, theta: &[f64], out: &mut CVector, tape: &mut ModuleTape) {
-        self.forward_into(x, theta, out);
-        tape.truncate(1);
-        tape.record(0, x);
-    }
-
-    fn jvp(&self, tape: &ModuleTape, theta: &[f64], dx: &CVector, dtheta: &[f64]) -> CVector {
-        let x = tape.input();
+    /// Output tangent at input `x` (the taped module input).
+    pub(crate) fn jvp(&self, x: &CVector, theta: &[f64], dx: &CVector, dtheta: &[f64]) -> CVector {
         CVector::from_fn(self.dim, |k| {
             let z = x[k];
             let r = z.abs();
@@ -134,14 +79,15 @@ impl OnnModule for ModRelu {
         })
     }
 
-    fn vjp(
+    /// Input cotangent at input `x`; the bias cotangent accumulates into
+    /// `grad_theta`.
+    pub(crate) fn vjp(
         &self,
-        tape: &ModuleTape,
+        x: &CVector,
         theta: &[f64],
         gy: &CVector,
         grad_theta: &mut [f64],
     ) -> CVector {
-        let x = tape.input();
         CVector::from_fn(self.dim, |k| {
             let z = x[k];
             let r = z.abs();
@@ -160,31 +106,23 @@ impl OnnModule for ModRelu {
             g.scale(s) - z.scale(coef * zg_dot)
         })
     }
-
-    fn with_errors(
-        &self,
-        _cursor: &mut ErrorCursor<'_>,
-    ) -> Result<Box<dyn OnnModule>, ErrorVectorError> {
-        Ok(Box::new(self.clone()))
-    }
-
-    fn collect_errors(&self, _out: &mut ErrorVector) {}
-
-    fn clone_box(&self) -> Box<dyn OnnModule> {
-        Box::new(self.clone())
-    }
 }
+
+/// Numerical floor under which an amplitude is treated as dark (no phase).
+const DARK: f64 = 1e-300;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ErrorVector;
+    use crate::module::Module;
     use photon_linalg::random::normal_cvector;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     #[test]
     fn zero_bias_is_identity_on_modulus() {
-        let act = ModRelu::new(3);
+        let act = Module::ModRelu(ModRelu::new(3));
         let x = CVector::from_vec(vec![
             C64::new(1.0, 2.0),
             C64::new(-0.5, 0.25),
@@ -196,7 +134,7 @@ mod tests {
 
     #[test]
     fn positive_bias_amplifies_preserving_phase() {
-        let act = ModRelu::new(1);
+        let act = Module::ModRelu(ModRelu::new(1));
         let x = CVector::from_vec(vec![C64::from_polar(2.0, 0.7)]);
         let y = act.forward(&x, &[1.0]);
         assert!((y[0].abs() - 3.0).abs() < 1e-12);
@@ -205,7 +143,7 @@ mod tests {
 
     #[test]
     fn gating_below_threshold() {
-        let act = ModRelu::new(1);
+        let act = Module::ModRelu(ModRelu::new(1));
         let x = CVector::from_vec(vec![C64::from_real(0.5)]);
         assert_eq!(act.forward(&x, &[-0.6])[0], C64::ZERO);
         // Dark input is gated regardless of bias.
@@ -216,7 +154,7 @@ mod tests {
     #[test]
     fn jvp_matches_finite_difference() {
         let mut rng = StdRng::seed_from_u64(31);
-        let act = ModRelu::new(4);
+        let act = Module::ModRelu(ModRelu::new(4));
         let x = normal_cvector(4, &mut rng);
         let theta: Vec<f64> = (0..4).map(|_| rng.gen::<f64>() * 0.4 - 0.2).collect();
         let dtheta: Vec<f64> = (0..4).map(|_| rng.gen::<f64>() - 0.5).collect();
@@ -242,7 +180,7 @@ mod tests {
     #[test]
     fn vjp_is_adjoint_of_jvp() {
         let mut rng = StdRng::seed_from_u64(33);
-        let act = ModRelu::new(5);
+        let act = Module::ModRelu(ModRelu::new(5));
         let x = normal_cvector(5, &mut rng);
         let theta: Vec<f64> = (0..5).map(|_| rng.gen::<f64>() * 0.5 - 0.25).collect();
         let (_, tape) = act.forward_tape(&x, &theta);
@@ -268,9 +206,9 @@ mod tests {
 
     #[test]
     fn no_error_slots() {
-        let act = ModRelu::new(3);
+        let act = Module::ModRelu(ModRelu::new(3));
         assert_eq!(act.error_slots(), (0, 0));
-        assert!(!act.random_init());
+        assert!(!act.is_layered());
         let mut out = ErrorVector::default();
         act.collect_errors(&mut out);
         assert!(out.is_empty());

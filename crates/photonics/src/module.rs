@@ -1,15 +1,15 @@
-//! The module abstraction: the unit an ONN is composed of.
+//! The module type: the unit an ONN is composed of.
 
-use std::fmt;
+use photon_linalg::{CVector, C64};
 
-use photon_linalg::{CMatrix, CVector, C64};
-
+use crate::electrooptic::ElectroOptic;
 use crate::error::{ErrorCursor, ErrorVector, ErrorVectorError};
 use crate::mesh::MeshModule;
+use crate::modrelu::ModRelu;
 
 /// Compile-time snapshot of one phase shifter inside a fused linear stage,
-/// recorded by [`OnnModule::compile_apply_probed`] and completed by
-/// [`OnnModule::compile_suffix_probed`].
+/// recorded by [`MeshModule::compile_apply_probed`] and completed by
+/// [`MeshModule::compile_suffix_probed`].
 ///
 /// With the stage product written `M = U_n···U_1` and shifter `i` sitting on
 /// port `p`, a change of its phase from `θ` to `θ'` moves the stage matrix by
@@ -25,9 +25,6 @@ use crate::mesh::MeshModule;
 /// sparse phase perturbation in `O(N²)` instead of a full mesh recompile.
 #[derive(Debug, Clone)]
 pub struct PsSnapshot {
-    /// Parameter index driving the shifter. Module-local as recorded; the
-    /// stage compiler rebases it to the network's global theta indexing.
-    pub param: usize,
     /// Waveguide index the shifter sits on.
     pub port: usize,
     /// Fabrication error factor `ζ` baked into the shifter.
@@ -39,8 +36,8 @@ pub struct PsSnapshot {
     pub suffix: Vec<C64>,
 }
 
-/// Saved forward-pass state needed by [`OnnModule::jvp`] and
-/// [`OnnModule::vjp`].
+/// Saved forward-pass state needed by [`Module::jvp`] and
+/// [`Module::vjp`].
 ///
 /// For a mesh of `n` ops the tape holds `n + 1` states: the input, the state
 /// after each op, the last being the module output. It also holds the `n`
@@ -57,7 +54,7 @@ pub struct ModuleTape {
 
 impl ModuleTape {
     /// An empty tape, ready to be filled by
-    /// [`OnnModule::forward_tape_into`]. Reusing one tape across calls keeps
+    /// [`Module::forward_tape_into`]. Reusing one tape across calls keeps
     /// the recorded state buffers alive, so steady-state re-recording
     /// performs no heap allocation.
     pub fn empty() -> Self {
@@ -125,204 +122,151 @@ impl ModuleTape {
     }
 }
 
-/// A differentiable ONN module: a map `y = f(x, θ)` from a complex state and
-/// real parameters to a complex state.
+/// One module of an ONN: a map `y = f(x, θ)` from a complex state and real
+/// parameters to a complex state on the same `dim` waveguides.
 ///
-/// Implementations must satisfy the adjoint contract: for any tape,
-/// `⟨jvp(dx, dθ), g⟩_R = ⟨dx, vjp-state⟩_R + dθ·(vjp-params)`, where
-/// `⟨u, v⟩_R = Σ Re(uᵢ)Re(vᵢ) + Im(uᵢ)Im(vᵢ)`. This makes
+/// Only meshes carry fabrication errors and compile to a transfer matrix;
+/// [`MeshModule`] owns both. Every kind satisfies the adjoint contract: for
+/// any tape, `⟨jvp(dx, dθ), g⟩_R = ⟨dx, vjp-state⟩_R + dθ·(vjp-params)`,
+/// where `⟨u, v⟩_R = Σ Re(uᵢ)Re(vᵢ) + Im(uᵢ)Im(vᵢ)`. This makes
 /// `vjp ∘ jvp` an exact Fisher-metric (Gauss-Newton) product, which the
-/// LCNG optimizer relies on.
-pub trait OnnModule: fmt::Debug + Send + Sync {
-    /// Short human-readable name, e.g. `Clements(8,8)`.
-    fn name(&self) -> String;
+/// LCNG optimizer relies on; [`crate::gradcheck`] checks it.
+#[derive(Debug, Clone)]
+pub enum Module {
+    /// A linear mesh of phase shifters and beam splitters.
+    Mesh(MeshModule),
+    /// The modReLU activation.
+    ModRelu(ModRelu),
+    /// The electro-optic activation.
+    ElectroOptic(ElectroOptic),
+}
 
-    /// Number of input waveguides.
-    fn input_dim(&self) -> usize;
+impl Module {
+    /// Number of waveguides in and out (every module is square).
+    pub fn dim(&self) -> usize {
+        match self {
+            Module::Mesh(mesh) => mesh.dim(),
+            Module::ModRelu(act) => act.dim,
+            Module::ElectroOptic(act) => act.dim,
+        }
+    }
 
-    /// Number of output waveguides.
-    fn output_dim(&self) -> usize;
+    /// Number of trainable real parameters (one bias per waveguide for an
+    /// activation).
+    pub fn param_count(&self) -> usize {
+        match self {
+            Module::Mesh(mesh) => mesh.param_count(),
+            Module::ModRelu(_) | Module::ElectroOptic(_) => self.dim(),
+        }
+    }
 
-    /// Number of trainable real parameters.
-    fn param_count(&self) -> usize;
-
-    /// `true` when the parameters are arranged in interrelated optical
-    /// layers (Clements meshes); `false` for element-wise modules.
-    fn is_layered(&self) -> bool;
+    /// `true` for Clements and Reck meshes, whose parameters sit in
+    /// interrelated optical layers: they are randomly initialized and get
+    /// their own natural-gradient block.
+    pub fn is_layered(&self) -> bool {
+        matches!(self, Module::Mesh(mesh) if mesh.is_layered())
+    }
 
     /// `(beam splitters, phase shifters)` — the fabrication-error slots this
-    /// module consumes, in netlist order.
-    fn error_slots(&self) -> (usize, usize);
-
-    /// Whether parameters should be randomly initialized (layered meshes)
-    /// rather than zero-initialized (diagonal phases, modReLU biases).
-    fn random_init(&self) -> bool {
-        self.is_layered()
+    /// module consumes, in netlist order. Activations have none.
+    pub fn error_slots(&self) -> (usize, usize) {
+        match self {
+            Module::Mesh(mesh) => mesh.error_slots(),
+            Module::ModRelu(_) | Module::ElectroOptic(_) => (0, 0),
+        }
     }
 
-    /// Applies the module.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `x.len() != self.input_dim()` or
-    /// `theta.len() != self.param_count()`.
-    fn forward(&self, x: &CVector, theta: &[f64]) -> CVector;
-
-    /// Applies the module, recording the tape needed for differentiation.
-    fn forward_tape(&self, x: &CVector, theta: &[f64]) -> (CVector, ModuleTape);
-
-    /// Applies the module into a caller-owned output buffer.
-    ///
-    /// The default delegates to [`OnnModule::forward`] (one allocation); the
-    /// modules in this crate override it with a true in-place evaluation so
-    /// steady-state reuse of `out` performs no heap allocation.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`OnnModule::forward`].
-    fn forward_into(&self, x: &CVector, theta: &[f64], out: &mut CVector) {
-        *out = self.forward(x, theta);
+    /// Applies the module into a caller-owned output buffer (shapes are
+    /// debug-checked only; `Network` validates them once per evaluation).
+    pub fn forward_into(&self, x: &CVector, theta: &[f64], out: &mut CVector) {
+        match self {
+            Module::Mesh(mesh) => mesh.forward_into(x, theta, out),
+            Module::ModRelu(act) => act.forward_into(x, theta, out),
+            Module::ElectroOptic(act) => act.forward_into(x, theta, out),
+        }
     }
 
-    /// Applies the module, recording into caller-owned output and tape
-    /// buffers.
-    ///
-    /// The default delegates to [`OnnModule::forward_tape`]; the modules in
-    /// this crate override it to reuse the buffers already held by `out` and
-    /// `tape`.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`OnnModule::forward`].
-    fn forward_tape_into(&self, x: &CVector, theta: &[f64], out: &mut CVector, tape: &mut ModuleTape) {
-        let (y, t) = self.forward_tape(x, theta);
-        *out = y;
-        *tape = t;
-    }
-
-    /// `true` when this module is linear in the optical field for fixed
-    /// `theta`, i.e. representable as a dense transfer matrix that
-    /// [`OnnModule::compile_apply`] can build. Element-wise nonlinear
-    /// modules (modReLU, electro-optic activations) return `false`.
-    fn is_compilable(&self) -> bool {
-        false
-    }
-
-    /// Premultiplies this module's transfer matrix onto the accumulator
-    /// `acc` (shape `N×W` for any panel width `W`), returning `true` on
-    /// success or `false` when the module is not compilable (in which case
-    /// `acc` is untouched).
-    ///
-    /// Walking the op list over `acc`'s rows costs `O(ops·W)` with the trig
-    /// hoisted to once per op; consecutive compilable modules chain on the
-    /// same accumulator, fusing a whole linear run into one matrix without
-    /// any `O(N³)` matrix-matrix product.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic (debug assertions) when
-    /// `theta.len() != self.param_count()` or `acc.rows()` does not match
-    /// the module dimension.
-    fn compile_apply(&self, theta: &[f64], acc: &mut CMatrix) -> bool {
-        let _ = (theta, acc);
-        false
-    }
-
-    /// Like [`OnnModule::compile_apply`], but additionally records one
-    /// [`PsSnapshot`] per phase shifter (prefix rows filled, suffix columns
-    /// left empty for [`OnnModule::compile_suffix_probed`]), appended to
-    /// `snaps` in op order. Must premultiply exactly the same arithmetic as
-    /// `compile_apply`, so a probed compile is bitwise identical to a plain
-    /// one.
-    ///
-    /// The default performs a plain compile and records nothing, which
-    /// downgrades parameter changes inside this module to a full recompile —
-    /// correct, just not incremental.
-    fn compile_apply_probed(
+    /// Applies the module, recording the tape [`Module::jvp`] and
+    /// [`Module::vjp`] need; an activation records only its input.
+    pub fn forward_tape_into(
         &self,
+        x: &CVector,
         theta: &[f64],
-        acc: &mut CMatrix,
-        snaps: &mut Vec<PsSnapshot>,
-    ) -> bool {
-        let _ = snaps;
-        self.compile_apply(theta, acc)
+        out: &mut CVector,
+        tape: &mut ModuleTape,
+    ) {
+        match self {
+            Module::Mesh(mesh) => mesh.forward_tape_into(x, theta, out, tape),
+            Module::ModRelu(_) | Module::ElectroOptic(_) => {
+                self.forward_into(x, theta, out);
+                tape.truncate(1);
+                tape.record(0, x);
+            }
+        }
     }
 
-    /// Completes the suffix columns of this module's snapshots by walking
-    /// the op list in reverse while postmultiplying onto `acc`.
-    ///
-    /// On entry `acc` must hold the product of every op applied *after* this
-    /// module in the fused stage (identity for the last module); on exit it
-    /// has absorbed this module too, ready for the preceding module. `snaps`
-    /// is exactly the slice this module appended in
-    /// [`OnnModule::compile_apply_probed`], still in op order. Returns
-    /// `false` (leaving `acc` untouched) when the module records no
-    /// snapshots.
-    fn compile_suffix_probed(
-        &self,
-        theta: &[f64],
-        acc: &mut CMatrix,
-        snaps: &mut [PsSnapshot],
-    ) -> bool {
-        let _ = (theta, acc, snaps);
-        false
+    /// Allocating form of [`Module::forward_into`].
+    pub fn forward(&self, x: &CVector, theta: &[f64]) -> CVector {
+        let mut out = CVector::zeros(0);
+        self.forward_into(x, theta, &mut out);
+        out
     }
 
-    /// Compiles this module's dense transfer matrix at `theta` (errors are
-    /// already baked into the op list), or `None` when the module is
-    /// nonlinear and has no fixed transfer matrix.
-    fn compile_matrix(&self, theta: &[f64]) -> Option<CMatrix> {
-        let mut acc = CMatrix::identity(self.input_dim());
-        self.compile_apply(theta, &mut acc).then_some(acc)
+    /// Allocating form of [`Module::forward_tape_into`].
+    pub fn forward_tape(&self, x: &CVector, theta: &[f64]) -> (CVector, ModuleTape) {
+        let mut out = CVector::zeros(0);
+        let mut tape = ModuleTape::empty();
+        self.forward_tape_into(x, theta, &mut out, &mut tape);
+        (out, tape)
     }
 
     /// Forward-mode derivative: the output tangent produced by input tangent
     /// `dx` and parameter tangent `dtheta`, linearized at the tape point.
-    fn jvp(&self, tape: &ModuleTape, theta: &[f64], dx: &CVector, dtheta: &[f64]) -> CVector;
+    pub fn jvp(&self, tape: &ModuleTape, theta: &[f64], dx: &CVector, dtheta: &[f64]) -> CVector {
+        match self {
+            Module::Mesh(mesh) => mesh.jvp(tape, dx, dtheta),
+            Module::ModRelu(act) => act.jvp(tape.input(), theta, dx, dtheta),
+            Module::ElectroOptic(act) => act.jvp(tape.input(), theta, dx, dtheta),
+        }
+    }
 
     /// Reverse-mode derivative: consumes the output cotangent `gy`, returns
     /// the input cotangent, and accumulates the parameter cotangent into
     /// `grad_theta`.
-    fn vjp(
+    pub fn vjp(
         &self,
         tape: &ModuleTape,
         theta: &[f64],
         gy: &CVector,
         grad_theta: &mut [f64],
-    ) -> CVector;
-
-    /// This module as a [`MeshModule`], or `None` for element-wise modules.
-    ///
-    /// Meshes are the only modules that carry fabrication errors, so
-    /// [`crate::Network::for_each_nudged_output`] restarts its error nudges
-    /// inside them through this view.
-    fn as_mesh(&self) -> Option<&MeshModule> {
-        None
+    ) -> CVector {
+        match self {
+            Module::Mesh(mesh) => mesh.vjp(tape, gy, grad_theta),
+            Module::ModRelu(act) => act.vjp(tape.input(), theta, gy, grad_theta),
+            Module::ElectroOptic(act) => act.vjp(tape.input(), theta, gy, grad_theta),
+        }
     }
 
     /// Rebuilds this module with fabrication errors taken from `cursor`
-    /// (consumed in netlist order).
+    /// (consumed in netlist order); activations are returned unchanged.
     ///
     /// # Errors
     ///
     /// Returns [`ErrorVectorError`] when the cursor runs out of error slots
     /// before the module is fully instantiated.
-    fn with_errors(
-        &self,
-        cursor: &mut ErrorCursor<'_>,
-    ) -> Result<Box<dyn OnnModule>, ErrorVectorError>;
+    pub fn with_errors(&self, cursor: &mut ErrorCursor<'_>) -> Result<Module, ErrorVectorError> {
+        match self {
+            Module::Mesh(mesh) => Ok(Module::Mesh(mesh.with_errors(cursor)?)),
+            Module::ModRelu(_) | Module::ElectroOptic(_) => Ok(self.clone()),
+        }
+    }
 
     /// Appends this module's current error assignment to `out` in netlist
-    /// order.
-    fn collect_errors(&self, out: &mut ErrorVector);
-
-    /// Clones into a boxed trait object.
-    fn clone_box(&self) -> Box<dyn OnnModule>;
-}
-
-impl Clone for Box<dyn OnnModule> {
-    fn clone(&self) -> Self {
-        self.clone_box()
+    /// order (nothing for an activation).
+    pub fn collect_errors(&self, out: &mut ErrorVector) {
+        if let Module::Mesh(mesh) = self {
+            mesh.collect_errors(out);
+        }
     }
 }
 

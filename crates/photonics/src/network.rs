@@ -11,7 +11,7 @@ use crate::electrooptic::ElectroOptic;
 use crate::error::{zeta_from_parts, ErrorCursor, ErrorVector};
 use crate::mesh::MeshModule;
 use crate::modrelu::ModRelu;
-use crate::module::{ModuleTape, OnnModule};
+use crate::module::{Module, ModuleTape};
 use crate::ops::Op;
 
 /// Errors raised while assembling a [`Network`].
@@ -108,14 +108,14 @@ impl ModuleSpec {
         }
     }
 
-    fn instantiate(&self) -> Box<dyn OnnModule> {
+    fn instantiate(&self) -> Module {
         match *self {
-            ModuleSpec::Clements { dim, layers } => Box::new(MeshModule::clements(dim, layers)),
-            ModuleSpec::Reck { dim } => Box::new(MeshModule::reck(dim)),
-            ModuleSpec::PhaseDiag { dim } => Box::new(MeshModule::phase_diag(dim)),
-            ModuleSpec::ModRelu { dim } => Box::new(ModRelu::new(dim)),
+            ModuleSpec::Clements { dim, layers } => Module::Mesh(MeshModule::clements(dim, layers)),
+            ModuleSpec::Reck { dim } => Module::Mesh(MeshModule::reck(dim)),
+            ModuleSpec::PhaseDiag { dim } => Module::Mesh(MeshModule::phase_diag(dim)),
+            ModuleSpec::ModRelu { dim } => Module::ModRelu(ModRelu::new(dim)),
             ModuleSpec::ElectroOptic { dim, alpha, gain } => {
-                Box::new(ElectroOptic::new(dim, alpha, gain))
+                Module::ElectroOptic(ElectroOptic::new(dim, alpha, gain))
             }
         }
     }
@@ -326,14 +326,14 @@ impl NetworkScratch {
 /// modules.
 #[derive(Debug, Clone)]
 pub struct Network {
-    modules: Vec<Box<dyn OnnModule>>,
+    modules: Vec<Module>,
     offsets: Vec<usize>,
     param_count: usize,
     architecture: Architecture,
 }
 
 impl Network {
-    fn from_modules(modules: Vec<Box<dyn OnnModule>>, architecture: Architecture) -> Self {
+    fn from_modules(modules: Vec<Module>, architecture: Architecture) -> Self {
         let mut offsets = Vec::with_capacity(modules.len());
         let mut acc = 0;
         for m in &modules {
@@ -354,18 +354,18 @@ impl Network {
     }
 
     /// The module pipeline.
-    pub fn modules(&self) -> &[Box<dyn OnnModule>] {
+    pub fn modules(&self) -> &[Module] {
         &self.modules
     }
 
     /// Input dimension.
     pub fn input_dim(&self) -> usize {
-        self.modules[0].input_dim()
+        self.modules[0].dim()
     }
 
     /// Output dimension.
     pub fn output_dim(&self) -> usize {
-        self.modules[self.modules.len() - 1].output_dim()
+        self.modules[self.modules.len() - 1].dim()
     }
 
     /// Total trainable parameter count `N`.
@@ -390,7 +390,7 @@ impl Network {
     pub fn init_params<R: Rng + ?Sized>(&self, rng: &mut R) -> RVector {
         let mut theta = RVector::zeros(self.param_count);
         for (i, m) in self.modules.iter().enumerate() {
-            if m.random_init() {
+            if m.is_layered() {
                 let range = self.module_param_range(i);
                 for k in range {
                     theta[k] = rng.gen::<f64>() * std::f64::consts::TAU;
@@ -407,14 +407,8 @@ impl Network {
     /// Panics when `x.len() != self.input_dim()` or
     /// `theta.len() != self.param_count()`.
     pub fn forward(&self, x: &CVector, theta: &RVector) -> CVector {
-        assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
-        assert_eq!(theta.len(), self.param_count, "parameter count mismatch");
-        let mut state = x.clone();
-        for (i, m) in self.modules.iter().enumerate() {
-            let range = self.module_param_range(i);
-            state = m.forward(&state, &theta.as_slice()[range]);
-        }
-        state
+        self.forward_into(x, theta, &mut NetworkScratch::new())
+            .clone()
     }
 
     /// Forward pass recording the differentiation tape.
@@ -453,29 +447,10 @@ impl Network {
         theta: &RVector,
         scratch: &'s mut NetworkScratch,
     ) -> &'s CVector {
-        // The single validated boundary check: module-level hot loops below
-        // only carry debug assertions.
-        assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
-        assert_eq!(theta.len(), self.param_count, "parameter count mismatch");
-        scratch.ping.copy_from(x);
-        let mut cur_is_ping = true;
-        for (i, m) in self.modules.iter().enumerate() {
-            let range = self.module_param_range(i);
-            let th = &theta.as_slice()[range];
-            let NetworkScratch { ping, pong, .. } = scratch;
-            let (src, dst) = if cur_is_ping {
-                (&*ping, &mut *pong)
-            } else {
-                (&*pong, &mut *ping)
-            };
+        let NetworkScratch { ping, pong, .. } = scratch;
+        self.walk(0, x, theta, ping, pong, |_, m, src, th, dst| {
             m.forward_into(src, th, dst);
-            cur_is_ping = !cur_is_ping;
-        }
-        if cur_is_ping {
-            &scratch.ping
-        } else {
-            &scratch.pong
-        }
+        })
     }
 
     /// Allocation-free forward pass recording into caller-owned buffers.
@@ -496,32 +471,51 @@ impl Network {
         out: &mut CVector,
         tape: &mut NetworkTape,
     ) {
-        assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
-        assert_eq!(theta.len(), self.param_count, "parameter count mismatch");
         assert_eq!(
             tape.tapes.len(),
             self.modules.len(),
             "tape module count mismatch"
         );
-        scratch.ping.copy_from(x);
+        let NetworkScratch { ping, pong, .. } = scratch;
+        out.copy_from(self.walk(0, x, theta, ping, pong, |i, m, src, th, dst| {
+            m.forward_tape_into(src, th, dst, &mut tape.tapes[i]);
+        }));
+    }
+
+    /// The ping-pong walk behind every forward pass: runs modules `from..`
+    /// on `x`, calling `apply(i, module, input, module parameters, output)`
+    /// for each while alternating between `ping` and `pong`, and returns
+    /// the buffer holding the output.
+    fn walk<'s>(
+        &self,
+        from: usize,
+        x: &CVector,
+        theta: &RVector,
+        ping: &'s mut CVector,
+        pong: &'s mut CVector,
+        mut apply: impl FnMut(usize, &Module, &CVector, &[f64], &mut CVector),
+    ) -> &'s CVector {
+        // The single validated boundary check: module-level hot loops below
+        // only carry debug assertions.
+        assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
+        assert_eq!(theta.len(), self.param_count, "parameter count mismatch");
+        ping.copy_from(x);
         let mut cur_is_ping = true;
-        for (i, m) in self.modules.iter().enumerate() {
-            let range = self.module_param_range(i);
-            let th = &theta.as_slice()[range];
-            let NetworkScratch { ping, pong, .. } = scratch;
+        for (i, m) in self.modules.iter().enumerate().skip(from) {
+            let th = &theta.as_slice()[self.module_param_range(i)];
             let (src, dst) = if cur_is_ping {
                 (&*ping, &mut *pong)
             } else {
                 (&*pong, &mut *ping)
             };
-            m.forward_tape_into(src, th, dst, &mut tape.tapes[i]);
+            apply(i, m, src, th, dst);
             cur_is_ping = !cur_is_ping;
         }
-        out.copy_from(if cur_is_ping {
-            &scratch.ping
+        if cur_is_ping {
+            ping
         } else {
-            &scratch.pong
-        });
+            pong
+        }
     }
 
     /// Forward-mode derivative of the whole network at the tape point:
@@ -586,7 +580,7 @@ impl Network {
     /// mesh from the tape's state before the nudged op, applies that op
     /// with its nudged error, replays the mesh's later ops from the taped
     /// gates, then runs every later module — meshes from their taped gates,
-    /// element-wise modules through [`OnnModule::forward_into`]. A nudged
+    /// activations through [`Module::forward_into`]. A nudged
     /// `ζ` is rebuilt from the flat `(attenuation, phase)` pair exactly as
     /// [`ErrorCursor`] builds it; recovering the pair from `ζ` would not
     /// round-trip bit for bit.
@@ -619,6 +613,13 @@ impl Network {
         let (gamma, zeta_parts) = errors.split_at(n_bs);
         let (attenuation, phase) = zeta_parts.split_at(n_ps);
         let NetworkScratch { ping, pong, nudge } = scratch;
+        // Modules after the nudged one: meshes replay their taped gates,
+        // activations run forward.
+        let replay =
+            |j: usize, later: &Module, src: &CVector, th: &[f64], dst: &mut CVector| match later {
+                Module::Mesh(mesh) => mesh.forward_gated_into(&tape.tapes[j], src, dst),
+                _ => later.forward_into(src, th, dst),
+            };
         let mut k = 0;
         // The flat layout lists every γ, then every attenuation, then every
         // phase; within a family the slots run through the meshes in
@@ -627,9 +628,7 @@ impl Network {
         for family in [Family::Gamma, Family::Attenuation, Family::Phase] {
             let (mut bs, mut ps) = (0, 0);
             for (m, module) in self.modules.iter().enumerate() {
-                let Some(mesh) = module.as_mesh() else {
-                    let slots = module.error_slots();
-                    assert_eq!(slots, (0, 0), "only meshes carry error slots");
+                let Module::Mesh(mesh) = module else {
                     continue;
                 };
                 let th = &theta.as_slice()[self.module_param_range(m)];
@@ -658,24 +657,7 @@ impl Network {
                     nudged
                 };
                 mesh.for_each_replaced_output(&tape.tapes[m], th, nudge, replace, |y| {
-                    ping.copy_from(y);
-                    let mut cur_is_ping = true;
-                    for (j, later) in self.modules.iter().enumerate().skip(m + 1) {
-                        let (src, dst) = if cur_is_ping {
-                            (&*ping, &mut *pong)
-                        } else {
-                            (&*pong, &mut *ping)
-                        };
-                        match later.as_mesh() {
-                            Some(mesh) => mesh.forward_gated_into(&tape.tapes[j], src, dst),
-                            None => {
-                                let th = &theta.as_slice()[self.module_param_range(j)];
-                                later.forward_into(src, th, dst);
-                            }
-                        }
-                        cur_is_ping = !cur_is_ping;
-                    }
-                    f(k, if cur_is_ping { ping } else { pong });
+                    f(k, self.walk(m + 1, y, theta, ping, pong, replay));
                     k += 1;
                 });
             }
@@ -692,35 +674,13 @@ impl Network {
         out
     }
 
-    /// Indices of layered modules (Clements / Reck meshes).
-    pub fn layered_module_indices(&self) -> Vec<usize> {
-        self.modules
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.is_layered())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Applies a nearest-neighbour thermal-crosstalk map to a parameter
-    /// vector: within each module, a fraction `coupling` of each heater's
-    /// phase leaks into its chain neighbours,
+    /// vector, writing into `out`: within each module, a fraction
+    /// `coupling` of each heater's phase leaks into its chain neighbours,
     /// `θ_eff[i] = θ[i] + coupling·(θ[i−1] + θ[i+1])` (module-local chain).
     ///
     /// This is the standard first-order model of thermal heater crosstalk
     /// on silicon photonics; crosstalk never crosses module boundaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `theta.len() != self.param_count()`.
-    pub fn apply_thermal_crosstalk(&self, theta: &RVector, coupling: f64) -> RVector {
-        let mut out = RVector::zeros(0);
-        self.apply_thermal_crosstalk_into(theta, coupling, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`Network::apply_thermal_crosstalk`]
-    /// writing into a caller-owned buffer.
     ///
     /// # Panics
     ///
@@ -902,12 +862,6 @@ mod tests {
         let lhs = real_dot(&dy, &g);
         let rhs = real_dot(&dx, &gx) + dtheta.dot(&gtheta).unwrap();
         assert!((lhs - rhs).abs() < 1e-9, "{lhs} vs {rhs}");
-    }
-
-    #[test]
-    fn layered_module_indices() {
-        let net = small_arch().build_ideal();
-        assert_eq!(net.layered_module_indices(), vec![0, 3]);
     }
 
     #[test]

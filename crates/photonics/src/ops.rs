@@ -190,22 +190,6 @@ impl Op {
             }
         }
     }
-
-    /// Module-local parameter index if this op is parameterized.
-    pub fn param_index(&self) -> Option<usize> {
-        match *self {
-            Op::Ps { param, .. } => Some(param),
-            Op::Bs { .. } => None,
-        }
-    }
-
-    /// The highest port index this op touches.
-    pub fn max_port(&self) -> usize {
-        match *self {
-            Op::Ps { port, .. } => port,
-            Op::Bs { port, .. } => port + 1,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -417,22 +401,5 @@ mod tests {
             op.apply_to_cols(&mut cols_acc, &theta);
         }
         assert!((&rows_acc - &cols_acc).max_abs() < 1e-14);
-    }
-
-    #[test]
-    fn param_index_and_ports() {
-        let ps = Op::Ps {
-            port: 2,
-            param: 5,
-            zeta: C64::ONE,
-        };
-        let bs = Op::Bs {
-            port: 3,
-            gamma: 0.0,
-        };
-        assert_eq!(ps.param_index(), Some(5));
-        assert_eq!(bs.param_index(), None);
-        assert_eq!(ps.max_port(), 2);
-        assert_eq!(bs.max_port(), 4);
     }
 }

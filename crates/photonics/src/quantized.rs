@@ -15,6 +15,7 @@
 
 use photon_linalg::{CMatrix, CVector, RVector, C64};
 
+use crate::module::Module;
 use crate::network::Network;
 
 /// Serialization magic prefix (`b"PQNT"`).
@@ -208,7 +209,7 @@ impl QActivations {
 /// for serving.
 ///
 /// Built by [`QuantizedNetwork::quantize`] from an *all-linear* network
-/// (every module compilable): the whole pipeline fuses into one dense
+/// (every module a mesh): the whole pipeline fuses into one dense
 /// transfer matrix before quantization, so a serve is a single integer
 /// matrix-vector product. Networks containing nonlinear modules (modReLU,
 /// electro-optic activations) cannot be frozen this way and return `None`
@@ -222,7 +223,7 @@ pub struct QuantizedNetwork {
 
 impl QuantizedNetwork {
     /// Fuses `net` at `theta` into one transfer matrix and quantizes it.
-    /// Returns `None` when any module is nonlinear (not compilable).
+    /// Returns `None` when any module is an activation.
     ///
     /// # Panics
     ///
@@ -231,10 +232,10 @@ impl QuantizedNetwork {
         assert_eq!(theta.len(), net.param_count(), "theta length mismatch");
         let mut acc = CMatrix::identity(net.input_dim());
         for (i, m) in net.modules().iter().enumerate() {
-            let range = net.module_param_range(i);
-            if !m.compile_apply(&theta.as_slice()[range], &mut acc) {
+            let Module::Mesh(mesh) = m else {
                 return None;
-            }
+            };
+            mesh.compile_apply(&theta.as_slice()[net.module_param_range(i)], &mut acc);
         }
         Some(QuantizedNetwork {
             stages: vec![QMatrix::quantize(&acc)],

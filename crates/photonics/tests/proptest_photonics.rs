@@ -9,7 +9,7 @@ use photon_linalg::random::{normal_cvector, normal_rvector};
 use photon_linalg::{CVector, RVector};
 use photon_photonics::{
     fisher_vector_products, module_jacobian, Architecture, ErrorCursor, ErrorModel, ErrorVector,
-    MeshModule, ModuleSpec, OnnModule,
+    MeshModule, Module, ModuleSpec,
 };
 
 fn arb_theta(n: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -33,7 +33,7 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let x = normal_cvector(dim, &mut rng);
         let u = mesh.transfer_matrix(theta);
-        let direct = mesh.forward(&x, theta);
+        let direct = Module::Mesh(mesh).forward(&x, theta);
         let via_matrix = u.mul_vec(&x).unwrap();
         prop_assert!((&direct - &via_matrix).max_abs() < 1e-10);
     }
@@ -60,7 +60,7 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let (n_bs, n_ps) = mesh.error_slots();
         let ev = ErrorVector::sample(n_bs, n_ps, &ErrorModel::with_beta(3.0), &mut rng);
-        let noisy = mesh.with_errors(&mut ErrorCursor::new(&ev)).unwrap();
+        let noisy = Module::Mesh(mesh.with_errors(&mut ErrorCursor::new(&ev)).unwrap());
         let x = normal_cvector(4, &mut rng);
         let y = normal_cvector(4, &mut rng);
         let alpha = photon_linalg::C64::new(0.3, -0.7);
@@ -75,7 +75,7 @@ proptest! {
     #[test]
     fn modrelu_phase_preserving(seed in 0u64..300, bias in -0.5..0.0f64) {
         use photon_photonics::ModRelu;
-        let act = ModRelu::new(3);
+        let act = Module::ModRelu(ModRelu::new(3));
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let x = normal_cvector(3, &mut rng);
         let theta = vec![bias; 3];
@@ -101,8 +101,9 @@ proptest! {
         let x = normal_cvector(3, &mut rng);
         let j = module_jacobian(&mesh, &x, &theta);
         let dtheta = normal_rvector(n, &mut rng);
-        let (_, tape) = mesh.forward_tape(&x, &theta);
-        let dy = mesh.jvp(&tape, &theta, &CVector::zeros(3), dtheta.as_slice());
+        let module = Module::Mesh(mesh);
+        let (_, tape) = module.forward_tape(&x, &theta);
+        let dy = module.jvp(&tape, &theta, &CVector::zeros(3), dtheta.as_slice());
         let jd = j.mul_vec(&CVector::from_real_slice(dtheta.as_slice())).unwrap();
         prop_assert!((&dy - &jd).max_abs() < 1e-9);
     }

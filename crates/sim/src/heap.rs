@@ -79,11 +79,6 @@ impl<T> EventHeap<T> {
         self.heap.pop().map(|e| (e.at_ns, e.seq, e.payload))
     }
 
-    /// Virtual time of the next event, if any.
-    pub fn peek_at(&self) -> Option<u64> {
-        self.heap.peek().map(|e| e.at_ns)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -121,16 +116,14 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_len() {
+    fn len_and_pop_order() {
         let mut h = EventHeap::new();
         assert!(h.is_empty());
-        assert_eq!(h.peek_at(), None);
         h.schedule(5, ());
         h.schedule(3, ());
         assert_eq!(h.len(), 2);
-        assert_eq!(h.peek_at(), Some(3));
         let (at, seq, ()) = h.pop().unwrap();
         assert_eq!((at, seq), (3, 1));
-        assert_eq!(h.peek_at(), Some(5));
+        assert_eq!(h.len(), 1);
     }
 }

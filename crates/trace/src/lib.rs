@@ -310,7 +310,7 @@ pub enum TraceEvent {
         from: String,
         /// State after the transition.
         to: String,
-        /// What drove it (e.g. "error window 3/4", "chaos quarantine").
+        /// What drove it (e.g. "error window 3/4", "chaos kill").
         reason: String,
     },
     /// A farm job changed state (submitted / dispatched / preempted /

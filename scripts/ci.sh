@@ -9,6 +9,12 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy --offline --all-targets --workspace -- -D warnings
 
+# Rustdoc gate: every photon-* crate and the facade document without a
+# warning, so a doc link to a deleted or private item fails here. The
+# vendored shims under vendor/ are excluded.
+RUSTDOCFLAGS='-D warnings' cargo doc --offline --no-deps --workspace \
+    --exclude rand --exclude proptest --exclude criterion --exclude crossbeam --exclude parking_lot
+
 # Benchmark harness gate: perfbench is a cargo workspace of its own that
 # depends on the repository's crates by path, so a workspace build never
 # compiles it. Build and test it here, into the target directory
@@ -50,14 +56,14 @@ EOF
 # be byte-identical to an uninterrupted control's, at worker pools 1 and 3.
 scripts/chaos_resume.sh
 
-# Farm chaos gate: the multi-tenant chip farm under a seeded schedule of
-# worker kills, forced quarantines, and hang-prone lab links. Every
-# submitted job must end Completed — bitwise-equal to an uninterrupted
-# single-chip run of the same spec — or Rejected with a typed reason: zero
-# lost jobs, and the per-tenant ledgers must reconcile exactly with the
-# per-worker and per-job chip query counters (the example exits non-zero
-# otherwise). Pinned to the scalar kernel so the gate replays identically
-# on every host.
+# Farm chaos gate: the multi-tenant chip farm under a scripted worker kill
+# and a hang-prone lab link whose watchdog timeouts count against that
+# worker's health monitor. Every submitted job must end Completed —
+# bitwise-equal to an uninterrupted single-chip run of the same spec — or
+# Rejected with a typed reason: zero lost jobs, and the per-tenant ledgers
+# must reconcile exactly with the per-worker and per-job chip query
+# counters (the example exits non-zero otherwise). Pinned to the scalar
+# kernel so the gate replays identically on every host.
 PHOTON_KERNEL=scalar cargo test -q --offline --test farm_chaos
 PHOTON_KERNEL=scalar cargo run --release --offline --example chip_farm >/dev/null
 

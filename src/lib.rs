@@ -126,10 +126,9 @@ pub mod prelude {
         DriftConfig, FaultPlan, FaultyChip, ReplicaChaos, StuckShifter, TransientConfig,
     };
     pub use photon_linalg::{CVector, RVector, C64};
-    pub use photon_opt::{Adam, CmaEs, LcngSettings, Optimizer, Perturbation, Sgd, ZoSettings};
+    pub use photon_opt::{Adam, CmaEs, LcngSettings, Perturbation, ZoSettings};
     pub use photon_photonics::{
-        ideal_model, Architecture, ErrorModel, FabricatedChip, MeshModule, Network, OnnChip,
-        OnnModule,
+        ideal_model, Architecture, ErrorModel, FabricatedChip, MeshModule, Module, Network, OnnChip,
     };
     pub use photon_sim::{
         ArrivalProcess, CostModel, ReplicaSpec, ResilientConfig, ServingReport, SimConfig,

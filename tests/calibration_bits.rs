@@ -49,10 +49,7 @@ fn dual_settings() -> CalibrationSettings {
     CalibrationSettings {
         random_inputs: 2,
         num_settings: 1,
-        lm: LmSettings {
-            max_iters: 6,
-            ..LmSettings::default()
-        },
+        lm: LmSettings { max_iters: 6 },
         ..CalibrationSettings::default()
     }
 }
@@ -77,10 +74,7 @@ fn calibrate_dual_path_is_bit_pinned() {
 fn calibrate_primal_path_is_bit_pinned() {
     let (chip, mut rng) = chip(6);
     let settings = CalibrationSettings {
-        lm: LmSettings {
-            max_iters: 4,
-            ..LmSettings::default()
-        },
+        lm: LmSettings { max_iters: 4 },
         ..CalibrationSettings::default()
     };
     // (4 basis + 8 random inputs) × 3 settings × 4 detectors.

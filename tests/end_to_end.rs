@@ -102,10 +102,7 @@ fn calibrated_model_is_closer_to_chip_than_ideal() {
     let settings = CalibrationSettings {
         random_inputs: 8,
         num_settings: 3,
-        lm: LmSettings {
-            max_iters: 10,
-            ..LmSettings::default()
-        },
+        lm: LmSettings { max_iters: 10 },
         ..CalibrationSettings::default()
     };
     let outcome = calibrate(&task.chip, &settings, &mut rng).unwrap();
@@ -236,5 +233,4 @@ fn prelude_exposes_the_public_surface() {
     adam.step(&mut t, &RVector::from_slice(&[1.0, 2.0, 3.0]));
     assert!(t[0] < 0.0);
     let _ = C64::I;
-    let _ = Sgd::new(0.1);
 }

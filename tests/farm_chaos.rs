@@ -1,10 +1,11 @@
-//! Chaos gate for the multi-tenant chip farm: under a seeded schedule of
-//! worker kills, forced quarantines, and hang-prone lab links, every
-//! submitted job must end `Completed` — with results **bitwise equal** to
-//! an uninterrupted single-chip run of the same spec — or `Rejected` with a
-//! typed reason. No job may be lost or corrupted, and the per-tenant,
-//! per-worker, and per-job query ledgers must reconcile exactly, both in
-//! the farm report and in the emitted telemetry.
+//! Chaos gate for the multi-tenant chip farm: under a scripted worker kill
+//! and a hang-prone lab link, whose watchdog timeouts count against that
+//! worker's health monitor, every submitted job must end `Completed` —
+//! with results **bitwise equal** to an uninterrupted single-chip run of
+//! the same spec — or `Rejected` with a typed reason. No job may be lost
+//! or corrupted, and the per-tenant, per-worker, and per-job query ledgers
+//! must reconcile exactly, both in the farm report and in the emitted
+//! telemetry.
 
 use std::fs;
 use std::path::{Path, PathBuf};

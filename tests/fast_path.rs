@@ -45,7 +45,7 @@ proptest! {
         let refs: Vec<&CVector> = xs.iter().collect();
 
         let mut plan = CompiledNetwork::new();
-        plan.set_pinned(PinnedBase::compile(&net, &theta0));
+        plan.set_pinned(Some(PinnedBase::compile(&net, &theta0)));
         let mut scratch = NetworkScratch::new();
         let mut sparse_requests = 0u64;
         for (n_phases, step_seed) in steps {
@@ -159,7 +159,7 @@ fn forced_recompile_cadence_fires() {
     let xs: Vec<CVector> = (0..2).map(|_| normal_cvector(3, &mut rng)).collect();
     let refs: Vec<&CVector> = xs.iter().collect();
     let mut plan = CompiledNetwork::new();
-    plan.set_pinned(PinnedBase::compile(&net, &theta0));
+    plan.set_pinned(Some(PinnedBase::compile(&net, &theta0)));
     let mut scratch = NetworkScratch::new();
     for i in 0..=FORCED_RECOMPILE_PERIOD as usize {
         let mut req = theta0.clone();

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use photon_zo::data::{dft, idft};
 use photon_zo::linalg::{CMatrix, CVector, RCholesky, RMatrix, RVector, C64};
 use photon_zo::photonics::{
-    Architecture, ErrorCursor, ErrorModel, ErrorVector, MeshModule, OnnModule,
+    Architecture, ErrorCursor, ErrorModel, ErrorVector, MeshModule, Module,
 };
 
 fn arb_phases(n: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -58,7 +58,7 @@ proptest! {
         prop_assume!(x.norm_sqr() > 1e-12);
         let (n_bs, n_ps) = mesh.error_slots();
         let ev = ErrorVector::sample(n_bs, n_ps, &ErrorModel::with_beta(beta), &mut rng);
-        let noisy = mesh.with_errors(&mut ErrorCursor::new(&ev)).unwrap();
+        let noisy = Module::Mesh(mesh.with_errors(&mut ErrorCursor::new(&ev)).unwrap());
         let theta: Vec<f64> = phases.into_iter().take(noisy.param_count()).collect();
         prop_assume!(theta.len() == noisy.param_count());
         let y = noisy.forward(&x, &theta);
