@@ -17,8 +17,19 @@
 //! - `incremental-f32`: rank-1 serving plus the f32 SIMD GEMM — the full
 //!   fast path.
 //!
-//! A custom `main` writes the raw numbers plus per-tier speedups and the
-//! dispatched kernel tier to `BENCH_simd.json` at the workspace root.
+//! A second set of arms times the serving rungs that can run: the pinned
+//! serve (`serve_pinned_batch_into`) per request on an 8×8 single-mesh
+//! chip (β = 1) pinned at its initial θ, once on the plain f64 chip and
+//! once on the same chip built `with_f32_fast_path()`, at batch 1, 16 and
+//! 64. The two tiers' samples are interleaved, and each row records the
+//! min and median per-request time over the repeats.
+//!
+//! A custom `main` writes the raw numbers plus per-tier speedups, the
+//! serve rows (`serve`) and the dispatched kernel tier to `BENCH_simd.json`
+//! at the workspace root.
+
+use std::hint::black_box;
+use std::time::Instant;
 
 use criterion::Criterion;
 use rand::rngs::StdRng;
@@ -27,6 +38,7 @@ use rand::SeedableRng;
 use photon_bench::report::{json_fixed, json_object, json_rows, json_str, write_bench_json};
 use photon_core::ClassificationHead;
 use photon_data::{Dataset, GaussianClusters};
+use photon_linalg::random::normal_cvector;
 use photon_linalg::{CVector, RVector};
 use photon_photonics::{Architecture, BatchScratch, ErrorModel, FabricatedChip};
 
@@ -34,6 +46,13 @@ const DIM: usize = 16;
 const Q: usize = 32;
 const BATCH: usize = 16;
 const ARMS: [&str; 4] = ["f64-full", "f32-simd", "incremental-f64", "incremental-f32"];
+
+const SERVE_DIM: usize = 8;
+const SERVE_TIERS: [&str; 2] = ["f64", "f32"];
+const SERVE_BATCHES: [usize; 3] = [1, 16, 64];
+/// Requests served per timed sample, whatever the batch size.
+const SERVE_REQUESTS_PER_SAMPLE: usize = 8_192;
+const SERVE_REPEATS: usize = 31;
 
 fn fabricate() -> FabricatedChip {
     let mut rng = StdRng::seed_from_u64(11);
@@ -104,7 +123,64 @@ fn bench_simd_forward(c: &mut Criterion) {
     group.finish();
 }
 
-fn write_report(c: &Criterion) -> std::io::Result<()> {
+/// The serve arms' chip: 8×8 single mesh, β = 1, pinned at its initial θ.
+fn serve_chip(f32_fast_path: bool) -> FabricatedChip {
+    let mut rng = StdRng::seed_from_u64(11);
+    let arch = Architecture::single_mesh(SERVE_DIM, SERVE_DIM).unwrap();
+    let chip = FabricatedChip::fabricate(&arch, &ErrorModel::with_beta(1.0), &mut rng);
+    let chip = if f32_fast_path {
+        chip.with_f32_fast_path()
+    } else {
+        chip
+    };
+    let theta = chip.init_params(&mut rng);
+    chip.pin_compile_base(&theta);
+    chip
+}
+
+/// Times the pinned serve per request, in ns, on both tiers at every
+/// batch size: one `(tier, batch, samples)` row per arm. Each repeat takes
+/// one sample of every arm in turn, so host noise lands on both tiers
+/// alike.
+fn bench_serve() -> Vec<(&'static str, usize, Vec<f64>)> {
+    let chips = [serve_chip(false), serve_chip(true)];
+    let mut rng = StdRng::seed_from_u64(12);
+    let xs: Vec<CVector> = (0..SERVE_BATCHES[2])
+        .map(|_| normal_cvector(SERVE_DIM, &mut rng))
+        .collect();
+    let refs: Vec<&CVector> = xs.iter().collect();
+    let mut scratch = BatchScratch::new();
+    let mut time = |chip: &FabricatedChip, batch: usize| {
+        let start = Instant::now();
+        for _ in 0..SERVE_REQUESTS_PER_SAMPLE / batch {
+            let ys = chip
+                .serve_pinned_batch_into(black_box(&refs[..batch]), &mut scratch)
+                .expect("serve chips are pinned");
+            black_box(ys);
+        }
+        start.elapsed().as_nanos() as f64 / SERVE_REQUESTS_PER_SAMPLE as f64
+    };
+    let arms: Vec<(usize, usize)> = SERVE_BATCHES
+        .iter()
+        .flat_map(|&b| [(0, b), (1, b)])
+        .collect();
+    // Warm-up: one untimed sample per arm fills the caches and scratch.
+    for &(tier, batch) in &arms {
+        time(&chips[tier], batch);
+    }
+    let mut samples = vec![Vec::with_capacity(SERVE_REPEATS); arms.len()];
+    for _ in 0..SERVE_REPEATS {
+        for (&(tier, batch), s) in arms.iter().zip(&mut samples) {
+            s.push(time(&chips[tier], batch));
+        }
+    }
+    arms.iter()
+        .zip(samples)
+        .map(|(&(tier, batch), s)| (SERVE_TIERS[tier], batch, s))
+        .collect()
+}
+
+fn write_report(c: &Criterion, serve: &[(&str, usize, Vec<f64>)]) -> std::io::Result<()> {
     let find = |arm: &str| {
         let id = format!("simd_forward/{arm}");
         c.measurements().iter().find(move |m| m.id == id)
@@ -127,6 +203,19 @@ fn write_report(c: &Criterion) -> std::io::Result<()> {
             ]));
         }
     }
+    let serve_rows: Vec<String> = serve
+        .iter()
+        .map(|(tier, batch, samples)| {
+            let mut ns = samples.clone();
+            ns.sort_by(f64::total_cmp);
+            json_object(&[
+                ("tier", json_str(tier)),
+                ("batch", batch.to_string()),
+                ("min_ns_per_request", json_fixed(ns[0], 1)),
+                ("median_ns_per_request", json_fixed(ns[ns.len() / 2], 1)),
+            ])
+        })
+        .collect();
     write_bench_json(
         "BENCH_simd.json",
         "simd_forward",
@@ -143,6 +232,16 @@ fn write_report(c: &Criterion) -> std::io::Result<()> {
                 ),
             ),
             ("results", json_rows(&rows)),
+            (
+                "serve_note",
+                json_str(&format!(
+                    "per-request wall time of serve_pinned_batch_into on an {SERVE_DIM}x{SERVE_DIM} \
+                     single-mesh chip (beta 1) pinned at its initial theta: f64 is the plain \
+                     chip, f32 the same chip built with_f32_fast_path; min and median over \
+                     {SERVE_REPEATS} interleaved samples of {SERVE_REQUESTS_PER_SAMPLE} requests"
+                )),
+            ),
+            ("serve", json_rows(&serve_rows)),
         ],
     )
 }
@@ -150,7 +249,8 @@ fn write_report(c: &Criterion) -> std::io::Result<()> {
 fn main() {
     let mut c = Criterion::default().configure_from_args();
     bench_simd_forward(&mut c);
-    if let Err(e) = write_report(&c) {
+    let serve = bench_serve();
+    if let Err(e) = write_report(&c, &serve) {
         eprintln!("simd_forward: failed to write BENCH_simd.json: {e}");
     }
 }

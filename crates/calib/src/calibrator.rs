@@ -88,6 +88,10 @@ pub enum CalibError {
         /// non-finite entry.
         index: usize,
     },
+    /// The measurement sweep read no finite power (every read dropped).
+    /// The fit zeroes non-finite residual entries, so it would match no
+    /// data and read as a perfect fit.
+    NoFiniteReadings,
 }
 
 impl std::fmt::Display for CalibError {
@@ -98,6 +102,9 @@ impl std::fmt::Display for CalibError {
             CalibError::NonFinitePrior { index } => {
                 write!(f, "recalibration prior is not finite at flat index {index}")
             }
+            CalibError::NoFiniteReadings => {
+                write!(f, "calibration sweep read no finite power")
+            }
         }
     }
 }
@@ -107,7 +114,7 @@ impl std::error::Error for CalibError {
         match self {
             CalibError::Linalg(e) => Some(e),
             CalibError::Network(e) => Some(e),
-            CalibError::NonFinitePrior { .. } => None,
+            CalibError::NonFinitePrior { .. } | CalibError::NoFiniteReadings => None,
         }
     }
 }
@@ -274,7 +281,8 @@ pub fn recalibrate<C: OnnChip, R: Rng + ?Sized>(
 
 /// Shared fit body: damped Gauss-Newton on the power residuals, starting
 /// from `init` (zeros for a cold calibration, the prior errors for an
-/// incremental recalibration).
+/// incremental recalibration). A sweep with no finite reading is
+/// [`CalibError::NoFiniteReadings`].
 fn fit_measurements<C: OnnChip>(
     chip: &C,
     plan: &ProbePlan,
@@ -282,6 +290,10 @@ fn fit_measurements<C: OnnChip>(
     lm: &LmSettings,
     init: RVector,
 ) -> Result<CalibrationOutcome, CalibError> {
+    let mut readings = measured.powers.iter().flatten().flat_map(RVector::iter);
+    if !readings.any(|v| v.is_finite()) {
+        return Err(CalibError::NoFiniteReadings);
+    }
     let mut problem = PowerFit::new(chip.architecture().clone(), plan, measured);
     let fit = solve(&mut problem, &init, lm)?;
     let errors = problem.errors(&fit.params);

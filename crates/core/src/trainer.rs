@@ -242,41 +242,22 @@ pub struct TrainConfig {
 ///
 /// 1. **retry** — non-finite loss readings are re-measured in place;
 /// 2. **reject** — outlier difference quotients are screened out and
-///    re-read (see [`photon_opt::RobustEval`]);
+///    re-read (the [`photon_opt::RobustEval::standard`] ladder);
 /// 3. **rollback** — a diverging iteration (non-finite base loss, or base
 ///    loss above `spike_factor ×` its running EMA) restores the last good
-///    `(θ, optimizer)` snapshot and shrinks the learning rate;
-/// 4. **recalibrate** — when the metric model's measured fidelity falls
-///    below `fidelity_threshold`, the chip is recalibrated in place and the
-///    model replaced.
+///    `(θ, optimizer)` snapshot and halves the learning rate, at most
+///    8 times per fine-tune run;
+/// 4. **recalibrate** — after every epoch the metric model's power
+///    fidelity is measured on 8 random probes; below 0.995 the chip is
+///    recalibrated on a 64-query budget and the model replaced when the
+///    new one measures no worse.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
     /// Master switch. When `false` every other field is ignored and the
     /// training path is bitwise identical to the pre-recovery trainer.
     pub enabled: bool,
-    /// Immediate re-measurements of a non-finite loss reading.
-    pub max_retries: u32,
-    /// Robust z-score beyond which a difference quotient is rejected.
-    pub outlier_zscore: f64,
-    /// Re-reads replacing a rejected probe (median taken).
-    pub rereads: usize,
     /// Base-loss spike threshold as a multiple of the loss EMA.
     pub spike_factor: f64,
-    /// EMA smoothing factor for the divergence guard (weight of the newest
-    /// loss).
-    pub ema_alpha: f64,
-    /// Learning-rate multiplier applied at each rollback.
-    pub lr_backoff: f64,
-    /// Maximum rollbacks per fine-tune run.
-    pub max_rollbacks: usize,
-    /// Power-fidelity floor below which auto-recalibration triggers.
-    pub fidelity_threshold: f64,
-    /// Check model fidelity every this many epochs (0 = never).
-    pub fidelity_every: usize,
-    /// Random probes per fidelity check.
-    pub fidelity_probes: usize,
-    /// Chip-query budget per auto-recalibration (0 = never recalibrate).
-    pub recalib_budget: usize,
 }
 
 impl RecoveryPolicy {
@@ -285,17 +266,7 @@ impl RecoveryPolicy {
     pub fn disabled() -> Self {
         RecoveryPolicy {
             enabled: false,
-            max_retries: 0,
-            outlier_zscore: 0.0,
-            rereads: 0,
             spike_factor: 0.0,
-            ema_alpha: 0.0,
-            lr_backoff: 1.0,
-            max_rollbacks: 0,
-            fidelity_threshold: 0.0,
-            fidelity_every: 0,
-            fidelity_probes: 0,
-            recalib_budget: 0,
         }
     }
 
@@ -303,20 +274,25 @@ impl RecoveryPolicy {
     pub fn standard() -> Self {
         RecoveryPolicy {
             enabled: true,
-            max_retries: 3,
-            outlier_zscore: 6.0,
-            rereads: 3,
             spike_factor: 3.0,
-            ema_alpha: 0.3,
-            lr_backoff: 0.5,
-            max_rollbacks: 8,
-            fidelity_threshold: 0.995,
-            fidelity_every: 1,
-            fidelity_probes: 8,
-            recalib_budget: 64,
         }
     }
 }
+
+/// EMA smoothing factor of the divergence guard (weight of the newest
+/// loss).
+const EMA_ALPHA: f64 = 0.3;
+/// Learning-rate multiplier applied at each rollback.
+const LR_BACKOFF: f64 = 0.5;
+/// Maximum rollbacks per fine-tune run.
+const MAX_ROLLBACKS: usize = 8;
+/// Power-fidelity floor below which auto-recalibration triggers.
+const FIDELITY_THRESHOLD: f64 = 0.995;
+/// Random probes per fidelity check.
+const FIDELITY_PROBES: usize = 8;
+/// Chip-query budget per auto-recalibration (raised to `2k` on a chip
+/// with `k` inputs, the smallest sweep that calibrates).
+const RECALIB_BUDGET: usize = 64;
 
 /// Counts of recovery actions over one epoch (on [`EpochRecord`]) or one
 /// run (on [`TrainOutcome`]).
@@ -1012,11 +988,7 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
                 ridge: config.ridge,
             },
             rp,
-            robust: rp.enabled.then_some(RobustEval {
-                max_retries: rp.max_retries,
-                outlier_zscore: rp.outlier_zscore,
-                rereads: rp.rereads,
-            }),
+            robust: rp.enabled.then(RobustEval::standard),
             pool,
             serial: ExecPool::serial(),
             start: Instant::now(),
@@ -1204,12 +1176,12 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
                     let spiking = !base.is_finite() || threshold.is_some_and(|t| base > t);
                     if spiking {
                         let mut rolled_back = false;
-                        if *rollbacks_used < rp.max_rollbacks {
+                        if *rollbacks_used < MAX_ROLLBACKS {
                             if let Some((theta_good, adam_good, cma_good)) = snapshot.as_ref() {
                                 theta.copy_from(theta_good);
                                 *adam = adam_good.clone();
                                 *cma = cma_good.clone();
-                                let new_lr = adam.learning_rate() * rp.lr_backoff;
+                                let new_lr = adam.learning_rate() * LR_BACKOFF;
                                 adam.set_learning_rate(new_lr);
                                 *preconditioner = None;
                                 *sigma_segments = None;
@@ -1385,7 +1357,7 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
             if rp.enabled && needs_base && base.is_finite() {
                 *loss_ema = Some(match *loss_ema {
                     None => base,
-                    Some(e) => rp.ema_alpha * base + (1.0 - rp.ema_alpha) * e,
+                    Some(e) => EMA_ALPHA * base + (1.0 - EMA_ALPHA) * e,
                 });
                 // This iteration measured sanely: its post-update state
                 // becomes the rollback target.
@@ -1396,18 +1368,16 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
 
         // Fidelity monitor: measure how faithfully the metric model
         // still reproduces the (possibly drifting) chip, and
-        // recalibrate in place when it has degraded past the floor.
-        if rp.enabled
-            && method.queries_chip()
-            && rp.fidelity_every > 0
-            && epoch.is_multiple_of(rp.fidelity_every)
-            && metric_model.is_some()
-        {
+        // recalibrate in place when it has degraded past the floor. A
+        // sweep in which no probe read finite measured nothing: its
+        // fidelity of 0 neither triggers a recalibration nor lets one be
+        // adopted.
+        if rp.enabled && method.queries_chip() && metric_model.is_some() {
             let before_q = self.chip.query_count();
             let report = evaluate_model(
                 self.chip,
                 metric_model.as_ref().expect("checked above"),
-                rp.fidelity_probes.max(1),
+                FIDELITY_PROBES,
                 1,
                 rng,
             );
@@ -1415,10 +1385,10 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
                 QueryCategory::RecoveryMonitor,
                 self.chip.query_count().saturating_sub(before_q),
             );
-            if report.power < rp.fidelity_threshold && rp.recalib_budget > 0 {
+            if report.evaluations > 0 && report.power < FIDELITY_THRESHOLD {
                 let k = self.chip.input_dim();
                 let calib_settings =
-                    CalibrationSettings::with_query_budget(k, rp.recalib_budget.max(2 * k));
+                    CalibrationSettings::with_query_budget(k, RECALIB_BUDGET.max(2 * k));
                 // A failed recalibration solve is non-fatal: training
                 // continues on the old model — but its measurement
                 // sweep spent real queries either way, so ledger the
@@ -1431,8 +1401,7 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
                 );
                 if let Ok(outcome) = calib_result {
                     let monitor_q = self.chip.query_count();
-                    let after =
-                        evaluate_model(self.chip, &outcome.model, rp.fidelity_probes.max(1), 1, rng);
+                    let after = evaluate_model(self.chip, &outcome.model, FIDELITY_PROBES, 1, rng);
                     epoch_ledger.add(
                         QueryCategory::RecoveryMonitor,
                         self.chip.query_count().saturating_sub(monitor_q),
@@ -1441,7 +1410,7 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
                     // fault-corrupted measurements can be worse than the
                     // incumbent model — adopt only on measured
                     // non-regression.
-                    let adopted = after.power >= report.power;
+                    let adopted = after.evaluations > 0 && after.power >= report.power;
                     if adopted {
                         // Keep the adopted error assignment so a resumed
                         // durable run rebuilds the same replacement model.

@@ -110,8 +110,7 @@ impl ExecPool {
     ///
     /// Pool construction also forces the process-wide SIMD kernel-tier
     /// detection (see [`photon_linalg::kernel_tier`]), so the dispatch
-    /// decision is made once at pool startup rather than inside a hot loop,
-    /// and [`ExecPool::kernel_tier`] is ready for trace reporting.
+    /// decision is made once at pool startup rather than inside a hot loop.
     pub fn new(threads: usize) -> Self {
         let _ = photon_linalg::kernel_tier();
         ExecPool {
@@ -166,13 +165,6 @@ impl ExecPool {
     /// Number of worker threads this pool uses.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Stable name of the SIMD kernel tier the f32 fast path dispatches to
-    /// in this process (`"scalar"`, `"avx2-fma"`, or `"neon"`). Recorded in
-    /// `TraceEvent::RunStart` so every run log states which kernel served it.
-    pub fn kernel_tier(&self) -> &'static str {
-        photon_linalg::kernel_tier().name()
     }
 
     /// Apply `f` to every item, returning results in item order.

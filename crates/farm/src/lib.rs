@@ -63,8 +63,8 @@ pub use online::{
     run_online, CycleRecord, OnlineError, OnlineOptions, OnlineOutcome, ONLINE_WAL,
 };
 pub use resilience::{
-    rung_label, BreakerPolicy, BreakerState, BreakerTransition, BrownoutController,
-    BrownoutPolicy, CircuitBreaker, HedgeDelayTracker, HedgePolicy, RollingWindow, TierTransition,
+    BreakerPolicy, BreakerState, BreakerTransition, BrownoutController, BrownoutPolicy,
+    CircuitBreaker, HedgeDelayTracker, HedgePolicy, RollingWindow, ServingTier, TierTransition,
 };
 pub use scheduler::{JobId, JobSpec, RejectReason, Rejection, TenantSpec};
 pub use serving::{CoalescePolicy, DrainDecision, RequestQueue, ServeRequest, NO_DEADLINE};

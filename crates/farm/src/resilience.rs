@@ -23,7 +23,6 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use photon_core::percentiles;
-use photon_photonics::ServingTier;
 
 /// A bounded rolling window of boolean outcomes (`true` = success) with a
 /// consecutive-success streak — the shared window math behind both the
@@ -387,20 +386,64 @@ pub struct TierTransition {
     pub to_rung: u8,
 }
 
-/// Stable label for a brownout rung (rung 3 is the shed rung below the
-/// precision tiers).
-pub fn rung_label(rung: u8) -> &'static str {
-    match rung {
-        0 => "f64",
-        1 => "f32",
-        2 => "i16",
-        _ => "shed",
+/// One precision rung of the brownout ladder, precision-first. Below the
+/// three tiers sits rung 3, where new arrivals are shed.
+///
+/// The serving simulator charges each dispatch virtual time for the tier
+/// its replica is on (`photon-sim`'s `TierCostModel`), but only one tier
+/// has a path that runs, and `photon-sim`'s `run_on_chip` serves every
+/// batch on it whatever the tier:
+///
+/// | tier  | what runs                                                            |
+/// |-------|----------------------------------------------------------------------|
+/// | `F64` | the pinned serve, `FabricatedChip::serve_pinned_batch_into`          |
+/// | `F32` | a chip built `with_f32_fast_path`, which `run_on_chip` does not call |
+/// | `I16` | nothing: a virtual-time charge only                                  |
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum ServingTier {
+    /// The pinned compiled f64 serve (the bitwise oracle).
+    F64,
+    /// The opt-in f32 SIMD kernels.
+    F32,
+    /// A cheaper rung with no serve path behind it.
+    I16,
+}
+
+impl ServingTier {
+    /// All tiers, precision-first (the brownout ladder walks this order).
+    pub const LADDER: [ServingTier; 3] = [ServingTier::F64, ServingTier::F32, ServingTier::I16];
+
+    /// Stable lower-case label: `"f64"`, `"f32"` or `"i16"`.
+    pub fn label(self) -> &'static str {
+        match self {
+            ServingTier::F64 => "f64",
+            ServingTier::F32 => "f32",
+            ServingTier::I16 => "i16",
+        }
+    }
+
+    /// Label of brownout rung `rung`: its tier's [`label`](Self::label),
+    /// or `"shed"` on rung 3.
+    pub fn label_of_rung(rung: usize) -> &'static str {
+        ServingTier::from_rung(rung).map_or("shed", ServingTier::label)
+    }
+
+    /// Position on the ladder: 0 = `F64`, 2 = `I16`.
+    pub fn rung(self) -> usize {
+        self as usize
+    }
+
+    /// The tier at ladder position `rung`, if in range.
+    pub fn from_rung(rung: usize) -> Option<ServingTier> {
+        ServingTier::LADDER.get(rung).copied()
     }
 }
 
-/// Per-replica load-shedding controller walking the evaluation-tier
-/// ladder `f64 → f32 → i16 → shed` as queue depth crosses the hysteresis
-/// thresholds — degrading precision before dropping traffic.
+/// Per-replica load-shedding controller walking the brownout ladder
+/// `f64 → f32 → i16 → shed` as queue depth crosses the hysteresis
+/// thresholds. Only the shed rung changes what is served: the
+/// precision tiers differ in the virtual time they are charged (see
+/// [`ServingTier`]).
 #[derive(Debug)]
 pub struct BrownoutController {
     policy: BrownoutPolicy,
@@ -451,13 +494,13 @@ impl BrownoutController {
     /// The tier the controller currently serves at (`None` = shed rung;
     /// queued work drains at the deepest precision tier).
     pub fn current(&self) -> Option<ServingTier> {
-        ServingTier::from_rung(self.rung.min(2)).filter(|_| self.rung < 3)
+        ServingTier::from_rung(self.rung)
     }
 
     /// The precision tier queued work drains at — `I16` while on the shed
     /// rung (shedding gates *admission*, not the drain).
     pub fn drain_tier(&self) -> ServingTier {
-        ServingTier::from_rung(self.rung.min(2)).unwrap_or(ServingTier::I16)
+        ServingTier::from_rung(self.rung).unwrap_or(ServingTier::I16)
     }
 
     /// Whether new arrivals should be shed right now.
@@ -719,8 +762,19 @@ mod tests {
         c.record_served(ServingTier::F32, 7);
         c.record_served(ServingTier::I16, 2);
         assert_eq!(c.served(), [0, 7, 2]);
-        assert_eq!(rung_label(0), "f64");
-        assert_eq!(rung_label(3), "shed");
+    }
+
+    #[test]
+    fn ladder_is_precision_first_and_rungs_roundtrip() {
+        for (i, t) in ServingTier::LADDER.into_iter().enumerate() {
+            assert_eq!(t.rung(), i);
+            assert_eq!(ServingTier::from_rung(i), Some(t));
+            assert_eq!(ServingTier::label_of_rung(i), t.label());
+        }
+        assert_eq!(ServingTier::from_rung(3), None);
+        assert!(ServingTier::F64 < ServingTier::F32 && ServingTier::F32 < ServingTier::I16);
+        let labels: Vec<_> = (0..4).map(ServingTier::label_of_rung).collect();
+        assert_eq!(labels, ["f64", "f32", "i16", "shed"]);
     }
 
     #[test]

@@ -788,26 +788,6 @@ impl FabricatedChip {
         Some(self.forward_batch_into(xs, &theta, scratch))
     }
 
-    /// Freezes the *deployed* theta — the phases
-    /// [`pin_compile_base`](Self::pin_compile_base) was last called with —
-    /// into an `i16` fixed-point [`QuantizedNetwork`](crate::QuantizedNetwork)
-    /// serving artifact, the bottom rung of the evaluation-tier ladder
-    /// ([`ServingTier`](crate::ServingTier)).
-    ///
-    /// Crosstalk is resolved exactly once (like the pin itself), so the
-    /// artifact answers at the same effective phases the pinned f64 path
-    /// serves. Returns `None` when nothing is pinned or when the network
-    /// contains an activation (not compilable to one dense transfer
-    /// matrix). Quantizing reads no measurements, so it counts zero chip
-    /// queries; serves on the artifact are off-chip electronics and are
-    /// not metered here either.
-    pub fn quantize_pinned(&self) -> Option<crate::QuantizedNetwork> {
-        let theta = self.pinned_theta.lock().clone()?;
-        let mut eff = RVector::zeros(0);
-        let th = self.effective_theta(&theta, &mut eff);
-        crate::QuantizedNetwork::quantize(&self.network, th)
-    }
-
     /// Resolves thermal crosstalk once per measurement: returns `theta`
     /// unchanged when crosstalk is disabled, otherwise the effective phases
     /// written into `theta_eff`.

@@ -18,9 +18,8 @@
 //!   dense unitaries applied batch-wide as multi-RHS GEMMs through
 //!   [`OnnChip::forward_batch_into`] / [`OnnChip::forward_powers_batch_into`];
 //! - an NNUE-style fast serving path: pinned compile bases served by exact
-//!   rank-1 incremental updates ([`PinnedBase`]), an opt-in f32 SIMD
-//!   evaluation tier, and `i16` fixed-point deployment artifacts
-//!   ([`QuantizedNetwork`]);
+//!   rank-1 incremental updates ([`PinnedBase`]) and an opt-in f32 SIMD
+//!   evaluation tier ([`FabricatedChip::with_f32_fast_path`]);
 //! - Fisher-information machinery ([`fisher_vector_products`],
 //!   [`module_fisher_block`], [`output_covariance`]) used by the linear
 //!   combination natural gradient optimizer.
@@ -60,8 +59,6 @@ mod modrelu;
 mod module;
 mod network;
 mod ops;
-mod quantized;
-mod tier;
 
 pub use chip::{
     ideal_model, AbortFlag, BatchScratch, ChipScratch, FabricatedChip, MeasurementNoise, OnnChip,
@@ -83,5 +80,3 @@ pub use modrelu::ModRelu;
 pub use module::{Module, ModuleTape, PsSnapshot};
 pub use network::{Architecture, ModuleSpec, Network, NetworkError, NetworkScratch, NetworkTape};
 pub use ops::Op;
-pub use quantized::{QMatrix, QuantizedNetwork};
-pub use tier::ServingTier;

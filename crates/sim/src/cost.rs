@@ -1,9 +1,10 @@
-//! The calibrated service-time model.
+//! The service-time model.
 //!
 //! The simulator does not execute forwards while simulating — it charges
-//! each dispatch a virtual duration from this model, which is *calibrated*
-//! against the repo's own measured benchmarks so the simulated numbers
-//! mean something. A dispatch of `b` coalesced requests costs
+//! each dispatch a virtual duration from this model, whose constants are
+//! set by hand (see [`CostModel::calibrated_8x8`] for where they came from
+//! and how far they sit from the measured pinned serve). A dispatch of `b`
+//! coalesced requests costs
 //!
 //! ```text
 //! service_ns(b) = compile_ns + b · per_sample_ns   (+ hang_ns, rarely)
@@ -15,7 +16,7 @@
 //! at `b = 1` every request carries the full per-call cost, at `b = 16`
 //! it carries 1/16th of it.
 
-use photon_photonics::ServingTier;
+use photon_farm::ServingTier;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -42,12 +43,14 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Constants calibrated from `BENCH_gemm.json` on the 8x8 Clements
-    /// mesh (single thread, compiled path): 364_865 ns measured for 32
-    /// probe-compiles × 16-sample batches ≈ 11_400 ns per call, of which
-    /// the batched GEMM accounts for ≈250 ns/sample — leaving ≈7_400 ns
-    /// of per-call compile/setup to amortize. See DESIGN.md "Serving
-    /// simulator & cost model" for the derivation.
+    /// Hand-set constants for the 8x8 Clements mesh: 7_400 ns per call
+    /// plus 250 ns per request. They were read off an early
+    /// `BENCH_gemm.json` arm that recompiles the mesh on every call (32
+    /// probe compiles × 16-sample batches ≈ 11_400 ns per call); the pinned
+    /// serve the simulator stands for recompiles nothing, and
+    /// `BENCH_serving.json`'s `measured` block times it at a few hundred ns
+    /// for a whole batch-1 call. See DESIGN.md "Serving simulator & cost
+    /// model".
     pub fn calibrated_8x8() -> Self {
         CostModel {
             compile_ns: 7_400,
@@ -95,15 +98,15 @@ impl CostModel {
 }
 
 /// Tiered extension of [`CostModel`]: the same two-term dispatch cost,
-/// divided by a per-tier speedup factor matching the evaluation-tier
-/// ladder the brownout controller walks (`f64 → f32 → i16`).
+/// divided by a per-tier speedup factor for the brownout ladder the
+/// controller walks (`f64 → f32 → i16`, see [`ServingTier`]).
 ///
-/// The f64 tier is the base model verbatim. The f32 factor comes from the
-/// repo's own `BENCH_simd.json` (incremental-f32 kernel ≈ 3.57× the f64
-/// path on the 8×8 mesh; 3.5 used here). The i16 factor is an estimate —
-/// the fixed-point artifact trades the complex-valued GEMM for integer
-/// dot products but has no committed benchmark yet, so 5.0 is a
-/// deliberately conservative stand-in (documented, not measured).
+/// The f64 tier is the base model verbatim. The two factors, 3.5 for f32
+/// and 5.0 for i16, are unmeasured stand-ins. `BENCH_simd.json`'s `serve`
+/// rows time the pinned 8×8 serve per request on a plain chip and on one
+/// built `with_f32_fast_path`; that ratio, not 3.5, is the f32 rung's
+/// measured speedup. No path serves an i16 batch, so that rung has no
+/// number to measure.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierCostModel {
     /// The f64 (full-precision) base model; hangs and recal/probe costs
@@ -116,31 +119,12 @@ pub struct TierCostModel {
 }
 
 impl TierCostModel {
-    /// The calibrated 8×8 ladder (see the type-level docs for provenance).
+    /// The 8×8 ladder (see the type-level docs for provenance).
     pub fn calibrated_8x8() -> Self {
         TierCostModel {
             base: CostModel::calibrated_8x8(),
             f32_speedup: 3.5,
             i16_speedup: 5.0,
-        }
-    }
-
-    /// Builds a tiered model over an explicit base.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= f32_speedup <= i16_speedup` — the ladder must
-    /// get strictly cheaper as precision drops, or brownout would be
-    /// pointless.
-    pub fn new(base: CostModel, f32_speedup: f64, i16_speedup: f64) -> Self {
-        assert!(
-            1.0 <= f32_speedup && f32_speedup <= i16_speedup,
-            "tier speedups must satisfy 1 <= f32 ({f32_speedup}) <= i16 ({i16_speedup})"
-        );
-        TierCostModel {
-            base,
-            f32_speedup,
-            i16_speedup,
         }
     }
 
@@ -180,12 +164,12 @@ mod tests {
             assert!(f64c > f32c && f32c > i16c, "{f64c} > {f32c} > {i16c} at batch {batch}");
             assert_eq!(f64c, m.base.service_ns(batch), "f64 tier is the base verbatim");
         }
-        // The f32 factor lands where BENCH_simd says it should.
+        // The f32 stand-in factor divides the base cost in integer ns.
         let b16 = m.base.service_ns(16);
         assert_eq!(m.service_ns(ServingTier::F32, 16), b16 * 1_000 / 3_500);
         // Degenerate costs never round to zero virtual time.
-        let tiny = TierCostModel::new(
-            CostModel {
+        let tiny = TierCostModel {
+            base: CostModel {
                 compile_ns: 1,
                 per_sample_ns: 0,
                 recal_service_ns: 1,
@@ -193,16 +177,9 @@ mod tests {
                 hang_prob: 0.0,
                 hang_ns: 0,
             },
-            3.5,
-            5.0,
-        );
+            ..m
+        };
         assert_eq!(tiny.service_ns(ServingTier::I16, 1), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "speedups")]
-    fn inverted_tier_speedups_rejected() {
-        let _ = TierCostModel::new(CostModel::calibrated_8x8(), 5.0, 3.5);
     }
 
     #[test]

@@ -9,9 +9,13 @@
 //! on/off arrival processes — through bounded
 //! per-tenant [`photon_farm::RequestQueue`]s and the microbatch
 //! [`photon_farm::CoalescePolicy`] onto a group of replicas, charging each
-//! dispatch virtual time from a [`TierCostModel`] calibrated against the
-//! repo's own `BENCH_gemm` measurements. Background recalibration, canary
-//! and probe traffic occupy a replica the way a batch does. A
+//! dispatch virtual time from a [`TierCostModel`] whose constants are set
+//! by hand: 7.4 µs per call plus 0.25 µs per request at f64, divided by
+//! stand-in factors on the cheaper brownout rungs. No measurement fits
+//! them; `BENCH_serving.json`'s `measured` block times the pinned f64
+//! serve at a few hundred ns for a batch-1 call. Background
+//! recalibration, canary and probe traffic occupy a replica the way a
+//! batch does. A
 //! [`SimConfig`] is a plain worker pool; a [`ResilientConfig`] adds a
 //! dispatch watchdog feeding per-replica circuit breakers, hedged
 //! re-dispatch, the brownout tier ladder and mandatory deadlines. Both run
@@ -28,7 +32,8 @@
 //!   byte-identical report, regardless of host or `PHOTON_THREADS`.
 //! * **Chip reconciliation.** [`run_on_chip`] executes every completed
 //!   dispatch on a real [`photon_photonics::FabricatedChip`] through the
-//!   pinned serving path; the chip's query counter must equal the report's
+//!   pinned f64 serving path, whatever brownout tier it was charged at;
+//!   the chip's query counter must equal the report's
 //!   `eval_queries + hedge_queries` exactly.
 //!
 //! ```

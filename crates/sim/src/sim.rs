@@ -12,7 +12,7 @@
 //! one endpoint — serve open-loop requests from per-tenant bounded queues.
 //! An idle replica asks the [`CoalescePolicy`] whether to drain a
 //! microbatch now, wait for the flush deadline, or idle; each dispatch is
-//! charged virtual time from the calibrated [`TierCostModel`]. Background
+//! charged virtual time from the hand-set [`TierCostModel`]. Background
 //! recalibration, canary and probe traffic occupies a replica the way a
 //! batch does. Policies sit on the loop and are inert when off: a dispatch
 //! watchdog feeding per-replica [`CircuitBreaker`]s, hedged re-dispatch
@@ -26,11 +26,11 @@ use std::ops::{Deref, DerefMut};
 use photon_farm::{
     BreakerPolicy, BreakerState, BrownoutController, BrownoutPolicy, CircuitBreaker,
     CoalescePolicy, DrainDecision, HedgeDelayTracker, HedgePolicy, RequestQueue, ServeRequest,
-    NO_DEADLINE,
+    ServingTier, NO_DEADLINE,
 };
 use photon_faults::ReplicaChaos;
 use photon_linalg::CVector;
-use photon_photonics::{BatchScratch, FabricatedChip, ServingTier};
+use photon_photonics::{BatchScratch, FabricatedChip};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -1016,7 +1016,7 @@ impl<'a> Sim<'a> {
         batch
     }
 
-    /// Starts one leg of batch `b` on replica `r`, served at the tier the
+    /// Starts one leg of batch `b` on replica `r`, charged at the tier the
     /// replica's brownout controller picks, guarded by the watchdog.
     fn start_leg(&mut self, r: usize, b: usize, is_hedge: bool) {
         let len = self.batches[b].requests.len();

@@ -15,8 +15,7 @@
 //!
 //! The demo exits non-zero unless the resilient arm holds p99 within 2x of
 //! healthy while losing strictly fewer requests than the control arm —
-//! the claim ci.sh gates on. It also quantizes the pinned deployment to
-//! the i16 artifact the brownout ladder's bottom serving rung uses.
+//! the claim ci.sh gates on.
 //!
 //! All timing is virtual and every draw derives from the root seed, so the
 //! output is **byte-identical** on every run (ci.sh checks with `cmp`).
@@ -89,19 +88,6 @@ fn main() {
     let chip = FabricatedChip::fabricate(&arch, &ErrorModel::with_beta(1.0), &mut rng);
     let theta = chip.init_params(&mut rng);
     chip.pin_compile_base(&theta);
-
-    // The brownout ladder's bottom serving rung (i16) is a real artifact:
-    // quantize the pinned deployment once, off the serving path.
-    let quantized = chip
-        .quantize_pinned()
-        .expect("a pinned linear mesh quantizes");
-    println!(
-        "quantized deployment artifact: {} -> {} ports, {} bytes (brownout rung 2 / i16)",
-        quantized.input_dim(),
-        quantized.output_dim(),
-        quantized.to_bytes().len()
-    );
-    println!();
 
     let healthy = run(&scenario("healthy", false));
     print!("{}", healthy.render());

@@ -110,6 +110,23 @@ assert best >= 2.0, f"no fast tier reaches 2x over compiled f64: {tiers}"
 print(f"ci: simd_forward best tier {best_tier} at {best:.2f}x (kernel {report['kernel']})")
 EOF
 
+# f32 serve gate: the opt-in f32 serving rung stays only while it pays.
+# The same bench times the pinned serve per request on an 8x8 chip, plain
+# f64 against the chip built with_f32_fast_path. On a SIMD kernel (the
+# scalar kernel has no vector speed to offer) f32's fastest per-request
+# time at batch 64 must beat f64's.
+python3 - <<'EOF'
+import json
+with open("BENCH_simd.json") as f:
+    report = json.load(f)
+serve = {(r["tier"], r["batch"]): r["min_ns_per_request"] for r in report["serve"]}
+f64_ns, f32_ns = serve[("f64", 64)], serve[("f32", 64)]
+print(f"ci: pinned serve at b=64, min per request: f64 {f64_ns:.1f} ns, "
+      f"f32 {f32_ns:.1f} ns (kernel {report['kernel']})")
+if report["kernel"] != "scalar":
+    assert f32_ns < f64_ns, f"f32 serve {f32_ns} ns/request does not beat f64 {f64_ns} at b=64"
+EOF
+
 # Serving-sim gate. Three properties make "a million requests" a number
 # you can trust:
 #   1. No wall clock anywhere in the simulator crate — all timing is

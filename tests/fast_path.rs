@@ -1,8 +1,8 @@
 //! Property tests for the NNUE-style fast forward path: incremental
-//! rank-1 serving from a pinned compile base, the opt-in f32 SIMD
-//! evaluation tier, and the quantized i16 serving artifact must all track
-//! the f64 interpreted walk within their documented tolerances, and the
-//! drift-bound cadence must force a periodic full recompile.
+//! rank-1 serving from a pinned compile base and the opt-in f32 SIMD
+//! evaluation tier must both track the f64 interpreted walk within their
+//! documented tolerances, and the drift-bound cadence must force a
+//! periodic full recompile.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -12,8 +12,7 @@ use photon_zo::linalg::random::normal_cvector;
 use photon_zo::linalg::CVector;
 use photon_zo::photonics::{
     Architecture, BatchScratch, CompiledNetwork, ErrorModel, ErrorVector, FabricatedChip,
-    NetworkScratch, PinnedBase, QuantizedNetwork, FORCED_RECOMPILE_PERIOD,
-    MAX_INCREMENTAL_PHASES,
+    NetworkScratch, PinnedBase, FORCED_RECOMPILE_PERIOD, MAX_INCREMENTAL_PHASES,
 };
 
 proptest! {
@@ -125,27 +124,6 @@ proptest! {
             );
         }
     }
-
-    /// Quantized serialization is byte-exact: parse ∘ serialize is the
-    /// identity and serialize ∘ parse reproduces the input bytes.
-    #[test]
-    fn quantized_roundtrip_is_byte_exact(
-        dim in 2usize..7,
-        beta in 0.0f64..2.5,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let arch = Architecture::single_mesh(dim, dim).unwrap();
-        let (n_bs, n_ps) = arch.error_slots();
-        let ev = ErrorVector::sample(n_bs, n_ps, &ErrorModel::with_beta(beta), &mut rng);
-        let net = arch.build_with_errors(&ev).unwrap();
-        let theta = net.init_params(&mut rng);
-        let q = QuantizedNetwork::quantize(&net, &theta).expect("all-linear net");
-        let bytes = q.to_bytes();
-        let back = QuantizedNetwork::from_bytes(&bytes).expect("own bytes parse");
-        prop_assert_eq!(&back, &q);
-        prop_assert_eq!(back.to_bytes(), bytes);
-    }
 }
 
 /// The drift-bound cadence: a long-lived plan serving incrementally from
@@ -176,48 +154,5 @@ fn forced_recompile_cadence_fires() {
     assert_eq!(
         stats.incremental, FORCED_RECOMPILE_PERIOD,
         "all other serves stay incremental"
-    );
-}
-
-/// The quantized tier's end metric: on a classification-style argmax
-/// readout it must agree with the f64 network on at least 99.5 % of
-/// samples.
-#[test]
-fn quantized_accuracy_delta_is_small() {
-    let dim = 8;
-    let mut rng = StdRng::seed_from_u64(17);
-    let arch = Architecture::single_mesh(dim, dim).unwrap();
-    let (n_bs, n_ps) = arch.error_slots();
-    let ev = ErrorVector::sample(n_bs, n_ps, &ErrorModel::with_beta(1.0), &mut rng);
-    let net = arch.build_with_errors(&ev).unwrap();
-    let theta = net.init_params(&mut rng);
-    let q = QuantizedNetwork::quantize(&net, &theta).expect("all-linear net");
-
-    let samples = 400;
-    let mut agree = 0usize;
-    let mut scratch = NetworkScratch::new();
-    for _ in 0..samples {
-        let x = normal_cvector(dim, &mut rng);
-        let exact = net.forward_into(&x, &theta, &mut scratch);
-        let argmax_exact = (0..dim)
-            .max_by(|&a, &b| {
-                exact[a]
-                    .norm_sqr()
-                    .partial_cmp(&exact[b].norm_sqr())
-                    .unwrap()
-            })
-            .unwrap();
-        let served = q.forward_powers(&x);
-        let argmax_q = (0..dim)
-            .max_by(|&a, &b| served[a].partial_cmp(&served[b]).unwrap())
-            .unwrap();
-        if argmax_exact == argmax_q {
-            agree += 1;
-        }
-    }
-    let agreement = agree as f64 / samples as f64;
-    assert!(
-        agreement >= 0.995,
-        "quantized argmax agreement {agreement:.4} below 99.5%"
     );
 }

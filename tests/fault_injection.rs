@@ -6,9 +6,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use photon_zo::calib::{calibrate, CalibError, CalibrationSettings};
 use photon_zo::core::{
-    build_task, chip_batch_loss, recovery_report, Method, ModelChoice, RecoveryPolicy, TaskSpec,
-    TrainConfig, TrainOutcome, Trainer,
+    build_task, chip_batch_loss, recovery_report, Method, ModelChoice, RecoveryEvent,
+    RecoveryPolicy, TaskSpec, TrainConfig, TrainOutcome, Trainer,
 };
 use photon_zo::exec::ExecPool;
 use photon_zo::faults::{DriftConfig, FaultPlan, FaultyChip, StuckShifter, TransientConfig};
@@ -190,7 +191,7 @@ fn fidelity_monitor_triggers_recalibration() {
         out.recovery
     );
     for event in &out.recovery_events {
-        if let photon_zo::core::RecoveryEvent::Recalibration {
+        if let RecoveryEvent::Recalibration {
             fidelity_before,
             fidelity_after,
             queries,
@@ -316,4 +317,60 @@ fn nan_probe_batches_survive_robust_ladder() {
         r.retries + r.rejected_probes + r.rollbacks > 0,
         "a 25% drop rate must exercise the recovery ladder"
     );
+}
+
+/// A chip whose every read drops to NaN.
+fn all_dropped_plan() -> FaultPlan {
+    FaultPlan::new(102).with_transients(TransientConfig {
+        drop_prob: 1.0,
+        ..TransientConfig::default()
+    })
+}
+
+/// With every read dropped the calibration sweep holds nothing to fit.
+/// The fit zeroes non-finite residuals, so without a check it would
+/// return the ideal model at fit cost 0; it must be a typed error.
+#[test]
+fn calibrating_an_all_dropped_chip_is_a_typed_error() {
+    let task = build_task(&TaskSpec::quick(4), 101).unwrap();
+    let faulty = FaultyChip::new(task.chip, all_dropped_plan());
+    let mut rng = StdRng::seed_from_u64(103);
+    let settings = CalibrationSettings::with_query_budget(faulty.input_dim(), 64);
+    match calibrate(&faulty, &settings, &mut rng) {
+        Err(CalibError::NoFiniteReadings) => {}
+        other => panic!("expected NoFiniteReadings, got {other:?}"),
+    }
+}
+
+/// The fidelity monitor on a chip that drops every read: no probe reads
+/// finite, so each sweep measures nothing. It must neither trigger a
+/// recalibration nor let one replace the attached oracle-exact model.
+#[test]
+fn fidelity_monitor_adopts_nothing_from_an_all_dropped_chip() {
+    let task = build_task(&TaskSpec::quick(4), 101).unwrap();
+    let model = task.chip.oracle_network();
+    let faulty = FaultyChip::new(task.chip, all_dropped_plan());
+    let trainer =
+        Trainer::new(&faulty, &task.train, &task.test, task.head).with_calibrated_model(model);
+    let mut config = TrainConfig::quick(4);
+    config.epochs = 2;
+    config.threads = Some(1);
+    config.recovery = RecoveryPolicy::standard();
+    let mut rng = StdRng::seed_from_u64(104);
+    let out = trainer
+        .train(
+            Method::Lcng {
+                model: ModelChoice::Calibrated,
+            },
+            &config,
+            &mut rng,
+        )
+        .unwrap();
+    let adopted = out
+        .recovery_events
+        .iter()
+        .filter(|e| matches!(e, RecoveryEvent::Recalibration { adopted: true, .. }))
+        .count();
+    assert_eq!(adopted, 0, "adopted: {:?}", out.recovery_events);
+    assert_eq!(out.recovery.recalibrations, 0, "{:?}", out.recovery_events);
 }
