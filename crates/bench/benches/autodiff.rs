@@ -19,18 +19,19 @@ fn bench_jvp_vjp(c: &mut Criterion) {
         let theta = net.init_params(&mut rng);
         let x = normal_cvector(k, &mut rng);
         let dtheta = normal_rvector(net.param_count(), &mut rng);
-        let (_, tape) = net.forward_tape(&x, &theta);
+        let plan = net.gate_plan(&theta);
+        let (_, tape) = net.forward_tape(&x, &theta, &plan);
         let g = normal_cvector(k, &mut rng);
         let zero = photon_linalg::CVector::zeros(k);
 
         group.bench_with_input(BenchmarkId::new("forward_tape", k), &k, |b, _| {
-            b.iter(|| net.forward_tape(std::hint::black_box(&x), &theta))
+            b.iter(|| net.forward_tape(std::hint::black_box(&x), &theta, &plan))
         });
         group.bench_with_input(BenchmarkId::new("jvp", k), &k, |b, _| {
-            b.iter(|| net.jvp(&tape, &theta, std::hint::black_box(&zero), &dtheta))
+            b.iter(|| net.jvp(&plan, &tape, &theta, std::hint::black_box(&zero), &dtheta))
         });
         group.bench_with_input(BenchmarkId::new("vjp", k), &k, |b, _| {
-            b.iter(|| net.vjp(&tape, &theta, std::hint::black_box(&g)))
+            b.iter(|| net.vjp(&plan, &tape, &theta, std::hint::black_box(&g)))
         });
     }
     group.finish();

@@ -5,9 +5,12 @@
 //! Each width fabricates a `two_mesh_classifier(K, K)` chip and calibrates
 //! it with the default probe plan (`K` basis + 8 random inputs at 3 phase
 //! settings): 540 residuals against 580 error parameters at K = 10, 1 152
-//! against 1 504 at K = 16, so both fits take the dual path. A fit is
-//! capped at [`LM_ITERS`] iterations and timed end to end, measurement
-//! sweep included; the bench reports wall seconds divided by iterations.
+//! against 1 504 at K = 16 and 2 304 against 3 408 at K = 24, so every fit
+//! takes the dual path. A fit is capped at [`LM_ITERS`] iterations and
+//! timed end to end, measurement sweep included; the bench reports wall
+//! seconds divided by iterations. With the exact Jacobian, the dense dual
+//! Gram `JJᵀ` and its Cholesky take most of an iteration, so the K = 24
+//! row is the cost a matrix-free solve has to beat.
 //!
 //! The bench has a custom `main` that writes the numbers to
 //! `BENCH_calib.json` at the workspace root.
@@ -21,7 +24,7 @@ use photon_bench::report::{json_fixed, json_object, json_rows, json_str, write_b
 use photon_calib::{calibrate, CalibrationSettings, LmSettings, ProbePlan};
 use photon_photonics::{Architecture, ErrorModel, FabricatedChip};
 
-const WIDTHS: [usize; 2] = [10, 16];
+const WIDTHS: [usize; 3] = [10, 16, 24];
 const LM_ITERS: usize = 2;
 const REPEATS: usize = 3;
 

@@ -16,8 +16,11 @@
 use photon_exec::ExecPool;
 use rand::Rng;
 
-use photon_linalg::{CVector, LinalgError, RMatrix, RVector};
-use photon_photonics::{Architecture, ErrorVector, Network, NetworkError, NetworkScratch, OnnChip};
+use photon_linalg::{CVector, LinalgError, RMatrix, RVector, C64};
+use photon_photonics::{
+    Architecture, ErrorVector, GatePlan, Network, NetworkError, NetworkScratch, NetworkTape,
+    OnnChip,
+};
 use photon_trace::{QueryCategory, TraceEvent, TraceHandle};
 
 use crate::gauss_newton::{solve, LeastSquares, LmSettings};
@@ -318,15 +321,19 @@ struct PowerFit<'a> {
     n_bs: usize,
     n_ps: usize,
     k_out: usize,
-    // One forward scratch for every model evaluation of the whole fit: the
-    // probe sweeps perform no per-sample heap allocation.
+    // One scratch, tape and output buffer for every model evaluation of
+    // the whole fit: the probe sweeps perform no per-sample heap
+    // allocation.
     scratch: NetworkScratch,
+    tape: NetworkTape,
+    y: CVector,
 }
 
 impl<'a> PowerFit<'a> {
     fn new(arch: Architecture, plan: &'a ProbePlan, measured: &'a Measurements) -> Self {
         let (n_bs, n_ps) = arch.error_slots();
         let k_out = arch.output_dim();
+        let tape = arch.build_ideal().new_tape();
         PowerFit {
             arch,
             plan,
@@ -335,6 +342,8 @@ impl<'a> PowerFit<'a> {
             n_ps,
             k_out,
             scratch: NetworkScratch::new(),
+            tape,
+            y: CVector::zeros(0),
         }
     }
 
@@ -347,6 +356,35 @@ impl<'a> PowerFit<'a> {
         self.arch
             .build_with_errors(&self.errors(flat))
             .expect("flat layout matches the architecture")
+    }
+
+    /// Runs `model` on every probe of the plan, setting by setting: the op
+    /// gates are evaluated once per setting and each probe is taped on the
+    /// one reused tape. Calls `f(at, θ_s, gates, tape, y, measured)` per
+    /// probe, `at` being the probe's first residual index.
+    fn sweep(
+        &mut self,
+        model: &Network,
+        mut f: impl FnMut(usize, &RVector, &GatePlan, &NetworkTape, &CVector, &RVector),
+    ) {
+        let PowerFit {
+            plan,
+            measured,
+            k_out,
+            scratch,
+            tape,
+            y,
+            ..
+        } = self;
+        let mut at = 0;
+        for (s, theta) in plan.settings.iter().enumerate() {
+            let gates = model.gate_plan(theta);
+            for (p, x) in plan.inputs.iter().enumerate() {
+                model.forward_tape_into(x, theta, &gates, scratch, y, tape);
+                f(at, theta, &gates, tape, y, &measured.powers[s][p]);
+                at += *k_out;
+            }
+        }
     }
 }
 
@@ -365,48 +403,45 @@ fn power_residuals(y: &CVector, target: &RVector, out: &mut [f64]) {
 impl LeastSquares for PowerFit<'_> {
     fn residual(&mut self, flat: &RVector) -> RVector {
         let model = self.model(flat);
-        let mut r = RVector::zeros(self.plan.residual_count(self.k_out));
-        let mut rows = r.as_mut_slice().chunks_exact_mut(self.k_out);
-        for (s, theta) in self.plan.settings.iter().enumerate() {
-            for (p, x) in self.plan.inputs.iter().enumerate() {
-                let y = model.forward_into(x, theta, &mut self.scratch);
-                let row = rows.next().expect("one residual row per probe");
-                power_residuals(y, &self.measured.powers[s][p], row);
-            }
-        }
+        let k_out = self.k_out;
+        let mut r = RVector::zeros(self.plan.residual_count(k_out));
+        self.sweep(&model, |at, _, _, _, y, target| {
+            power_residuals(y, target, &mut r.as_mut_slice()[at..at + k_out]);
+        });
         r
     }
 
-    /// The default's columns, one probe at a time: each (setting, input)
-    /// pair is taped once and every error nudge restarts from that tape
-    /// ([`Network::for_each_nudged_output`]) instead of rebuilding the
-    /// network and re-running every probe. Only one probe tape is alive at
-    /// a time.
-    fn jacobian_t(&mut self, flat: &RVector, r: &RVector, step: f64) -> RMatrix {
+    /// The exact Jacobian, one probe at a time: residual `|y_d|² − p_d`
+    /// has the error gradient `2·Re(conj(y_d)·∂y_d/∂e)`, which is one
+    /// error-parameter VJP ([`Network::error_vjp_into`]) of the cotangent
+    /// `2·y_d` on detector `d` through the probe's tape. A residual whose
+    /// entry [`power_residuals`] zeroes (a dropped reading) keeps a zero
+    /// Jacobian row, as in the forward-difference default. `step` is
+    /// unused.
+    fn jacobian_t(&mut self, flat: &RVector, r: &RVector, _step: f64) -> RMatrix {
         let model = self.model(flat);
-        let k_out = self.k_out;
-        let mut jt = RMatrix::zeros(flat.len(), r.len());
-        let mut tape = model.new_tape();
-        let mut y = CVector::zeros(0);
-        let mut nudged = vec![0.0; k_out];
-        let mut at = 0;
-        for (s, theta) in self.plan.settings.iter().enumerate() {
-            for (p, x) in self.plan.inputs.iter().enumerate() {
-                let scratch = &mut self.scratch;
-                model.forward_tape_into(x, theta, scratch, &mut y, &mut tape);
-                let target = &self.measured.powers[s][p];
-                let base = &r.as_slice()[at..at + k_out];
-                let errors = flat.as_slice();
-                model.for_each_nudged_output(&tape, theta, errors, step, scratch, |k, y| {
-                    power_residuals(y, target, &mut nudged);
-                    let col = &mut jt.row_mut(k)[at..at + k_out];
-                    for ((j, &a), &b) in col.iter_mut().zip(&nudged).zip(base) {
-                        *j = (a - b) / step;
-                    }
-                });
-                at += k_out;
+        let (n, m, k_out) = (flat.len(), r.len(), self.k_out);
+        let mut jt = RMatrix::zeros(n, m);
+        // One probe's gradients, one row per detector, scattered into Jᵀ's
+        // columns `at..at + k_out` once the probe is done.
+        let mut block = vec![0.0; k_out * n];
+        let mut g = CVector::zeros(k_out);
+        self.sweep(&model, |at, theta, gates, tape, y, target| {
+            for (d, grad) in block.chunks_exact_mut(n).enumerate() {
+                if !(y[d].norm_sqr() - target[d]).is_finite() {
+                    grad.fill(0.0);
+                    continue;
+                }
+                g.fill(C64::ZERO);
+                g[d] = y[d].scale(2.0);
+                model.error_vjp_into(gates, tape, theta, &mut g, grad);
             }
-        }
+            for (k, row) in jt.as_mut_slice().chunks_exact_mut(m).enumerate() {
+                for (d, j) in row[at..at + k_out].iter_mut().enumerate() {
+                    *j = block[d * n + k];
+                }
+            }
+        });
         jt
     }
 }
@@ -415,7 +450,7 @@ impl LeastSquares for PowerFit<'_> {
 mod tests {
     use super::*;
     use crate::fidelity::evaluate_model;
-    use photon_photonics::{ideal_model, Architecture, ErrorModel, FabricatedChip};
+    use photon_photonics::{ideal_model, Architecture, ErrorModel, FabricatedChip, ModuleSpec};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -557,45 +592,59 @@ mod tests {
         }
     }
 
-    fn bits(v: &[f64]) -> Vec<u64> {
-        v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    /// The tape-restarted Jacobian and the fit it drives are bitwise the
-    /// rebuild-per-column oracle's, with a dropped (NaN) reading whose
-    /// residual entries the fit zeroes.
+    /// The exact Jᵀ agrees with the rebuild-per-column forward-difference
+    /// oracle within 1e-5·max|J| through modReLU, the electro-optic
+    /// activation and Reck meshes, on dual and primal plans, and a dropped
+    /// (NaN) reading leaves a zero Jacobian row in both.
     #[test]
-    fn tape_restarted_fit_matches_rebuild_oracle_bitwise() {
+    fn exact_jacobian_matches_rebuild_oracle() {
+        let reck = Architecture::new(vec![
+            ModuleSpec::Reck { dim: 4 },
+            ModuleSpec::PhaseDiag { dim: 4 },
+            ModuleSpec::ModRelu { dim: 4 },
+            ModuleSpec::Reck { dim: 4 },
+        ])
+        .unwrap();
+        let archs = [
+            Architecture::two_mesh_classifier(4, 2).unwrap(),
+            Architecture::two_mesh_eo_classifier(4, 2, 0.1, 1.0).unwrap(),
+            reck,
+        ];
         let mut rng = StdRng::seed_from_u64(37);
-        let arch = Architecture::two_mesh_classifier(4, 2).unwrap();
-        let chip = FabricatedChip::fabricate(&arch, &ErrorModel::with_beta(1.0), &mut rng);
-        for num_settings in [1, 3] {
-            // One setting: 24 residuals < 52 parameters (dual path); three:
-            // 144 residuals (primal path).
-            let plan = ProbePlan::for_chip(&chip, true, 2 * num_settings, num_settings, &mut rng);
-            let mut measured = measure_chip(&chip, &plan, &ExecPool::serial());
-            measured.powers[0][1][2] = f64::NAN;
+        for arch in archs {
+            let chip = FabricatedChip::fabricate(&arch, &ErrorModel::with_beta(1.0), &mut rng);
             let (n_bs, n_ps) = arch.error_slots();
-            let x = RVector::from_vec(
-                ErrorVector::sample(n_bs, n_ps, &ErrorModel::with_beta(0.5), &mut rng).to_flat(),
-            );
-            let mut fast = PowerFit::new(arch.clone(), &plan, &measured);
-            let mut oracle = RebuildOracle(PowerFit::new(arch.clone(), &plan, &measured));
-            let r = fast.residual(&x);
-            assert_eq!(bits(r.as_slice()), bits(oracle.residual(&x).as_slice()));
-            let jt = fast.jacobian_t(&x, &r, 1e-6);
-            let jt_oracle = oracle.jacobian_t(&x, &r, 1e-6);
-            assert_eq!(bits(jt.as_slice()), bits(jt_oracle.as_slice()));
-            // Setting 0, input 1, detector 2 is residual 1·4 + 2.
-            let zeroed = (0..jt.rows()).all(|k| jt.row(k)[6] == 0.0);
-            assert!(zeroed, "NaN reading zeroed");
-
-            let lm = LmSettings { max_iters: 3 };
-            let a = solve(&mut fast, &RVector::zeros(x.len()), &lm).unwrap();
-            let b = solve(&mut oracle, &RVector::zeros(x.len()), &lm).unwrap();
-            assert_eq!(bits(a.params.as_slice()), bits(b.params.as_slice()));
-            assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-            assert_eq!(a.iterations, b.iterations);
+            let n = n_bs + 2 * n_ps;
+            for num_settings in [1, 3] {
+                // One setting: 24 residuals, fewer than the 52 or 80 error
+                // parameters (dual path); three: 120 residuals (primal).
+                let plan =
+                    ProbePlan::for_chip(&chip, true, 2 * num_settings, num_settings, &mut rng);
+                let m = plan.residual_count(4);
+                assert_eq!(m < n, num_settings == 1, "{m} residuals, {n} errors");
+                let mut measured = measure_chip(&chip, &plan, &ExecPool::serial());
+                measured.powers[0][1][2] = f64::NAN;
+                let x = RVector::from_vec(
+                    ErrorVector::sample(n_bs, n_ps, &ErrorModel::with_beta(0.5), &mut rng)
+                        .to_flat(),
+                );
+                let mut exact = PowerFit::new(arch.clone(), &plan, &measured);
+                let mut oracle = RebuildOracle(PowerFit::new(arch.clone(), &plan, &measured));
+                let r = exact.residual(&x);
+                let jt = exact.jacobian_t(&x, &r, 1e-6);
+                let jt_oracle = oracle.jacobian_t(&x, &r, 1e-6);
+                let scale = jt.max_abs();
+                let gap = (&jt - &jt_oracle).max_abs();
+                assert!(scale > 0.1, "{arch:?}: max|J| = {scale}");
+                assert!(
+                    gap <= 1e-5 * scale,
+                    "{arch:?}: |ΔJ| = {gap}, max|J| = {scale}"
+                );
+                // Setting 0, input 1, detector 2 is residual 1·4 + 2.
+                for j in [&jt, &jt_oracle] {
+                    assert!((0..n).all(|k| j.row(k)[6] == 0.0), "NaN reading zeroed");
+                }
+            }
         }
     }
 

@@ -1,16 +1,17 @@
-//! Damped Gauss-Newton (Levenberg-Marquardt) nonlinear least squares with a
-//! forward-difference Jacobian.
+//! Damped Gauss-Newton (Levenberg-Marquardt) nonlinear least squares.
 //!
 //! The calibrator fits the error vector of a software model to chip
 //! measurements; the residual function is a cheap white-box model
-//! evaluation, so finite differences cost no chip queries. The loop keeps
-//! the Jacobian transposed (`n × m`, one contiguous row per parameter): the
-//! dual Gram `JJᵀ` is then [`RMatrix::gram`] of it and both `Jᵀ·v`
-//! products are plain row dot products.
+//! evaluation, so its Jacobian costs no chip queries. A problem supplies
+//! the Jacobian itself (the calibrator's is exact, in reverse mode) or
+//! takes the forward-difference default. The loop keeps the Jacobian
+//! transposed (`n × m`, one contiguous row per parameter): the dual Gram
+//! `JJᵀ` is then [`RMatrix::gram`] of it and both `Jᵀ·v` products are plain
+//! row dot products.
 
 use photon_linalg::{LinalgError, RCholesky, RMatrix, RVector};
 
-/// Forward-difference step for the Jacobian.
+/// Forward-difference step of the default Jacobian.
 const FD_STEP: f64 = 1e-6;
 /// Initial damping λ.
 const LAMBDA_INIT: f64 = 1e-3;
@@ -22,9 +23,10 @@ const LAMBDA_DOWN: f64 = 10.0;
 const TOL: f64 = 1e-10;
 
 /// Levenberg-Marquardt settings: callers choose only the iteration budget.
-/// The forward-difference step (1e-6), the damping schedule (λ₀ = 1e-3,
-/// ×10 after a rejected step, ÷10 after an accepted one) and the stopping
-/// tolerance (relative cost gain below 1e-10) are fixed.
+/// The forward-difference step of the default Jacobian (1e-6), the damping
+/// schedule (λ₀ = 1e-3, ×10 after a rejected step, ÷10 after an accepted
+/// one) and the stopping tolerance (relative cost gain below 1e-10) are
+/// fixed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LmSettings {
     /// Maximum outer iterations.
@@ -59,12 +61,12 @@ pub(crate) trait LeastSquares {
     /// The residual vector `r(x)`.
     fn residual(&mut self, x: &RVector) -> RVector;
 
-    /// The transposed forward-difference Jacobian `Jᵀ` (`n × m`) at `x`,
-    /// given `r = r(x)`: row `k` is `(r(x + step·e_k) − r) / step`.
+    /// The transposed Jacobian `Jᵀ` (`n × m`) at `x`, given `r = r(x)`.
     ///
-    /// The default evaluates one full residual per parameter; a problem
-    /// that can produce the nudged residuals more cheaply overrides it and
-    /// must return the same bits.
+    /// The default is forward differences: row `k` is
+    /// `(r(x + step·e_k) − r) / step`, one full residual per parameter. A
+    /// problem with an exact Jacobian overrides it and ignores `step`; the
+    /// default then serves as its test oracle.
     fn jacobian_t(&mut self, x: &RVector, r: &RVector, step: f64) -> RMatrix {
         let mut jt = RMatrix::zeros(x.len(), r.len());
         for k in 0..x.len() {

@@ -82,7 +82,9 @@ pub fn model_batch_loss(
 }
 
 /// Mean backprop loss and gradient over a batch, with the per-sample
-/// forward/backward passes fanned out across `pool`.
+/// forward/backward passes fanned out across `pool`. The op gates at
+/// `theta` are evaluated once and shared by every sample; each worker
+/// reuses one tape.
 ///
 /// Losses and per-sample gradients are combined along fixed-shape reduction
 /// trees, so the result is bitwise identical for every pool size.
@@ -99,14 +101,16 @@ pub fn model_batch_loss_and_grad(
     pool: &ExecPool,
 ) -> (f64, RVector) {
     assert!(!indices.is_empty(), "batch must be non-empty");
+    let plan = model.gate_plan(theta);
     let per_sample = pool.map_with(
         indices,
         || (NetworkScratch::new(), model.new_tape(), CVector::zeros(0)),
         |(scratch, tape, y), _, &i| {
             let (x, label) = data.sample(i);
-            model.forward_tape_into(x, theta, scratch, y, tape);
-            let (loss, gy) = head.loss_and_grad(y, label);
-            let (_, grad) = model.vjp(tape, theta, &gy);
+            model.forward_tape_into(x, theta, &plan, scratch, y, tape);
+            let (loss, mut gy) = head.loss_and_grad(y, label);
+            let mut grad = RVector::zeros(model.param_count());
+            model.vjp_into(&plan, tape, theta, &mut gy, grad.as_mut_slice());
             (loss, grad)
         },
     );

@@ -26,9 +26,12 @@
 //!
 //! Cost split: the `Q` probe losses ride the compiled batched chip path
 //! (`chip_batch_loss`: one cached-unitary GEMM per batch block), while the
-//! Fisher-vector products stay on the interpreted tape machinery — they
-//! need per-op forward tangents, which a fused dense matrix no longer
-//! exposes.
+//! `Q` Fisher-vector products, computed at every step, stay on the
+//! interpreted tape machinery — they need per-op forward tangents, which a
+//! fused dense matrix no longer exposes. Each call evaluates the model's
+//! op gates once at `θ` (a `GatePlan`) and records each metric input once
+//! on a per-worker tape, then pushes all `Q` directions through it; no
+//! chip query is spent.
 
 use photon_exec::ExecPool;
 use rand::Rng;

@@ -90,46 +90,56 @@ impl ElectroOptic {
         }
     }
 
-    /// Output tangent at input `x` (the taped module input).
-    pub(crate) fn jvp(&self, x: &CVector, theta: &[f64], dx: &CVector, dtheta: &[f64]) -> CVector {
-        CVector::from_fn(self.dim, |k| {
+    /// Maps the input tangent in `dstate` to the output tangent, in place,
+    /// at input `x` (the taped module input).
+    pub(crate) fn jvp_in_place(
+        &self,
+        x: &[C64],
+        theta: &[f64],
+        dstate: &mut CVector,
+        dtheta: &[f64],
+    ) {
+        for (k, dk) in dstate.iter_mut().enumerate() {
             let z = x[k];
             let u = z.norm_sqr();
             let (h, phi) = self.h(u, theta[k]);
             let dh = self.dh_dphi(phi);
             // dφ = (g/2)·du + dθ/2, du = 2·⟨z, dz⟩_R.
-            let zdz = z.re * dx[k].re + z.im * dx[k].im;
+            let zdz = z.re * dk.re + z.im * dk.im;
             let dphi = self.gain * zdz + 0.5 * dtheta[k];
-            h * dx[k] + z * dh * dphi
-        })
+            *dk = h * *dk + z * dh * dphi;
+        }
     }
 
-    /// Input cotangent at input `x`; the bias cotangent accumulates into
-    /// `grad_theta`.
-    pub(crate) fn vjp(
+    /// Maps the output cotangent in `gstate` to the input cotangent, in
+    /// place, at input `x`; the bias cotangent accumulates into
+    /// `grad_theta` when given.
+    pub(crate) fn vjp_in_place(
         &self,
-        x: &CVector,
+        x: &[C64],
         theta: &[f64],
-        gy: &CVector,
-        grad_theta: &mut [f64],
-    ) -> CVector {
-        CVector::from_fn(self.dim, |k| {
+        gstate: &mut CVector,
+        mut grad_theta: Option<&mut [f64]>,
+    ) {
+        for (k, gk) in gstate.iter_mut().enumerate() {
             let z = x[k];
             let u = z.norm_sqr();
             let (h, phi) = self.h(u, theta[k]);
             let dh = self.dh_dphi(phi);
-            let g = gy[k];
+            let g = *gk;
             // ⟨z·dh, g⟩_R — the real coefficient shared by both adjoints.
             let zdh = z * dh;
             let w = zdh.re * g.re + zdh.im * g.im;
             // ∂ℓ/∂θ: dφ/dθ = 1/2.
-            grad_theta[k] += 0.5 * w;
+            if let Some(grad) = grad_theta.as_deref_mut() {
+                grad[k] += 0.5 * w;
+            }
             // State cotangent: the adjoint of dz ↦ h·dz is conj(h)·g. The
             // power path dz ↦ z·dh·gain·⟨z, dz⟩_R pairs with g to
             // gain·w·⟨z, dz⟩_R, so its adjoint is gain·w·z. Together:
             // conj(h)·g + gain·w·z.
-            h.conj() * g + z.scale(self.gain * w)
-        })
+            *gk = h.conj() * g + z.scale(self.gain * w);
+        }
     }
 }
 

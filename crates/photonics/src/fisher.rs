@@ -16,17 +16,19 @@ use photon_exec::{tree_reduce, ExecPool};
 use photon_linalg::{hermitian_eig, CMatrix, CVector, RMatrix, RVector};
 
 use crate::mesh::MeshModule;
-use crate::module::ModuleTape;
-use crate::network::Network;
+use crate::module::{Module, ModuleTape};
+use crate::network::{Network, NetworkScratch};
 
 /// Matrix-free Fisher-metric products `F·v` for a batch of directions,
 /// where `F = (1/|inputs|) Σᵢ J(xᵢ)ᵀ_r J(xᵢ)_r` at parameters `theta` (the
 /// LCNG Gram assembly path). Returns one `F·v` per direction, in order.
 ///
-/// The inputs fan out across `pool`'s workers: each records the forward
-/// tape of its input once and pushes every direction through it. The
-/// per-input contributions are then combined along a fixed-shape reduction
-/// tree, so the result is bitwise identical for every pool size.
+/// The op gates at `theta` are evaluated once ([`Network::gate_plan`]) and
+/// shared by every input. The inputs fan out across `pool`'s workers: each
+/// worker keeps one tape, records each of its inputs on it once and pushes
+/// every direction through it. The per-input contributions are then
+/// combined along a fixed-shape reduction tree, so the result is bitwise
+/// identical for every pool size.
 ///
 /// # Panics
 ///
@@ -60,18 +62,25 @@ pub fn fisher_vector_products(
         !inputs.is_empty(),
         "fisher product needs at least one input"
     );
+    let plan = net.gate_plan(theta);
     let zero_in = CVector::zeros(net.input_dim());
-    let per_input: Vec<Vec<RVector>> = pool.map(inputs, |_, x| {
-        let (_, tape) = net.forward_tape(x, theta);
-        directions
-            .iter()
-            .map(|v| {
-                let dy = net.jvp(&tape, theta, &zero_in, v);
-                let (_, grad) = net.vjp(&tape, theta, &dy);
-                grad
-            })
-            .collect()
-    });
+    let per_input: Vec<Vec<RVector>> = pool.map_with(
+        inputs,
+        || (NetworkScratch::new(), net.new_tape(), CVector::zeros(0)),
+        |(scratch, tape, state), _, x| {
+            net.forward_tape_into(x, theta, &plan, scratch, state, tape);
+            directions
+                .iter()
+                .map(|v| {
+                    state.copy_from(&zero_in);
+                    net.jvp_into(&plan, tape, theta, v, state);
+                    let mut grad = RVector::zeros(net.param_count());
+                    net.vjp_into(&plan, tape, theta, state, grad.as_mut_slice());
+                    grad
+                })
+                .collect()
+        },
+    );
     let summed = tree_reduce(per_input, &|mut a: Vec<RVector>, b: Vec<RVector>| {
         for (ga, gb) in a.iter_mut().zip(&b) {
             *ga += gb;
@@ -83,11 +92,11 @@ pub fn fisher_vector_products(
     summed.into_iter().map(|g| g.scale(scale)).collect()
 }
 
-/// The tape of `mesh` at `(x, θ)`.
-fn mesh_tape(mesh: &MeshModule, x: &CVector, theta: &[f64]) -> ModuleTape {
-    let mut tape = ModuleTape::empty();
-    mesh.forward_tape_into(x, theta, &mut CVector::zeros(0), &mut tape);
-    tape
+/// `mesh` as a module, with its tape at `(x, θ)`.
+fn mesh_tape(mesh: &MeshModule, x: &CVector, theta: &[f64]) -> (Module, ModuleTape) {
+    let module = Module::Mesh(mesh.clone());
+    let (_, tape) = module.forward_tape(x, theta);
+    (module, tape)
 }
 
 /// Dense complex Jacobian `∂y/∂θ ∈ ℂ^{N×P}` of a single mesh at `(x, θ)`,
@@ -99,13 +108,13 @@ fn mesh_tape(mesh: &MeshModule, x: &CVector, theta: &[f64]) -> ModuleTape {
 pub fn module_jacobian(module: &MeshModule, x: &CVector, theta: &[f64]) -> CMatrix {
     let n = module.param_count();
     let m = module.dim();
-    let tape = mesh_tape(module, x, theta);
+    let (module, tape) = mesh_tape(module, x, theta);
     let mut j = CMatrix::zeros(m, n);
     let zero_in = CVector::zeros(module.dim());
     let mut dtheta = vec![0.0; n];
     for col in 0..n {
         dtheta[col] = 1.0;
-        let dy = module.jvp(&tape, &zero_in, &dtheta);
+        let dy = module.jvp(&tape, theta, &zero_in, &dtheta);
         j.set_col(col, &dy);
         dtheta[col] = 0.0;
     }
@@ -166,11 +175,11 @@ pub fn output_covariance(
         "output covariance needs at least one perturbation"
     );
     let m = module.dim();
-    let tape = mesh_tape(module, x, theta);
-    let zero_in = CVector::zeros(module.dim());
+    let (module, tape) = mesh_tape(module, x, theta);
+    let zero_in = CVector::zeros(m);
     let mut c = CMatrix::zeros(m, m);
     for dtheta in perturbations {
-        let dy = module.jvp(&tape, &zero_in, dtheta.as_slice());
+        let dy = module.jvp(&tape, theta, &zero_in, dtheta.as_slice());
         for r in 0..m {
             for col in 0..m {
                 let add = dy[r] * dy[col].conj();

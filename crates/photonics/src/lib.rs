@@ -78,5 +78,7 @@ pub use fisher::{
 pub use mesh::{MeshKind, MeshModule};
 pub use modrelu::ModRelu;
 pub use module::{Module, ModuleTape, PsSnapshot};
-pub use network::{Architecture, ModuleSpec, Network, NetworkError, NetworkScratch, NetworkTape};
+pub use network::{
+    Architecture, GatePlan, ModuleSpec, Network, NetworkError, NetworkScratch, NetworkTape,
+};
 pub use ops::Op;

@@ -5,7 +5,7 @@
 use photon_linalg::{CMatrix, CVector, C64};
 
 use crate::error::{ErrorCursor, ErrorVector, ErrorVectorError};
-use crate::module::{ModuleTape, PsSnapshot};
+use crate::module::PsSnapshot;
 use crate::ops::Op;
 
 /// The topology family of a [`MeshModule`], kept for naming and reporting.
@@ -149,47 +149,6 @@ impl MeshModule {
         m
     }
 
-    /// Applies the mesh to `x` with the gates recorded on `tape`: bitwise
-    /// [`MeshModule::forward_into`] at the tape's parameters, with no trig.
-    pub(crate) fn forward_gated_into(&self, tape: &ModuleTape, x: &CVector, out: &mut CVector) {
-        debug_assert_eq!(tape.gates.len(), self.ops.len());
-        out.copy_from(x);
-        for (op, &gate) in self.ops.iter().zip(&tape.gates) {
-            op.apply_gate(out, gate);
-        }
-    }
-
-    /// Calls `f` with the mesh output for every op that `replace` maps to
-    /// a replacement, in op order, each time with that one op swapped.
-    ///
-    /// `tape` must have been recorded at `theta` on this mesh. Each output
-    /// is bitwise what the mesh with the replaced op computes on the tape's
-    /// input: the walk restarts from the tape's state before the op,
-    /// applies the replacement, and replays the later ops from their
-    /// recorded gates. `state` is the working buffer.
-    pub(crate) fn for_each_replaced_output(
-        &self,
-        tape: &ModuleTape,
-        theta: &[f64],
-        state: &mut CVector,
-        mut replace: impl FnMut(&Op) -> Option<Op>,
-        mut f: impl FnMut(&CVector),
-    ) {
-        debug_assert_eq!(tape.states.len(), self.ops.len() + 1);
-        debug_assert_eq!(tape.gates.len(), self.ops.len());
-        for (i, op) in self.ops.iter().enumerate() {
-            let Some(replaced) = replace(op) else {
-                continue;
-            };
-            state.copy_from(&tape.states[i]);
-            replaced.apply(state, theta);
-            for (later, &gate) in self.ops[i + 1..].iter().zip(&tape.gates[i + 1..]) {
-                later.apply_gate(state, gate);
-            }
-            f(state);
-        }
-    }
-
     /// Short human-readable name, e.g. `Clements(8,8)`.
     pub fn name(&self) -> String {
         match self.kind {
@@ -241,29 +200,35 @@ impl MeshModule {
         }
     }
 
-    /// Applies the mesh, recording every intermediate state and every op's
-    /// gate on `tape` (see [`ModuleTape`]).
-    pub fn forward_tape_into(
-        &self,
-        x: &CVector,
-        theta: &[f64],
-        out: &mut CVector,
-        tape: &mut ModuleTape,
-    ) {
-        debug_assert_eq!(x.len(), self.dim, "input dimension mismatch");
+    /// Evaluates every op's [`Op::gate`] at `theta` into `gates`, in op
+    /// order.
+    pub(crate) fn gates_into(&self, theta: &[f64], gates: &mut [C64]) {
         debug_assert_eq!(theta.len(), self.param_count, "parameter count mismatch");
-        // Push-then-apply: each slot is seeded with a copy of its
-        // predecessor and the op is applied in place, instead of mutating a
-        // running state and cloning it per op.
-        tape.truncate(self.ops.len() + 1);
-        tape.record(0, x);
-        tape.gates.clear();
-        for (i, op) in self.ops.iter().enumerate() {
-            let gate = op.gate(theta);
-            tape.gates.push(gate);
-            op.apply_gate(tape.advance(i), gate);
+        debug_assert_eq!(gates.len(), self.ops.len(), "gate count mismatch");
+        for (gate, op) in gates.iter_mut().zip(&self.ops) {
+            *gate = op.gate(theta);
         }
-        out.copy_from(tape.output());
+    }
+
+    /// Number of input amplitudes a tape of this mesh keeps: one per phase
+    /// shifter, two per beam splitter ([`Op::taped_len`]).
+    pub(crate) fn taped_len(&self) -> usize {
+        self.ops.iter().map(Op::taped_len).sum()
+    }
+
+    /// Applies the mesh to `state` in place with the ops' precomputed
+    /// `gates`, recording each op's input amplitudes into `taped` in op
+    /// order. Bitwise [`MeshModule::forward_into`] at the gates' `theta`.
+    pub(crate) fn forward_taped(&self, gates: &[C64], taped: &mut [C64], state: &mut CVector) {
+        debug_assert_eq!(state.len(), self.dim, "input dimension mismatch");
+        debug_assert_eq!(taped.len(), self.taped_len(), "tape length mismatch");
+        let mut at = 0;
+        for (op, &gate) in self.ops.iter().zip(gates) {
+            let n = op.taped_len();
+            op.record(state, &mut taped[at..at + n]);
+            op.apply_gate(state, gate);
+            at += n;
+        }
     }
 
     /// Premultiplies this mesh's transfer matrix onto the accumulator `acc`
@@ -345,33 +310,77 @@ impl MeshModule {
         acc
     }
 
-    // The tape's gates were evaluated at the recorded parameters, which are
-    // the `theta` every caller linearizes at, so the passes below read them
-    // and take no `theta`.
+    // The passes below linearize at the tape point: `gates` and `taped`
+    // come from one `forward_taped` walk, so they take no `theta`.
 
-    /// Forward-mode derivative at the tape point: the output tangent for
-    /// input tangent `dx` and phase tangent `dtheta`.
-    pub fn jvp(&self, tape: &ModuleTape, dx: &CVector, dtheta: &[f64]) -> CVector {
-        debug_assert_eq!(tape.states.len(), self.ops.len() + 1);
-        debug_assert_eq!(tape.gates.len(), self.ops.len());
-        let mut dstate = dx.clone();
-        for ((op, pre), &gate) in self.ops.iter().zip(&tape.states).zip(&tape.gates) {
-            op.jvp_gate(pre, &mut dstate, gate, dtheta);
+    /// Forward-mode derivative at the tape point: maps the input tangent in
+    /// `dstate` to the output tangent, with phase tangent `dtheta`.
+    pub(crate) fn jvp_in_place(
+        &self,
+        gates: &[C64],
+        taped: &[C64],
+        dstate: &mut CVector,
+        dtheta: &[f64],
+    ) {
+        let mut at = 0;
+        for (op, &gate) in self.ops.iter().zip(gates) {
+            let n = op.taped_len();
+            op.jvp_gate(&taped[at..at + n], dstate, gate, dtheta);
+            at += n;
         }
-        dstate
     }
 
-    /// Reverse-mode derivative at the tape point: consumes the output
-    /// cotangent `gy`, returns the input cotangent and accumulates the phase
+    /// Reverse-mode derivative at the tape point: maps the output cotangent
+    /// in `gstate` to the input cotangent and accumulates the phase
     /// cotangent into `grad_theta`.
-    pub fn vjp(&self, tape: &ModuleTape, gy: &CVector, grad_theta: &mut [f64]) -> CVector {
-        debug_assert_eq!(tape.states.len(), self.ops.len() + 1);
-        debug_assert_eq!(tape.gates.len(), self.ops.len());
-        let mut gstate = gy.clone();
-        for ((op, pre), &gate) in self.ops.iter().zip(&tape.states).zip(&tape.gates).rev() {
-            op.vjp_gate(pre, &mut gstate, gate, grad_theta);
+    pub(crate) fn vjp_in_place(
+        &self,
+        gates: &[C64],
+        taped: &[C64],
+        gstate: &mut CVector,
+        grad_theta: &mut [f64],
+    ) {
+        let mut at = taped.len();
+        for (op, &gate) in self.ops.iter().zip(gates).rev() {
+            let n = op.taped_len();
+            at -= n;
+            op.vjp_gate(&taped[at..at + n], gstate, gate, grad_theta);
         }
-        gstate
+    }
+
+    /// Reverse-mode derivative with respect to this mesh's fabrication
+    /// errors at the tape point: maps the output cotangent in `gstate` to
+    /// the input cotangent and writes `∂ℓ/∂γ` of every splitter into
+    /// `gamma` and `∂ℓ/∂attenuation`, `∂ℓ/∂phase` of every shifter into
+    /// `attenuation` and `phase`, each in netlist order (the slots
+    /// [`MeshModule::with_errors`] consumes).
+    pub(crate) fn error_vjp(
+        &self,
+        gates: &[C64],
+        taped: &[C64],
+        gstate: &mut CVector,
+        gamma: &mut [f64],
+        attenuation: &mut [f64],
+        phase: &mut [f64],
+    ) {
+        let (mut at, mut bs, mut ps) = (taped.len(), gamma.len(), phase.len());
+        for (op, &gate) in self.ops.iter().zip(gates).rev() {
+            let n = op.taped_len();
+            at -= n;
+            let [d0, d1] = op.error_vjp_gate(&taped[at..at + n], gstate, gate);
+            match op {
+                Op::Bs { .. } => {
+                    bs -= 1;
+                    gamma[bs] = d0;
+                }
+                Op::Ps { .. } => {
+                    ps -= 1;
+                    attenuation[ps] = d0;
+                    phase[ps] = d1;
+                }
+            }
+        }
+        debug_assert_eq!((at, bs, ps), (0, 0, 0), "error slots out of sync");
     }
 
     /// Rebuilds this mesh with fabrication errors taken from `cursor`
@@ -562,9 +571,11 @@ mod tests {
         let x = normal_cvector(5, &mut rng);
         let y1 = m.forward(&x, &theta);
         let (y2, tape) = m.forward_tape(&x, &theta);
-        assert!((&y1 - &y2).max_abs() < 1e-14);
-        assert_eq!(tape.states.len(), mesh.ops().len() + 1);
-        assert!((tape.output() - &y1).max_abs() < 1e-14);
+        assert_eq!((&y1 - &y2).max_abs(), 0.0);
+        // One gate per op; one taped amplitude per shifter, two per splitter.
+        let (n_bs, n_ps) = mesh.error_slots();
+        assert_eq!(tape.gates.len(), mesh.ops().len());
+        assert_eq!(tape.taped.len(), n_ps + 2 * n_bs);
     }
 
     #[test]

@@ -60,51 +60,63 @@ impl ModRelu {
         }
     }
 
-    /// Output tangent at input `x` (the taped module input).
-    pub(crate) fn jvp(&self, x: &CVector, theta: &[f64], dx: &CVector, dtheta: &[f64]) -> CVector {
-        CVector::from_fn(self.dim, |k| {
+    /// Maps the input tangent in `dstate` to the output tangent, in place,
+    /// at input `x` (the taped module input).
+    pub(crate) fn jvp_in_place(
+        &self,
+        x: &[C64],
+        theta: &[f64],
+        dstate: &mut CVector,
+        dtheta: &[f64],
+    ) {
+        for (k, dk) in dstate.iter_mut().enumerate() {
             let z = x[k];
             let r = z.abs();
             let b = theta[k];
             if r <= DARK || r + b < 0.0 {
-                return C64::ZERO;
+                *dk = C64::ZERO;
+                continue;
             }
             // y = z·(1 + b/r) ⇒
             // dy = (1 + b/r)·dz − (b/r³)·z·⟨z, dz⟩_R + db·z/r
             let s = 1.0 + b / r;
-            let d = dx[k];
+            let d = *dk;
             let zr_dot = z.re * d.re + z.im * d.im;
             let coef = b / (r * r * r);
-            d.scale(s) - z.scale(coef * zr_dot) + z.scale(dtheta[k] / r)
-        })
+            *dk = d.scale(s) - z.scale(coef * zr_dot) + z.scale(dtheta[k] / r);
+        }
     }
 
-    /// Input cotangent at input `x`; the bias cotangent accumulates into
-    /// `grad_theta`.
-    pub(crate) fn vjp(
+    /// Maps the output cotangent in `gstate` to the input cotangent, in
+    /// place, at input `x`; the bias cotangent accumulates into
+    /// `grad_theta` when given.
+    pub(crate) fn vjp_in_place(
         &self,
-        x: &CVector,
+        x: &[C64],
         theta: &[f64],
-        gy: &CVector,
-        grad_theta: &mut [f64],
-    ) -> CVector {
-        CVector::from_fn(self.dim, |k| {
+        gstate: &mut CVector,
+        mut grad_theta: Option<&mut [f64]>,
+    ) {
+        for (k, gk) in gstate.iter_mut().enumerate() {
             let z = x[k];
             let r = z.abs();
             let b = theta[k];
             if r <= DARK || r + b < 0.0 {
-                return C64::ZERO;
+                *gk = C64::ZERO;
+                continue;
             }
-            let g = gy[k];
+            let g = *gk;
             // The per-element real 2×2 Jacobian A = s·I − (b/r³)·zzᵀ is
             // symmetric, so the state cotangent reuses the JVP formula.
             let s = 1.0 + b / r;
             let zg_dot = z.re * g.re + z.im * g.im;
             let coef = b / (r * r * r);
             // ∂ℓ/∂b = ⟨z/r, g⟩_R
-            grad_theta[k] += zg_dot / r;
-            g.scale(s) - z.scale(coef * zg_dot)
-        })
+            if let Some(grad) = grad_theta.as_deref_mut() {
+                grad[k] += zg_dot / r;
+            }
+            *gk = g.scale(s) - z.scale(coef * zg_dot);
+        }
     }
 }
 

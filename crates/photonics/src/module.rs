@@ -36,89 +36,28 @@ pub struct PsSnapshot {
     pub suffix: Vec<C64>,
 }
 
-/// Saved forward-pass state needed by [`Module::jvp`] and
-/// [`Module::vjp`].
+/// Saved forward-pass state of one module and one sample, needed by
+/// [`Module::jvp`] and [`Module::vjp`].
 ///
-/// For a mesh of `n` ops the tape holds `n + 1` states: the input, the state
-/// after each op, the last being the module output. It also holds the `n`
-/// op gates ([`crate::Op::gate`]) at the recorded parameters, so passes over
-/// the tape evaluate no trigonometry. Element-wise modules store only the
-/// input and no gates.
-#[derive(Debug, Clone)]
+/// A mesh tape holds its ops' gates ([`crate::Op::gate`]) at the recorded
+/// parameters, so passes over the tape evaluate no trigonometry, and each
+/// op's input amplitudes ([`crate::Op::record`]): one per phase shifter,
+/// two per beam splitter, in op order. An activation's tape holds its
+/// input and no gates. A network keeps the same two buffers for all its
+/// modules at once ([`crate::GatePlan`], [`crate::NetworkTape`]).
+#[derive(Debug, Clone, Default)]
 pub struct ModuleTape {
-    /// Intermediate amplitude states, in forward order.
-    pub states: Vec<CVector>,
-    /// Per-op gates at the recorded parameters, in op order.
-    pub gates: Vec<C64>,
+    pub(crate) gates: Vec<C64>,
+    pub(crate) taped: Vec<C64>,
 }
 
 impl ModuleTape {
     /// An empty tape, ready to be filled by
     /// [`Module::forward_tape_into`]. Reusing one tape across calls keeps
-    /// the recorded state buffers alive, so steady-state re-recording
-    /// performs no heap allocation.
+    /// its buffers alive, so steady-state re-recording performs no heap
+    /// allocation.
     pub fn empty() -> Self {
-        ModuleTape {
-            states: Vec::new(),
-            gates: Vec::new(),
-        }
-    }
-
-    /// Truncates to `len` recorded states (buffer capacity is retained).
-    pub fn truncate(&mut self, len: usize) {
-        self.states.truncate(len);
-    }
-
-    /// Overwrites slot `i` with a copy of `src`, growing the tape by one
-    /// slot when `i == self.states.len()`. Existing slot buffers are reused.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i > self.states.len()` (slots must be recorded in
-    /// order).
-    pub fn record(&mut self, i: usize, src: &CVector) {
-        if i == self.states.len() {
-            self.states.push(src.clone());
-        } else {
-            self.states[i].copy_from(src);
-        }
-    }
-
-    /// Copies state `i` into slot `i + 1` (growing the tape if needed) and
-    /// returns a mutable reference to the new slot, so an op can be applied
-    /// to it in place — the push-then-apply tape recording pattern.
-    ///
-    /// # Panics
-    ///
-    /// Panics when slot `i` does not exist yet.
-    pub fn advance(&mut self, i: usize) -> &mut CVector {
-        assert!(i < self.states.len(), "tape slot {i} not recorded yet");
-        if i + 1 == self.states.len() {
-            let next = self.states[i].clone();
-            self.states.push(next);
-        } else {
-            let (head, tail) = self.states.split_at_mut(i + 1);
-            tail[0].copy_from(&head[i]);
-        }
-        &mut self.states[i + 1]
-    }
-
-    /// The module input recorded on this tape.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty tape (never produced by this crate).
-    pub fn input(&self) -> &CVector {
-        self.states.first().expect("tape has at least the input")
-    }
-
-    /// The module output recorded on this tape.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty tape (never produced by this crate).
-    pub fn output(&self) -> &CVector {
-        self.states.last().expect("tape has at least the input")
+        ModuleTape::default()
     }
 }
 
@@ -187,7 +126,8 @@ impl Module {
     }
 
     /// Applies the module, recording the tape [`Module::jvp`] and
-    /// [`Module::vjp`] need; an activation records only its input.
+    /// [`Module::vjp`] need (shapes are debug-checked only, as for
+    /// [`Module::forward_into`]).
     pub fn forward_tape_into(
         &self,
         x: &CVector,
@@ -195,25 +135,31 @@ impl Module {
         out: &mut CVector,
         tape: &mut ModuleTape,
     ) {
-        match self {
-            Module::Mesh(mesh) => mesh.forward_tape_into(x, theta, out, tape),
-            Module::ModRelu(_) | Module::ElectroOptic(_) => {
-                self.forward_into(x, theta, out);
-                tape.truncate(1);
-                tape.record(0, x);
-            }
-        }
+        tape.gates.resize(self.gate_count(), C64::ZERO);
+        self.gates_into(theta, &mut tape.gates);
+        tape.taped.resize(self.taped_len(), C64::ZERO);
+        self.forward_taped(x, theta, &tape.gates, &mut tape.taped, out);
     }
 
     /// Allocating form of [`Module::forward_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x.len() != self.dim()`.
     pub fn forward(&self, x: &CVector, theta: &[f64]) -> CVector {
+        assert_eq!(x.len(), self.dim(), "input dimension mismatch");
         let mut out = CVector::zeros(0);
         self.forward_into(x, theta, &mut out);
         out
     }
 
     /// Allocating form of [`Module::forward_tape_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x.len() != self.dim()`.
     pub fn forward_tape(&self, x: &CVector, theta: &[f64]) -> (CVector, ModuleTape) {
+        assert_eq!(x.len(), self.dim(), "input dimension mismatch");
         let mut out = CVector::zeros(0);
         let mut tape = ModuleTape::empty();
         self.forward_tape_into(x, theta, &mut out, &mut tape);
@@ -223,11 +169,9 @@ impl Module {
     /// Forward-mode derivative: the output tangent produced by input tangent
     /// `dx` and parameter tangent `dtheta`, linearized at the tape point.
     pub fn jvp(&self, tape: &ModuleTape, theta: &[f64], dx: &CVector, dtheta: &[f64]) -> CVector {
-        match self {
-            Module::Mesh(mesh) => mesh.jvp(tape, dx, dtheta),
-            Module::ModRelu(act) => act.jvp(tape.input(), theta, dx, dtheta),
-            Module::ElectroOptic(act) => act.jvp(tape.input(), theta, dx, dtheta),
-        }
+        let mut dstate = dx.clone();
+        self.jvp_in_place(&tape.gates, &tape.taped, theta, &mut dstate, dtheta);
+        dstate
     }
 
     /// Reverse-mode derivative: consumes the output cotangent `gy`, returns
@@ -240,10 +184,90 @@ impl Module {
         gy: &CVector,
         grad_theta: &mut [f64],
     ) -> CVector {
+        let mut gstate = gy.clone();
+        self.vjp_in_place(&tape.gates, &tape.taped, theta, &mut gstate, grad_theta);
+        gstate
+    }
+
+    // The slice forms below are what `Network` walks: `gates` and `taped`
+    // are this module's ranges of one network-wide gate plan and tape.
+
+    /// Number of op gates (zero for an activation).
+    pub(crate) fn gate_count(&self) -> usize {
         match self {
-            Module::Mesh(mesh) => mesh.vjp(tape, gy, grad_theta),
-            Module::ModRelu(act) => act.vjp(tape.input(), theta, gy, grad_theta),
-            Module::ElectroOptic(act) => act.vjp(tape.input(), theta, gy, grad_theta),
+            Module::Mesh(mesh) => mesh.ops().len(),
+            Module::ModRelu(_) | Module::ElectroOptic(_) => 0,
+        }
+    }
+
+    /// Number of amplitudes one sample's tape keeps: the ops' input ports
+    /// for a mesh, the input for an activation.
+    pub(crate) fn taped_len(&self) -> usize {
+        match self {
+            Module::Mesh(mesh) => mesh.taped_len(),
+            Module::ModRelu(_) | Module::ElectroOptic(_) => self.dim(),
+        }
+    }
+
+    /// Evaluates the module's op gates at `theta` (nothing for an
+    /// activation).
+    pub(crate) fn gates_into(&self, theta: &[f64], gates: &mut [C64]) {
+        if let Module::Mesh(mesh) = self {
+            mesh.gates_into(theta, gates);
+        }
+    }
+
+    /// Applies the module to `x` with precomputed `gates`, recording its
+    /// taped amplitudes; bitwise [`Module::forward_into`].
+    pub(crate) fn forward_taped(
+        &self,
+        x: &CVector,
+        theta: &[f64],
+        gates: &[C64],
+        taped: &mut [C64],
+        out: &mut CVector,
+    ) {
+        match self {
+            Module::Mesh(mesh) => {
+                out.copy_from(x);
+                mesh.forward_taped(gates, taped, out);
+            }
+            Module::ModRelu(_) | Module::ElectroOptic(_) => {
+                taped.copy_from_slice(x.as_slice());
+                self.forward_into(x, theta, out);
+            }
+        }
+    }
+
+    /// [`Module::jvp`] in place on `dstate`.
+    pub(crate) fn jvp_in_place(
+        &self,
+        gates: &[C64],
+        taped: &[C64],
+        theta: &[f64],
+        dstate: &mut CVector,
+        dtheta: &[f64],
+    ) {
+        match self {
+            Module::Mesh(mesh) => mesh.jvp_in_place(gates, taped, dstate, dtheta),
+            Module::ModRelu(act) => act.jvp_in_place(taped, theta, dstate, dtheta),
+            Module::ElectroOptic(act) => act.jvp_in_place(taped, theta, dstate, dtheta),
+        }
+    }
+
+    /// [`Module::vjp`] in place on `gstate`.
+    pub(crate) fn vjp_in_place(
+        &self,
+        gates: &[C64],
+        taped: &[C64],
+        theta: &[f64],
+        gstate: &mut CVector,
+        grad_theta: &mut [f64],
+    ) {
+        match self {
+            Module::Mesh(mesh) => mesh.vjp_in_place(gates, taped, gstate, grad_theta),
+            Module::ModRelu(act) => act.vjp_in_place(taped, theta, gstate, Some(grad_theta)),
+            Module::ElectroOptic(act) => act.vjp_in_place(taped, theta, gstate, Some(grad_theta)),
         }
     }
 
@@ -267,24 +291,5 @@ impl Module {
         if let Module::Mesh(mesh) = self {
             mesh.collect_errors(out);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use photon_linalg::C64;
-
-    #[test]
-    fn tape_accessors() {
-        let tape = ModuleTape {
-            states: vec![
-                CVector::from_vec(vec![C64::ONE]),
-                CVector::from_vec(vec![C64::I]),
-            ],
-            gates: Vec::new(),
-        };
-        assert_eq!(tape.input()[0], C64::ONE);
-        assert_eq!(tape.output()[0], C64::I);
     }
 }

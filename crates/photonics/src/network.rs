@@ -2,17 +2,17 @@
 //! differentiation.
 
 use std::fmt;
+use std::ops::Range;
 
 use rand::Rng;
 
-use photon_linalg::{CVector, RVector};
+use photon_linalg::{CVector, RVector, C64};
 
 use crate::electrooptic::ElectroOptic;
-use crate::error::{zeta_from_parts, ErrorCursor, ErrorVector};
+use crate::error::{ErrorCursor, ErrorVector};
 use crate::mesh::MeshModule;
 use crate::modrelu::ModRelu;
-use crate::module::{Module, ModuleTape};
-use crate::ops::Op;
+use crate::module::Module;
 
 /// Errors raised while assembling a [`Network`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -288,10 +288,28 @@ impl Architecture {
     }
 }
 
-/// Saved forward state of a whole network, one tape per module.
+/// A network's op gates ([`crate::Op::gate`]) at one parameter vector.
+///
+/// Gates depend only on the network and `θ`, so one plan serves every
+/// sample evaluated at that `θ`: [`Network::forward_tape_into`] records
+/// against it, and [`Network::jvp_into`], [`Network::vjp_into`] and
+/// [`Network::error_vjp_into`] read it instead of re-evaluating any trig.
+/// Built by [`Network::gate_plan`].
+#[derive(Debug, Clone)]
+pub struct GatePlan {
+    gates: Vec<C64>,
+}
+
+/// One sample's saved forward state: each mesh op's input amplitudes (one
+/// per phase shifter, two per beam splitter) and each activation's input,
+/// in pipeline order in one contiguous buffer.
+///
+/// Together with the [`GatePlan`] it was recorded against, this is all the
+/// JVP, VJP and error VJP read. Reusing one tape across samples performs no
+/// heap allocation after the first.
 #[derive(Debug, Clone)]
 pub struct NetworkTape {
-    tapes: Vec<ModuleTape>,
+    taped: Vec<C64>,
 }
 
 /// Reusable evaluation buffers for the allocation-free network paths
@@ -305,7 +323,6 @@ pub struct NetworkTape {
 pub struct NetworkScratch {
     ping: CVector,
     pong: CVector,
-    nudge: CVector,
 }
 
 impl NetworkScratch {
@@ -314,6 +331,19 @@ impl NetworkScratch {
     pub fn new() -> Self {
         NetworkScratch::default()
     }
+}
+
+/// Where one module's pieces sit in the network's flat buffers: the packed
+/// parameters, the [`GatePlan`], the [`NetworkTape`] and the flat error
+/// families of [`ErrorVector::to_flat`] (splitter `γ`s; shifter
+/// attenuations and phases share one range).
+#[derive(Debug, Clone)]
+struct Spans {
+    params: Range<usize>,
+    gates: Range<usize>,
+    taped: Range<usize>,
+    gamma: Range<usize>,
+    zeta: Range<usize>,
 }
 
 /// An instantiated ONN: a pipeline of modules with a packed parameter
@@ -327,23 +357,42 @@ impl NetworkScratch {
 #[derive(Debug, Clone)]
 pub struct Network {
     modules: Vec<Module>,
-    offsets: Vec<usize>,
+    spans: Vec<Spans>,
     param_count: usize,
+    gate_count: usize,
+    taped_len: usize,
+    error_slots: (usize, usize),
     architecture: Architecture,
 }
 
 impl Network {
     fn from_modules(modules: Vec<Module>, architecture: Architecture) -> Self {
-        let mut offsets = Vec::with_capacity(modules.len());
-        let mut acc = 0;
-        for m in &modules {
-            offsets.push(acc);
-            acc += m.param_count();
-        }
+        let (mut params, mut gates, mut taped, mut bs, mut ps) = (0, 0, 0, 0, 0);
+        let spans = modules
+            .iter()
+            .map(|m| {
+                let (n_bs, n_ps) = m.error_slots();
+                let spans = Spans {
+                    params: params..params + m.param_count(),
+                    gates: gates..gates + m.gate_count(),
+                    taped: taped..taped + m.taped_len(),
+                    gamma: bs..bs + n_bs,
+                    zeta: ps..ps + n_ps,
+                };
+                params = spans.params.end;
+                gates = spans.gates.end;
+                taped = spans.taped.end;
+                (bs, ps) = (bs + n_bs, ps + n_ps);
+                spans
+            })
+            .collect();
         Network {
             modules,
-            offsets,
-            param_count: acc,
+            spans,
+            param_count: params,
+            gate_count: gates,
+            taped_len: taped,
+            error_slots: (bs, ps),
             architecture,
         }
     }
@@ -379,9 +428,8 @@ impl Network {
     /// # Panics
     ///
     /// Panics when `i` is out of range.
-    pub fn module_param_range(&self, i: usize) -> std::ops::Range<usize> {
-        let start = self.offsets[i];
-        start..start + self.modules[i].param_count()
+    pub fn module_param_range(&self, i: usize) -> Range<usize> {
+        self.spans[i].params.clone()
     }
 
     /// Draws an initial parameter vector: layered meshes uniform in
@@ -411,24 +459,44 @@ impl Network {
             .clone()
     }
 
-    /// Forward pass recording the differentiation tape.
+    /// Allocating form of [`Network::forward_tape_into`].
     ///
     /// # Panics
     ///
-    /// Same as [`Network::forward`].
-    pub fn forward_tape(&self, x: &CVector, theta: &RVector) -> (CVector, NetworkTape) {
+    /// Same as [`Network::forward_tape_into`].
+    pub fn forward_tape(
+        &self,
+        x: &CVector,
+        theta: &RVector,
+        plan: &GatePlan,
+    ) -> (CVector, NetworkTape) {
         let mut out = CVector::zeros(0);
         let mut tape = self.new_tape();
         let mut scratch = NetworkScratch::new();
-        self.forward_tape_into(x, theta, &mut scratch, &mut out, &mut tape);
+        self.forward_tape_into(x, theta, plan, &mut scratch, &mut out, &mut tape);
         (out, tape)
+    }
+
+    /// The op gates at `theta`, shared by every sample evaluated there.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `theta.len() != self.param_count()`.
+    pub fn gate_plan(&self, theta: &RVector) -> GatePlan {
+        assert_eq!(theta.len(), self.param_count, "parameter count mismatch");
+        let mut gates = vec![C64::ZERO; self.gate_count];
+        for (m, s) in self.modules.iter().zip(&self.spans) {
+            let th = &theta.as_slice()[s.params.clone()];
+            m.gates_into(th, &mut gates[s.gates.clone()]);
+        }
+        GatePlan { gates }
     }
 
     /// An empty tape shaped for this network, for reuse with
     /// [`Network::forward_tape_into`].
     pub fn new_tape(&self) -> NetworkTape {
         NetworkTape {
-            tapes: vec![ModuleTape::empty(); self.modules.len()],
+            taped: vec![C64::ZERO; self.taped_len],
         }
     }
 
@@ -447,48 +515,48 @@ impl Network {
         theta: &RVector,
         scratch: &'s mut NetworkScratch,
     ) -> &'s CVector {
-        let NetworkScratch { ping, pong, .. } = scratch;
-        self.walk(0, x, theta, ping, pong, |_, m, src, th, dst| {
+        let NetworkScratch { ping, pong } = scratch;
+        self.walk(x, theta, ping, pong, |_, m, src, th, dst| {
             m.forward_into(src, th, dst);
         })
     }
 
-    /// Allocation-free forward pass recording into caller-owned buffers.
+    /// Allocation-free forward pass at `theta` that records `x`'s tape.
     ///
-    /// `tape` should come from [`Network::new_tape`] (or a previous call);
-    /// its per-module state buffers are reused. After the first call at this
-    /// network's dimensions, no heap allocation is performed.
+    /// `plan` must be [`Network::gate_plan`] of this network at `theta`;
+    /// the output is bitwise [`Network::forward_into`]'s. `tape` should come
+    /// from [`Network::new_tape`] (or a previous call); its buffer is
+    /// reused, so after the first call no heap allocation is performed.
     ///
     /// # Panics
     ///
-    /// Same as [`Network::forward`], plus when `tape` has the wrong number
-    /// of module slots.
+    /// Same as [`Network::forward`], plus when `plan` was built for another
+    /// architecture.
     pub fn forward_tape_into(
         &self,
         x: &CVector,
         theta: &RVector,
+        plan: &GatePlan,
         scratch: &mut NetworkScratch,
         out: &mut CVector,
         tape: &mut NetworkTape,
     ) {
-        assert_eq!(
-            tape.tapes.len(),
-            self.modules.len(),
-            "tape module count mismatch"
-        );
-        let NetworkScratch { ping, pong, .. } = scratch;
-        out.copy_from(self.walk(0, x, theta, ping, pong, |i, m, src, th, dst| {
-            m.forward_tape_into(src, th, dst, &mut tape.tapes[i]);
+        assert_eq!(plan.gates.len(), self.gate_count, "gate plan mismatch");
+        tape.taped.resize(self.taped_len, C64::ZERO);
+        let NetworkScratch { ping, pong } = scratch;
+        out.copy_from(self.walk(x, theta, ping, pong, |i, m, src, th, dst| {
+            let s = &self.spans[i];
+            let taped = &mut tape.taped[s.taped.clone()];
+            m.forward_taped(src, th, &plan.gates[s.gates.clone()], taped, dst);
         }));
     }
 
-    /// The ping-pong walk behind every forward pass: runs modules `from..`
-    /// on `x`, calling `apply(i, module, input, module parameters, output)`
+    /// The ping-pong walk behind every forward pass: runs the modules on
+    /// `x`, calling `apply(i, module, input, module parameters, output)`
     /// for each while alternating between `ping` and `pong`, and returns
     /// the buffer holding the output.
     fn walk<'s>(
         &self,
-        from: usize,
         x: &CVector,
         theta: &RVector,
         ping: &'s mut CVector,
@@ -501,8 +569,8 @@ impl Network {
         assert_eq!(theta.len(), self.param_count, "parameter count mismatch");
         ping.copy_from(x);
         let mut cur_is_ping = true;
-        for (i, m) in self.modules.iter().enumerate().skip(from) {
-            let th = &theta.as_slice()[self.module_param_range(i)];
+        for (i, (m, s)) in self.modules.iter().zip(&self.spans).enumerate() {
+            let th = &theta.as_slice()[s.params.clone()];
             let (src, dst) = if cur_is_ping {
                 (&*ping, &mut *pong)
             } else {
@@ -518,31 +586,54 @@ impl Network {
         }
     }
 
+    // The derivative passes below linearize at the point `tape` was
+    // recorded at: `plan` and `theta` must be the ones it was recorded
+    // with.
+
     /// Forward-mode derivative of the whole network at the tape point:
     /// output tangent for input tangent `dx` and parameter tangent `dtheta`.
     ///
     /// # Panics
     ///
-    /// Panics when tangent shapes disagree with the network.
+    /// Same as [`Network::jvp_into`].
     pub fn jvp(
         &self,
+        plan: &GatePlan,
         tape: &NetworkTape,
         theta: &RVector,
         dx: &CVector,
         dtheta: &RVector,
     ) -> CVector {
-        assert_eq!(dtheta.len(), self.param_count, "tangent count mismatch");
         let mut dstate = dx.clone();
-        for (i, m) in self.modules.iter().enumerate() {
-            let range = self.module_param_range(i);
-            dstate = m.jvp(
-                &tape.tapes[i],
-                &theta.as_slice()[range.clone()],
-                &dstate,
-                &dtheta.as_slice()[range],
+        self.jvp_into(plan, tape, theta, dtheta, &mut dstate);
+        dstate
+    }
+
+    /// [`Network::jvp`] in place: `dstate` holds the input tangent on entry
+    /// and the output tangent on return.
+    ///
+    /// # Panics
+    ///
+    /// Panics when tangent shapes disagree with the network.
+    pub fn jvp_into(
+        &self,
+        plan: &GatePlan,
+        tape: &NetworkTape,
+        theta: &RVector,
+        dtheta: &RVector,
+        dstate: &mut CVector,
+    ) {
+        assert_eq!(dtheta.len(), self.param_count, "tangent count mismatch");
+        assert_eq!(dstate.len(), self.input_dim(), "tangent dimension mismatch");
+        for (m, s) in self.modules.iter().zip(&self.spans) {
+            m.jvp_in_place(
+                &plan.gates[s.gates.clone()],
+                &tape.taped[s.taped.clone()],
+                &theta.as_slice()[s.params.clone()],
+                dstate,
+                &dtheta.as_slice()[s.params.clone()],
             );
         }
-        dstate
     }
 
     /// Reverse-mode derivative: given the output cotangent `gy` (convention
@@ -550,119 +641,103 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics when `gy.len() != self.output_dim()`.
-    pub fn vjp(&self, tape: &NetworkTape, theta: &RVector, gy: &CVector) -> (CVector, RVector) {
-        assert_eq!(gy.len(), self.output_dim(), "cotangent dimension mismatch");
+    /// Same as [`Network::vjp_into`].
+    pub fn vjp(
+        &self,
+        plan: &GatePlan,
+        tape: &NetworkTape,
+        theta: &RVector,
+        gy: &CVector,
+    ) -> (CVector, RVector) {
         let mut grad = RVector::zeros(self.param_count);
         let mut gstate = gy.clone();
-        for (i, m) in self.modules.iter().enumerate().rev() {
-            let range = self.module_param_range(i);
-            gstate = m.vjp(
-                &tape.tapes[i],
-                &theta.as_slice()[range.clone()],
-                &gstate,
-                &mut grad.as_mut_slice()[range],
-            );
-        }
+        self.vjp_into(plan, tape, theta, &mut gstate, grad.as_mut_slice());
         (gstate, grad)
     }
 
-    /// Forward-difference outputs for the calibrator's Jacobian: for every
-    /// fabrication-error slot `k`, in flat order, calls `f(k, y_k)` where
-    /// `y_k` is the output at the taped point with `errors[k]` moved to
-    /// `errors[k] + step`.
-    ///
-    /// `tape` must have been recorded by [`Network::forward_tape_into`] at
-    /// `(x, theta)` on a network built from the flat errors `errors`
-    /// (layout of [`ErrorVector::to_flat`]). Each `y_k` is bitwise equal to
-    /// `build_with_errors(nudged).forward_into(x, theta)`, without the
-    /// rebuild or the full forward: the walk restarts inside the nudged
-    /// mesh from the tape's state before the nudged op, applies that op
-    /// with its nudged error, replays the mesh's later ops from the taped
-    /// gates, then runs every later module — meshes from their taped gates,
-    /// activations through [`Module::forward_into`]. A nudged
-    /// `ζ` is rebuilt from the flat `(attenuation, phase)` pair exactly as
-    /// [`ErrorCursor`] builds it; recovering the pair from `ζ` would not
-    /// round-trip bit for bit.
+    /// [`Network::vjp`] in place: `gstate` holds the output cotangent on
+    /// entry and the input cotangent on return, and `∂ℓ/∂θ` is added into
+    /// `grad` (pass zeros for the gradient itself).
     ///
     /// # Panics
     ///
-    /// Panics when `errors` does not have the flat length of this
-    /// network's error slots or `theta` has the wrong length.
-    pub fn for_each_nudged_output(
+    /// Panics when `gstate.len() != self.output_dim()` or
+    /// `grad.len() != self.param_count()`.
+    pub fn vjp_into(
         &self,
+        plan: &GatePlan,
         tape: &NetworkTape,
         theta: &RVector,
-        errors: &[f64],
-        step: f64,
-        scratch: &mut NetworkScratch,
-        mut f: impl FnMut(usize, &CVector),
+        gstate: &mut CVector,
+        grad: &mut [f64],
     ) {
-        #[derive(Clone, Copy)]
-        enum Family {
-            Gamma,
-            Attenuation,
-            Phase,
+        assert_eq!(
+            gstate.len(),
+            self.output_dim(),
+            "cotangent dimension mismatch"
+        );
+        assert_eq!(grad.len(), self.param_count, "gradient length mismatch");
+        for (m, s) in self.modules.iter().zip(&self.spans).rev() {
+            m.vjp_in_place(
+                &plan.gates[s.gates.clone()],
+                &tape.taped[s.taped.clone()],
+                &theta.as_slice()[s.params.clone()],
+                gstate,
+                &mut grad[s.params.clone()],
+            );
         }
-        assert_eq!(theta.len(), self.param_count, "parameter count mismatch");
-        let (n_bs, n_ps) = self.modules.iter().fold((0, 0), |(b, p), m| {
-            let (mb, mp) = m.error_slots();
-            (b + mb, p + mp)
-        });
-        assert_eq!(errors.len(), n_bs + 2 * n_ps, "flat error length mismatch");
-        let (gamma, zeta_parts) = errors.split_at(n_bs);
-        let (attenuation, phase) = zeta_parts.split_at(n_ps);
-        let NetworkScratch { ping, pong, nudge } = scratch;
-        // Modules after the nudged one: meshes replay their taped gates,
-        // activations run forward.
-        let replay =
-            |j: usize, later: &Module, src: &CVector, th: &[f64], dst: &mut CVector| match later {
-                Module::Mesh(mesh) => mesh.forward_gated_into(&tape.tapes[j], src, dst),
-                _ => later.forward_into(src, th, dst),
-            };
-        let mut k = 0;
-        // The flat layout lists every γ, then every attenuation, then every
-        // phase; within a family the slots run through the meshes in
-        // pipeline order and through each mesh in op order — the order
-        // `build_with_errors` consumes them in.
-        for family in [Family::Gamma, Family::Attenuation, Family::Phase] {
-            let (mut bs, mut ps) = (0, 0);
-            for (m, module) in self.modules.iter().enumerate() {
-                let Module::Mesh(mesh) = module else {
-                    continue;
-                };
-                let th = &theta.as_slice()[self.module_param_range(m)];
-                let replace = |op: &Op| {
-                    let nudged = match (*op, family) {
-                        (Op::Bs { port, .. }, Family::Gamma) => Some(Op::Bs {
-                            port,
-                            gamma: gamma[bs] + step,
-                        }),
-                        (Op::Ps { port, param, .. }, Family::Attenuation) => Some(Op::Ps {
-                            port,
-                            param,
-                            zeta: zeta_from_parts(attenuation[ps] + step, phase[ps]),
-                        }),
-                        (Op::Ps { port, param, .. }, Family::Phase) => Some(Op::Ps {
-                            port,
-                            param,
-                            zeta: zeta_from_parts(attenuation[ps], phase[ps] + step),
-                        }),
-                        _ => None,
-                    };
-                    match op {
-                        Op::Bs { .. } => bs += 1,
-                        Op::Ps { .. } => ps += 1,
-                    }
-                    nudged
-                };
-                mesh.for_each_replaced_output(&tape.tapes[m], th, nudge, replace, |y| {
-                    f(k, self.walk(m + 1, y, theta, ping, pong, replay));
-                    k += 1;
-                });
+    }
+
+    /// Reverse-mode derivative with respect to the fabrication errors baked
+    /// into the network: for the output cotangent in `gstate`, writes
+    /// `∂ℓ/∂e` into `grad` in the flat layout of [`ErrorVector::to_flat`] —
+    /// every splitter's `γ`, then every shifter's attenuation, then every
+    /// shifter's phase, through the meshes in pipeline order and through
+    /// each mesh in op order. `gstate` holds the input cotangent on return.
+    ///
+    /// One call replaces one finite-difference restart per error: the
+    /// calibrator takes one per detector per probe, with
+    /// `gstate = 2·y_d·e_d`, for the exact Jacobian row of the power
+    /// residual `|y_d|² − p_d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `gstate.len() != self.output_dim()` or `grad` does not
+    /// have the flat length of this network's error slots.
+    pub fn error_vjp_into(
+        &self,
+        plan: &GatePlan,
+        tape: &NetworkTape,
+        theta: &RVector,
+        gstate: &mut CVector,
+        grad: &mut [f64],
+    ) {
+        let (n_bs, n_ps) = self.error_slots;
+        assert_eq!(
+            gstate.len(),
+            self.output_dim(),
+            "cotangent dimension mismatch"
+        );
+        assert_eq!(grad.len(), n_bs + 2 * n_ps, "flat error length mismatch");
+        let (gamma, zeta) = grad.split_at_mut(n_bs);
+        let (attenuation, phase) = zeta.split_at_mut(n_ps);
+        for (m, s) in self.modules.iter().zip(&self.spans).rev() {
+            let gates = &plan.gates[s.gates.clone()];
+            let taped = &tape.taped[s.taped.clone()];
+            let th = &theta.as_slice()[s.params.clone()];
+            match m {
+                Module::Mesh(mesh) => mesh.error_vjp(
+                    gates,
+                    taped,
+                    gstate,
+                    &mut gamma[s.gamma.clone()],
+                    &mut attenuation[s.zeta.clone()],
+                    &mut phase[s.zeta.clone()],
+                ),
+                Module::ModRelu(act) => act.vjp_in_place(taped, th, gstate, None),
+                Module::ElectroOptic(act) => act.vjp_in_place(taped, th, gstate, None),
             }
         }
-        debug_assert_eq!(k, errors.len(), "every error slot nudged once");
     }
 
     /// The current error assignment baked into this network's modules.
@@ -820,8 +895,9 @@ mod tests {
         let x = normal_cvector(4, &mut rng);
         let dtheta = photon_linalg::random::normal_rvector(net.param_count(), &mut rng);
 
-        let (_, tape) = net.forward_tape(&x, &theta);
-        let dy = net.jvp(&tape, &theta, &CVector::zeros(4), &dtheta);
+        let plan = net.gate_plan(&theta);
+        let (_, tape) = net.forward_tape(&x, &theta, &plan);
+        let dy = net.jvp(&plan, &tape, &theta, &CVector::zeros(4), &dtheta);
 
         let eps = 1e-6;
         let mut tp = theta.clone();
@@ -844,14 +920,15 @@ mod tests {
             theta[k] = -0.05;
         }
         let x = normal_cvector(4, &mut rng);
-        let (_, tape) = net.forward_tape(&x, &theta);
+        let plan = net.gate_plan(&theta);
+        let (_, tape) = net.forward_tape(&x, &theta, &plan);
 
         let dx = normal_cvector(4, &mut rng);
         let dtheta = photon_linalg::random::normal_rvector(net.param_count(), &mut rng);
         let g = normal_cvector(4, &mut rng);
 
-        let dy = net.jvp(&tape, &theta, &dx, &dtheta);
-        let (gx, gtheta) = net.vjp(&tape, &theta, &g);
+        let dy = net.jvp(&plan, &tape, &theta, &dx, &dtheta);
+        let (gx, gtheta) = net.vjp(&plan, &tape, &theta, &g);
 
         let real_dot = |a: &CVector, b: &CVector| -> f64 {
             a.iter()
@@ -878,12 +955,13 @@ mod tests {
         // the whole field.
         assert!(y.norm_sqr() > 0.1 * x.norm_sqr());
         // Adjoint contract holds through the EO activation.
-        let (_, tape) = net.forward_tape(&x, &theta);
+        let plan = net.gate_plan(&theta);
+        let (_, tape) = net.forward_tape(&x, &theta, &plan);
         let dx = normal_cvector(4, &mut rng);
         let dtheta = photon_linalg::random::normal_rvector(net.param_count(), &mut rng);
         let g = normal_cvector(4, &mut rng);
-        let dy = net.jvp(&tape, &theta, &dx, &dtheta);
-        let (gx, gtheta) = net.vjp(&tape, &theta, &g);
+        let dy = net.jvp(&plan, &tape, &theta, &dx, &dtheta);
+        let (gx, gtheta) = net.vjp(&plan, &tape, &theta, &g);
         let rdot = |a: &CVector, b: &CVector| -> f64 {
             a.iter()
                 .zip(b.iter())
@@ -895,11 +973,11 @@ mod tests {
         assert!((lhs - rhs).abs() < 1e-9);
     }
 
-    /// The tape-restarted nudges must reproduce rebuilding the network
-    /// with each nudged error and running it forward, bit for bit, through
-    /// modReLU, the electro-optic activation and Reck meshes alike.
+    /// The error VJP must match central differences of `⟨y(e), g⟩_R` over
+    /// networks rebuilt with each error moved, through modReLU, the
+    /// electro-optic activation and Reck meshes alike.
     #[test]
-    fn nudged_outputs_match_rebuild_and_forward_bitwise() {
+    fn error_vjp_matches_central_differences() {
         let reck = Architecture::new(vec![
             ModuleSpec::Reck { dim: 4 },
             ModuleSpec::PhaseDiag { dim: 4 },
@@ -912,41 +990,50 @@ mod tests {
             Architecture::two_mesh_eo_classifier(4, 2, 0.1, 1.0).unwrap(),
             reck,
         ];
-        let bits = |v: &CVector| -> Vec<(u64, u64)> {
-            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        let real_dot = |a: &CVector, b: &CVector| -> f64 {
+            a.iter()
+                .zip(b.iter())
+                .map(|(u, v)| u.re * v.re + u.im * v.im)
+                .sum()
         };
         for (seed, arch) in archs.into_iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(40 + seed as u64);
             let (n_bs, n_ps) = arch.error_slots();
             let model = ErrorModel::with_beta(2.0);
             let flat = ErrorVector::sample(n_bs, n_ps, &model, &mut rng).to_flat();
-            let errors = ErrorVector::from_flat(n_bs, n_ps, &flat).unwrap();
-            let net = arch.build_with_errors(&errors).unwrap();
+            let build = |flat: &[f64]| {
+                arch.build_with_errors(&ErrorVector::from_flat(n_bs, n_ps, flat).unwrap())
+                    .unwrap()
+            };
+            let net = build(&flat);
             let mut theta = net.init_params(&mut rng);
             for k in net.module_param_range(2) {
                 theta[k] = 0.1;
             }
             let x = normal_cvector(4, &mut rng);
-            let step = 1e-6;
-            let mut scratch = NetworkScratch::new();
-            let mut tape = net.new_tape();
-            let mut y = CVector::zeros(0);
-            net.forward_tape_into(&x, &theta, &mut scratch, &mut y, &mut tape);
+            let g = normal_cvector(4, &mut rng);
+            let plan = net.gate_plan(&theta);
+            let (_, tape) = net.forward_tape(&x, &theta, &plan);
+            let mut grad = vec![f64::NAN; flat.len()];
+            let mut gstate = g.clone();
+            net.error_vjp_into(&plan, &tape, &theta, &mut gstate, &mut grad);
 
-            let mut oracle_scratch = NetworkScratch::new();
-            let mut seen = 0;
-            net.for_each_nudged_output(&tape, &theta, &flat, step, &mut scratch, |k, yk| {
-                assert_eq!(k, seen, "slots come in flat order");
-                seen += 1;
-                let mut nudged = flat.clone();
-                nudged[k] += step;
-                let oracle = arch
-                    .build_with_errors(&ErrorVector::from_flat(n_bs, n_ps, &nudged).unwrap())
-                    .unwrap();
-                let expected = oracle.forward_into(&x, &theta, &mut oracle_scratch);
-                assert_eq!(bits(yk), bits(expected), "slot {k} of {arch:?}");
-            });
-            assert_eq!(seen, flat.len());
+            let eps = 1e-6;
+            for (k, &exact) in grad.iter().enumerate() {
+                let mut moved = flat.clone();
+                moved[k] += eps;
+                let up = real_dot(&build(&moved).forward(&x, &theta), &g);
+                moved[k] -= 2.0 * eps;
+                let down = real_dot(&build(&moved).forward(&x, &theta), &g);
+                let fd = (up - down) / (2.0 * eps);
+                assert!(
+                    (exact - fd).abs() < 1e-7,
+                    "slot {k} of {arch:?}: {exact} vs {fd}"
+                );
+            }
+            // The input cotangent is the θ-VJP's.
+            let (gx, _) = net.vjp(&plan, &tape, &theta, &g);
+            assert_eq!((&gstate - &gx).max_abs(), 0.0);
         }
     }
 

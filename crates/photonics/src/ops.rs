@@ -2,8 +2,9 @@
 //!
 //! A linear photonic module is a sequence of [`Op`]s acting on a complex
 //! amplitude state. Each op supports forward application, forward-mode
-//! differentiation (JVP) and reverse-mode differentiation (VJP); the VJP is
-//! the exact real-adjoint of the JVP, so composing `vjp ∘ jvp` yields exact
+//! differentiation (JVP) and reverse-mode differentiation (VJP) with respect
+//! to its phase and to its fabrication error; the VJP is the exact
+//! real-adjoint of the JVP, so composing `vjp ∘ jvp` yields exact
 //! Fisher-metric products.
 
 use std::f64::consts::FRAC_PI_2;
@@ -40,11 +41,12 @@ impl Op {
     /// one complex number — the factor `ζ·e^{jθ}` for a phase shifter,
     /// `cos φ + j·sin φ` for a beam splitter.
     ///
-    /// A gate depends only on the op and `theta`, so a forward tape records
-    /// it once and every later pass over the tape (JVP, VJP, replays)
-    /// reuses it instead of re-evaluating the trig. The gate-taking forms
-    /// ([`Op::apply_gate`], [`Op::jvp_gate`], [`Op::vjp_gate`]) are the
-    /// arithmetic; the θ-taking forms are `gate(θ)` followed by them.
+    /// A gate depends only on the op and `theta`, so a network evaluates it
+    /// once per parameter vector and every sample at that vector — forward
+    /// tape, JVP, VJP — reuses it instead of re-evaluating the trig
+    /// (`crate::GatePlan`). The gate-taking forms ([`Op::apply_gate`],
+    /// [`Op::jvp_gate`], [`Op::vjp_gate`], [`Op::error_vjp_gate`]) are the
+    /// arithmetic; [`Op::apply`] is `gate(θ)` followed by `apply_gate`.
     #[inline]
     pub fn gate(&self, theta: &[f64]) -> C64 {
         match *self {
@@ -133,22 +135,40 @@ impl Op {
         }
     }
 
-    /// Forward-mode derivative: updates the tangent `dstate` in place.
-    ///
-    /// `pre` must be the state *before* this op was applied (from the
-    /// forward tape) and `dtheta` the parameter tangent.
+    /// Number of input amplitudes a tape keeps for this op: the shifter's
+    /// port, or the splitter's two ports.
     #[inline]
-    pub fn jvp(&self, pre: &CVector, dstate: &mut CVector, theta: &[f64], dtheta: &[f64]) {
-        self.jvp_gate(pre, dstate, self.gate(theta), dtheta);
+    pub fn taped_len(&self) -> usize {
+        match self {
+            Op::Ps { .. } => 1,
+            Op::Bs { .. } => 2,
+        }
     }
 
-    /// [`Op::jvp`] with the op's [`Op::gate`] already evaluated.
+    /// Copies the op's input amplitudes from `state` (the state *before*
+    /// this op) into `taped`, which holds [`Op::taped_len`] entries.
     #[inline]
-    pub fn jvp_gate(&self, pre: &CVector, dstate: &mut CVector, gate: C64, dtheta: &[f64]) {
+    pub fn record(&self, state: &CVector, taped: &mut [C64]) {
+        match *self {
+            Op::Ps { port, .. } => taped[0] = state[port],
+            Op::Bs { port, .. } => {
+                taped[0] = state[port];
+                taped[1] = state[port + 1];
+            }
+        }
+    }
+
+    /// Forward-mode derivative: updates the tangent `dstate` in place.
+    ///
+    /// `taped` holds the op's input amplitudes ([`Op::record`]), `gate` its
+    /// [`Op::gate`] at the linearization point and `dtheta` the parameter
+    /// tangent.
+    #[inline]
+    pub fn jvp_gate(&self, taped: &[C64], dstate: &mut CVector, gate: C64, dtheta: &[f64]) {
         match *self {
             Op::Ps { port, param, .. } => {
                 // y = f·x  ⇒  dy = f·dx + j·dθ·f·x
-                let y = gate * pre[port];
+                let y = gate * taped[0];
                 dstate[port] = gate * dstate[port] + C64::new(-y.im, y.re).scale(dtheta[param]);
             }
             // A splitter is linear in the state, so the tangent takes the
@@ -161,25 +181,52 @@ impl Op {
     /// (output cotangent → input cotangent) and accumulates the parameter
     /// cotangent into `grad_theta`.
     ///
-    /// `pre` must be the state before this op (from the forward tape). The
-    /// cotangent convention is `g = ∂ℓ/∂Re(y) + j·∂ℓ/∂Im(y)`; a linear op
-    /// `y = U·x` therefore backpropagates as `g_x = Uᴴ·g_y`.
+    /// `taped` and `gate` are as for [`Op::jvp_gate`]. The cotangent
+    /// convention is `g = ∂ℓ/∂Re(y) + j·∂ℓ/∂Im(y)`; a linear op `y = U·x`
+    /// therefore backpropagates as `g_x = Uᴴ·g_y`.
     #[inline]
-    pub fn vjp(&self, pre: &CVector, gstate: &mut CVector, theta: &[f64], grad_theta: &mut [f64]) {
-        self.vjp_gate(pre, gstate, self.gate(theta), grad_theta);
+    pub fn vjp_gate(&self, taped: &[C64], gstate: &mut CVector, gate: C64, grad_theta: &mut [f64]) {
+        if let Op::Ps { port, param, .. } = *self {
+            // ∂ℓ/∂θ = ⟨j·y, g⟩_R = Im(conj(y)·g), y = f·x.
+            let y = gate * taped[0];
+            grad_theta[param] += (y.conj() * gstate[port]).im;
+        }
+        self.adjoint_gate(gstate, gate);
     }
 
-    /// [`Op::vjp`] with the op's [`Op::gate`] already evaluated.
+    /// Reverse-mode derivative with respect to the op's fabrication errors:
+    /// transforms `gstate` like [`Op::vjp_gate`] and returns the error
+    /// cotangent — `[∂ℓ/∂γ, 0]` for a splitter, `[∂ℓ/∂attenuation,
+    /// ∂ℓ/∂phase]` for a shifter (the parts of `ζ` in
+    /// [`crate::zeta_from_parts`]).
     #[inline]
-    pub fn vjp_gate(&self, pre: &CVector, gstate: &mut CVector, gate: C64, grad_theta: &mut [f64]) {
-        match *self {
-            Op::Ps { port, param, .. } => {
-                let g = gstate[port];
-                // ∂ℓ/∂θ = ⟨j·y, g⟩_R = Im(conj(y)·g), y = f·x.
-                let y = gate * pre[port];
-                grad_theta[param] += (y.conj() * g).im;
-                gstate[port] = gate.conj() * g;
+    pub fn error_vjp_gate(&self, taped: &[C64], gstate: &mut CVector, gate: C64) -> [f64; 2] {
+        let grad = match *self {
+            Op::Ps { port, zeta, .. } => {
+                // y = (1 − a)·e^{j(φ + θ)}·x: ∂y/∂φ = j·y, ∂y/∂a = −y/|ζ|.
+                let w = (gate * taped[0]).conj() * gstate[port];
+                [-w.re / zeta.abs(), w.im]
             }
+            Op::Bs { port, .. } => {
+                // φ = (π/2 + γ)/2: ∂B/∂γ = ½·[[−s, j·c], [j·c, −s]].
+                let (c, s) = (gate.re, gate.im);
+                let (a, b) = (taped[0], taped[1]);
+                let d0 = C64::new(-s * a.re - c * b.im, -s * a.im + c * b.re);
+                let d1 = C64::new(-c * a.im - s * b.re, c * a.re - s * b.im);
+                let (g0, g1) = (gstate[port], gstate[port + 1]);
+                let dot = d0.re * g0.re + d0.im * g0.im + d1.re * g1.re + d1.im * g1.im;
+                [0.5 * dot, 0.0]
+            }
+        };
+        self.adjoint_gate(gstate, gate);
+        grad
+    }
+
+    /// Applies the op's adjoint `Uᴴ` to the cotangent `gstate` in place.
+    #[inline]
+    fn adjoint_gate(&self, gstate: &mut CVector, gate: C64) {
+        match *self {
+            Op::Ps { port, .. } => gstate[port] = gate.conj() * gstate[port],
             Op::Bs { port, .. } => {
                 let (c, s) = (gate.re, gate.im);
                 let a = gstate[port];
@@ -264,8 +311,53 @@ mod tests {
         let fd = (&y_plus - &y_minus).scale_real(0.5 / eps);
 
         let mut dy = CVector::zeros(2);
-        op.jvp(&x, &mut dy, &theta, &[1.0]);
+        op.jvp_gate(&[x[0]], &mut dy, op.gate(&theta), &[1.0]);
         assert!((&dy - &fd).max_abs() < 1e-6);
+    }
+
+    /// The error cotangents of both op kinds against central differences
+    /// of `⟨y(e), g⟩_R` in each error, with `ζ` built from its parts.
+    #[test]
+    fn error_vjp_matches_finite_difference() {
+        let x = state2(C64::new(0.4, 0.3), C64::new(-0.6, 0.2));
+        let g = state2(C64::new(-0.8, 0.1), C64::new(0.5, 0.5));
+        let theta = [0.7];
+        let real_dot = |y: &CVector| -> f64 {
+            y.iter()
+                .zip(g.iter())
+                .map(|(a, b)| a.re * b.re + a.im * b.im)
+                .sum()
+        };
+        let ps = |att: f64, phase: f64| Op::Ps {
+            port: 1,
+            param: 0,
+            zeta: crate::zeta_from_parts(att, phase),
+        };
+        let bs = |gamma: f64| Op::Bs { port: 0, gamma };
+        let out = |op: Op| {
+            let mut y = x.clone();
+            op.apply(&mut y, &theta);
+            real_dot(&y)
+        };
+        let eps = 1e-6;
+        let (att, phase, gamma) = (4e-4, 0.05, -0.02);
+        let fd = [
+            (out(ps(att + eps, phase)) - out(ps(att - eps, phase))) / (2.0 * eps),
+            (out(ps(att, phase + eps)) - out(ps(att, phase - eps))) / (2.0 * eps),
+            (out(bs(gamma + eps)) - out(bs(gamma - eps))) / (2.0 * eps),
+        ];
+        let exact = |op: Op| {
+            let mut taped = vec![C64::ZERO; op.taped_len()];
+            op.record(&x, &mut taped);
+            let mut gx = g.clone();
+            op.error_vjp_gate(&taped, &mut gx, op.gate(&theta))
+        };
+        let [d_att, d_phase] = exact(ps(att, phase));
+        let [d_gamma, unused] = exact(bs(gamma));
+        assert_eq!(unused, 0.0);
+        for (e, f) in [d_att, d_phase, d_gamma].into_iter().zip(fd) {
+            assert!((e - f).abs() < 1e-8, "{e} vs {f}");
+        }
     }
 
     /// The VJP must be the exact adjoint of the JVP under the real inner
@@ -292,12 +384,15 @@ mod tests {
             let dtheta = [0.6];
             let g = state2(C64::new(-0.8, 0.1), C64::new(0.5, 0.5));
 
+            let gate = op.gate(&theta);
+            let mut taped = vec![C64::ZERO; op.taped_len()];
+            op.record(&x, &mut taped);
             let mut dy = dx.clone();
-            op.jvp(&x, &mut dy, &theta, &dtheta);
+            op.jvp_gate(&taped, &mut dy, gate, &dtheta);
 
             let mut gx = g.clone();
             let mut gtheta = [0.0];
-            op.vjp(&x, &mut gx, &theta, &mut gtheta);
+            op.vjp_gate(&taped, &mut gx, gate, &mut gtheta);
 
             // ⟨J(dx, dθ), g⟩ = ⟨(dx, dθ), Jᵀg⟩
             let lhs: f64 = dy

@@ -7,6 +7,14 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
+
+# Release-profile tests: the photonics and calibration crates' own suites
+# plus the root bit pins of the module layer and the calibration fit, so a
+# shape check carried only by a debug_assert cannot hide a release-only
+# failure. The vendored shims stay out (criterion's timing shim reads 0 ns
+# in release).
+cargo test -q --release --offline -p photon-photonics -p photon-calib
+cargo test -q --release --offline --test module_bits --test calibration_bits
 cargo clippy --offline --all-targets --workspace -- -D warnings
 
 # Rustdoc gate: every photon-* crate and the facade document without a
@@ -185,7 +193,7 @@ print(f"ci: resilience p99 {summary['p99_vs_healthy']:.2f}x healthy (bound 2.0),
 EOF
 
 # Calibration bench: regenerates BENCH_calib.json, the seconds per
-# Levenberg-Marquardt iteration of the calibration fit at K = 10 and K = 16.
+# Levenberg-Marquardt iteration of the calibration fit at K = 10, 16 and 24.
 cargo bench -q --offline -p photon-bench --bench calibration >/dev/null
 
 # Bench-report gate: every BENCH_*.json at the root (all regenerated above

@@ -1,6 +1,7 @@
 //! Bit pins of the module layer: the interpreted network walks (forward,
-//! taped forward, JVP, VJP), the compiled batch, a pinned rank-1 serve,
-//! the calibrator's tape-restarted error nudges and the natural-gradient
+//! taped forward, JVP, VJP), the same walks with one gate plan shared by
+//! several inputs, the compiled batch, a pinned rank-1 serve, the
+//! calibrator's per-detector error gradients and the natural-gradient
 //! blocks, each on three networks with sampled fabrication errors:
 //! `two_mesh_classifier` (modReLU), `two_mesh_eo_classifier`
 //! (electro-optic activation) and a Reck → PSdiag → modReLU → Reck
@@ -71,7 +72,7 @@ fn cases() -> Vec<Case> {
             let (n_bs, n_ps) = arch.error_slots();
             let model = ErrorModel::with_beta(2.0);
             // Round-trip through the flat layout, as the calibrator does, so
-            // the nudges below start from exactly these errors.
+            // the error gradients below are taken at exactly these errors.
             let flat = ErrorVector::sample(n_bs, n_ps, &model, &mut rng).to_flat();
             let errors = ErrorVector::from_flat(n_bs, n_ps, &flat).unwrap();
             let net = arch.build_with_errors(&errors).unwrap();
@@ -93,6 +94,14 @@ fn cases() -> Vec<Case> {
         .collect()
 }
 
+/// `[forward, taped, reverse]` per case: the forward outputs of all five
+/// inputs, then the taped output and JVP, and the VJP, of the first.
+const WALKS: [[u64; 3]; 3] = [
+    [0x1f09d112d06bcea0, 0x56b395141e7ad4b5, 0x7da4b74ec13a6955],
+    [0xce7859ea9a0393e7, 0xa1e98fd75f72cdb5, 0x03e17c98e1ab5b30],
+    [0x2efbedc935b960ff, 0xc6afd28a38fabddc, 0x67955f483b5fc386],
+];
+
 #[test]
 fn network_forward_and_derivatives_are_bit_pinned() {
     let mut got = Vec::new();
@@ -101,28 +110,58 @@ fn network_forward_and_derivatives_are_bit_pinned() {
         let forward = bits_hash(c.xs.iter().flat_map(|x| {
             field_bits(c.net.forward_into(x, &c.theta, &mut scratch)).collect::<Vec<_>>()
         }));
+        let plan = c.net.gate_plan(&c.theta);
         let mut tape = c.net.new_tape();
         let mut y = CVector::zeros(0);
         c.net
-            .forward_tape_into(&c.xs[0], &c.theta, &mut scratch, &mut y, &mut tape);
+            .forward_tape_into(&c.xs[0], &c.theta, &plan, &mut scratch, &mut y, &mut tape);
         let dx = normal_cvector(4, &mut c.rng);
         let dtheta = normal_rvector(c.net.param_count(), &mut c.rng);
         let g = normal_cvector(4, &mut c.rng);
-        let dy = c.net.jvp(&tape, &c.theta, &dx, &dtheta);
-        let (gx, grad) = c.net.vjp(&tape, &c.theta, &g);
+        let dy = c.net.jvp(&plan, &tape, &c.theta, &dx, &dtheta);
+        let (gx, grad) = c.net.vjp(&plan, &tape, &c.theta, &g);
         let taped = bits_hash(field_bits(&y).chain(field_bits(&dy)));
         let reverse = bits_hash(field_bits(&gx).chain(grad.iter().copied()));
         got.push([forward, taped, reverse]);
     }
-    assert_eq!(
-        got,
-        [
-            [0x1f09d112d06bcea0, 0x56b395141e7ad4b5, 0x7da4b74ec13a6955],
-            [0xce7859ea9a0393e7, 0xa1e98fd75f72cdb5, 0x03e17c98e1ab5b30],
-            [0x2efbedc935b960ff, 0xc6afd28a38fabddc, 0x67955f483b5fc386],
-        ],
-        "{got:#x?}"
-    );
+    assert_eq!(got, WALKS, "{got:#x?}");
+}
+
+/// One gate plan and one reused tape serve every input through the taped
+/// forward, JVP and VJP (the in-place forms), and reproduce the
+/// per-sample pins: the taped outputs of all five inputs hash to the
+/// forward pin, the first input's derivatives to its taped and reverse
+/// pins.
+#[test]
+fn one_gate_plan_serves_every_input_bitwise() {
+    let mut got = Vec::new();
+    for mut c in cases() {
+        let dx = normal_cvector(4, &mut c.rng);
+        let dtheta = normal_rvector(c.net.param_count(), &mut c.rng);
+        let g = normal_cvector(4, &mut c.rng);
+        let plan = c.net.gate_plan(&c.theta);
+        let mut scratch = NetworkScratch::new();
+        let mut tape = c.net.new_tape();
+        let (mut y, mut dy, mut gx) = (CVector::zeros(0), dx.clone(), g.clone());
+        let mut outputs = Vec::new();
+        let mut derivatives = Vec::new();
+        for x in &c.xs {
+            c.net
+                .forward_tape_into(x, &c.theta, &plan, &mut scratch, &mut y, &mut tape);
+            outputs.extend(field_bits(&y));
+            dy.copy_from(&dx);
+            c.net.jvp_into(&plan, &tape, &c.theta, &dtheta, &mut dy);
+            gx.copy_from(&g);
+            let mut grad = vec![0.0; c.net.param_count()];
+            c.net.vjp_into(&plan, &tape, &c.theta, &mut gx, &mut grad);
+            derivatives.push([
+                bits_hash(field_bits(&y).chain(field_bits(&dy))),
+                bits_hash(field_bits(&gx).chain(grad)),
+            ]);
+        }
+        got.push([bits_hash(outputs), derivatives[0][0], derivatives[0][1]]);
+    }
+    assert_eq!(got, WALKS, "{got:#x?}");
 }
 
 #[test]
@@ -155,29 +194,28 @@ fn compiled_batch_and_pinned_serve_are_bit_pinned() {
     );
 }
 
+/// The calibrator's Jacobian rows: the error gradient of every detector's
+/// power `|y_d|²` at the second input, one error VJP of `2·y_d` each.
 #[test]
-fn nudged_outputs_are_bit_pinned() {
+fn error_gradients_are_bit_pinned() {
     let mut got = Vec::new();
     for c in cases() {
-        let mut scratch = NetworkScratch::new();
-        let mut tape = c.net.new_tape();
-        let mut y = CVector::zeros(0);
-        c.net
-            .forward_tape_into(&c.xs[1], &c.theta, &mut scratch, &mut y, &mut tape);
+        let plan = c.net.gate_plan(&c.theta);
+        let (y, tape) = c.net.forward_tape(&c.xs[1], &c.theta, &plan);
         let mut values = Vec::new();
-        let mut slots = 0;
-        c.net
-            .for_each_nudged_output(&tape, &c.theta, &c.flat, 1e-6, &mut scratch, |k, yk| {
-                assert_eq!(k, slots);
-                slots += 1;
-                values.extend(field_bits(yk));
-            });
-        assert_eq!(slots, c.flat.len());
+        let mut grad = vec![0.0; c.flat.len()];
+        for d in 0..y.len() {
+            let mut g = CVector::zeros(y.len());
+            g[d] = y[d].scale(2.0);
+            c.net
+                .error_vjp_into(&plan, &tape, &c.theta, &mut g, &mut grad);
+            values.extend_from_slice(&grad);
+        }
         got.push(bits_hash(values));
     }
     assert_eq!(
         got,
-        [0x0626daf20a800402, 0x34c827bbbdaa460a, 0xac78c9374b4ac8c1],
+        [0x750c9ca027d2f15c, 0x8c5c892b58705c87, 0xed4979546e1bd6d8],
         "{got:#x?}"
     );
 }

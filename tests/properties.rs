@@ -131,13 +131,14 @@ proptest! {
             theta[k] = 0.05;
         }
         let x = normal_cvector(4, &mut rng);
-        let (_, tape) = net.forward_tape(&x, &theta);
+        let plan = net.gate_plan(&theta);
+        let (_, tape) = net.forward_tape(&x, &theta, &plan);
         let dx = normal_cvector(4, &mut rng);
         let dtheta = normal_rvector(net.param_count(), &mut rng);
         let g = normal_cvector(4, &mut rng);
 
-        let dy = net.jvp(&tape, &theta, &dx, &dtheta);
-        let (gx, gtheta) = net.vjp(&tape, &theta, &g);
+        let dy = net.jvp(&plan, &tape, &theta, &dx, &dtheta);
+        let (gx, gtheta) = net.vjp(&plan, &tape, &theta, &g);
         let rdot = |a: &CVector, b: &CVector| -> f64 {
             a.iter().zip(b.iter()).map(|(u, v)| u.re * v.re + u.im * v.im).sum()
         };
