@@ -107,5 +107,9 @@ fn bench_robust_estimate_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_forward_overhead, bench_robust_estimate_overhead);
+criterion_group!(
+    benches,
+    bench_forward_overhead,
+    bench_robust_estimate_overhead
+);
 criterion_main!(benches);

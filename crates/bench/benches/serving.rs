@@ -64,7 +64,11 @@ fn simulate(workload: ArrivalProcess, name: &str, coalesced: bool) -> ServingRep
     } else {
         CoalescePolicy::uncoalesced()
     };
-    let mode = if coalesced { "coalesced" } else { "uncoalesced" };
+    let mode = if coalesced {
+        "coalesced"
+    } else {
+        "uncoalesced"
+    };
     let cfg = SimConfig::new(ROOT_SEED, WINDOW_NS)
         .with_label(&format!("{name}/{mode}"))
         .with_workers(WORKERS)
@@ -173,7 +177,11 @@ fn write_report(c: &Criterion) -> std::io::Result<()> {
         let un = simulate(workload, name, false);
         let co = simulate(workload, name, true);
         for report in [&un, &co] {
-            let mode = if report.max_batch > 1 { "coalesced" } else { "uncoalesced" };
+            let mode = if report.max_batch > 1 {
+                "coalesced"
+            } else {
+                "uncoalesced"
+            };
             let agg = &report.aggregate;
             let mut row = vec![
                 ("workload", json_str(name)),

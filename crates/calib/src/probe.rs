@@ -115,8 +115,7 @@ pub fn measure_chip<C: OnnChip>(chip: &C, plan: &ProbePlan, pool: &ExecPool) -> 
                 for (powers, &p) in out.iter_mut().zip(block.iter()) {
                     let mut attempts = 0;
                     while !powers.iter().all(|v| v.is_finite()) && attempts < 3 {
-                        powers
-                            .copy_from(chip.forward_powers_into(&plan.inputs[p], theta, single));
+                        powers.copy_from(chip.forward_powers_into(&plan.inputs[p], theta, single));
                         attempts += 1;
                     }
                 }

@@ -123,11 +123,7 @@ impl fmt::Display for JournalError {
                     "journal {} is locked by another writer (pid {pid})",
                     path.display()
                 ),
-                None => write!(
-                    f,
-                    "journal {} is locked by another writer",
-                    path.display()
-                ),
+                None => write!(f, "journal {} is locked by another writer", path.display()),
             },
         }
     }
@@ -635,8 +631,14 @@ fn parse_header_payload(payload: &str) -> Result<JournalHeader, JournalError> {
         .ok_or_else(|| perr(format!("unknown method code {method_code:?}")))?;
     let header = JournalHeader {
         method,
-        root_seed: r.tagged("root_seed")?.parse().map_err(|_| perr("bad root_seed"))?,
-        epochs: r.tagged("epochs")?.parse().map_err(|_| perr("bad epochs"))?,
+        root_seed: r
+            .tagged("root_seed")?
+            .parse()
+            .map_err(|_| perr("bad root_seed"))?,
+        epochs: r
+            .tagged("epochs")?
+            .parse()
+            .map_err(|_| perr("bad epochs"))?,
         batch_size: r
             .tagged("batch_size")?
             .parse()
@@ -808,7 +810,10 @@ fn read_state(r: &mut LineReader<'_>) -> Result<RunState, JournalError> {
             )
         }
     };
-    let n_events: usize = r.tagged("events")?.parse().map_err(|_| perr("bad events"))?;
+    let n_events: usize = r
+        .tagged("events")?
+        .parse()
+        .map_err(|_| perr("bad events"))?;
     let mut recovery_events = Vec::with_capacity(n_events);
     for _ in 0..n_events {
         let line = r.tagged("event")?;
@@ -922,7 +927,10 @@ fn read_recovery(r: &mut LineReader<'_>, tag: &str) -> Result<RecoveryStats, Jou
     let [retries, rejected, rollbacks, recalibs] = toks.as_slice() else {
         return Err(perr(format!("bad {tag} line")));
     };
-    let p = |v: &str| v.parse::<u64>().map_err(|_| perr(format!("bad {tag} count")));
+    let p = |v: &str| {
+        v.parse::<u64>()
+            .map_err(|_| perr(format!("bad {tag} count")))
+    };
     Ok(RecoveryStats {
         retries: p(retries)?,
         rejected_probes: p(rejected)?,
@@ -1113,7 +1121,8 @@ fn read_cma(r: &mut LineReader<'_>) -> Result<Option<CmaEsState>, JournalError> 
 }
 
 fn parse_f64(s: &str) -> Result<f64, JournalError> {
-    s.parse::<f64>().map_err(|_| perr(format!("bad float {s:?}")))
+    s.parse::<f64>()
+        .map_err(|_| perr(format!("bad float {s:?}")))
 }
 
 /// Sequential line reader over one (CRC-verified) payload.
@@ -1317,7 +1326,8 @@ mod tests {
         let clean_len = fs::metadata(&path).unwrap().len();
         // Simulate a kill mid-append: half a record frame at the tail.
         let mut f = fs::OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"record 5000 deadbeef\nepoch-entry\nepoch 3\ntorn...").unwrap();
+        f.write_all(b"record 5000 deadbeef\nepoch-entry\nepoch 3\ntorn...")
+            .unwrap();
         drop(f);
 
         let replay = RunJournal::replay(&path).unwrap();
@@ -1397,7 +1407,11 @@ mod tests {
         let err = RunJournal::create(&path, &header()).unwrap_err();
         assert!(matches!(err, JournalError::Locked { .. }), "{err}");
         assert!(err.to_string().contains("locked"));
-        assert_eq!(fs::read(&path).unwrap(), before, "live WAL must be untouched");
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            before,
+            "live WAL must be untouched"
+        );
 
         // …and a second appender must fail the same way.
         let err = RunJournal::open_append(&path).unwrap_err();

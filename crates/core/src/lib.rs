@@ -49,22 +49,22 @@ mod report;
 mod stats;
 mod trainer;
 
+pub use experiment::{build_task, run_method, MethodResult, TaskInstance, TaskKind, TaskSpec};
 pub use journal::{
     crc32, epoch_seed, EpochEntry, JournalError, JournalHeader, RecordLog, Replay,
     RollbackSnapshot, RunJournal, RunState,
 };
-pub use experiment::{build_task, run_method, MethodResult, TaskInstance, TaskKind, TaskSpec};
 pub use loss::{softmax, ClassificationHead, CoreError};
 pub use metrics::{
     batch_inputs, chip_batch_loss, evaluate_chip, model_batch_loss, model_batch_loss_and_grad,
     Evaluation,
 };
+pub use photon_exec::WatchdogPolicy;
 pub use report::{downsample, recovery_report, sparkline, trace_summary, CsvWriter, TextTable};
 pub use stats::{
     mann_whitney_u, normal_sf, percentiles, MannWhitney, RunSummary,
     MANN_WHITNEY_EXACT_MAX_POOLED_N,
 };
-pub use photon_exec::WatchdogPolicy;
 pub use trainer::{
     AbortReason, DurableOptions, EpochRecord, Method, ModelChoice, RecoveryEvent, RecoveryPolicy,
     RecoveryStats, RunOutcome, TrainConfig, TrainOutcome, Trainer,

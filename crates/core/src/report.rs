@@ -632,7 +632,10 @@ mod tests {
             mean_batch: 7.5,
         }];
         let s = trace_summary(&events);
-        assert!(s.contains("serving alice: 990/1000 served (10 shed)"), "{s}");
+        assert!(
+            s.contains("serving alice: 990/1000 served (10 shed)"),
+            "{s}"
+        );
         assert!(s.contains("131000 rps"), "{s}");
         assert!(s.contains("12.5/96.0/250.0 us"), "{s}");
         assert!(s.contains("peak queue 37"), "{s}");
@@ -667,7 +670,10 @@ mod tests {
         assert!(s.contains("p=0.0125 -> promote"), "{s}");
         assert!(s.contains("promote     cycle   1 step   320"), "{s}");
         assert!(s.contains("3 epochs"), "{s}");
-        assert!(s.contains("shadow-drop cycle   2 step   640: canary_not_better"), "{s}");
+        assert!(
+            s.contains("shadow-drop cycle   2 step   640: canary_not_better"),
+            "{s}"
+        );
     }
 
     #[test]

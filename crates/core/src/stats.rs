@@ -2,7 +2,6 @@
 //! test used for the significance annotations in the paper's tables and
 //! box plots.
 
-
 /// Mean / standard deviation / extrema of a set of run results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {

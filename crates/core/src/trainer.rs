@@ -161,10 +161,16 @@ impl Method {
         let method = match head {
             "zo-i" => Method::ZoGaussian,
             "zo-co" => Method::ZoCoordinate,
-            "zo-s" => Method::ZoShaped { model: model(it.next())? },
+            "zo-s" => Method::ZoShaped {
+                model: model(it.next())?,
+            },
             "zo-lc" => Method::ZoLc,
-            "zo-ng" => Method::ZoNg { model: model(it.next())? },
-            "lcng" => Method::Lcng { model: model(it.next())? },
+            "zo-ng" => Method::ZoNg {
+                model: model(it.next())?,
+            },
+            "lcng" => Method::Lcng {
+                model: model(it.next())?,
+            },
             "cma" => Method::Cma {
                 sigma0: it.next()?.parse().ok()?,
             },
@@ -706,7 +712,15 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
         }
 
         let theta_final = theta.clone();
-        self.finish_run(config, &ctx, st, history, theta_final, start_queries, cache_start)
+        self.finish_run(
+            config,
+            &ctx,
+            st,
+            history,
+            theta_final,
+            start_queries,
+            cache_start,
+        )
     }
 
     /// Starts a durable (journaled, resumable) run: warm start from the
@@ -864,9 +878,7 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
         let ctx = self.finetune_ctx(method, config, state.theta.len());
         let backoff = opts.watchdog.backoff();
         let first_epoch = state.epoch + 1;
-        let budget_limit = opts
-            .epoch_budget
-            .map(|b| state.epoch.saturating_add(b));
+        let budget_limit = opts.epoch_budget.map(|b| state.epoch.saturating_add(b));
         for epoch in first_epoch..=config.epochs {
             if let Some(limit) = budget_limit {
                 if epoch > limit {
@@ -1251,12 +1263,17 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
                                 let fq = self.chip.query_count();
                                 let model = metric_model.as_ref().expect("model resolved above");
                                 *sigma_segments = Some(
-                                    layered_sigma_segments(model, theta, &fisher_inputs, config.rho)
-                                        .map_err(|e| {
-                                            CoreError::InvalidConfig(format!(
-                                                "sigma refresh failed: {e}"
-                                            ))
-                                        })?,
+                                    layered_sigma_segments(
+                                        model,
+                                        theta,
+                                        &fisher_inputs,
+                                        config.rho,
+                                    )
+                                    .map_err(|e| {
+                                        CoreError::InvalidConfig(format!(
+                                            "sigma refresh failed: {e}"
+                                        ))
+                                    })?,
                                 );
                                 fisher_q += self.chip.query_count().saturating_sub(fq);
                             }

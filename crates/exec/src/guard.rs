@@ -141,7 +141,11 @@ mod tests {
 
     #[test]
     fn fast_body_never_fires() {
-        let (out, fired) = run_guarded(Duration::from_secs(10), || panic!("must not fire"), || 41 + 1);
+        let (out, fired) = run_guarded(
+            Duration::from_secs(10),
+            || panic!("must not fire"),
+            || 41 + 1,
+        );
         assert_eq!(out, 42);
         assert!(!fired);
     }
@@ -219,7 +223,10 @@ mod tests {
                     "seed {seed}: delay({attempt}) = {d:?} < delay({}) = {prev:?}",
                     attempt - 1
                 );
-                assert!(d <= Duration::from_millis(500), "seed {seed}: {d:?} over cap");
+                assert!(
+                    d <= Duration::from_millis(500),
+                    "seed {seed}: {d:?} over cap"
+                );
                 prev = d;
             }
             // Deep attempts saturate at the cap exactly.

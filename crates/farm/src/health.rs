@@ -228,7 +228,10 @@ mod tests {
         let t = m.record(false).expect("second failure degrades");
         assert_eq!((t.from, t.to), (ChipHealth::Healthy, ChipHealth::Degraded));
         let t = m.record(false).expect("third failure quarantines");
-        assert_eq!((t.from, t.to), (ChipHealth::Degraded, ChipHealth::Quarantined));
+        assert_eq!(
+            (t.from, t.to),
+            (ChipHealth::Degraded, ChipHealth::Quarantined)
+        );
         // Quarantine is absorbing: further outcomes are ignored.
         assert!(m.record(true).is_none());
         assert!(m.record(false).is_none());

@@ -59,9 +59,7 @@ mod serving;
 
 pub use chaos::{ChaosPlan, KillSpec};
 pub use health::{ChipHealth, HealthMonitor, HealthPolicy, HealthTransition};
-pub use online::{
-    run_online, CycleRecord, OnlineError, OnlineOptions, OnlineOutcome, ONLINE_WAL,
-};
+pub use online::{run_online, CycleRecord, OnlineError, OnlineOptions, OnlineOutcome, ONLINE_WAL};
 pub use resilience::{
     BreakerPolicy, BreakerState, BreakerTransition, BrownoutController, BrownoutPolicy,
     CircuitBreaker, HedgeDelayTracker, HedgePolicy, RollingWindow, ServingTier, TierTransition,
@@ -274,8 +272,14 @@ struct SliceInput {
 #[derive(Debug)]
 enum SliceOutcome {
     Completed(Box<TrainOutcome>),
-    Preempted { epochs_done: usize },
-    TimedOut { epochs_done: usize, epoch: usize, timeouts: u32 },
+    Preempted {
+        epochs_done: usize,
+    },
+    TimedOut {
+        epochs_done: usize,
+        epoch: usize,
+        timeouts: u32,
+    },
     Failed(String),
 }
 
@@ -680,12 +684,10 @@ impl Farm {
         for &w in free {
             loop {
                 let jobs = &self.jobs;
-                let pick = self
-                    .sched
-                    .pick(&|id: JobId| {
-                        let job = &jobs[id.0 as usize];
-                        job.spec.config.epochs.saturating_sub(job.epochs_done)
-                    });
+                let pick = self.sched.pick(&|id: JobId| {
+                    let job = &jobs[id.0 as usize];
+                    job.spec.config.epochs.saturating_sub(job.epochs_done)
+                });
                 match pick {
                     Pick::Run { job, tenant, grant } => {
                         let worker = &mut self.workers[w];
@@ -730,10 +732,7 @@ impl Farm {
                         break;
                     }
                     Pick::Shed {
-                        job,
-                        budget,
-                        spent,
-                        ..
+                        job, budget, spent, ..
                     } => {
                         self.finalize(
                             job,
@@ -962,7 +961,12 @@ mod tests {
             report.jobs[0].result.as_ref().unwrap().rejected(),
             Some(&RejectReason::UnknownTenant)
         );
-        assert!(report.jobs[1].result.as_ref().unwrap().completed().is_some());
+        assert!(report.jobs[1]
+            .result
+            .as_ref()
+            .unwrap()
+            .completed()
+            .is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -981,7 +985,11 @@ mod tests {
         let out = report.completed("j0").expect("job must complete");
         assert_eq!(out.history.len(), 5);
         // Quantum 2 against 5 epochs → at least 3 slices.
-        assert!(report.jobs[0].slices >= 3, "slices: {}", report.jobs[0].slices);
+        assert!(
+            report.jobs[0].slices >= 3,
+            "slices: {}",
+            report.jobs[0].slices
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1011,7 +1019,10 @@ mod tests {
         let farmed = report.completed("farmed").expect("job must complete");
         assert_eq!(farmed.theta.as_slice(), baseline.theta.as_slice());
         assert_eq!(farmed.final_eval.accuracy, baseline.final_eval.accuracy);
-        assert_eq!(report.jobs[0].migrations, 1, "job must have migrated off w0");
+        assert_eq!(
+            report.jobs[0].migrations, 1,
+            "job must have migrated off w0"
+        );
         assert_eq!(
             report.workers[0].health,
             ChipHealth::Dead,

@@ -425,12 +425,7 @@ fn encode_record(rec: &CycleRecord) -> String {
     )
 }
 
-fn decode_record(
-    payload: &str,
-    theta_len: usize,
-    n_bs: usize,
-    n_ps: usize,
-) -> Option<CycleRecord> {
+fn decode_record(payload: &str, theta_len: usize, n_bs: usize, n_ps: usize) -> Option<CycleRecord> {
     let mut it = payload.split_ascii_whitespace();
     let cycle = it.next()?.parse().ok()?;
     let base_step = it.next()?.parse().ok()?;
@@ -631,8 +626,8 @@ fn run_cycle<C: OnnChip>(
     // Shadow fine-tune: a durable run from the *deployed* theta against
     // the freshly calibrated model, its steps offset past `base`.
     let stepped = SteppedChip::new(chip, base);
-    let trainer = Trainer::new(&stepped, train, test, head)
-        .with_calibrated_model(recal.model.clone());
+    let trainer =
+        Trainer::new(&stepped, train, test, head).with_calibrated_model(recal.model.clone());
     let shadow_path = dir.join(format!("shadow-{cycle}.journal"));
     let shadow_seed = stream(opts.root_seed, SHADOW_TAG, cycle);
     let mut dopts = DurableOptions::new(&shadow_path, shadow_seed);
@@ -783,7 +778,11 @@ mod tests {
             assert_eq!(back.cycle, r.cycle);
             assert_eq!(back.promoted, r.promoted);
             let bits = |v: &RVector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&back.theta), bits(&r.theta), "theta must survive bitwise");
+            assert_eq!(
+                bits(&back.theta),
+                bits(&r.theta),
+                "theta must survive bitwise"
+            );
             let ebits =
                 |e: &ErrorVector| e.to_flat().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(ebits(&back.errors), ebits(&r.errors), "NaN error slot too");
@@ -792,10 +791,8 @@ mod tests {
     }
 
     fn wal_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "photon-online-wal-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("photon-online-wal-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir

@@ -86,7 +86,11 @@ pub struct Rejection {
 
 impl fmt::Display for Rejection {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "job {:?} of tenant {:?} rejected: {}", self.job, self.tenant, self.reason)
+        write!(
+            f,
+            "job {:?} of tenant {:?} rejected: {}",
+            self.job, self.tenant, self.reason
+        )
     }
 }
 
@@ -176,7 +180,13 @@ pub struct JobSpec {
 impl JobSpec {
     /// A job with default seeds (`task_seed` 1, `root_seed` 7) and no
     /// job-level faults.
-    pub fn new(name: &str, tenant: &str, task: TaskSpec, method: Method, config: TrainConfig) -> Self {
+    pub fn new(
+        name: &str,
+        tenant: &str,
+        task: TaskSpec,
+        method: Method,
+        config: TrainConfig,
+    ) -> Self {
         JobSpec {
             name: name.to_string(),
             tenant: tenant.to_string(),
@@ -414,7 +424,9 @@ mod tests {
         s.tenants[0].queue.push_back(JobId(0));
         s.tenants[0].queries = 100;
         match s.pick(&|_| 4) {
-            Pick::Shed { job, budget, spent, .. } => {
+            Pick::Shed {
+                job, budget, spent, ..
+            } => {
                 assert_eq!(job, JobId(0));
                 assert_eq!((budget, spent), (100, 100));
             }

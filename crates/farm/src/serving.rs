@@ -259,7 +259,10 @@ mod tests {
         let p = CoalescePolicy::new(8, 1_000);
         // Oldest arrived at t=100 → deadline 1_100.
         assert_eq!(p.decide(100, 3, Some(100)), DrainDecision::WaitUntil(1_100));
-        assert_eq!(p.decide(1_099, 3, Some(100)), DrainDecision::WaitUntil(1_100));
+        assert_eq!(
+            p.decide(1_099, 3, Some(100)),
+            DrainDecision::WaitUntil(1_100)
+        );
         assert_eq!(p.decide(1_100, 3, Some(100)), DrainDecision::Serve(3));
         assert_eq!(p.decide(5_000, 3, Some(100)), DrainDecision::Serve(3));
     }
@@ -297,7 +300,10 @@ mod tests {
     fn requeue_front_preserves_deadline_priority() {
         let mut q = RequestQueue::new(2);
         assert!(q.push(req(1, 100)));
-        assert!(q.requeue_front(req(0, 50)), "rescued request jumps the line");
+        assert!(
+            q.requeue_front(req(0, 50)),
+            "rescued request jumps the line"
+        );
         assert_eq!(q.front_submitted_ns(), Some(50));
         // Full queue sheds the requeue like a push.
         assert!(!q.requeue_front(req(2, 10)));

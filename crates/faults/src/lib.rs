@@ -400,12 +400,7 @@ impl<C: OnnChip> FaultyChip<C> {
     /// batch order under a single lock. The keys are identical to what
     /// per-sample reads of the same contents would produce, so fault
     /// decisions stay schedule-independent.
-    fn prepare_batch(
-        &self,
-        xs: &[&CVector],
-        theta: &RVector,
-        tag: u64,
-    ) -> (RVector, Vec<u64>) {
+    fn prepare_batch(&self, xs: &[&CVector], theta: &RVector, tag: u64) -> (RVector, Vec<u64>) {
         let mut st = self.state.lock();
         let mut eff = theta.clone();
         if self.plan.drift.is_some() {
@@ -753,7 +748,10 @@ impl ReplicaChaos {
     /// Panics when the window is empty or inverted.
     #[must_use]
     pub fn hang_between(mut self, from_ns: u64, until_ns: u64) -> Self {
-        assert!(from_ns < until_ns, "hang window [{from_ns}, {until_ns}) is empty");
+        assert!(
+            from_ns < until_ns,
+            "hang window [{from_ns}, {until_ns}) is empty"
+        );
         self.hang_window_ns = Some((from_ns, until_ns));
         self
     }
@@ -939,7 +937,9 @@ mod tests {
             .collect();
         let refs: Vec<&CVector> = xs.iter().collect();
         let mut scratch = BatchScratch::new();
-        let clean: Vec<CVector> = chip.forward_batch_into(&refs, &theta, &mut scratch).to_vec();
+        let clean: Vec<CVector> = chip
+            .forward_batch_into(&refs, &theta, &mut scratch)
+            .to_vec();
         let faulty = FaultyChip::new(chip, FaultPlan::new(77));
         faulty.advance_to(3);
         let mut scratch2 = BatchScratch::new();

@@ -9,7 +9,6 @@ use std::fmt;
 use std::iter::{Product, Sum};
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-
 /// A complex number with `f64` real and imaginary parts.
 ///
 /// `C64` is `Copy` and implements the full set of arithmetic operators,

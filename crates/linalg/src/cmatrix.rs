@@ -3,7 +3,6 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
-
 use crate::c64::C64;
 use crate::cvector::CVector;
 use crate::error::{LinalgError, Result};

@@ -3,7 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
-
 use crate::c64::C64;
 use crate::error::{LinalgError, Result};
 use crate::rvector::RVector;

@@ -156,7 +156,11 @@ impl RLu {
 
     /// Determinant of the factorized matrix.
     pub fn det(&self) -> f64 {
-        let mut d = if self.sign_flips.is_multiple_of(2) { 1.0 } else { -1.0 };
+        let mut d = if self.sign_flips.is_multiple_of(2) {
+            1.0
+        } else {
+            -1.0
+        };
         for i in 0..self.dim() {
             d *= self.lu[(i, i)];
         }

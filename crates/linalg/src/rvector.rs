@@ -3,7 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
-
 use crate::error::{LinalgError, Result};
 
 /// A dense, heap-allocated real (`f64`) vector.

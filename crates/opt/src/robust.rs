@@ -220,8 +220,7 @@ mod tests {
             )
             .0
         };
-        let oracle =
-            FaultyLoss::new(|h, attempt| (h % 4 == 0 && attempt == 0).then_some(f64::NAN));
+        let oracle = FaultyLoss::new(|h, attempt| (h % 4 == 0 && attempt == 0).then_some(f64::NAN));
         let loss = |t: &RVector| oracle.eval(t);
         let mut rng = StdRng::seed_from_u64(33);
         let (est, stats) = estimate_gradient(

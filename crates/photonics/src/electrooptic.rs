@@ -158,7 +158,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(71);
         for _ in 0..20 {
             let x = normal_cvector(4, &mut rng);
-            let theta: Vec<f64> = (0..4).map(|_| rng.gen::<f64>() * std::f64::consts::TAU).collect();
+            let theta: Vec<f64> = (0..4)
+                .map(|_| rng.gen::<f64>() * std::f64::consts::TAU)
+                .collect();
             let y = act.forward(&x, &theta);
             assert!(y.norm_sqr() <= x.norm_sqr() + 1e-12);
         }

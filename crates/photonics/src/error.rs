@@ -317,11 +317,13 @@ impl<'a> ErrorCursor<'a> {
     /// Returns [`ErrorVectorError::GammaExhausted`] when the error vector
     /// has fewer beam-splitter slots than the circuit being built.
     pub fn next_gamma(&mut self) -> Result<f64, ErrorVectorError> {
-        let g = *self.errors.gamma.get(self.next_bs).ok_or(
-            ErrorVectorError::GammaExhausted {
+        let g = *self
+            .errors
+            .gamma
+            .get(self.next_bs)
+            .ok_or(ErrorVectorError::GammaExhausted {
                 available: self.errors.n_beam_splitters(),
-            },
-        )?;
+            })?;
         self.next_bs += 1;
         Ok(g)
     }

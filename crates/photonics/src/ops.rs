@@ -438,7 +438,10 @@ mod tests {
                 param: 0,
                 zeta: C64::from_polar(0.97, 0.1),
             },
-            Op::Bs { port: 0, gamma: 0.2 },
+            Op::Bs {
+                port: 0,
+                gamma: 0.2,
+            },
             Op::Bs {
                 port: 1,
                 gamma: -0.1,
@@ -475,7 +478,10 @@ mod tests {
                 param: 0,
                 zeta: C64::from_polar(0.97, 0.1),
             },
-            Op::Bs { port: 0, gamma: 0.2 },
+            Op::Bs {
+                port: 0,
+                gamma: 0.2,
+            },
             Op::Bs {
                 port: 1,
                 gamma: -0.1,

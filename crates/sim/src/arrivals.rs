@@ -93,7 +93,11 @@ impl ArrivalGen {
                 }
                 let mut t = now_ns as f64;
                 loop {
-                    let rate = if self.phase_on { on_rate_hz } else { off_rate_hz };
+                    let rate = if self.phase_on {
+                        on_rate_hz
+                    } else {
+                        off_rate_hz
+                    };
                     if rate > 0.0 {
                         let candidate = t + exp_interval_ns(&mut self.rng, rate);
                         if candidate <= self.phase_end {
@@ -105,7 +109,11 @@ impl ArrivalGen {
                     // phase is exact, not an approximation.
                     t = self.phase_end;
                     self.phase_on = !self.phase_on;
-                    let mean = if self.phase_on { mean_on_ns } else { mean_off_ns };
+                    let mean = if self.phase_on {
+                        mean_on_ns
+                    } else {
+                        mean_off_ns
+                    };
                     self.phase_end = t + exp_sample(&mut self.rng, mean);
                 }
             }

@@ -251,7 +251,11 @@ impl ServingReport {
         let _ = writeln!(
             out,
             "serving [{}] seed {}: {} replica(s), batch<={}, max wait {} us",
-            if self.label.is_empty() { "unlabeled" } else { &self.label },
+            if self.label.is_empty() {
+                "unlabeled"
+            } else {
+                &self.label
+            },
             self.root_seed,
             self.replicas.len(),
             self.max_batch,
@@ -284,7 +288,13 @@ impl ServingReport {
         let _ = writeln!(
             out,
             "  {:<10} {:>10} {:>10} {:>9} {:>10} {:>24} {:>9}",
-            "replica", "dispatches", "completed", "timeouts", "breaker", "tiers f64/f32/i16", "rungmoves"
+            "replica",
+            "dispatches",
+            "completed",
+            "timeouts",
+            "breaker",
+            "tiers f64/f32/i16",
+            "rungmoves"
         );
         for r in &self.replicas {
             let _ = writeln!(
@@ -295,14 +305,26 @@ impl ServingReport {
                 r.completions,
                 r.timeouts,
                 r.final_breaker.label(),
-                format!("{}/{}/{}", r.tier_served[0], r.tier_served[1], r.tier_served[2]),
+                format!(
+                    "{}/{}/{}",
+                    r.tier_served[0], r.tier_served[1], r.tier_served[2]
+                ),
                 r.tier_transitions,
             );
         }
         let _ = writeln!(
             out,
             "  {:<10} {:>9} {:>9} {:>7} {:>7} {:>10} {:>10} {:>10} {:>11} {:>6}",
-            "tenant", "arrivals", "done", "shed", "expired", "p50us", "p99us", "p999us", "rps", "peakq"
+            "tenant",
+            "arrivals",
+            "done",
+            "shed",
+            "expired",
+            "p50us",
+            "p99us",
+            "p999us",
+            "rps",
+            "peakq"
         );
         for row in self.tenants.iter().chain([&self.aggregate]) {
             let _ = writeln!(

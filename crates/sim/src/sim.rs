@@ -82,7 +82,10 @@ impl TenantLoad {
     /// Panics on a zero deadline — every request would expire on arrival.
     #[must_use]
     pub fn with_deadline_ns(mut self, deadline_ns: u64) -> Self {
-        assert!(deadline_ns >= 1, "a zero deadline expires everything at arrival");
+        assert!(
+            deadline_ns >= 1,
+            "a zero deadline expires everything at arrival"
+        );
         self.deadline_ns = Some(deadline_ns);
         self
     }
@@ -658,10 +661,17 @@ impl<'a> Sim<'a> {
             .iter()
             .enumerate()
             .map(|(i, t)| {
-                ArrivalGen::new(t.process, derive_seed(cfg.root_seed, ARRIVAL_STREAM + i as u64))
+                ArrivalGen::new(
+                    t.process,
+                    derive_seed(cfg.root_seed, ARRIVAL_STREAM + i as u64),
+                )
             })
             .collect();
-        let queues = cfg.tenants.iter().map(|t| RequestQueue::new(t.queue_cap)).collect();
+        let queues = cfg
+            .tenants
+            .iter()
+            .map(|t| RequestQueue::new(t.queue_cap))
+            .collect();
         let acc = cfg.tenants.iter().map(|_| TenantAcc::default()).collect();
         let replicas = cfg
             .replicas
@@ -811,7 +821,9 @@ impl<'a> Sim<'a> {
         if shed {
             self.acc[i].brownout_shed += 1;
         } else {
-            let deadline = self.cfg.tenants[i].deadline_ns.or(self.cfg.default_deadline_ns);
+            let deadline = self.cfg.tenants[i]
+                .deadline_ns
+                .or(self.cfg.default_deadline_ns);
             let req = ServeRequest {
                 id: self.next_id,
                 tenant: i,
@@ -856,7 +868,11 @@ impl<'a> Sim<'a> {
                 continue;
             }
             let depth = self.total_depth();
-            let oldest = self.queues.iter().filter_map(|q| q.front_submitted_ns()).min();
+            let oldest = self
+                .queues
+                .iter()
+                .filter_map(|q| q.front_submitted_ns())
+                .min();
             match self.cfg.coalescer.decide(self.now, depth, oldest) {
                 DrainDecision::Idle => {
                     if self.try_probe() {
@@ -917,7 +933,8 @@ impl<'a> Sim<'a> {
                             .map(|t| tracker.delay_ns(t))
                             .max()
                             .unwrap_or(0);
-                        self.heap.schedule(self.now.saturating_add(delay), Ev::HedgeFire(b));
+                        self.heap
+                            .schedule(self.now.saturating_add(delay), Ev::HedgeFire(b));
                     }
                 }
             }
@@ -963,7 +980,9 @@ impl<'a> Sim<'a> {
     /// window's budget is spent, arms a wake-up at the next window opening
     /// so an otherwise-quiet heap still drains the backlog.
     fn try_probe(&mut self) -> bool {
-        let Some(p) = self.cfg.probes else { return false };
+        let Some(p) = self.cfg.probes else {
+            return false;
+        };
         if self.probe_backlog == 0 || p.per_window == 0 || self.now < p.start_ns {
             return false;
         }
@@ -979,14 +998,22 @@ impl<'a> Sim<'a> {
             }
             return false;
         }
-        let Some(r) = self.pick_replica() else { return false };
+        let Some(r) = self.pick_replica() else {
+            return false;
+        };
         self.probe_window.1 += 1;
         self.probe_backlog -= 1;
         self.probes += 1;
         // No hang draw: a probe is a single watchdog-guarded measurement,
         // and the real controller retries it outside the serving path.
         self.replica_cursor = (r + 1) % self.replicas.len();
-        self.occupy(r, None, ServingTier::F64, false, self.cfg.cost.base.probe_service_ns);
+        self.occupy(
+            r,
+            None,
+            ServingTier::F64,
+            false,
+            self.cfg.cost.base.probe_service_ns,
+        );
         true
     }
 
@@ -1048,7 +1075,13 @@ impl<'a> Sim<'a> {
         service_ns: u64,
     ) -> usize {
         let id = self.legs.len();
-        self.legs.push(Leg { replica: r, batch, tier, live: true, is_hedge });
+        self.legs.push(Leg {
+            replica: r,
+            batch,
+            tier,
+            live: true,
+            is_hedge,
+        });
         self.replicas[r].busy = true;
         self.busy += 1;
         let mut done = self.now + service_ns;
@@ -1074,7 +1107,13 @@ impl<'a> Sim<'a> {
     }
 
     fn on_done(&mut self, id: usize, backend: &mut Option<&mut ChipBackend<'_>>) {
-        let Leg { replica: r, batch, tier, live, is_hedge } = self.legs[id];
+        let Leg {
+            replica: r,
+            batch,
+            tier,
+            live,
+            is_hedge,
+        } = self.legs[id];
         if !live {
             return; // abandoned by the watchdog; the late completion is void
         }
@@ -1120,7 +1159,12 @@ impl<'a> Sim<'a> {
     }
 
     fn on_timeout(&mut self, id: usize) {
-        let Leg { replica: r, batch, live, .. } = self.legs[id];
+        let Leg {
+            replica: r,
+            batch,
+            live,
+            ..
+        } = self.legs[id];
         if !live {
             return; // completed before the watchdog fired
         }
@@ -1174,7 +1218,9 @@ impl<'a> Sim<'a> {
             // budget). The retry loop is bounded: once the primary's
             // watchdog fires the batch resolves (served or requeued) and
             // the pending HedgeFire goes stale.
-            let retry = self.now.saturating_add(tracker.policy().min_delay_ns.max(1));
+            let retry = self
+                .now
+                .saturating_add(tracker.policy().min_delay_ns.max(1));
             self.heap.schedule(retry, Ev::HedgeFire(b));
         }
     }
@@ -1211,7 +1257,11 @@ impl<'a> Sim<'a> {
             self.acc.iter().map(|a| a.completed).sum(),
             per_tenant.iter().map(|t| t.shed).sum(),
             self.acc.iter().map(|a| a.expired).sum(),
-            self.queues.iter().map(|q| q.peak_depth() as u64).max().unwrap_or(0),
+            self.queues
+                .iter()
+                .map(|q| q.peak_depth() as u64)
+                .max()
+                .unwrap_or(0),
             &all_latencies,
             makespan_ns,
         );
@@ -1349,12 +1399,20 @@ mod tests {
         // expired instead of serving answers their callers abandoned.
         let strict = SimConfig::new(17, 20_000_000)
             .with_tenant(
-                TenantLoad::new("dl", ArrivalProcess::Poisson { rate_hz: 2_500_000.0 })
-                    .with_deadline_ns(300_000),
+                TenantLoad::new(
+                    "dl",
+                    ArrivalProcess::Poisson {
+                        rate_hz: 2_500_000.0,
+                    },
+                )
+                .with_deadline_ns(300_000),
             )
             .with_coalescer(CoalescePolicy::new(16, 100_000));
         let report = run(&strict);
-        assert!(report.aggregate.expired > 0, "overload must expire requests");
+        assert!(
+            report.aggregate.expired > 0,
+            "overload must expire requests"
+        );
         assert_eq!(
             report.aggregate.arrivals,
             report.aggregate.completed + report.aggregate.shed + report.aggregate.expired
@@ -1439,11 +1497,10 @@ mod tests {
 
     #[test]
     fn tiny_queues_shed_under_overload() {
-        let cfg = SimConfig::new(3, 10_000_000)
-            .with_tenant(
-                TenantLoad::new("flood", ArrivalProcess::Poisson { rate_hz: 600_000.0 })
-                    .with_queue_cap(8),
-            );
+        let cfg = SimConfig::new(3, 10_000_000).with_tenant(
+            TenantLoad::new("flood", ArrivalProcess::Poisson { rate_hz: 600_000.0 })
+                .with_queue_cap(8),
+        );
         let report = run(&cfg);
         assert!(report.aggregate.shed > 0, "cap 8 under 600k rps must shed");
         assert_eq!(
@@ -1592,7 +1649,11 @@ mod tests {
     fn healthy_group_serves_everything_and_replays_bitwise() {
         let report = run(&healthy_cfg(7));
         assert!(report.conserves_requests());
-        assert_eq!(report.lost(), 0, "a healthy, underloaded group loses nothing");
+        assert_eq!(
+            report.lost(),
+            0,
+            "a healthy, underloaded group loses nothing"
+        );
         assert_eq!(report.duplicates, 0, "no failures → no hedge races");
         assert_eq!(report.eval_queries, report.aggregate.completed);
         for r in &report.replicas {
@@ -1606,13 +1667,19 @@ mod tests {
 
     #[test]
     fn killed_replica_trips_its_breaker_and_work_reroutes() {
-        let cfg = healthy_cfg(11).with_label("kill").with_replica(ReplicaSpec::clean("extra"));
+        let cfg = healthy_cfg(11)
+            .with_label("kill")
+            .with_replica(ReplicaSpec::clean("extra"));
         let mut cfg = cfg;
         cfg.replicas[0].chaos = ReplicaChaos::none().kill_at(2_000_000);
         let report = run(&cfg);
         assert!(report.conserves_requests());
         let dead = &report.replicas[0];
-        assert_eq!(dead.final_breaker, BreakerState::Open, "killed replica ends open");
+        assert_eq!(
+            dead.final_breaker,
+            BreakerState::Open,
+            "killed replica ends open"
+        );
         let first_open = dead
             .breaker_transitions
             .iter()
@@ -1621,7 +1688,10 @@ mod tests {
         assert!(first_open.at_ns >= 2_000_000, "cannot open before the kill");
         // Everything still lands (deadlines are 5 ms, watchdog 500 us, and
         // three healthy replicas remain).
-        assert_eq!(report.aggregate.expired + report.aggregate.shed, report.lost());
+        assert_eq!(
+            report.aggregate.expired + report.aggregate.shed,
+            report.lost()
+        );
         assert!(report.aggregate.completed > 0);
     }
 
@@ -1660,7 +1730,10 @@ mod tests {
         let report = run(&cfg);
         assert!(report.conserves_requests());
         assert!(report.hedges_fired > 0, "2% hangs must trigger hedges");
-        assert!(report.duplicates > 0, "slow legs must complete as duplicates");
+        assert!(
+            report.duplicates > 0,
+            "slow legs must complete as duplicates"
+        );
         assert_eq!(
             report.hedge_queries, report.duplicates,
             "every duplicate completion is attributed to the hedge ledger"

@@ -61,11 +61,11 @@ fn main() -> ExitCode {
     ];
     let tenants = vec![
         TenantSpec::new("alice").with_quantum(2),
-        TenantSpec::new("bob").with_quantum(3).with_query_budget(400_000),
+        TenantSpec::new("bob")
+            .with_quantum(3)
+            .with_query_budget(400_000),
     ];
-    println!(
-        "workers: w0 (clean, chaos-killed on dispatch 2), w1 (link hangs 2%), w2 (clean)"
-    );
+    println!("workers: w0 (clean, chaos-killed on dispatch 2), w1 (link hangs 2%), w2 (clean)");
     println!("tenants: alice (quantum 2) | bob (quantum 3, budget 400k queries)\n");
 
     let mut farm = Farm::new(config, workers, tenants);
@@ -151,7 +151,11 @@ fn main() -> ExitCode {
         println!(
             "\nmigrated job {} vs uninterrupted single-chip control: {}",
             j.name,
-            if identical { "BITWISE IDENTICAL" } else { "DIVERGED" }
+            if identical {
+                "BITWISE IDENTICAL"
+            } else {
+                "DIVERGED"
+            }
         );
         if !identical {
             return ExitCode::from(2);

@@ -63,10 +63,7 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .ok_or_else(|| format!("{name} expects a value"))
-        };
+        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} expects a value"));
         match flag.as_str() {
             "--journal" => args.journal = PathBuf::from(value("--journal")?),
             "--epochs" => {

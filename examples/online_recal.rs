@@ -140,7 +140,11 @@ fn main() -> ExitCode {
             c.p_value,
             c.baseline_loss,
             c.shadow_loss,
-            if c.promoted { "PROMOTED" } else { "rolled back" }
+            if c.promoted {
+                "PROMOTED"
+            } else {
+                "rolled back"
+            }
         );
     }
     println!(
@@ -169,10 +173,7 @@ fn main() -> ExitCode {
     let recovered = outcome.promotions >= 1
         && outcome.final_eval.loss < stale.loss
         && outcome.final_eval.accuracy >= stale.accuracy;
-    println!(
-        "recovered: {}",
-        if recovered { "yes" } else { "NO" }
-    );
+    println!("recovered: {}", if recovered { "yes" } else { "NO" });
     if recovered {
         ExitCode::SUCCESS
     } else {

@@ -149,6 +149,12 @@ fn main() {
         control.lost(),
         if sheds_less { "yes" } else { "NO" }
     );
-    assert!(p99_held, "resilient arm must hold the 2x tail-latency bound");
-    assert!(sheds_less, "resilient arm must lose strictly less than control");
+    assert!(
+        p99_held,
+        "resilient arm must hold the 2x tail-latency bound"
+    );
+    assert!(
+        sheds_less,
+        "resilient arm must lose strictly less than control"
+    );
 }

@@ -21,8 +21,8 @@ use rand::SeedableRng;
 
 use photon_zo::core::trace_summary;
 use photon_zo::farm::CoalescePolicy;
-use photon_zo::sim::{run_on_chip, RecalTraffic};
 use photon_zo::prelude::*;
+use photon_zo::sim::{run_on_chip, RecalTraffic};
 
 const ROOT_SEED: u64 = 4242;
 /// 25 virtual ms of open-loop traffic.

@@ -112,9 +112,9 @@ pub mod sim {
 pub mod prelude {
     pub use photon_calib::{calibrate, calibrate_traced, evaluate_model, CalibrationSettings};
     pub use photon_core::{
-        build_task, recovery_report, run_method, trace_summary, ClassificationHead,
-        DurableOptions, Method, ModelChoice, RecoveryPolicy, RunJournal, RunOutcome, TaskKind,
-        TaskSpec, TrainConfig, Trainer, WatchdogPolicy,
+        build_task, recovery_report, run_method, trace_summary, ClassificationHead, DurableOptions,
+        Method, ModelChoice, RecoveryPolicy, RunJournal, RunOutcome, TaskKind, TaskSpec,
+        TrainConfig, Trainer, WatchdogPolicy,
     };
     pub use photon_data::{Dataset, GaussianClusters, SyntheticFashion, SyntheticMnist};
     pub use photon_exec::ExecPool;

@@ -56,7 +56,11 @@ fn batch_loss_and_gradients_are_pool_size_invariant() {
         let (lp, gp) =
             model_batch_loss_and_grad(&model, &task.train, &indices, &task.head, &theta, &pool);
         assert_eq!(lp.to_bits(), bp_loss.to_bits());
-        assert_eq!(bits(&gp), bits(&bp_grad), "BP gradient diverged at {threads} threads");
+        assert_eq!(
+            bits(&gp),
+            bits(&bp_grad),
+            "BP gradient diverged at {threads} threads"
+        );
     }
 }
 

@@ -12,22 +12,19 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use photon_zo::core::Evaluation;
 use photon_zo::core::{
     build_task, AbortReason, DurableOptions, JournalHeader, Method, ModelChoice, RunJournal,
     RunOutcome, TaskSpec, TrainConfig, TrainOutcome, Trainer, WatchdogPolicy,
 };
 use photon_zo::faults::{FaultPlan, FaultyChip, HangConfig};
 use photon_zo::linalg::RVector;
-use photon_zo::core::Evaluation;
 
 const TASK_SEED: u64 = 11;
 const ROOT_SEED: u64 = 77;
 
 fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "photon-durable-{}-{name}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("photon-durable-{}-{name}", std::process::id()));
     fs::create_dir_all(&dir).expect("create temp dir");
     dir
 }
@@ -190,7 +187,11 @@ fn resume_rejects_mismatched_run_identity() {
     let trainer = Trainer::new(&task.chip, &task.train, &task.test, task.head);
     let path = dir.join("run.journal");
     trainer
-        .train_durable(Method::ZoGaussian, &config, &DurableOptions::new(&path, ROOT_SEED))
+        .train_durable(
+            Method::ZoGaussian,
+            &config,
+            &DurableOptions::new(&path, ROOT_SEED),
+        )
         .unwrap();
 
     // Wrong root seed: the per-epoch RNG streams would diverge silently.
@@ -232,7 +233,11 @@ fn garbage_tail_is_truncated_and_run_resumes() {
     fs::write(&torn, &bytes).unwrap();
 
     let replay = RunJournal::replay(&torn).unwrap();
-    assert_eq!(replay.entries.len(), config.epochs, "intact records survive");
+    assert_eq!(
+        replay.entries.len(),
+        config.epochs,
+        "intact records survive"
+    );
     assert!(replay.truncated_bytes > 0, "torn tail must be reported");
     // Replay truncates the file back to its last intact record.
     let replay2 = RunJournal::replay(&torn).unwrap();

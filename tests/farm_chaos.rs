@@ -62,7 +62,10 @@ fn solo_baseline(dir: &Path, spec: &JobSpec) -> TrainOutcome {
         .unwrap_or_else(|| FaultPlan::new(spec.task_seed));
     let chip = FaultyChip::new(task.chip, plan);
     let trainer = Trainer::new(&chip, &task.train, &task.test, task.head);
-    let opts = DurableOptions::new(dir.join(format!("solo-{}.journal", spec.name)), spec.root_seed);
+    let opts = DurableOptions::new(
+        dir.join(format!("solo-{}.journal", spec.name)),
+        spec.root_seed,
+    );
     match trainer
         .train_durable(spec.method, &spec.config, &opts)
         .expect("baseline run")
@@ -143,7 +146,10 @@ fn chaos_farm_loses_no_jobs_and_preserves_bitwise_results() {
     let w0 = report.workers.iter().find(|w| w.name == "w0").unwrap();
     assert_eq!(w0.health, ChipHealth::Dead, "w0 must be chaos-killed");
     let migrations: u32 = report.jobs.iter().map(|j| j.migrations).sum();
-    assert!(migrations >= 1, "the kill must force at least one migration");
+    assert!(
+        migrations >= 1,
+        "the kill must force at least one migration"
+    );
 
     // Invariant 4: ledgers reconcile across all three axes.
     assert!(report.ledgers_reconcile(), "{report:?}");
@@ -194,7 +200,9 @@ fn admission_and_shed_rejections_are_typed_and_accounted() {
         vec![
             // A tenant whose budget dies after the first slice, and one
             // whose queue holds a single job.
-            TenantSpec::new("metered").with_query_budget(1).with_quantum(8),
+            TenantSpec::new("metered")
+                .with_query_budget(1)
+                .with_quantum(8),
             TenantSpec::new("queued").with_queue_cap(1),
         ],
     );
@@ -208,7 +216,11 @@ fn admission_and_shed_rejections_are_typed_and_accounted() {
 
     let report = farm.run();
     assert_eq!(report.lost(), 0);
-    assert_eq!(report.jobs.len(), 5, "rejected submissions stay on the ledger");
+    assert_eq!(
+        report.jobs.len(),
+        5,
+        "rejected submissions stay on the ledger"
+    );
     assert!(report.completed("m0").is_some());
     assert!(matches!(
         report.jobs[1].result.as_ref().unwrap().rejected(),
@@ -224,7 +236,10 @@ fn admission_and_shed_rejections_are_typed_and_accounted() {
         .iter()
         .filter(|e| matches!(e, TraceEvent::JobState { state, .. } if state == "rejected"))
         .count();
-    assert_eq!(rejected_events, 3, "m1 shed + q1 queue-full + x0 unknown tenant");
+    assert_eq!(
+        rejected_events, 3,
+        "m1 shed + q1 queue-full + x0 unknown tenant"
+    );
 
     let _ = fs::remove_dir_all(&dir);
 }

@@ -76,8 +76,8 @@ fn run_healing(threads: Option<usize>) -> TrainOutcome {
 fn run_clean() -> TrainOutcome {
     let task = build_task(&TaskSpec::quick(4), 81).unwrap();
     let model = task.chip.oracle_network();
-    let trainer = Trainer::new(&task.chip, &task.train, &task.test, task.head)
-        .with_calibrated_model(model);
+    let trainer =
+        Trainer::new(&task.chip, &task.train, &task.test, task.head).with_calibrated_model(model);
     let mut config = TrainConfig::quick(4);
     config.epochs = 6;
     config.threads = Some(1);
@@ -136,7 +136,9 @@ fn rollback_on_spike_recovers() {
     config.threads = Some(1);
     config.recovery = healing_policy();
     let mut rng = StdRng::seed_from_u64(63);
-    let out = trainer.train(Method::ZoGaussian, &config, &mut rng).unwrap();
+    let out = trainer
+        .train(Method::ZoGaussian, &config, &mut rng)
+        .unwrap();
     eprintln!("{}", recovery_report(&out));
     assert!(
         out.recovery.rollbacks >= 1,
@@ -213,7 +215,10 @@ fn self_healing_training_completes_and_reports() {
     let out = run_healing(Some(1));
     let report = recovery_report(&out);
     eprintln!("{report}");
-    assert!(out.theta.iter().all(|v| v.is_finite()), "theta went non-finite");
+    assert!(
+        out.theta.iter().all(|v| v.is_finite()),
+        "theta went non-finite"
+    );
     assert!(out.history.iter().all(|h| h.train_loss.is_finite()));
     assert!(
         out.recovery.rollbacks >= 1,

@@ -173,40 +173,42 @@ mod persistence_properties {
                     Just((n_bs, n_ps)),
                 )
             })
-            .prop_map(|(theta, m, v, (has_ema, ema), (has_errors, flat), (n_bs, n_ps))| EpochEntry {
-                state: RunState {
-                    epoch: 1,
-                    iteration: 3,
-                    coord_offset: 0,
-                    rollbacks_used: 0,
-                    loss_ema: has_ema.then_some(ema),
-                    eval_queries: 0,
-                    ledger: LedgerCounts::new(),
-                    recovery: RecoveryStats::default(),
-                    theta,
-                    adam: AdamState {
-                        lr: 0.01,
-                        beta1: 0.9,
-                        beta2: 0.999,
-                        eps: 1e-8,
-                        m: Some(m),
-                        v: Some(v),
-                        t: 3,
+            .prop_map(
+                |(theta, m, v, (has_ema, ema), (has_errors, flat), (n_bs, n_ps))| EpochEntry {
+                    state: RunState {
+                        epoch: 1,
+                        iteration: 3,
+                        coord_offset: 0,
+                        rollbacks_used: 0,
+                        loss_ema: has_ema.then_some(ema),
+                        eval_queries: 0,
+                        ledger: LedgerCounts::new(),
+                        recovery: RecoveryStats::default(),
+                        theta,
+                        adam: AdamState {
+                            lr: 0.01,
+                            beta1: 0.9,
+                            beta2: 0.999,
+                            eps: 1e-8,
+                            m: Some(m),
+                            v: Some(v),
+                            t: 3,
+                        },
+                        cma: None,
+                        rollback_snapshot: None,
+                        metric_errors: has_errors
+                            .then(|| ErrorVector::from_flat(n_bs, n_ps, flat.as_slice()).unwrap()),
+                        recovery_events: Vec::new(),
                     },
-                    cma: None,
-                    rollback_snapshot: None,
-                    metric_errors: has_errors
-                        .then(|| ErrorVector::from_flat(n_bs, n_ps, flat.as_slice()).unwrap()),
-                    recovery_events: Vec::new(),
+                    record: EpochRecord {
+                        epoch: 1,
+                        train_loss: 0.5,
+                        test: None,
+                        training_queries: 30,
+                        recovery: RecoveryStats::default(),
+                    },
                 },
-                record: EpochRecord {
-                    epoch: 1,
-                    train_loss: 0.5,
-                    test: None,
-                    training_queries: 30,
-                    recovery: RecoveryStats::default(),
-                },
-            })
+            )
     }
 
     fn header() -> JournalHeader {
@@ -269,10 +271,8 @@ mod persistence_properties {
     fn journal_fixture() -> &'static [u8] {
         static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
         BYTES.get_or_init(|| {
-            let dir = std::env::temp_dir().join(format!(
-                "photon-journal-fixture-{}",
-                std::process::id()
-            ));
+            let dir =
+                std::env::temp_dir().join(format!("photon-journal-fixture-{}", std::process::id()));
             std::fs::create_dir_all(&dir).unwrap();
             let task = build_task(&TaskSpec::quick(4), 11).unwrap();
             let trainer = Trainer::new(&task.chip, &task.train, &task.test, task.head);
@@ -297,7 +297,12 @@ mod persistence_properties {
         let mut ranges = Vec::new();
         while at < text.len() {
             let line_end = at + text[at..].find('\n').unwrap();
-            let len: usize = text[at..line_end].split(' ').nth(1).unwrap().parse().unwrap();
+            let len: usize = text[at..line_end]
+                .split(' ')
+                .nth(1)
+                .unwrap()
+                .parse()
+                .unwrap();
             ranges.push((line_end + 1, line_end + 1 + len));
             at = line_end + 1 + len;
         }
@@ -308,7 +313,11 @@ mod persistence_properties {
     fn seal(payloads: &[String]) -> Vec<u8> {
         let mut out = format!("{MAGIC}\n");
         for p in payloads {
-            out.push_str(&format!("record {} {:08x}\n{p}", p.len(), crc32(p.as_bytes())));
+            out.push_str(&format!(
+                "record {} {:08x}\n{p}",
+                p.len(),
+                crc32(p.as_bytes())
+            ));
         }
         out.into_bytes()
     }

@@ -35,8 +35,7 @@ fn chaos_cfg(seed: u64) -> ResilientConfig {
         .with_label("chaos")
         .with_replica(ReplicaSpec::clean("alpha"))
         .with_replica(
-            ReplicaSpec::clean("beta")
-                .with_chaos(ReplicaChaos::none().kill_at(KILL_AT_NS)),
+            ReplicaSpec::clean("beta").with_chaos(ReplicaChaos::none().kill_at(KILL_AT_NS)),
         )
         .with_replica(
             ReplicaSpec::clean("gamma")
@@ -111,8 +110,14 @@ fn assert_served_once(report: &ServingReport) {
     assert_eq!(report.eval_queries, report.aggregate.completed);
     assert_eq!(report.hedge_queries, report.duplicates);
     // The kill and the hang both happened: legs were abandoned.
-    assert!(report.replicas[1].timeouts > 0, "killed replica must time out");
-    assert!(report.replicas[2].timeouts > 0, "hung replica must time out");
+    assert!(
+        report.replicas[1].timeouts > 0,
+        "killed replica must time out"
+    );
+    assert!(
+        report.replicas[2].timeouts > 0,
+        "hung replica must time out"
+    );
 }
 
 #[test]
@@ -122,7 +127,10 @@ fn chaos_run_loses_no_request_silently() {
     // request still counts once.
     let stalled = run(&stalling_chaos_cfg(7));
     assert_served_once(&stalled);
-    assert!(stalled.duplicates > 0, "stalled legs must complete as duplicates");
+    assert!(
+        stalled.duplicates > 0,
+        "stalled legs must complete as duplicates"
+    );
 }
 
 #[test]
@@ -221,7 +229,10 @@ fn resilience_holds_p99_within_2x_of_healthy_while_control_degrades() {
     let resilient = run(&chaos_cfg(7));
     let control = run(&chaos_cfg(7).without_resilience().with_label("control"));
 
-    assert!(healthy.lost() == 0, "the healthy baseline must lose nothing");
+    assert!(
+        healthy.lost() == 0,
+        "the healthy baseline must lose nothing"
+    );
     let bound = 2.0 * healthy.aggregate.p99_ns;
     assert!(
         resilient.aggregate.p99_ns <= bound,
@@ -238,8 +249,7 @@ fn resilience_holds_p99_within_2x_of_healthy_while_control_degrades() {
     // requests outright or blow the latency bound (in this scenario it
     // does both, but either failure justifies the resilience machinery).
     assert!(
-        control.lost() > resilient.lost()
-            || control.aggregate.p99_ns > bound,
+        control.lost() > resilient.lost() || control.aggregate.p99_ns > bound,
         "control lost {} vs resilient {} (p99 {:.0} vs bound {:.0})",
         control.lost(),
         resilient.lost(),
@@ -295,7 +305,10 @@ fn hedging_without_a_watchdog_is_rejected() {
     // forever.
     let mut cfg = ResilientConfig::new(1, 1_000_000)
         .with_replica(ReplicaSpec::clean("r0"))
-        .with_tenant(TenantLoad::new("t", ArrivalProcess::Poisson { rate_hz: 1_000.0 }));
+        .with_tenant(TenantLoad::new(
+            "t",
+            ArrivalProcess::Poisson { rate_hz: 1_000.0 },
+        ));
     cfg.dispatch_timeout_ns = None;
     let _ = run(&cfg);
 }
@@ -305,10 +318,11 @@ fn hedging_without_a_watchdog_is_rejected() {
 fn scripted_kill_without_a_watchdog_is_rejected() {
     // Only the watchdog gets a leg back from a killed replica.
     let mut cfg = ResilientConfig::new(1, 1_000_000)
-        .with_replica(
-            ReplicaSpec::clean("r0").with_chaos(ReplicaChaos::none().kill_at(KILL_AT_NS)),
-        )
-        .with_tenant(TenantLoad::new("t", ArrivalProcess::Poisson { rate_hz: 1_000.0 }))
+        .with_replica(ReplicaSpec::clean("r0").with_chaos(ReplicaChaos::none().kill_at(KILL_AT_NS)))
+        .with_tenant(TenantLoad::new(
+            "t",
+            ArrivalProcess::Poisson { rate_hz: 1_000.0 },
+        ))
         .with_hedge(None);
     cfg.dispatch_timeout_ns = None;
     let _ = run(&cfg);
@@ -319,8 +333,10 @@ fn scripted_kill_without_a_watchdog_is_rejected() {
 fn watchdog_without_deadlines_is_rejected() {
     // A pool given a watchdog but no deadlines: with every replica dead,
     // nothing would ever drain its queues.
-    let mut cfg = SimConfig::new(1, 1_000_000)
-        .with_tenant(TenantLoad::new("t", ArrivalProcess::Poisson { rate_hz: 1_000.0 }));
+    let mut cfg = SimConfig::new(1, 1_000_000).with_tenant(TenantLoad::new(
+        "t",
+        ArrivalProcess::Poisson { rate_hz: 1_000.0 },
+    ));
     cfg.dispatch_timeout_ns = Some(500_000);
     let _ = run(&cfg);
 }
@@ -340,10 +356,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<HeapOp>> {
     // Times drawn from a tiny range force same-instant collisions, which
     // is exactly where FIFO tie-breaking matters.
     proptest::collection::vec(
-        prop_oneof![
-            (0u64..4).prop_map(HeapOp::Push),
-            Just(HeapOp::Pop),
-        ],
+        prop_oneof![(0u64..4).prop_map(HeapOp::Push), Just(HeapOp::Pop),],
         1..120,
     )
 }

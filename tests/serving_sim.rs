@@ -8,9 +8,7 @@ use rand::SeedableRng;
 
 use photon_zo::farm::CoalescePolicy;
 use photon_zo::photonics::{Architecture, ErrorModel, FabricatedChip};
-use photon_zo::sim::{
-    run, run_on_chip, ArrivalProcess, RecalTraffic, SimConfig, TenantLoad,
-};
+use photon_zo::sim::{run, run_on_chip, ArrivalProcess, RecalTraffic, SimConfig, TenantLoad};
 
 fn smoke_cfg(seed: u64) -> SimConfig {
     SimConfig::new(seed, 20_000_000)

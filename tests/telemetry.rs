@@ -90,7 +90,12 @@ fn query_ledger_reconciles_with_chip_query_count() {
                 run_queries,
                 chip_query_count,
                 ..
-            } => Some((*training_queries, *eval_queries, *run_queries, *chip_query_count)),
+            } => Some((
+                *training_queries,
+                *eval_queries,
+                *run_queries,
+                *chip_query_count,
+            )),
             _ => None,
         })
         .expect("traced run must emit run_end");
@@ -247,10 +252,7 @@ fn jsonl_artifact_is_parseable_line_json() {
 
 #[test]
 fn durable_run_flushes_journal_and_resumed_ledger_reconciles() {
-    let dir = std::env::temp_dir().join(format!(
-        "photon-telemetry-durable-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("photon-telemetry-durable-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let mut config = TrainConfig::quick(4);
     config.epochs = 3;
