@@ -1,7 +1,10 @@
 //! Bit pins of the software-model work behind calibrated LCNG: the
 //! Levenberg-Marquardt calibration fit through its dual (fewer residuals
 //! than error parameters) and primal paths, the fit with dropped chip
-//! readings, and the batched Fisher-vector products.
+//! readings, and the batched Fisher-vector products. Two wider fits pin
+//! the dense algebra at sizes where the Gram and the Cholesky run many
+//! blocks: the K = 10 dual fit of the calibrated Table-1 cell (540
+//! residuals × 580 errors) and a K = 6 primal fit (252 × 204).
 //!
 //! Each test hashes the exact bits of its outputs. The Fisher-product
 //! constant was recorded on the implementation that evaluated every op's
@@ -86,6 +89,45 @@ fn calibrate_primal_path_is_bit_pinned() {
     assert_eq!(bits_hash(out.errors.to_flat()), 0xb9fd616d0031dfed);
     assert_eq!(out.fit_cost.to_bits(), 0x3dea1dffc5d02636);
     assert_eq!(out.iterations, 4);
+}
+
+/// A `two_mesh_classifier(k, k)` chip with β = 1 errors drawn from `seed`,
+/// fitted with the default probe plan for `iters` LM iterations:
+/// `(hash of the fitted errors, fit cost bits, iterations)`.
+fn wide_fit(k: usize, seed: u64, iters: usize) -> (u64, u64, usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let arch = Architecture::two_mesh_classifier(k, k).unwrap();
+    let chip = FabricatedChip::fabricate(&arch, &ErrorModel::with_beta(1.0), &mut rng);
+    let settings = CalibrationSettings {
+        lm: LmSettings { max_iters: iters },
+        ..CalibrationSettings::default()
+    };
+    let out = calibrate(&chip, &settings, &mut rng).unwrap();
+    (
+        bits_hash(out.errors.to_flat()),
+        out.fit_cost.to_bits(),
+        out.iterations,
+    )
+}
+
+#[test]
+fn calibrate_wide_dual_path_is_bit_pinned() {
+    // (10 basis + 8 random inputs) × 3 settings × 10 detectors = 540
+    // residuals against 580 error parameters.
+    assert_eq!(
+        wide_fit(10, 10, 2),
+        (0x0e76f5a6e1cf2073, 0x3f9274065ffaf722, 2)
+    );
+}
+
+#[test]
+fn calibrate_wide_primal_path_is_bit_pinned() {
+    // (6 basis + 8 random inputs) × 3 settings × 6 detectors = 252
+    // residuals against 204 error parameters.
+    assert_eq!(
+        wide_fit(6, 11, 3),
+        (0x62241f18506157e2, 0x3e2900646715f3d5, 3)
+    );
 }
 
 #[test]

@@ -5,7 +5,9 @@
 //! blocks, each on three networks with sampled fabrication errors:
 //! `two_mesh_classifier` (modReLU), `two_mesh_eo_classifier`
 //! (electro-optic activation) and a Reck → PSdiag → modReLU → Reck
-//! pipeline.
+//! pipeline. The compiled batch and the pinned serve are pinned once more
+//! at K = 10 and K = 16 with 33 inputs, widths at which the GEMM runs full
+//! and partial row blocks.
 //!
 //! Each test hashes the exact bits of its outputs, so a refactor of the
 //! module types that reorders any arithmetic fails here. The constants were
@@ -245,6 +247,44 @@ fn natural_gradient_blocks_are_bit_pinned() {
             [0xe5750f8711b99c59, 0x8014d7b116a4975e],
             [0x04eaad6eb9ad6237, 0x003a1e9949021f31],
             [0x01cbca4742a86b38, 0x1f79c4a24c5cd880],
+        ],
+        "{got:#x?}"
+    );
+}
+
+/// The compiled batch and a pinned rank-1 serve of a
+/// `two_mesh_classifier(K, K)` chip at K = 10 and K = 16, 33 inputs each.
+#[test]
+fn wide_compiled_batch_and_pinned_serve_are_bit_pinned() {
+    let mut got = Vec::new();
+    for k in [10, 16] {
+        let mut rng = StdRng::seed_from_u64(k as u64);
+        let arch = Architecture::two_mesh_classifier(k, k).unwrap();
+        let (n_bs, n_ps) = arch.error_slots();
+        let errors = ErrorVector::sample(n_bs, n_ps, &ErrorModel::with_beta(2.0), &mut rng);
+        let net = arch.build_with_errors(&errors).unwrap();
+        let theta = net.init_params(&mut rng);
+        let xs: Vec<CVector> = (0..33).map(|_| normal_cvector(k, &mut rng)).collect();
+        let refs: Vec<&CVector> = xs.iter().collect();
+        let mut plan = CompiledNetwork::new();
+        let panel = plan.forward_batch(&net, &theta, &refs);
+        let batch = bits_hash(panel.as_slice().iter().flat_map(|z| [z.re, z.im]));
+
+        let chip = FabricatedChip::with_errors(&arch, &errors).unwrap();
+        chip.pin_compile_base(&theta);
+        let mut moved = theta.clone();
+        moved[5] += 0.37;
+        let mut scratch = BatchScratch::new();
+        let fields = chip.forward_batch_into(&refs, &moved, &mut scratch);
+        let pinned = bits_hash(fields.iter().flat_map(field_bits));
+        assert_eq!(chip.cache_stats().incremental, 1, "served from the pin");
+        got.push([batch, pinned]);
+    }
+    assert_eq!(
+        got,
+        [
+            [0xb8101abb1141e1ef, 0x2933ba761a5b0050],
+            [0x467b78ba548bc7c9, 0x329dea0bb59c6d6d],
         ],
         "{got:#x?}"
     );
