@@ -1,32 +1,27 @@
-//! Fast-forward-path tiers vs. the plain compiled f64 baseline — the
-//! NNUE-style serving stack measured on the workload it exists for: sparse
-//! coordinate-probe sweeps.
+//! The incremental fast forward path vs. the plain compiled f64 baseline —
+//! the NNUE-style serving stack measured on the workload it exists for:
+//! sparse coordinate-probe sweeps.
 //!
-//! Every arm evaluates the same `Q = 32` coordinate-perturbed parameter
+//! Both arms evaluate the same `Q = 32` coordinate-perturbed parameter
 //! settings on the same `B = 16` sample batch of a 16×16 Clements chip,
 //! single-threaded:
 //!
 //! - `f64-full`: the baseline compiled path — one full probed-walk compile
-//!   per probe theta, f64 GEMM (what the repo shipped before this tier
-//!   stack).
-//! - `f32-simd`: full compile per probe, but panels evaluated on the f32
-//!   structure-of-arrays SIMD kernels.
+//!   per probe theta, then the GEMM.
 //! - `incremental-f64`: a compile base pinned at the center theta; each
 //!   one-phase probe is served by an exact `O(N²)` rank-1 update instead of
-//!   a full mesh recompile, f64 GEMM.
-//! - `incremental-f32`: rank-1 serving plus the f32 SIMD GEMM — the full
-//!   fast path.
+//!   a full mesh recompile.
 //!
-//! A second set of arms times the serving rungs that can run: the pinned
-//! serve (`serve_pinned_batch_into`) per request on an 8×8 single-mesh
-//! chip (β = 1) pinned at its initial θ, once on the plain f64 chip and
-//! once on the same chip built `with_f32_fast_path()`, at batch 1, 16 and
-//! 64. The two tiers' samples are interleaved, and each row records the
-//! min and median per-request time over the repeats.
+//! A second set of arms times the pinned serve (`serve_pinned_batch_into`)
+//! per request on an 8×8 single-mesh chip (β = 1) pinned at its initial θ,
+//! at batch 1, 16 and 64; each row records the min and median
+//! per-request time over the repeats. Every arm runs on the process's
+//! kernel tier, so running the bench once under `PHOTON_KERNEL=scalar` and
+//! once natively compares the portable and the AVX2 GEMM.
 //!
-//! A custom `main` writes the raw numbers plus per-tier speedups, the
-//! serve rows (`serve`) and the dispatched kernel tier to `BENCH_simd.json`
-//! at the workspace root.
+//! A custom `main` writes the raw numbers plus the speedup, the serve rows
+//! (`serve`) and the dispatched kernel tier to `BENCH_simd.json` at the
+//! workspace root.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -45,10 +40,9 @@ use photon_photonics::{Architecture, BatchScratch, ErrorModel, FabricatedChip};
 const DIM: usize = 16;
 const Q: usize = 32;
 const BATCH: usize = 16;
-const ARMS: [&str; 4] = ["f64-full", "f32-simd", "incremental-f64", "incremental-f32"];
+const ARMS: [&str; 2] = ["f64-full", "incremental-f64"];
 
 const SERVE_DIM: usize = 8;
-const SERVE_TIERS: [&str; 2] = ["f64", "f32"];
 const SERVE_BATCHES: [usize; 3] = [1, 16, 64];
 /// Requests served per timed sample, whatever the batch size.
 const SERVE_REQUESTS_PER_SAMPLE: usize = 8_192;
@@ -97,11 +91,7 @@ fn bench_simd_forward(c: &mut Criterion) {
     group.sample_size(15);
 
     for arm in ARMS {
-        let chip = if arm.ends_with("f32") || arm == "f32-simd" {
-            fabricate().with_f32_fast_path()
-        } else {
-            fabricate()
-        };
+        let chip = fabricate();
         if arm.starts_with("incremental") {
             chip.pin_compile_base(&theta);
         }
@@ -124,26 +114,20 @@ fn bench_simd_forward(c: &mut Criterion) {
 }
 
 /// The serve arms' chip: 8×8 single mesh, β = 1, pinned at its initial θ.
-fn serve_chip(f32_fast_path: bool) -> FabricatedChip {
+fn serve_chip() -> FabricatedChip {
     let mut rng = StdRng::seed_from_u64(11);
     let arch = Architecture::single_mesh(SERVE_DIM, SERVE_DIM).unwrap();
     let chip = FabricatedChip::fabricate(&arch, &ErrorModel::with_beta(1.0), &mut rng);
-    let chip = if f32_fast_path {
-        chip.with_f32_fast_path()
-    } else {
-        chip
-    };
     let theta = chip.init_params(&mut rng);
     chip.pin_compile_base(&theta);
     chip
 }
 
-/// Times the pinned serve per request, in ns, on both tiers at every
-/// batch size: one `(tier, batch, samples)` row per arm. Each repeat takes
-/// one sample of every arm in turn, so host noise lands on both tiers
-/// alike.
-fn bench_serve() -> Vec<(&'static str, usize, Vec<f64>)> {
-    let chips = [serve_chip(false), serve_chip(true)];
+/// Times the pinned serve per request, in ns, at every batch size: one
+/// `(batch, samples)` row per arm. Each repeat takes one sample of every
+/// arm in turn, so host noise lands on every batch size alike.
+fn bench_serve() -> Vec<(usize, Vec<f64>)> {
+    let chip = serve_chip();
     let mut rng = StdRng::seed_from_u64(12);
     let xs: Vec<CVector> = (0..SERVE_BATCHES[2])
         .map(|_| normal_cvector(SERVE_DIM, &mut rng))
@@ -160,27 +144,20 @@ fn bench_serve() -> Vec<(&'static str, usize, Vec<f64>)> {
         }
         start.elapsed().as_nanos() as f64 / SERVE_REQUESTS_PER_SAMPLE as f64
     };
-    let arms: Vec<(usize, usize)> = SERVE_BATCHES
-        .iter()
-        .flat_map(|&b| [(0, b), (1, b)])
-        .collect();
     // Warm-up: one untimed sample per arm fills the caches and scratch.
-    for &(tier, batch) in &arms {
-        time(&chips[tier], batch);
+    for batch in SERVE_BATCHES {
+        time(&chip, batch);
     }
-    let mut samples = vec![Vec::with_capacity(SERVE_REPEATS); arms.len()];
+    let mut samples = vec![Vec::with_capacity(SERVE_REPEATS); SERVE_BATCHES.len()];
     for _ in 0..SERVE_REPEATS {
-        for (&(tier, batch), s) in arms.iter().zip(&mut samples) {
-            s.push(time(&chips[tier], batch));
+        for (&batch, s) in SERVE_BATCHES.iter().zip(&mut samples) {
+            s.push(time(&chip, batch));
         }
     }
-    arms.iter()
-        .zip(samples)
-        .map(|(&(tier, batch), s)| (SERVE_TIERS[tier], batch, s))
-        .collect()
+    SERVE_BATCHES.into_iter().zip(samples).collect()
 }
 
-fn write_report(c: &Criterion, serve: &[(&str, usize, Vec<f64>)]) -> std::io::Result<()> {
+fn write_report(c: &Criterion, serve: &[(usize, Vec<f64>)]) -> std::io::Result<()> {
     let find = |arm: &str| {
         let id = format!("simd_forward/{arm}");
         c.measurements().iter().find(move |m| m.id == id)
@@ -205,11 +182,10 @@ fn write_report(c: &Criterion, serve: &[(&str, usize, Vec<f64>)]) -> std::io::Re
     }
     let serve_rows: Vec<String> = serve
         .iter()
-        .map(|(tier, batch, samples)| {
+        .map(|(batch, samples)| {
             let mut ns = samples.clone();
             ns.sort_by(f64::total_cmp);
             json_object(&[
-                ("tier", json_str(tier)),
                 ("batch", batch.to_string()),
                 ("min_ns_per_request", json_fixed(ns[0], 1)),
                 ("median_ns_per_request", json_fixed(ns[ns.len() / 2], 1)),
@@ -227,8 +203,9 @@ fn write_report(c: &Criterion, serve: &[(&str, usize, Vec<f64>)]) -> std::io::Re
             (
                 "note",
                 json_str(
-                    "single-thread coordinate-probe sweep; speedups are vs the plain compiled \
-                     f64 path (one full compile per probe); see DESIGN.md fast-path tiers",
+                    "single-thread coordinate-probe sweep on the kernel tier named above; \
+                     speedups are vs the plain compiled f64 path (one full compile per probe); \
+                     see DESIGN.md fast-path tiers",
                 ),
             ),
             ("results", json_rows(&rows)),
@@ -236,9 +213,9 @@ fn write_report(c: &Criterion, serve: &[(&str, usize, Vec<f64>)]) -> std::io::Re
                 "serve_note",
                 json_str(&format!(
                     "per-request wall time of serve_pinned_batch_into on an {SERVE_DIM}x{SERVE_DIM} \
-                     single-mesh chip (beta 1) pinned at its initial theta: f64 is the plain \
-                     chip, f32 the same chip built with_f32_fast_path; min and median over \
-                     {SERVE_REPEATS} interleaved samples of {SERVE_REQUESTS_PER_SAMPLE} requests"
+                     single-mesh chip (beta 1) pinned at its initial theta, on the kernel tier \
+                     named above; min and median over {SERVE_REPEATS} interleaved samples of \
+                     {SERVE_REQUESTS_PER_SAMPLE} requests"
                 )),
             ),
             ("serve", json_rows(&serve_rows)),

@@ -152,13 +152,13 @@ pub(crate) fn solve<P: LeastSquares + ?Sized>(
             (jt.transpose().gram(), jt.mul_vec(&r)?)
         };
 
-        // Inner damping loop: grow λ until a step is accepted.
+        // Inner damping loop: grow λ until a step is accepted. Each try
+        // factors gram + λ·(tr/dim)·I straight from the Gram's lower
+        // triangle, with no shifted copy.
         let mut accepted = false;
+        let mean_diag = (gram.trace()? / gram.rows() as f64).max(1e-12);
         for _ in 0..12 {
-            let dim = gram.rows();
-            let mut a = gram.clone();
-            a.add_diagonal(lambda * (gram.trace()? / dim as f64).max(1e-12));
-            let chol = match RCholesky::new(&a) {
+            let chol = match RCholesky::new_shifted(&gram, lambda * mean_diag) {
                 Ok(c) => c,
                 Err(_) => {
                     lambda *= LAMBDA_UP;

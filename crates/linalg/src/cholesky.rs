@@ -2,8 +2,12 @@
 //! matrices, plus covariance-shaped Gaussian sampling.
 
 use crate::error::{LinalgError, Result};
+use crate::kernel::{kernel_tier, syrk_band, KernelTier};
 use crate::rmatrix::RMatrix;
 use crate::rvector::RVector;
+
+/// Columns per panel of the blocked factorization.
+const PANEL: usize = 32;
 
 /// Cholesky factorization `A = L·Lᵀ` of a real symmetric positive-definite
 /// matrix.
@@ -31,13 +35,29 @@ pub struct RCholesky {
 impl RCholesky {
     /// Factorizes a symmetric positive-definite matrix.
     ///
-    /// Only the lower triangle of `a` is read.
+    /// Only the lower triangle of `a` is read. `L[i][j]` is
+    /// `(a[i][j] − Σ_k L[i][k]·L[j][k]) / L[j][j]` and `L[j][j]²` is
+    /// `a[j][j] − Σ_k L[j][k]²`, subtracting in ascending `k`: the
+    /// one-column loop's bits, on either kernel tier. Blocked and
+    /// right-looking in the factor's storage, each 32-column panel is
+    /// subtracted from the trailing triangle by [`RMatrix::gram`]'s tile.
     ///
     /// # Errors
     ///
     /// [`LinalgError::NotSquare`] for non-square input,
     /// [`LinalgError::NotPositiveDefinite`] when a pivot is non-positive.
     pub fn new(a: &RMatrix) -> Result<Self> {
+        Self::new_shifted(a, 0.0)
+    }
+
+    /// Factorizes `a + shift·I` without forming it: [`RCholesky::new`] of
+    /// `a` after [`RMatrix::add_diagonal`], bit for bit. (A zero shift
+    /// changes only a `-0.0` pivot, which fails either way.)
+    ///
+    /// # Errors
+    ///
+    /// As [`RCholesky::new`].
+    pub fn new_shifted(a: &RMatrix, shift: f64) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare {
                 rows: a.rows(),
@@ -46,55 +66,22 @@ impl RCholesky {
         }
         let n = a.rows();
         let mut l = RMatrix::zeros(n, n);
-        for j in 0..n {
-            // Rows up to j are final once row j takes its pivot; the rows
-            // below receive column j.
-            let (done, below) = l.as_mut_slice().split_at_mut((j + 1) * n);
-            let lj = &mut done[j * n..(j + 1) * n];
-            let mut d = a[(j, j)];
-            for &v in &lj[..j] {
-                d -= v * v;
-            }
-            if d <= 0.0 || !d.is_finite() {
-                return Err(LinalgError::NotPositiveDefinite);
-            }
-            let dj = d.sqrt();
-            lj[j] = dj;
-            let lj = &lj[..j];
-            // Four rows of column j at a time: four independent
-            // subtraction chains, each in the one-row loop's order, hide
-            // the add latency without changing a bit.
-            let mut rows = below.chunks_exact_mut(n);
-            let mut i = j + 1;
-            while i + 4 <= n {
-                let (r0, r1, r2, r3) = (
-                    rows.next().expect("row in range"),
-                    rows.next().expect("row in range"),
-                    rows.next().expect("row in range"),
-                    rows.next().expect("row in range"),
-                );
-                let mut s = [a[(i, j)], a[(i + 1, j)], a[(i + 2, j)], a[(i + 3, j)]];
-                let (v0, v1, v2, v3) = (&r0[..j], &r1[..j], &r2[..j], &r3[..j]);
-                for (k, &b) in lj.iter().enumerate() {
-                    s[0] -= v0[k] * b;
-                    s[1] -= v1[k] * b;
-                    s[2] -= v2[k] * b;
-                    s[3] -= v3[k] * b;
-                }
-                r0[j] = s[0] / dj;
-                r1[j] = s[1] / dj;
-                r2[j] = s[2] / dj;
-                r3[j] = s[3] / dj;
-                i += 4;
-            }
-            for (i, row) in (i..n).zip(rows) {
-                let mut s = a[(i, j)];
-                for (&v, &b) in row[..j].iter().zip(lj) {
-                    s -= v * b;
-                }
-                row[j] = s / dj;
-            }
+        for i in 0..n {
+            l.row_mut(i)[..i].copy_from_slice(&a.row(i)[..i]);
+            l[(i, i)] = a[(i, i)] + shift;
         }
+        let factored = if kernel_tier() == KernelTier::Avx2 {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the AVX2 tier is only selected on hosts with AVX2.
+            unsafe {
+                factor_avx2(l.as_mut_slice(), n)
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            unreachable!("the AVX2 tier is x86-64 only")
+        } else {
+            factor_lower(l.as_mut_slice(), n)
+        };
+        factored.map_err(|_| LinalgError::NotPositiveDefinite)?;
         Ok(RCholesky { l })
     }
 
@@ -171,6 +158,71 @@ impl RCholesky {
     }
 }
 
+/// Factors the lower triangle of the row-major `n × n` matrix `l` in place
+/// and clears its strict upper triangle; `Err(j)` names the first pivot
+/// that is not positive and finite. Within a panel each column takes its
+/// pivot, is divided by it and subtracts its products from the panel's
+/// later columns; then the panel, packed transposed, is subtracted from the
+/// trailing triangle in bands of four rows, whose last tiles also write a
+/// few upper entries that nothing reads before they are cleared.
+#[inline(always)]
+fn factor_lower(l: &mut [f64], n: usize) -> std::result::Result<(), usize> {
+    let mut pack = vec![0.0; if n > PANEL { PANEL * n } else { 0 }];
+    let mut col = [0.0; PANEL];
+    for j0 in (0..n).step_by(PANEL) {
+        let j1 = (j0 + PANEL).min(n);
+        for j in j0..j1 {
+            let d = l[j * n + j];
+            if d <= 0.0 || !d.is_finite() {
+                return Err(j);
+            }
+            let dj = d.sqrt();
+            l[j * n + j] = dj;
+            // Row i's entry of column j is final once divided; it scales
+            // column j's products on the row's later panel entries.
+            for (i, row) in l.chunks_exact_mut(n).enumerate().skip(j + 1) {
+                let x = row[j] / dj;
+                row[j] = x;
+                if i < j1 {
+                    col[i - j0] = x;
+                }
+                let end = (i + 1).min(j1);
+                for (v, &c) in row[j + 1..end].iter_mut().zip(&col[j + 1 - j0..]) {
+                    *v -= x * c;
+                }
+            }
+        }
+        if j1 == n {
+            break;
+        }
+        let depth = j1 - j0;
+        for (k, packed) in pack.chunks_exact_mut(n).take(depth).enumerate() {
+            for (i, p) in packed.iter_mut().enumerate().skip(j1) {
+                *p = l[i * n + j0 + k];
+            }
+        }
+        let mut i0 = j1;
+        while i0 + 4 <= n {
+            syrk_band::<true, 4>(&pack, n, depth, l, i0, j1..i0 + 4);
+            i0 += 4;
+        }
+        for i in i0..n {
+            syrk_band::<true, 1>(&pack, n, depth, l, i, j1..i + 1);
+        }
+    }
+    for i in 0..n {
+        l[i * n + i + 1..(i + 1) * n].fill(0.0);
+    }
+    Ok(())
+}
+
+/// [`factor_lower`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn factor_avx2(l: &mut [f64], n: usize) -> std::result::Result<(), usize> {
+    factor_lower(l, n)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,6 +233,108 @@ mod tests {
             vec![1.0, 3.0, -0.25],
             vec![0.5, -0.25, 2.0],
         ])
+    }
+
+    /// A symmetric `n × n` matrix `B·Bᵀ/n + shift·I` of assorted
+    /// magnitudes.
+    fn sweep_spd(n: usize, shift: f64) -> RMatrix {
+        let b = RMatrix::from_fn(n, n, |r, c| ((r * 13 + c * 5) as f64).sin());
+        let mut a = b.transpose().gram().scale(1.0 / n.max(1) as f64);
+        a.add_diagonal(shift);
+        a
+    }
+
+    /// The one-column-at-a-time loop: the factor, or the first pivot that
+    /// is not positive and finite.
+    fn textbook(a: &RMatrix) -> std::result::Result<Vec<f64>, usize> {
+        let n = a.rows();
+        let mut l = vec![0.0; n * n];
+        for j in 0..n {
+            let mut d = a[(j, j)];
+            for k in 0..j {
+                d -= l[j * n + k] * l[j * n + k];
+            }
+            if d <= 0.0 || !d.is_finite() {
+                return Err(j);
+            }
+            let dj = d.sqrt();
+            l[j * n + j] = dj;
+            for i in j + 1..n {
+                let mut s = a[(i, j)];
+                for k in 0..j {
+                    s -= l[i * n + k] * l[j * n + k];
+                }
+                l[i * n + j] = s / dj;
+            }
+        }
+        Ok(l)
+    }
+
+    /// Both bodies on the lower triangle of `a`.
+    #[cfg(target_arch = "x86_64")]
+    fn both_bodies(a: &RMatrix) -> [(Vec<f64>, std::result::Result<(), usize>); 2] {
+        let n = a.rows();
+        let lower = || {
+            let mut l = vec![0.0; n * n];
+            for i in 0..n {
+                l[i * n..i * n + i + 1].copy_from_slice(&a.row(i)[..=i]);
+            }
+            l
+        };
+        let (mut portable, mut avx2) = (lower(), lower());
+        let p = factor_lower(&mut portable, n);
+        // SAFETY: callers check for AVX2 first.
+        let v = unsafe { factor_avx2(&mut avx2, n) };
+        [(portable, p), (avx2, v)]
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_body_matches_portable_and_textbook_bitwise() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        for n in [0, 1, 2, 3, 4, 5, 7, 31, 32, 33, 36, 37, 63, 64, 65, 70, 101] {
+            let a = sweep_spd(n, 0.5);
+            let want = textbook(&a).expect("positive definite");
+            for (l, result) in both_bodies(&a) {
+                assert_eq!(result, Ok(()), "n = {n}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&l), bits(&want), "n = {n}");
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_body_fails_at_the_textbook_pivot() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        // Positive definite but for one pivot past the first panels, which
+        // a large subtraction makes negative; and a NaN pivot.
+        for (n, bad) in [(70, 45), (101, 100), (9, 3)] {
+            let mut a = sweep_spd(n, 0.5);
+            a[(bad, bad)] = 1e-3;
+            assert_eq!(textbook(&a).err(), Some(bad), "n = {n}");
+            for (_, result) in both_bodies(&a) {
+                assert_eq!(result, Err(bad), "n = {n}");
+            }
+            a[(bad, bad)] = f64::NAN;
+            for (_, result) in both_bodies(&a) {
+                assert_eq!(result, Err(bad), "n = {n}, NaN");
+            }
+        }
+    }
+
+    #[test]
+    fn shifted_factor_matches_explicit_shift() {
+        let a = sweep_spd(40, -0.05);
+        let mut shifted = a.clone();
+        shifted.add_diagonal(0.3);
+        let want = RCholesky::new(&shifted).unwrap();
+        let got = RCholesky::new_shifted(&a, 0.3).unwrap();
+        assert_eq!(got.factor().as_slice(), want.factor().as_slice());
     }
 
     #[test]

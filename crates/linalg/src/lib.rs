@@ -14,12 +14,14 @@
 //!   (also the engine for `N(0, Σ)` sampling);
 //! - [`CQr`]: Householder QR;
 //! - [`symmetric_eig`] / [`hermitian_eig`]: Jacobi eigensolvers;
-//! - [`CPanel`] / [`gemm_into`] / [`mzi_rotate`]: packed `N×B` multi-RHS
-//!   panels and the blocked complex GEMM / fused-rotation kernels behind
-//!   the compiled batched forward paths;
-//! - [`Matrix32`] / [`Panel32`] / [`gemm32_into`] / [`kernel_tier`]: the
-//!   opt-in single-precision structure-of-arrays fast path with runtime
-//!   SIMD dispatch (AVX2+FMA / NEON / scalar reference);
+//! - [`CPanel`] / [`GemmMatrix`] / [`gemm_into`] / [`mzi_rotate`]: packed
+//!   `N×B` multi-RHS panels and the complex GEMM / fused-rotation kernels
+//!   behind the compiled batched forward paths;
+//! - [`kernel_tier`]: the runtime tier of the three dense f64 kernels
+//!   ([`gemm_into`], [`RMatrix::gram`], [`RCholesky::new`]), each of which
+//!   runs an AVX2 body on x86-64 hosts that have it and a portable body
+//!   elsewhere or under `PHOTON_KERNEL=scalar`, with the same bits either
+//!   way;
 //! - [`random`]: seeded Gaussian vectors, Ginibre matrices and Haar-random
 //!   unitaries.
 //!
@@ -54,7 +56,7 @@ mod cvector;
 mod eig;
 mod error;
 mod gemm;
-mod gemm32;
+mod kernel;
 mod lu;
 mod qr;
 mod rmatrix;
@@ -68,8 +70,8 @@ pub use cmatrix::CMatrix;
 pub use cvector::CVector;
 pub use eig::{hermitian_eig, symmetric_eig, HermitianEig, SymmetricEig};
 pub use error::{LinalgError, Result};
-pub use gemm::{gemm_into, mzi_rotate, scale_slice, CPanel};
-pub use gemm32::{gemm32_into, kernel_tier, KernelTier, Matrix32, Panel32};
+pub use gemm::{gemm_into, mzi_rotate, scale_slice, CPanel, GemmMatrix};
+pub use kernel::{kernel_tier, KernelTier};
 pub use lu::RLu;
 pub use qr::CQr;
 pub use rmatrix::RMatrix;

@@ -4,12 +4,13 @@ use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
 use crate::error::{LinalgError, Result};
+use crate::kernel::{kernel_tier, syrk_band, KernelTier};
 use crate::rvector::RVector;
 
-/// Output rows [`RMatrix::gram`] accumulates per pass over the matrix: 16
-/// rows of a 1 152-wide Gram are 147 KB, which stays in L2 while the rows
-/// stream past.
-const GRAM_BLOCK: usize = 16;
+/// Rows of `A` per pass of [`RMatrix::gram`], and output columns per sweep
+/// of a pass: the 256 KB strip a sweep streams stays in L2.
+const GRAM_ROWS: usize = 128;
+const GRAM_COLS: usize = 256;
 
 /// A dense, row-major real (`f64`) matrix.
 ///
@@ -324,45 +325,22 @@ impl RMatrix {
     /// Symmetric Gram matrix `AᵀA` (size `cols × cols`).
     ///
     /// Entry `(i, j)` is `Σ_r A[r][i]·A[r][j]`, accumulated from `0.0` in
-    /// ascending `r` — the textbook triple loop's order, bit for bit. The
-    /// loop is blocked over output rows: each pass streams the rows of `A`
-    /// once and adds their contributions to a block of 16 upper-triangle
-    /// output rows, four rows of `A` per load of an output row. The inner loop runs over independent entries in contiguous
-    /// memory (and vectorizes) instead of walking two columns of `A` at a
-    /// row stride.
+    /// ascending `r` — the textbook triple loop's order, bit for bit, on
+    /// either kernel tier. The upper triangle is a register-tiled symmetric
+    /// rank-k update over passes of 128 rows of `A`, each swept 256 output
+    /// columns at a time and reloading the entries the last pass stored;
+    /// the lower triangle is its mirror.
     pub fn gram(&self) -> RMatrix {
         let n = self.cols;
         let mut g = RMatrix::zeros(n, n);
-        for i0 in (0..n).step_by(GRAM_BLOCK) {
-            let block = i0..(i0 + GRAM_BLOCK).min(n);
-            let mut quads = self.data.chunks_exact(4 * n);
-            for quad in &mut quads {
-                let rows: [&[f64]; 4] = std::array::from_fn(|q| &quad[q * n..(q + 1) * n]);
-                for i in block.clone() {
-                    let out = &mut g.data[i * n + i..(i + 1) * n];
-                    let [x0, x1, x2, x3] = rows.map(|row| row[i]);
-                    let [c0, c1, c2, c3] = rows.map(|row| &row[i..]);
-                    // One add per row, in row order: each entry still
-                    // accumulates its products one at a time, ascending r.
-                    for (j, o) in out.iter_mut().enumerate() {
-                        let mut v = *o;
-                        v += x0 * c0[j];
-                        v += x1 * c1[j];
-                        v += x2 * c2[j];
-                        v += x3 * c3[j];
-                        *o = v;
-                    }
-                }
+        if kernel_tier() == KernelTier::Avx2 {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the AVX2 tier is only selected on hosts with AVX2.
+            unsafe {
+                gram_avx2(&self.data, n, &mut g.data);
             }
-            for row in quads.remainder().chunks_exact(n) {
-                for i in block.clone() {
-                    let a = row[i];
-                    let out = &mut g.data[i * n + i..(i + 1) * n];
-                    for (o, &b) in out.iter_mut().zip(&row[i..]) {
-                        *o += a * b;
-                    }
-                }
-            }
+        } else {
+            gram_upper(&self.data, n, &mut g.data);
         }
         for i in 0..n {
             for j in i + 1..n {
@@ -392,6 +370,35 @@ impl RMatrix {
             }
         }
     }
+}
+
+/// The upper triangle of `AᵀA` for the row-major `a` with `n` columns,
+/// added into the zeroed `n × n` `g`: per column block, bands of four
+/// output rows from the diagonal on. A band's first tile also fills a few
+/// entries below the diagonal, with the values their mirrors get.
+#[inline(always)]
+fn gram_upper(a: &[f64], n: usize, g: &mut [f64]) {
+    for pass in a.chunks((GRAM_ROWS * n).max(1)) {
+        let depth = pass.len() / n;
+        for j0 in (0..n).step_by(GRAM_COLS) {
+            let j1 = (j0 + GRAM_COLS).min(n);
+            let mut i0 = 0;
+            while i0 + 4 <= n && i0 < j1 {
+                syrk_band::<false, 4>(pass, n, depth, g, i0, i0.max(j0)..j1);
+                i0 += 4;
+            }
+            for i in i0..j1 {
+                syrk_band::<false, 1>(pass, n, depth, g, i, i.max(j0)..j1);
+            }
+        }
+    }
+}
+
+/// [`gram_upper`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gram_avx2(a: &[f64], n: usize, g: &mut [f64]) {
+    gram_upper(a, n, g);
 }
 
 impl Index<(usize, usize)> for RMatrix {
@@ -484,6 +491,52 @@ impl Mul<&RVector> for &RMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A `rows × cols` matrix of assorted magnitudes and signs.
+    fn sweep_matrix(rows: usize, cols: usize) -> RMatrix {
+        RMatrix::from_fn(rows, cols, |r, c| {
+            let t = (r * 13 + c * 5) as f64;
+            t.sin() * 10f64.powi((r + c) as i32 % 7 - 3)
+        })
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn gram_avx2_body_matches_portable_and_textbook_bitwise() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let narrow = [0, 1, 5, 127, 128, 129, 261]
+            .into_iter()
+            .flat_map(|rows| [0, 1, 3, 4, 5, 8, 9, 12, 13, 14, 15, 17, 33].map(|c| (rows, c)));
+        // Across the 256-column sweeps.
+        let wide = [(1, 257), (129, 255), (129, 263)];
+        for (rows, cols) in narrow.chain(wide) {
+            let a = sweep_matrix(rows, cols);
+            let mut want = vec![0.0; cols * cols];
+            for i in 0..cols {
+                for j in i..cols {
+                    let mut acc = 0.0;
+                    for r in 0..rows {
+                        acc += a[(r, i)] * a[(r, j)];
+                    }
+                    want[i * cols + j] = acc;
+                }
+            }
+            let (mut portable, mut avx2) = (vec![0.0; cols * cols], vec![0.0; cols * cols]);
+            gram_upper(a.as_slice(), cols, &mut portable);
+            // SAFETY: AVX2 was detected above.
+            unsafe { gram_avx2(a.as_slice(), cols, &mut avx2) };
+            for i in 0..cols {
+                for j in i..cols {
+                    let k = i * cols + j;
+                    let shape = format!("{rows} x {cols} at ({i}, {j})");
+                    assert_eq!(portable[k].to_bits(), want[k].to_bits(), "{shape}");
+                    assert_eq!(avx2[k].to_bits(), want[k].to_bits(), "{shape}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn identity_and_trace() {

@@ -76,8 +76,9 @@ fn naive_cholesky(a: &RMatrix) -> Option<RMatrix> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    // Row counts from zero through two four-row steps plus a remainder,
-    // and column counts on both sides of the 16-row output block.
+    // Row counts from zero up, and column counts through several 4 × 8
+    // register tiles and every column remainder, on the process's kernel
+    // tier.
     #[test]
     fn blocked_gram_matches_naive_loop_bitwise(
         a in (0..11usize, 0..40usize).prop_flat_map(|(r, c)| arb_rmat(r, c)),
@@ -85,12 +86,13 @@ proptest! {
         prop_assert_eq!(bits(&a.gram()), bits(&naive_gram(&a)));
     }
 
-    // Sizes on both sides of the four-row step, from 0; a shift below the
+    // Sizes from 0 across the first 32-column panel boundary and the
+    // four-row bands, on the process's kernel tier; a shift below the
     // smallest eigenvalue makes some inputs indefinite, and those must
     // still be rejected.
     #[test]
     fn blocked_cholesky_matches_naive_loop_bitwise(
-        b in (0..23usize).prop_flat_map(|n| arb_rmat(n, n)),
+        b in (0..71usize).prop_flat_map(|n| arb_rmat(n, n)),
         shift in -0.3..1.0f64,
     ) {
         let n = b.rows();

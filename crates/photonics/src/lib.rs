@@ -18,8 +18,7 @@
 //!   dense unitaries applied batch-wide as multi-RHS GEMMs through
 //!   [`OnnChip::forward_batch_into`] / [`OnnChip::forward_powers_batch_into`];
 //! - an NNUE-style fast serving path: pinned compile bases served by exact
-//!   rank-1 incremental updates ([`PinnedBase`]) and an opt-in f32 SIMD
-//!   evaluation tier ([`FabricatedChip::with_f32_fast_path`]);
+//!   rank-1 incremental updates ([`PinnedBase`]);
 //! - Fisher-information machinery ([`fisher_vector_products`],
 //!   [`module_fisher_block`], [`output_covariance`]) used by the linear
 //!   combination natural gradient optimizer.

@@ -156,9 +156,9 @@ pub enum TraceEvent {
         batch_size: u64,
         /// ZO probe count `Q`.
         probes: u64,
-        /// GEMM kernel tier selected at pool startup (`scalar`,
-        /// `avx2-fma`, `neon`), so archived runs record which arithmetic
-        /// path produced them.
+        /// Dense-kernel tier selected at pool startup (`scalar` or `avx2`),
+        /// so archived runs record which code path produced them (both
+        /// tiers give the same bits).
         kernel: String,
     },
     /// Per-epoch training summary.

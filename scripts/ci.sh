@@ -5,6 +5,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+cargo fmt --all --check
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
@@ -12,9 +13,12 @@ cargo test -q --offline --workspace
 # plus the root bit pins of the module layer and the calibration fit, so a
 # shape check carried only by a debug_assert cannot hide a release-only
 # failure. The vendored shims stay out (criterion's timing shim reads 0 ns
-# in release).
+# in release). The bit pins run on both kernel tiers: the dense f64
+# kernels' AVX2 bodies must give the portable bodies' bits, so one set of
+# constants answers for both.
 cargo test -q --release --offline -p photon-photonics -p photon-calib
 cargo test -q --release --offline --test module_bits --test calibration_bits
+PHOTON_KERNEL=scalar cargo test -q --release --offline --test module_bits --test calibration_bits
 cargo clippy --offline --all-targets --workspace -- -D warnings
 
 # Rustdoc gate: every photon-* crate and the facade document without a
@@ -94,16 +98,19 @@ EOF
 cargo bench -q --offline -p photon-bench --bench probe_eval >/dev/null
 
 # Fast-path gate: the equivalence property suites must hold on BOTH kernel
-# tiers — the portable scalar reference (PHOTON_KERNEL=scalar) and whatever
-# SIMD tier the host dispatches natively (AVX2-FMA / NEON / scalar). This is
-# what makes the vector kernels trustworthy: same tests, both arithmetics.
+# tiers — the portable bodies (PHOTON_KERNEL=scalar) and whatever tier the
+# host dispatches natively (AVX2 or scalar).
 PHOTON_KERNEL=scalar cargo test -q --offline --test fast_path --test compiled_equivalence
 cargo test -q --offline --test fast_path --test compiled_equivalence
 
-# Fast-path perf gate: smoke-run the tier-stack bench. Regenerates
-# BENCH_simd.json and fails if no fast tier clears 2x over the plain
-# compiled f64 baseline (the incremental rank-1 tier is kernel-independent,
-# so this holds even on scalar-only hosts).
+# Fast-path perf gate: smoke-run the tier-stack bench, first on the portable
+# kernels (kept aside for the AVX2 gate below), then natively, which
+# regenerates BENCH_simd.json. Fails if no fast tier clears 2x over the
+# plain compiled f64 baseline (the incremental rank-1 tier is
+# kernel-independent, so this holds even on scalar-only hosts).
+scalar_simd="$(mktemp)"
+PHOTON_KERNEL=scalar cargo bench -q --offline -p photon-bench --bench simd_forward >/dev/null
+cp BENCH_simd.json "$scalar_simd"
 cargo bench -q --offline -p photon-bench --bench simd_forward >/dev/null
 python3 - <<'EOF'
 import json
@@ -118,22 +125,26 @@ assert best >= 2.0, f"no fast tier reaches 2x over compiled f64: {tiers}"
 print(f"ci: simd_forward best tier {best_tier} at {best:.2f}x (kernel {report['kernel']})")
 EOF
 
-# f32 serve gate: the opt-in f32 serving rung stays only while it pays.
-# The same bench times the pinned serve per request on an 8x8 chip, plain
-# f64 against the chip built with_f32_fast_path. On a SIMD kernel (the
-# scalar kernel has no vector speed to offer) f32's fastest per-request
-# time at batch 64 must beat f64's.
-python3 - <<'EOF'
-import json
+# AVX2 serve gate: the vector tier stays only while it pays. The same bench
+# times the pinned f64 serve per request on an 8x8 chip; on a host whose
+# native kernel is not the portable one, its fastest per-request time at
+# batch 64 must beat the PHOTON_KERNEL=scalar run's.
+SCALAR_SIMD="$scalar_simd" python3 - <<'EOF'
+import json, os
+with open(os.environ["SCALAR_SIMD"]) as f:
+    scalar = json.load(f)
 with open("BENCH_simd.json") as f:
-    report = json.load(f)
-serve = {(r["tier"], r["batch"]): r["min_ns_per_request"] for r in report["serve"]}
-f64_ns, f32_ns = serve[("f64", 64)], serve[("f32", 64)]
-print(f"ci: pinned serve at b=64, min per request: f64 {f64_ns:.1f} ns, "
-      f"f32 {f32_ns:.1f} ns (kernel {report['kernel']})")
-if report["kernel"] != "scalar":
-    assert f32_ns < f64_ns, f"f32 serve {f32_ns} ns/request does not beat f64 {f64_ns} at b=64"
+    native = json.load(f)
+assert scalar["kernel"] == "scalar", f"scalar run reports kernel {scalar['kernel']}"
+at64 = lambda report: {r["batch"]: r["min_ns_per_request"] for r in report["serve"]}[64]
+scalar_ns, native_ns = at64(scalar), at64(native)
+print(f"ci: pinned f64 serve at b=64, min per request: scalar {scalar_ns:.1f} ns, "
+      f"{native['kernel']} {native_ns:.1f} ns")
+if native["kernel"] != "scalar":
+    assert native_ns < scalar_ns, \
+        f"{native['kernel']} serve {native_ns} ns/request does not beat scalar {scalar_ns} at b=64"
 EOF
+rm -f "$scalar_simd"
 
 # Serving-sim gate. Three properties make "a million requests" a number
 # you can trust:

@@ -1,8 +1,7 @@
 //! Property tests for the NNUE-style fast forward path: incremental
-//! rank-1 serving from a pinned compile base and the opt-in f32 SIMD
-//! evaluation tier must both track the f64 interpreted walk within their
-//! documented tolerances, and the drift-bound cadence must force a
-//! periodic full recompile.
+//! rank-1 serving from a pinned compile base must track the f64
+//! interpreted walk within its documented tolerance, and the drift-bound
+//! cadence must force a periodic full recompile.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -11,8 +10,8 @@ use rand::{RngCore, SeedableRng};
 use photon_zo::linalg::random::normal_cvector;
 use photon_zo::linalg::CVector;
 use photon_zo::photonics::{
-    Architecture, BatchScratch, CompiledNetwork, ErrorModel, ErrorVector, FabricatedChip,
-    NetworkScratch, PinnedBase, FORCED_RECOMPILE_PERIOD, MAX_INCREMENTAL_PHASES,
+    Architecture, CompiledNetwork, ErrorModel, ErrorVector, NetworkScratch, PinnedBase,
+    FORCED_RECOMPILE_PERIOD, MAX_INCREMENTAL_PHASES,
 };
 
 proptest! {
@@ -84,46 +83,6 @@ proptest! {
         );
     }
 
-    /// The opt-in f32 SIMD chip path stays within 1e-5 relative error of
-    /// the f64 oracle chip on batched loss-bearing quantities.
-    #[test]
-    fn f32_fast_path_loss_error_is_bounded(
-        dim in 2usize..7,
-        batch in 1usize..6,
-        beta in 0.0f64..2.5,
-        pin in any::<bool>(),
-        seed in any::<u64>(),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let arch = Architecture::single_mesh(dim, dim).unwrap();
-        let oracle = FabricatedChip::fabricate(&arch, &ErrorModel::with_beta(beta), &mut rng);
-        let mut rng2 = StdRng::seed_from_u64(seed);
-        let fast = FabricatedChip::fabricate(&arch, &ErrorModel::with_beta(beta), &mut rng2)
-            .with_f32_fast_path();
-        let theta = oracle.init_params(&mut rng);
-        let mut probe = theta.clone();
-        if pin {
-            fast.pin_compile_base(&theta);
-            oracle.pin_compile_base(&theta);
-            let k = (seed as usize) % probe.len();
-            probe[k] += 0.3;
-        }
-        let xs: Vec<CVector> = (0..batch).map(|_| normal_cvector(dim, &mut rng)).collect();
-        let refs: Vec<&CVector> = xs.iter().collect();
-        let mut s64 = BatchScratch::new();
-        let mut s32 = BatchScratch::new();
-        let want = oracle.forward_powers_batch_into(&refs, &probe, &mut s64).to_vec();
-        let got = fast.forward_powers_batch_into(&refs, &probe, &mut s32).to_vec();
-        for (j, (w, g)) in want.iter().zip(&got).enumerate() {
-            let loss_w: f64 = w.iter().sum();
-            let loss_g: f64 = g.iter().sum();
-            let rel = (loss_w - loss_g).abs() / loss_w.abs().max(1e-12);
-            prop_assert!(
-                rel < 1e-5,
-                "sample {}: relative loss error {:.3e} exceeds 1e-5", j, rel
-            );
-        }
-    }
 }
 
 /// The drift-bound cadence: a long-lived plan serving incrementally from
