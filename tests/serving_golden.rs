@@ -1,8 +1,9 @@
-//! Golden outputs of the serving event loop: the exact `to_json` of a
-//! fixed set of model-only runs — the `serving_sim` and
+//! Golden outputs of the serving event loop: the exact `to_json` and
+//! `render` text of a fixed set of model-only runs — the `serving_sim` and
 //! `serving_resilience` example arms, the simulated `BENCH_serving.json`
 //! arms, and one config per simulator scenario — compared line by line
-//! with `tests/golden/serving_reports.jsonl`.
+//! with `tests/golden/serving_reports.jsonl` and
+//! `tests/golden/serving_reports.txt`.
 //!
 //! Any change to dispatch order, drain order, RNG draws, timing or report
 //! fields shows up here as a byte difference. When a change is meant to
@@ -21,10 +22,16 @@ use photon_zo::sim::{
     ServingReport, SimConfig, TenantLoad,
 };
 use photon_zo::trace::json_str;
+use std::sync::OnceLock;
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/serving_reports.jsonl"
+);
+
+const GOLDEN_TEXT: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/serving_reports.txt"
 );
 
 fn poisson(rate_hz: f64) -> ArrivalProcess {
@@ -119,7 +126,13 @@ fn group(seed: u64) -> ResilientConfig {
         .with_tenant(TenantLoad::new("bob", poisson(40_000.0)))
 }
 
-fn reports() -> Vec<(&'static str, ServingReport)> {
+/// The golden run set, simulated once and shared by both golden tests.
+fn reports() -> &'static [(&'static str, ServingReport)] {
+    static REPORTS: OnceLock<Vec<(&'static str, ServingReport)>> = OnceLock::new();
+    REPORTS.get_or_init(simulate)
+}
+
+fn simulate() -> Vec<(&'static str, ServingReport)> {
     let bench_poisson = poisson(1_000_000.0);
     let bench_bursty = bursty(800_000.0, 20_000.0, 5e6, 5e6);
     let mut hangs = smoke(33).with_label("hangy");
@@ -238,6 +251,25 @@ fn reports() -> Vec<(&'static str, ServingReport)> {
     ]
 }
 
+/// Compares `lines` with the golden file at `path` line by line, or
+/// rewrites the file when `PHOTON_BLESS` is set.
+fn check_golden(path: &str, lines: &[String]) {
+    if std::env::var_os("PHOTON_BLESS").is_some() {
+        std::fs::write(path, lines.join("\n") + "\n").expect("write the golden file");
+        return;
+    }
+    let golden = std::fs::read_to_string(path).expect("golden file present");
+    let golden: Vec<&str> = golden.lines().collect();
+    assert_eq!(
+        golden.len(),
+        lines.len(),
+        "golden file {path} covers a different run set"
+    );
+    for (want, got) in golden.iter().zip(lines) {
+        assert_eq!(*want, got, "serving report drifted from {path}");
+    }
+}
+
 #[test]
 fn serving_reports_match_the_golden_file() {
     let lines: Vec<String> = reports()
@@ -250,18 +282,18 @@ fn serving_reports_match_the_golden_file() {
             )
         })
         .collect();
-    if std::env::var_os("PHOTON_BLESS").is_some() {
-        std::fs::write(GOLDEN, lines.join("\n") + "\n").expect("write the golden file");
-        return;
-    }
-    let golden = std::fs::read_to_string(GOLDEN).expect("golden file present");
-    let golden: Vec<&str> = golden.lines().collect();
-    assert_eq!(
-        golden.len(),
-        lines.len(),
-        "golden file covers a different run set"
-    );
-    for (want, got) in golden.iter().zip(&lines) {
-        assert_eq!(*want, got, "serving report drifted from the golden file");
-    }
+    check_golden(GOLDEN, &lines);
+}
+
+#[test]
+fn serving_report_text_matches_the_golden_file() {
+    let lines: Vec<String> = reports()
+        .iter()
+        .flat_map(|(name, report)| {
+            std::iter::once(format!("== {name}"))
+                .chain(report.render().lines().map(str::to_string))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    check_golden(GOLDEN_TEXT, &lines);
 }
