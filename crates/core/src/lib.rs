@@ -62,8 +62,8 @@ pub use metrics::{
 pub use photon_exec::WatchdogPolicy;
 pub use report::{downsample, recovery_report, sparkline, trace_summary, CsvWriter, TextTable};
 pub use stats::{
-    mann_whitney_u, normal_sf, percentiles, MannWhitney, RunSummary,
-    MANN_WHITNEY_EXACT_MAX_POOLED_N,
+    mann_whitney_u, nan_last_cmp, normal_sf, percentiles, quantile_of_ranked, MannWhitney,
+    RunSummary, MANN_WHITNEY_EXACT_MAX_POOLED_N,
 };
 pub use trainer::{
     AbortReason, DurableOptions, EpochRecord, Method, ModelChoice, RecoveryEvent, RecoveryPolicy,

@@ -1,6 +1,9 @@
-//! Run statistics: summaries over repeated seeds and the Mann-Whitney U
+//! Run statistics: summaries over repeated seeds, the Mann-Whitney U
 //! test used for the significance annotations in the paper's tables and
-//! box plots.
+//! box plots, and the rank-read quantiles behind serving reports and hedge
+//! delays.
+
+use std::cmp::Ordering;
 
 /// Mean / standard deviation / extrema of a set of run results.
 #[derive(Debug, Clone, PartialEq)]
@@ -220,17 +223,65 @@ pub fn mann_whitney_u(a: &[f64], b: &[f64]) -> MannWhitney {
     }
 }
 
+/// The order latency and loss quantiles rank values by: IEEE total order
+/// (`f64::total_cmp`) with every NaN, of either sign, above `+∞`.
+///
+/// Two values compare equal exactly when their bits are equal, so each
+/// order statistic under this order is a unique bit pattern and a value can
+/// be found again by binary search (`==` and `partial_cmp` cannot do that:
+/// they equate `0.0` and `-0.0` and never match a NaN). Plain `total_cmp`
+/// would put a NaN with its sign bit set below `-∞` — and x86 arithmetic
+/// NaNs (`0.0 / 0.0`, `∞ − ∞`) have it set.
+pub fn nan_last_cmp(a: &f64, b: &f64) -> Ordering {
+    a.is_nan().cmp(&b.is_nan()).then_with(|| a.total_cmp(b))
+}
+
+/// Quantile `q ∈ [0, 1]` of `n = ranked.len()` values whose order
+/// statistics under [`nan_last_cmp`] sit at their own ranks — at least the
+/// two that bracket the fractional rank `q · (n − 1)`, which is all this
+/// reads. Interpolates linearly between those two (the "linear" / type-7
+/// definition numpy's `percentile` uses by default); an integral rank
+/// returns its order statistic's bits unchanged.
+///
+/// `ranked` may be fully sorted (the hedge window) or partitioned by
+/// selection at the needed ranks ([`percentiles`]).
+///
+/// # Panics
+///
+/// Panics when `ranked` is empty or `q` lies outside `[0, 1]`.
+pub fn quantile_of_ranked(ranked: &[f64], q: f64) -> f64 {
+    let (lo, hi, frac) = bracketing_ranks(ranked.len(), q);
+    if lo == hi {
+        ranked[lo]
+    } else {
+        ranked[lo] + frac * (ranked[hi] - ranked[lo])
+    }
+}
+
+/// The order statistics quantile `q` of `n` values reads, `lo ≤ hi`, and
+/// the fraction of the way from `lo` to `hi` it lies.
+fn bracketing_ranks(n: usize, q: f64) -> (usize, usize, f64) {
+    assert!(n > 0, "cannot take percentiles of zero values");
+    assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
+    let rank = q * (n - 1) as f64;
+    let lo = rank.floor() as usize;
+    (lo, rank.ceil() as usize, rank - lo as f64)
+}
+
 /// NaN-safe percentile extraction with linear interpolation.
 ///
-/// Sorts a copy of `values` under IEEE total order (`f64::total_cmp`, so NaNs
-/// never panic the sort — they collect at the top end) and evaluates each
-/// quantile `q ∈ [0, 1]` at fractional rank `q · (n − 1)`, interpolating
-/// linearly between the two bracketing order statistics. This is the
-/// "linear" / type-7 definition used by numpy's default `percentile`.
+/// Evaluates each quantile `q ∈ [0, 1]` at fractional rank `q · (n − 1)`
+/// with [`quantile_of_ranked`] (type-7, numpy's default). Rather than sort,
+/// it selects only the order statistics the quantiles read: on a copy of
+/// `values`, `select_nth_unstable_by` places each needed rank in ascending
+/// order, each time over the range above the rank placed before it. That
+/// costs O(n) per call for a handful of quantiles where a sort costs
+/// O(n log n), and returns exactly the bits a sort would: under
+/// [`nan_last_cmp`] each order statistic is a unique bit pattern.
 ///
-/// Serving reports lean on this for p50/p99/p999 latency; a fault-hung query
-/// that recorded a NaN latency lands in the top tail instead of poisoning the
-/// whole distribution.
+/// NaNs of either sign rank above `+∞`, so a fault-hung query that recorded
+/// a NaN latency lands in the top tail instead of poisoning the whole
+/// distribution. Serving reports lean on this for p50/p99/p999 latency.
 ///
 /// # Panics
 ///
@@ -247,22 +298,24 @@ pub fn mann_whitney_u(a: &[f64], b: &[f64]) -> MannWhitney {
 /// ```
 pub fn percentiles(values: &[f64], qs: &[f64]) -> Vec<f64> {
     assert!(!values.is_empty(), "cannot take percentiles of zero values");
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    qs.iter()
-        .map(|&q| {
-            assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
-            let rank = q * (sorted.len() - 1) as f64;
-            let lo = rank.floor() as usize;
-            let hi = rank.ceil() as usize;
-            let frac = rank - lo as f64;
-            if lo == hi {
-                sorted[lo]
-            } else {
-                sorted[lo] + frac * (sorted[hi] - sorted[lo])
-            }
+    let mut ranks: Vec<usize> = qs
+        .iter()
+        .flat_map(|&q| {
+            let (lo, hi, _) = bracketing_ranks(values.len(), q);
+            [lo, hi]
         })
-        .collect()
+        .collect();
+    ranks.sort_unstable();
+    ranks.dedup();
+    let mut ranked = values.to_vec();
+    // Everything below `start` is already in place and no greater than
+    // anything at or above it, so each rank is selected in what is left.
+    let mut start = 0;
+    for k in ranks {
+        ranked[start..].select_nth_unstable_by(k - start, nan_last_cmp);
+        start = k + 1;
+    }
+    qs.iter().map(|&q| quantile_of_ranked(&ranked, q)).collect()
 }
 
 /// Standard normal survival function `P(Z > z)` via the complementary error
@@ -459,14 +512,35 @@ mod tests {
 
     #[test]
     fn percentiles_nan_safe() {
-        // NaNs sort to the top under total order: they occupy the extreme
-        // tail rather than panicking the sort or infecting the median.
-        let v = [1.0, f64::NAN, 2.0, 3.0];
-        let p = percentiles(&v, &[0.0, 1.0]);
-        assert_eq!(p[0], 1.0);
-        assert!(p[1].is_nan());
-        let median = percentiles(&v, &[0.5]);
-        assert_eq!(median, vec![2.5]);
+        // NaNs of either sign rank above +∞: they occupy the extreme tail
+        // rather than panicking the selection or infecting the median. An
+        // arithmetic NaN (sign bit set on x86) must not land at the bottom.
+        let (num, den) = (std::hint::black_box(0.0f64), std::hint::black_box(0.0f64));
+        for nan in [f64::NAN, -f64::NAN, num / den] {
+            let v = [1.0, nan, 2.0, 3.0];
+            let p = percentiles(&v, &[0.0, 1.0]);
+            assert_eq!(p[0], 1.0);
+            assert_eq!(p[1].to_bits(), nan.to_bits());
+            let median = percentiles(&v, &[0.5]);
+            assert_eq!(median, vec![2.5]);
+        }
+    }
+
+    #[test]
+    fn nan_last_cmp_is_equal_only_on_equal_bits() {
+        assert_eq!(nan_last_cmp(&-0.0, &0.0), Ordering::Less);
+        assert_eq!(nan_last_cmp(&0.0, &0.0), Ordering::Equal);
+        assert_eq!(nan_last_cmp(&-f64::NAN, &f64::NAN), Ordering::Less);
+        assert_eq!(nan_last_cmp(&-f64::NAN, &f64::INFINITY), Ordering::Greater);
+        assert_eq!(nan_last_cmp(&f64::NAN, &f64::NAN), Ordering::Equal);
+    }
+
+    #[test]
+    fn quantile_of_ranked_reads_only_the_bracketing_ranks() {
+        // Positions other than ranks 1 and 2 are never read.
+        let ranked = [f64::NAN, 10.0, 20.0, f64::NAN];
+        assert_eq!(quantile_of_ranked(&ranked, 0.5), 15.0);
+        assert_eq!(quantile_of_ranked(&ranked, 1.0 / 3.0), 10.0);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use photon_core::percentiles;
+use photon_core::{nan_last_cmp, quantile_of_ranked};
 
 /// A bounded rolling window of boolean outcomes (`true` = success) with a
 /// consecutive-success streak — the shared window math behind both the
@@ -529,6 +529,13 @@ impl BrownoutController {
 }
 
 /// How hedged re-dispatch picks its trigger delay.
+///
+/// A batch is hedged once it outlives the [`quantile`](Self::quantile) of
+/// its tenants' last [`window`](Self::window) completion latencies (ranked
+/// by [`nan_last_cmp`], so NaNs count as the slowest). The
+/// [`HedgeDelayTracker`] keeps each window sorted as it slides, so reading
+/// the delay at dispatch is O(1) and recording a completion costs a binary
+/// search plus an O(`window`) shift.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HedgePolicy {
     /// Latency quantile the hedge delay tracks (0.99 = hedge once a
@@ -563,14 +570,30 @@ impl Default for HedgePolicy {
     }
 }
 
-/// Rolling per-tenant completion latencies feeding the p99-derived hedge
-/// delay. Deterministic: the delay is a pure function of the completion
-/// history, and the seed delay covers the cold start.
+/// Rolling per-tenant completion latencies feeding the quantile-derived
+/// hedge delay. Deterministic: the delay is a pure function of the
+/// completion history, and the seed delay covers the cold start.
+///
+/// Each tenant's window is held twice: in arrival order, which says what to
+/// evict, and sorted under [`nan_last_cmp`], from which
+/// [`delay_ns`](Self::delay_ns) reads the quantile by rank with
+/// [`quantile_of_ranked`] — the same bits [`photon_core::percentiles`]
+/// returns for the window. [`record`](Self::record) finds the evicted value
+/// by binary search under the same order, in which equal means equal bits,
+/// so `0.0` and `-0.0` (or two NaNs) are never confused.
 #[derive(Debug)]
 pub struct HedgeDelayTracker {
     policy: HedgePolicy,
-    samples: Vec<VecDeque<f64>>,
-    scratch: Vec<f64>,
+    windows: Vec<LatencyWindow>,
+}
+
+/// One tenant's last `window` completion latencies.
+#[derive(Debug)]
+struct LatencyWindow {
+    /// Arrival order, oldest first.
+    fifo: VecDeque<f64>,
+    /// The same values, ascending under [`nan_last_cmp`].
+    sorted: Vec<f64>,
 }
 
 impl HedgeDelayTracker {
@@ -591,10 +614,12 @@ impl HedgeDelayTracker {
         );
         HedgeDelayTracker {
             policy,
-            samples: (0..tenants)
-                .map(|_| VecDeque::with_capacity(policy.window))
+            windows: (0..tenants)
+                .map(|_| LatencyWindow {
+                    fifo: VecDeque::with_capacity(policy.window),
+                    sorted: Vec::with_capacity(policy.window),
+                })
                 .collect(),
-            scratch: Vec::with_capacity(policy.window),
         }
     }
 
@@ -603,26 +628,36 @@ impl HedgeDelayTracker {
         self.policy
     }
 
-    /// Records one completion latency for `tenant`.
+    /// Records one completion latency for `tenant`, evicting its oldest
+    /// once the window is full: two binary searches and O(`window`) shifts.
     pub fn record(&mut self, tenant: usize, latency_ns: f64) {
-        let w = &mut self.samples[tenant];
-        w.push_back(latency_ns);
-        while w.len() > self.policy.window {
-            w.pop_front();
+        let w = &mut self.windows[tenant];
+        if w.fifo.len() == self.policy.window {
+            let evicted = w.fifo.pop_front().expect("a full window is non-empty");
+            let at = w
+                .sorted
+                .binary_search_by(|v| nan_last_cmp(v, &evicted))
+                .expect("the evicted latency is in the sorted window");
+            w.sorted.remove(at);
         }
+        w.fifo.push_back(latency_ns);
+        let at = w
+            .sorted
+            .binary_search_by(|v| nan_last_cmp(v, &latency_ns))
+            .unwrap_or_else(|gap| gap);
+        w.sorted.insert(at, latency_ns);
     }
 
     /// The hedge delay for `tenant`: the rolling quantile of its recent
     /// completion latencies, floored at the policy minimum; the seed delay
-    /// until enough samples exist.
-    pub fn delay_ns(&mut self, tenant: usize) -> u64 {
-        let w = &self.samples[tenant];
-        if w.len() < self.policy.min_samples.max(1) {
+    /// until enough samples exist. O(1): a read at a rank of the sorted
+    /// window.
+    pub fn delay_ns(&self, tenant: usize) -> u64 {
+        let sorted = &self.windows[tenant].sorted;
+        if sorted.len() < self.policy.min_samples.max(1) {
             return self.policy.min_delay_ns;
         }
-        self.scratch.clear();
-        self.scratch.extend(w.iter().copied());
-        let q = percentiles(&self.scratch, &[self.policy.quantile])[0];
+        let q = quantile_of_ranked(sorted, self.policy.quantile);
         if q.is_finite() {
             (q as u64).max(self.policy.min_delay_ns)
         } else {

@@ -7,7 +7,7 @@
 //! runs — so "same seed ⇒ byte-identical report" is checkable with `cmp`.
 
 use photon_core::percentiles;
-use photon_farm::{BreakerState, BreakerTransition};
+use photon_farm::{BreakerState, BreakerTransition, ServingTier};
 use photon_trace::{json_f64, json_str, TraceEvent, TraceHandle};
 
 /// Latency/throughput summary for one tenant (or the `"all"` aggregate).
@@ -107,7 +107,8 @@ pub struct ReplicaStats {
     /// The breaker's full transition log, oldest first — deterministic
     /// virtual-time stamps the chaos tests assert on.
     pub breaker_transitions: Vec<BreakerTransition>,
-    /// Requests served per precision tier (`[f64, f32, i16]`).
+    /// Requests served per precision tier, indexed by
+    /// [`ServingTier::rung`] (`[f64, f32, i16]`).
     pub tier_served: [u64; 3],
     /// Brownout rung changes observed.
     pub tier_transitions: u64,
@@ -199,6 +200,13 @@ fn tenant_row_json(r: &TenantServingStats) -> String {
     )
 }
 
+/// A replica's served counts in ladder order, joined by `sep`.
+fn tier_counts(r: &ReplicaStats, sep: &str) -> String {
+    ServingTier::LADDER
+        .map(|t| r.tier_served[t.rung()].to_string())
+        .join(sep)
+}
+
 /// One replica row as a deterministic JSON object.
 fn replica_json(r: &ReplicaStats) -> String {
     let transitions: Vec<String> = r
@@ -214,16 +222,14 @@ fn replica_json(r: &ReplicaStats) -> String {
         })
         .collect();
     format!(
-        "{{\"name\":{},\"dispatches\":{},\"completions\":{},\"timeouts\":{},\"breaker\":{},\"breaker_transitions\":[{}],\"tier_served\":[{},{},{}],\"tier_transitions\":{}}}",
+        "{{\"name\":{},\"dispatches\":{},\"completions\":{},\"timeouts\":{},\"breaker\":{},\"breaker_transitions\":[{}],\"tier_served\":[{}],\"tier_transitions\":{}}}",
         json_str(&r.name),
         r.dispatches,
         r.completions,
         r.timeouts,
         json_str(r.final_breaker.label()),
         transitions.join(","),
-        r.tier_served[0],
-        r.tier_served[1],
-        r.tier_served[2],
+        tier_counts(r, ","),
         r.tier_transitions,
     )
 }
@@ -293,7 +299,10 @@ impl ServingReport {
             "completed",
             "timeouts",
             "breaker",
-            "tiers f64/f32/i16",
+            format!(
+                "tiers {}",
+                ServingTier::LADDER.map(ServingTier::label).join("/")
+            ),
             "rungmoves"
         );
         for r in &self.replicas {
@@ -305,10 +314,7 @@ impl ServingReport {
                 r.completions,
                 r.timeouts,
                 r.final_breaker.label(),
-                format!(
-                    "{}/{}/{}",
-                    r.tier_served[0], r.tier_served[1], r.tier_served[2]
-                ),
+                tier_counts(r, "/"),
                 r.tier_transitions,
             );
         }

@@ -924,7 +924,7 @@ impl<'a> Sim<'a> {
                         hedged: false,
                     });
                     self.start_leg(r, b, false);
-                    if let Some(tracker) = self.hedge_tracker.as_mut() {
+                    if let Some(tracker) = self.hedge_tracker.as_ref() {
                         // Hedge once *every* member has outlived its own
                         // tenant's rolling tail delay.
                         let requests = &self.batches[b].requests;
