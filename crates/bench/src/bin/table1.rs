@@ -18,10 +18,12 @@ use photon_core::{mann_whitney_u, run_method, TaskKind, TaskSpec, TextTable, Tra
 fn main() {
     let args = BenchArgs::parse();
     let runs = args.runs_or(3, 8);
-    // K = 24 stands in for the paper's largest width: the calibration
-    // Jacobian is finite-difference (O(error-params) model sweeps per
-    // Gauss-Newton iteration), which keeps the full table affordable on a
-    // laptop while still showing the with-K trend.
+    // K = 24 stands in for the paper's largest width: the calibration fit's
+    // dense Gram and Cholesky (about m²·n multiply-adds per Levenberg-
+    // Marquardt iteration for m residuals and n error parameters; see
+    // BENCH_calib.json) dominate its cost, while its exact Jacobian is
+    // cheap. That keeps the full table affordable on a laptop while still
+    // showing the with-K trend.
     let ks: &[usize] = if args.quick { &[12] } else { &[16, 24] };
     let tasks = [TaskKind::MnistLike, TaskKind::FashionLike];
 

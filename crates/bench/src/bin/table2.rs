@@ -16,10 +16,16 @@ use rand::SeedableRng;
 use photon_bench::harness::BenchArgs;
 use photon_calib::{calibrate, evaluate_model, CalibrationSettings, LmSettings};
 use photon_core::{
-    build_task, Method, ModelChoice, RunSummary, TaskKind, TaskSpec, TextTable, TrainConfig,
-    Trainer,
+    build_task, stream_seed, Method, ModelChoice, RunSummary, TaskKind, TaskSpec, TextTable,
+    TrainConfig, Trainer,
 };
 use photon_photonics::ideal_model;
+
+/// Stream tags of a run's calibration sweep ("CALI") and held-out fidelity
+/// check ("FIDE"). Each draws from its own stream, so the LCNG run keeps the
+/// run's RNG and every budget trains from the same warm start.
+const CALIBRATION_STREAM: u64 = 0x4341_4C49;
+const FIDELITY_STREAM: u64 = 0x4649_4445;
 
 fn main() {
     let args = BenchArgs::parse();
@@ -71,14 +77,16 @@ fn main() {
                         max_iters: args.pick(6, 20),
                     },
                 };
-                let out = calibrate(&task.chip, &settings, &mut rng).expect("calibration");
+                let mut calib_rng = StdRng::seed_from_u64(stream_seed(seed, CALIBRATION_STREAM, 0));
+                let out = calibrate(&task.chip, &settings, &mut calib_rng).expect("calibration");
                 let rmse = task.chip.oracle_errors().rmse(&out.errors);
                 g_rmse.push(rmse.gamma);
                 p_rmse.push(rmse.phase);
                 (out.model, out.chip_queries)
             };
             queries = q;
-            let fid = evaluate_model(&task.chip, &model, 12, 3, &mut rng);
+            let mut fid_rng = StdRng::seed_from_u64(stream_seed(seed, FIDELITY_STREAM, 0));
+            let fid = evaluate_model(&task.chip, &model, 12, 3, &mut fid_rng);
             pf.push(fid.power);
             ff.push(fid.field);
 

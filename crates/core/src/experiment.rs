@@ -8,6 +8,7 @@ use photon_calib::{calibrate_traced, CalibrationSettings};
 use photon_data::{images_to_dataset, Dataset, GaussianClusters, SyntheticFashion, SyntheticMnist};
 use photon_photonics::{Architecture, ErrorModel, FabricatedChip};
 
+use crate::journal::stream_seed;
 use crate::loss::{ClassificationHead, CoreError};
 use crate::stats::RunSummary;
 use crate::trainer::{Method, TrainConfig, TrainOutcome, Trainer};
@@ -164,6 +165,9 @@ pub fn build_task(spec: &TaskSpec, seed: u64) -> Result<TaskInstance, CoreError>
     })
 }
 
+/// Stream tag of a run's pre-training calibration sweep ("CALI").
+const CALIBRATION_STREAM: u64 = 0x4341_4C49;
+
 /// The aggregate of repeated runs of one method on one task.
 #[derive(Debug, Clone)]
 pub struct MethodResult {
@@ -185,7 +189,9 @@ pub struct MethodResult {
 /// initialization per seed) and aggregates the results.
 ///
 /// When `calibration` is provided, each run first calibrates its chip with
-/// the given settings and attaches the calibrated model.
+/// the given settings and attaches the calibrated model. The calibration
+/// sweep draws from a stream of its own ([`stream_seed`]), so run `r` of
+/// every method trains from the same warm start with the same batch orders.
 ///
 /// # Errors
 ///
@@ -215,7 +221,8 @@ pub fn run_method(
             // Pre-run calibration goes through the traced entry point so a
             // traced experiment ledgers its epoch-0 spend; with a null sink
             // this is identical to plain `calibrate`.
-            let outcome = calibrate_traced(&task.chip, cal_settings, &mut rng, &config.trace)
+            let mut calib_rng = StdRng::seed_from_u64(stream_seed(seed, CALIBRATION_STREAM, 0));
+            let outcome = calibrate_traced(&task.chip, cal_settings, &mut calib_rng, &config.trace)
                 .map_err(|e| CoreError::InvalidConfig(format!("calibration: {e}")))?;
             trainer = trainer.with_calibrated_model(outcome.model);
         }

@@ -7,12 +7,14 @@
 //! significance annotations).
 //!
 //! Durability has one format: [`RecordLog`], a CRC-framed, fsynced,
-//! single-writer text log whose torn tail replay truncates. The
-//! [`RunJournal`] of a durable run keeps the full loop-carried training
-//! state in one after every epoch, so a killed run resumes
-//! bitwise-identically; the journal's last [`RunState`] holds the trained
-//! parameters. No record carries wall-clock time, so same-spec runs write
-//! byte-identical files.
+//! single-writer text log whose torn tail replay truncates. The trainer's
+//! live stage-2 state is a [`RunState`]; the [`RunJournal`] of a durable
+//! run appends it after every epoch, so a killed run resumes
+//! bitwise-identically, and the journal's last [`RunState`] holds the
+//! trained parameters. No record carries wall-clock time, so same-spec
+//! runs write byte-identical files. Seeds derive from a root seed through
+//! [`epoch_seed`] and [`stream_seed`], so no generator state is ever
+//! stored.
 //!
 //! The method grid wired through [`Trainer`] covers the paper's comparison:
 //! vanilla ZO (`ZO-I`), coordinate-wise ZO (`ZO-co`), CMA-ES, the ablations
@@ -51,7 +53,7 @@ mod trainer;
 
 pub use experiment::{build_task, run_method, MethodResult, TaskInstance, TaskKind, TaskSpec};
 pub use journal::{
-    crc32, epoch_seed, EpochEntry, JournalError, JournalHeader, RecordLog, Replay,
+    crc32, epoch_seed, stream_seed, EpochEntry, JournalError, JournalHeader, RecordLog, Replay,
     RollbackSnapshot, RunJournal, RunState,
 };
 pub use loss::{softmax, ClassificationHead, CoreError};

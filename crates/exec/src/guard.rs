@@ -18,6 +18,8 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
+use photon_linalg::random::splitmix64;
+
 /// How a durable training run guards its chip-query phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WatchdogPolicy {
@@ -65,14 +67,6 @@ pub struct BackoffSchedule {
     pub max: Duration,
     /// Jitter seed; equal seeds yield equal schedules.
     pub seed: u64,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl BackoffSchedule {

@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use photon_calib::{recalibrate, CalibError, CalibrationSettings};
 use photon_core::{
-    chip_batch_loss, epoch_seed, evaluate_chip, mann_whitney_u, ClassificationHead, CoreError,
+    chip_batch_loss, evaluate_chip, mann_whitney_u, stream_seed, ClassificationHead, CoreError,
     DurableOptions, Evaluation, JournalError, Method, ModelChoice, RecordLog, RunJournal,
     RunOutcome, TrainConfig, TrainOutcome, Trainer, WatchdogPolicy,
 };
@@ -52,14 +52,10 @@ use rand::{Rng, SeedableRng};
 pub const ONLINE_WAL: &str = "online.journal";
 
 // Stream tags: each cycle's probe sweep, shadow fine-tune, and canary
-// slice draw from independent streams derived from (root ^ tag, cycle).
+// slice draw from independent streams, `stream_seed(root, tag, cycle)`.
 const PROBE_TAG: u64 = 0x5052_4F42; // "PROB"
 const SHADOW_TAG: u64 = 0x5348_4144; // "SHAD"
 const CANARY_TAG: u64 = 0x4341_4E41; // "CANA"
-
-fn stream(root: u64, tag: u64, cycle: u64) -> u64 {
-    epoch_seed(root ^ tag, cycle as usize)
-}
 
 /// Configuration of the online recalibration controller.
 #[derive(Debug, Clone)]
@@ -620,7 +616,7 @@ fn run_cycle<C: OnnChip>(
 
     // Probe: a calibration sweep against the live, drifted chip,
     // warm-started from the previous cycle's error estimate.
-    let mut probe_rng = StdRng::seed_from_u64(stream(opts.root_seed, PROBE_TAG, cycle));
+    let mut probe_rng = StdRng::seed_from_u64(stream_seed(opts.root_seed, PROBE_TAG, cycle));
     let recal = recalibrate(chip, prior, &opts.probe, &mut probe_rng)?;
 
     // Shadow fine-tune: a durable run from the *deployed* theta against
@@ -629,7 +625,7 @@ fn run_cycle<C: OnnChip>(
     let trainer =
         Trainer::new(&stepped, train, test, head).with_calibrated_model(recal.model.clone());
     let shadow_path = dir.join(format!("shadow-{cycle}.journal"));
-    let shadow_seed = stream(opts.root_seed, SHADOW_TAG, cycle);
+    let shadow_seed = stream_seed(opts.root_seed, SHADOW_TAG, cycle);
     let mut dopts = DurableOptions::new(&shadow_path, shadow_seed);
     if let Some(w) = opts.watchdog {
         dopts = dopts.with_watchdog(w);
@@ -673,7 +669,7 @@ fn run_cycle<C: OnnChip>(
         .map_or(0, |e| e.state.iteration as u64);
     let canary_step = base + final_iter + 1;
     chip.advance_to(canary_step);
-    let mut canary_rng = StdRng::seed_from_u64(stream(opts.root_seed, CANARY_TAG, cycle));
+    let mut canary_rng = StdRng::seed_from_u64(stream_seed(opts.root_seed, CANARY_TAG, cycle));
     // Each canary request is a microbatch, like real inference traffic:
     // one observation per request (its mean loss), drawn over distinct
     // test samples (partial Fisher-Yates).

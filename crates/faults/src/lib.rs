@@ -64,7 +64,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use photon_linalg::random::standard_normal;
+use photon_linalg::random::{splitmix64, standard_normal};
 use photon_linalg::{CVector, RVector};
 use photon_photonics::{
     AbortFlag, Architecture, BatchScratch, CacheStats, ChipScratch, ErrorVector, Network, OnnChip,
@@ -283,14 +283,6 @@ const SALT_PORT: u64 = 0x94d0_49bb_1331_11eb;
 const SALT_BURST: u64 = 0xd6e8_feb8_6659_fd93;
 const SALT_NOISE: u64 = 0xa076_1d64_78bd_642f;
 const SALT_HANG: u64 = 0xe703_7ed1_a0b4_28db;
-
-/// SplitMix64 finalizer: a high-quality 64-bit mixing function.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Maps a hash to a uniform in `(0, 1)` (never exactly 0, so logs are safe).
 fn unit(h: u64) -> f64 {

@@ -32,7 +32,7 @@ use photon_linalg::{symmetric_eig, LinalgError, RMatrix, RVector};
 /// assert!(es.best().expect("telled").1 < 1e-3);
 /// # Ok::<(), photon_linalg::LinalgError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CmaEs {
     dim: usize,
     lambda: usize,
@@ -296,18 +296,37 @@ impl CmaEs {
 
     /// Reconstructs an optimizer from a snapshot; the result continues the
     /// original trajectory bitwise-identically (given the same RNG stream).
+    /// The run journal decodes CMA-ES through it.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the snapshot's dimensions are inconsistent (e.g. `cov`
-    /// not square of the mean's dimension) or `lambda < 2`.
-    pub fn from_state(state: CmaEsState) -> Self {
+    /// Names the first inconsistency: an empty mean, `lambda < 2`, or a
+    /// vector or matrix whose shape disagrees with the mean's dimension.
+    pub fn from_state(state: CmaEsState) -> Result<Self, &'static str> {
         let n = state.mean.len();
-        assert_eq!(state.cov.rows(), n, "covariance rows must match dim");
-        assert_eq!(state.cov.cols(), n, "covariance cols must match dim");
-        assert_eq!(state.pc.len(), n, "pc length must match dim");
-        assert_eq!(state.ps.len(), n, "ps length must match dim");
-        assert_eq!(state.eig_sqrt.len(), n, "eig_sqrt length must match dim");
+        let square = |m: &RMatrix| m.rows() == n && m.cols() == n;
+        let checks = [
+            (n > 0, "dimension must be positive"),
+            (state.lambda >= 2, "population must be at least 2"),
+            (
+                square(&state.cov),
+                "covariance must be square of the mean's dimension",
+            ),
+            (state.pc.len() == n, "pc length must match dim"),
+            (state.ps.len() == n, "ps length must match dim"),
+            (
+                square(&state.eig_vectors),
+                "eigenvectors must be square of the mean's dimension",
+            ),
+            (state.eig_sqrt.len() == n, "eig_sqrt length must match dim"),
+            (
+                state.best.as_ref().is_none_or(|(x, _)| x.len() == n),
+                "best candidate length must match dim",
+            ),
+        ];
+        if let Some(&(_, message)) = checks.iter().find(|(ok, _)| !ok) {
+            return Err(message);
+        }
         // Rebuild every derived constant from (dim, λ), then overwrite the
         // evolving fields with the captured values.
         let mut es = CmaEs::with_population(&state.mean, 1.0, state.lambda);
@@ -321,7 +340,7 @@ impl CmaEs {
         es.generations_since_eig = state.generations_since_eig;
         es.generation = state.generation;
         es.best = state.best;
-        es
+        Ok(es)
     }
 
     fn refresh_eigensystem(&mut self) -> Result<(), LinalgError> {
@@ -494,7 +513,7 @@ mod tests {
             let losses: Vec<f64> = xs.iter().map(|x| x.norm_sqr()).collect();
             es.tell(&xs, &losses).unwrap();
         }
-        let mut restored = CmaEs::from_state(es.snapshot());
+        let mut restored = CmaEs::from_state(es.snapshot()).unwrap();
         // Two parallel RNG streams seeded identically: both copies must walk
         // the exact same trajectory from here on.
         let mut rng_a = StdRng::seed_from_u64(77);
@@ -511,16 +530,22 @@ mod tests {
         assert_eq!(bits(es.mean()), bits(restored.mean()));
         assert_eq!(es.sigma().to_bits(), restored.sigma().to_bits());
         assert_eq!(es.generation(), restored.generation());
-        assert_eq!(es.snapshot(), restored.snapshot());
+        assert_eq!(es, restored);
     }
 
     #[test]
-    #[should_panic(expected = "covariance rows must match dim")]
-    fn from_state_rejects_inconsistent_dims() {
+    fn from_state_rejects_inconsistent_state() {
         let es = CmaEs::with_population(&RVector::zeros(3), 1.0, 6);
+        assert_eq!(CmaEs::from_state(es.snapshot()), Ok(es.clone()));
         let mut state = es.snapshot();
         state.cov = RMatrix::identity(2);
-        let _ = CmaEs::from_state(state);
+        assert!(CmaEs::from_state(state).unwrap_err().contains("covariance"));
+        let mut state = es.snapshot();
+        state.lambda = 1;
+        assert!(CmaEs::from_state(state).unwrap_err().contains("population"));
+        let mut state = es.snapshot();
+        state.best = Some((RVector::zeros(2), 0.0));
+        assert!(CmaEs::from_state(state).is_err());
     }
 
     #[test]

@@ -56,7 +56,7 @@ mod tuning;
 mod zo;
 
 pub use cmaes::{penalize_non_finite, CmaEs, CmaEsState};
-pub use first_order::{Adam, AdamState};
+pub use first_order::Adam;
 pub use lcng::{lcng_direction, LcngSettings, LcngStep, MetricSource};
 pub use natural::{layered_sigma_segments, sigma_from_fisher, BlockNaturalPreconditioner};
 pub use robust::{retry_non_finite, RobustEval, RobustStats};

@@ -6,10 +6,12 @@
 //! probe measurements through the ladder
 //!
 //! 1. **retry** — a non-finite loss reading is re-measured up to
-//!    `max_retries` times (each re-read is a fresh chip query);
+//!    [`RobustEval::MAX_RETRIES`] times (each re-read is a fresh chip
+//!    query);
 //! 2. **reject** — difference quotients are screened by a median/MAD
-//!    outlier test; flagged probes are re-measured `rereads` times and
-//!    replaced by the median of the finite re-reads;
+//!    outlier test; flagged probes are re-measured
+//!    [`RobustEval::REREADS`] times and replaced by the median of the
+//!    finite re-reads;
 //! 3. **zero** — a probe that stays non-finite after all of the above
 //!    contributes a zero quotient (the probe is dropped from the estimate)
 //!    and is counted as unrecovered.
@@ -26,30 +28,27 @@
 
 use photon_linalg::RVector;
 
-/// Settings of the robust measurement ladder.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RobustEval {
-    /// Maximum immediate re-measurements of a non-finite loss reading.
-    pub max_retries: u32,
-    /// Outlier threshold in robust z-score units
-    /// (`|q − median| > z·1.4826·MAD` flags the probe).
-    pub outlier_zscore: f64,
-    /// Number of re-reads a flagged probe is replaced by the median of.
-    pub rereads: usize,
-}
+/// The robust measurement ladder. Its settings are constants: nothing in
+/// the stack tunes them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RobustEval;
 
 impl RobustEval {
-    /// A balanced default: 3 retries, z = 6, median-of-3 re-reads.
+    /// Maximum immediate re-measurements of a non-finite loss reading.
+    pub const MAX_RETRIES: u32 = 3;
+    /// Outlier threshold in robust z-score units
+    /// (`|q − median| > z·1.4826·MAD` flags the probe).
+    pub const OUTLIER_ZSCORE: f64 = 6.0;
+    /// Number of re-reads a flagged probe is replaced by the median of.
+    pub const REREADS: usize = 3;
+
+    /// The ladder: 3 retries, z = 6, median-of-3 re-reads.
     pub fn standard() -> Self {
-        RobustEval {
-            max_retries: 3,
-            outlier_zscore: 6.0,
-            rereads: 3,
-        }
+        RobustEval
     }
 
     /// The ladder's median/MAD screen: indices of the quotients that are
-    /// non-finite or lie more than `outlier_zscore` robust standard
+    /// non-finite or lie more than [`Self::OUTLIER_ZSCORE`] robust standard
     /// deviations from the median of the finite ones (all of them when
     /// none is finite).
     pub(crate) fn flag_outliers(&self, quotients: &[f64]) -> Vec<usize> {
@@ -69,7 +68,7 @@ impl RobustEval {
         quotients
             .iter()
             .enumerate()
-            .filter(|(_, v)| !v.is_finite() || (**v - med).abs() > self.outlier_zscore * scale)
+            .filter(|(_, v)| !v.is_finite() || (**v - med).abs() > Self::OUTLIER_ZSCORE * scale)
             .map(|(i, _)| i)
             .collect()
     }

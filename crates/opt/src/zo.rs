@@ -231,7 +231,7 @@ pub(crate) fn measure<R: Rng + ?Sized>(
             None => probe.axpy(mu, delta),
         }
     };
-    let max_retries = robust.map_or(0, |r| r.max_retries);
+    let max_retries = robust.map_or(0, |_| RobustEval::MAX_RETRIES);
 
     // Sweep every probe once; the ladder retries non-finite readings in
     // place.
@@ -253,23 +253,22 @@ pub(crate) fn measure<R: Rng + ?Sized>(
         return (directions, quotients, stats);
     };
 
-    // Reject: re-read every flagged probe `rereads` times and take the
+    // Reject: re-read every flagged probe `REREADS` times and take the
     // median of the finite readings.
     let flagged = robust.flag_outliers(&quotients);
     if flagged.is_empty() {
         return (directions, quotients, stats);
     }
     stats.rejected = flagged.len() as u64;
-    let rereads = robust.rereads.max(1);
     let replacements: Vec<f64> = pool.map_subset(
         &directions,
         &flagged,
         || theta.clone(),
         |probe, k, delta| {
             build_probe(probe, k, delta);
-            let readings: Vec<f64> = (0..rereads)
+            let readings: Vec<f64> = (0..RobustEval::REREADS)
                 .filter_map(|_| {
-                    let (l, _) = retry_non_finite(loss, probe, robust.max_retries);
+                    let (l, _) = retry_non_finite(loss, probe, RobustEval::MAX_RETRIES);
                     l.is_finite().then(|| (l - base_loss) / mu)
                 })
                 .collect();

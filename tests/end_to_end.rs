@@ -6,7 +6,7 @@ use rand::SeedableRng;
 
 use photon_zo::calib::{calibrate, evaluate_model, CalibrationSettings, LmSettings};
 use photon_zo::core::{
-    build_task, evaluate_chip, mann_whitney_u, Method, ModelChoice, TaskKind, TaskSpec,
+    build_task, evaluate_chip, mann_whitney_u, run_method, Method, ModelChoice, TaskKind, TaskSpec,
     TrainConfig, Trainer,
 };
 use photon_zo::photonics::ideal_model;
@@ -115,6 +115,34 @@ fn calibrated_model_is_closer_to_chip_than_ideal() {
         fid_cal.power,
         fid_ideal.power
     );
+}
+
+/// Every method of a `run_method` comparison starts stage 2 from the same
+/// θ₀: a calibrated arm draws its calibration sweep from a stream of its
+/// own, not from the run's RNG, so its warm start (and every batch order
+/// after it) matches ZO-I's run for run. With zero stage-2 epochs the
+/// final θ is θ₀.
+#[test]
+fn calibrated_arms_start_stage_two_from_the_shared_warm_start() {
+    let spec = TaskSpec::quick(4);
+    let config = quick_config(4, 0);
+    let thetas = |method, calibration: Option<&CalibrationSettings>| -> Vec<Vec<u64>> {
+        run_method(&spec, method, &config, 3, 17, calibration)
+            .unwrap()
+            .outcomes
+            .iter()
+            .map(|o| o.theta.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    };
+    let zo_i = thetas(Method::ZoGaussian, None);
+    let lcng_calib = thetas(
+        Method::Lcng {
+            model: ModelChoice::Calibrated,
+        },
+        Some(&CalibrationSettings::default()),
+    );
+    assert_ne!(zo_i[0], zo_i[1], "each run has a warm start of its own");
+    assert_eq!(zo_i, lcng_calib, "calibration must not move the warm start");
 }
 
 #[test]

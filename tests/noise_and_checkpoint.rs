@@ -125,11 +125,11 @@ mod persistence_properties {
     use proptest::prelude::*;
 
     use photon_zo::core::{
-        build_task, crc32, DurableOptions, EpochEntry, EpochRecord, JournalHeader, Method,
-        RecoveryStats, RunJournal, RunState, TaskSpec, TrainConfig, Trainer,
+        build_task, crc32, CoreError, DurableOptions, EpochEntry, EpochRecord, JournalHeader,
+        Method, RecoveryStats, RunJournal, RunState, TaskSpec, TrainConfig, Trainer,
     };
     use photon_zo::linalg::RVector;
-    use photon_zo::opt::AdamState;
+    use photon_zo::opt::Adam;
     use photon_zo::photonics::ErrorVector;
     use photon_zo::trace::LedgerCounts;
 
@@ -185,15 +185,7 @@ mod persistence_properties {
                         ledger: LedgerCounts::new(),
                         recovery: RecoveryStats::default(),
                         theta,
-                        adam: AdamState {
-                            lr: 0.01,
-                            beta1: 0.9,
-                            beta2: 0.999,
-                            eps: 1e-8,
-                            m: Some(m),
-                            v: Some(v),
-                            t: 3,
-                        },
+                        adam: Adam::from_parts(0.01, 0.9, 0.999, 1e-8, Some((m, v)), 3).unwrap(),
                         cma: None,
                         rollback_snapshot: None,
                         metric_errors: has_errors
@@ -251,8 +243,10 @@ mod persistence_properties {
             let back = &replay.entries[0];
             let (s, b) = (&entry.state, &back.state);
             prop_assert_eq!(bits(&b.theta), bits(&s.theta));
-            prop_assert_eq!(bits(b.adam.m.as_ref().unwrap()), bits(s.adam.m.as_ref().unwrap()));
-            prop_assert_eq!(bits(b.adam.v.as_ref().unwrap()), bits(s.adam.v.as_ref().unwrap()));
+            let (bm, bv) = b.adam.moments().unwrap();
+            let (sm, sv) = s.adam.moments().unwrap();
+            prop_assert_eq!(bits(bm), bits(sm));
+            prop_assert_eq!(bits(bv), bits(sv));
             prop_assert_eq!(b.loss_ema.map(f64::to_bits), s.loss_ema.map(f64::to_bits));
             let flat_bits = |e: &Option<ErrorVector>| {
                 e.as_ref().map(|e| e.to_flat().iter().map(|x| x.to_bits()).collect::<Vec<_>>())
@@ -442,6 +436,93 @@ mod persistence_properties {
         let mut mutated = bytes.to_vec();
         mutated[digit] = if mutated[digit] == b'0' { b'1' } else { b'0' };
         assert_eq!(replay_mutated(&mutated, "crc"), Ok(1));
+    }
+
+    /// Resumes a one-epoch durable run of `method` whose journal record was
+    /// rewritten by `edit` and resealed under a valid length and checksum.
+    fn resume_resealed(method: Method, name: &str, edit: impl Fn(&str) -> String) -> CoreError {
+        let dir = std::env::temp_dir().join(format!(
+            "photon-journal-resealed-{}-{name}",
+            std::process::id()
+        ));
+        let task = build_task(&TaskSpec::quick(4), 11).unwrap();
+        let trainer = Trainer::new(&task.chip, &task.train, &task.test, task.head);
+        let mut config = TrainConfig::quick(4);
+        config.epochs = 1;
+        config.threads = Some(1);
+        let opts = DurableOptions::new(dir.join("run.journal"), 3);
+        trainer.train_durable(method, &config, &opts).unwrap();
+        let bytes = std::fs::read(&opts.journal_path).unwrap();
+        let mut payloads: Vec<String> = payload_ranges(&bytes)
+            .into_iter()
+            .map(|(a, b)| String::from_utf8(bytes[a..b].to_vec()).unwrap())
+            .collect();
+        let last = payloads.last_mut().unwrap();
+        let edited = edit(last);
+        assert_ne!(&edited, last, "the edit must change the record");
+        *last = edited;
+        std::fs::write(&opts.journal_path, seal(&payloads)).unwrap();
+        let err = trainer.resume(&config, &opts).unwrap_err();
+        let _ = std::fs::remove_dir_all(&dir);
+        err
+    }
+
+    /// An edit of a record that sets token `index` of its `line_tag` line to
+    /// `value`.
+    fn replace_token(
+        line_tag: &'static str,
+        index: usize,
+        value: &'static str,
+    ) -> impl Fn(&str) -> String {
+        move |payload| {
+            payload
+                .lines()
+                .map(|line| match line.strip_prefix(line_tag) {
+                    Some(rest) if rest.starts_with(' ') => {
+                        let mut toks: Vec<&str> = rest[1..].split(' ').collect();
+                        toks[index] = value;
+                        format!("{line_tag} {}\n", toks.join(" "))
+                    }
+                    _ => format!("{line}\n"),
+                })
+                .collect()
+        }
+    }
+
+    /// A CRC-intact record whose optimizer values are out of range is a
+    /// journal parse error on resume, never a panic: a negative learning
+    /// rate, β₁ ≥ 1 and a CMA-ES population below 2 each used to panic in
+    /// the optimizer's constructor.
+    #[test]
+    fn resealed_out_of_range_optimizer_values_are_parse_errors() {
+        let cases = [
+            (
+                Method::ZoGaussian,
+                "lr",
+                replace_token("adam", 0, "-0.02"),
+                "learning rate",
+            ),
+            (
+                Method::ZoGaussian,
+                "beta1",
+                replace_token("adam", 1, "1.5"),
+                "beta1",
+            ),
+            (
+                Method::Cma { sigma0: 0.1 },
+                "lambda",
+                replace_token("cma", 0, "1"),
+                "population",
+            ),
+        ];
+        for (method, name, edit, expected) in cases {
+            match resume_resealed(method, name, edit) {
+                CoreError::Journal(message) => {
+                    assert!(message.contains(expected), "{name}: {message}")
+                }
+                other => panic!("{name}: expected a journal error, got {other:?}"),
+            }
+        }
     }
 
     /// Journals of another format version — the v1 format that still
