@@ -7,7 +7,10 @@
 //! (electro-optic activation) and a Reck → PSdiag → modReLU → Reck
 //! pipeline. The compiled batch and the pinned serve are pinned once more
 //! at K = 10 and K = 16 with 33 inputs, widths at which the GEMM runs full
-//! and partial row blocks.
+//! and partial row blocks. Each pinned serve moves a phase of the first
+//! mesh, then, served twice each, a phase of the second mesh, the last
+//! phase of the network and an activation bias: serves whose change lies
+//! past the first stage.
 //!
 //! Each test hashes the exact bits of its outputs, so a refactor of the
 //! module types that reorders any arithmetic fails here. The constants were
@@ -39,6 +42,42 @@ fn bits_hash(values: impl IntoIterator<Item = f64>) -> u64 {
 
 fn field_bits(v: &CVector) -> impl Iterator<Item = f64> + '_ {
     v.iter().flat_map(|z| [z.re, z.im])
+}
+
+/// Serves `xs` twice from `chip`'s pin, each with a fresh scratch, at the
+/// pinned `theta` with one phase moved by 0.37: a phase of the second mesh
+/// (module 3), the network's last phase (the second PSdiag, or the last
+/// Reck phase) and an activation bias (module 2). Checks that both reads
+/// agree bitwise and returns the hash of every read.
+fn later_stage_serves(
+    chip: &FabricatedChip,
+    net: &Network,
+    theta: &RVector,
+    xs: &[&CVector],
+) -> u64 {
+    let moves = [
+        net.module_param_range(3).start + 1,
+        net.param_count() - 1,
+        net.module_param_range(2).start + 1,
+    ];
+    let mut values = Vec::new();
+    for k in moves {
+        let mut moved = theta.clone();
+        moved[k] += 0.37;
+        let mut reads = Vec::new();
+        for _ in 0..2 {
+            let mut scratch = BatchScratch::new();
+            let fields = chip.forward_batch_into(xs, &moved, &mut scratch);
+            reads.push(fields.iter().flat_map(field_bits).collect::<Vec<f64>>());
+        }
+        assert_eq!(
+            bits_hash(reads[0].iter().copied()),
+            bits_hash(reads[1].iter().copied()),
+            "phase {k}: the second read differs"
+        );
+        values.extend(reads.concat());
+    }
+    bits_hash(values)
 }
 
 /// One pinned network: its architecture, flat errors, the network built
@@ -183,14 +222,16 @@ fn compiled_batch_and_pinned_serve_are_bit_pinned() {
         let fields = chip.forward_batch_into(&refs, &moved, &mut scratch);
         let pinned = bits_hash(fields.iter().flat_map(field_bits));
         assert_eq!(chip.cache_stats().incremental, 1, "served from the pin");
-        got.push([batch, pinned]);
+        let later = later_stage_serves(&chip, &c.net, &c.theta, &refs);
+        assert_eq!(chip.cache_stats().incremental, 7, "served from the pin");
+        got.push([batch, pinned, later]);
     }
     assert_eq!(
         got,
         [
-            [0xdbf9c58f0303f812, 0x99aae08195aeb53b],
-            [0xdbaf8c4cdccb550e, 0x53d4cc77d8969fb0],
-            [0x2b9501fe679325dc, 0x833bd2f6a15669b1],
+            [0xdbf9c58f0303f812, 0x99aae08195aeb53b, 0x7d28c5c62fb16e75],
+            [0xdbaf8c4cdccb550e, 0x53d4cc77d8969fb0, 0xcd441fc12306a641],
+            [0x2b9501fe679325dc, 0x833bd2f6a15669b1, 0x88646b3e9c211625],
         ],
         "{got:#x?}"
     );
@@ -278,13 +319,15 @@ fn wide_compiled_batch_and_pinned_serve_are_bit_pinned() {
         let fields = chip.forward_batch_into(&refs, &moved, &mut scratch);
         let pinned = bits_hash(fields.iter().flat_map(field_bits));
         assert_eq!(chip.cache_stats().incremental, 1, "served from the pin");
-        got.push([batch, pinned]);
+        let later = later_stage_serves(&chip, &net, &theta, &refs);
+        assert_eq!(chip.cache_stats().incremental, 7, "served from the pin");
+        got.push([batch, pinned, later]);
     }
     assert_eq!(
         got,
         [
-            [0xb8101abb1141e1ef, 0x2933ba761a5b0050],
-            [0x467b78ba548bc7c9, 0x329dea0bb59c6d6d],
+            [0xb8101abb1141e1ef, 0x2933ba761a5b0050, 0x271c8a19fc964635],
+            [0x467b78ba548bc7c9, 0x329dea0bb59c6d6d, 0x6be24818be622da9],
         ],
         "{got:#x?}"
     );

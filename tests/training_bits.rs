@@ -3,7 +3,9 @@
 //! durable one sliced by an epoch budget (`train_durable`, then `resume`
 //! until the run completes), the self-healing run of a faulty chip
 //! (rollbacks and recalibrations) and the experiment harness
-//! (`run_method`).
+//! (`run_method`). Most pins run the quick cluster task, whose single mesh
+//! compiles to one linear stage; the ZO-co pins on the two-mesh image task
+//! also reach a pointwise and a second linear stage through the trainer.
 //!
 //! Each test hashes the exact bits of θ, the per-epoch train losses and
 //! evaluations, the training-query counts, the per-category query ledger,
@@ -23,7 +25,7 @@ use rand::SeedableRng;
 
 use photon_zo::core::{
     build_task, run_method, DurableOptions, Method, ModelChoice, RecoveryPolicy, RunOutcome,
-    TaskSpec, TrainConfig, TrainOutcome, Trainer,
+    TaskKind, TaskSpec, TrainConfig, TrainOutcome, Trainer,
 };
 use photon_zo::faults::{DriftConfig, FaultPlan, FaultyChip, StuckShifter, TransientConfig};
 use photon_zo::trace::{LedgerCounts, MemorySink, TraceEvent, TraceHandle};
@@ -132,48 +134,90 @@ fn config(trace: TraceHandle) -> TrainConfig {
     config
 }
 
-/// One non-durable `train` of `method` on the quick task, with the oracle
-/// network attached as the calibrated model.
-fn train_pins(method: Method) -> Pins {
-    let task = build_task(&TaskSpec::quick(4), TASK_SEED).unwrap();
-    let trainer = Trainer::new(&task.chip, &task.train, &task.test, task.head)
-        .with_calibrated_model(task.chip.oracle_network());
-    let (trace, sink) = TraceHandle::memory(0);
-    let mut rng = StdRng::seed_from_u64(TRAIN_SEED);
-    let out = trainer.train(method, &config(trace), &mut rng).unwrap();
-    pins(&[&out], &sink)
+/// The two-mesh image task, `Clements + PSdiag + modReLU + Clements +
+/// PSdiag` at K = 10: its compiled plan runs a linear, a pointwise and a
+/// second linear stage.
+fn image_spec() -> TaskSpec {
+    TaskSpec {
+        train_size: 120,
+        test_size: 60,
+        ..TaskSpec::image(TaskKind::MnistLike, 10)
+    }
 }
 
-/// One durable run of `method` in two-epoch slices: `train_durable`, then
-/// `resume` until the run completes. Returns the digests and the hash of
-/// the journal file.
-fn durable_pins(method: Method, name: &str) -> (Pins, u64) {
-    let task = build_task(&TaskSpec::quick(4), TASK_SEED).unwrap();
-    let trainer = Trainer::new(&task.chip, &task.train, &task.test, task.head);
+/// Three iterations per epoch of 24 coordinate probes each, so the nine
+/// stage-2 iterations sweep every one of the task's 210 phases and biases,
+/// the later stages' included.
+fn image_config(trace: TraceHandle) -> TrainConfig {
+    let mut config = TrainConfig::quick(10);
+    config.warm_epochs = 2;
+    config.epochs = 3;
+    config.batch_size = 40;
+    config.q = 24;
+    config.eval_every = 2;
+    config.trace = trace;
+    config
+}
+
+/// One non-durable `train` of `method` on `spec`'s task, with the oracle
+/// network attached as the calibrated model.
+fn train_on(spec: &TaskSpec, method: Method, config: TrainConfig, sink: &MemorySink) -> Pins {
+    let task = build_task(spec, TASK_SEED).unwrap();
+    let trainer = Trainer::new(&task.chip, &task.train, &task.test, task.head)
+        .with_calibrated_model(task.chip.oracle_network());
+    let mut rng = StdRng::seed_from_u64(TRAIN_SEED);
+    let out = trainer.train(method, &config, &mut rng).unwrap();
+    pins(&[&out], sink)
+}
+
+/// [`train_on`] the quick task.
+fn train_pins(method: Method) -> Pins {
     let (trace, sink) = TraceHandle::memory(0);
-    let config = config(trace);
+    train_on(&TaskSpec::quick(4), method, config(trace), &sink)
+}
+
+/// One durable run of `method` on `spec`'s task in two-epoch slices:
+/// `train_durable`, then `resume` until the run completes. Returns the
+/// digests, the hash of the journal file and the number of slices.
+fn durable_on(
+    spec: &TaskSpec,
+    method: Method,
+    config: &TrainConfig,
+    sink: &MemorySink,
+    name: &str,
+) -> (Pins, u64, usize) {
+    let task = build_task(spec, TASK_SEED).unwrap();
+    let trainer = Trainer::new(&task.chip, &task.train, &task.test, task.head);
     let dir: PathBuf = std::env::temp_dir().join(format!(
         "photon-training-bits-{}-{name}",
         std::process::id()
     ));
     let path = dir.join("run.journal");
     let opts = DurableOptions::new(&path, ROOT_SEED).with_epoch_budget(2);
-    let mut outcome = trainer.train_durable(method, &config, &opts).unwrap();
+    let mut outcome = trainer.train_durable(method, config, &opts).unwrap();
     let mut slices = 1;
     let out = loop {
         match outcome {
             RunOutcome::Completed(out) => break out,
             RunOutcome::Aborted { resumable, .. } => {
                 assert!(resumable);
-                outcome = trainer.resume(&config, &opts).unwrap();
+                outcome = trainer.resume(config, &opts).unwrap();
                 slices += 1;
             }
         }
     };
-    assert_eq!(slices, 3, "five epochs in two-epoch slices");
     let journal = fnv(std::fs::read(&path).unwrap());
     let _ = std::fs::remove_dir_all(&dir);
-    (pins(&[&out], &sink), journal)
+    (pins(&[&out], sink), journal, slices)
+}
+
+/// [`durable_on`] the quick task: five epochs in three slices.
+fn durable_pins(method: Method, name: &str) -> (Pins, u64) {
+    let (trace, sink) = TraceHandle::memory(0);
+    let (pins, journal, slices) =
+        durable_on(&TaskSpec::quick(4), method, &config(trace), &sink, name);
+    assert_eq!(slices, 3, "five epochs in two-epoch slices");
+    (pins, journal)
 }
 
 #[test]
@@ -444,6 +488,58 @@ fn run_method_zo_gaussian_is_bit_pinned() {
             ledger: 0x34248a162f9ac23c,
             recovery: 0x97da6c8a99b3e2df,
             trace: 0xe4b30a8614090cd9
+        }
+    );
+}
+
+/// ZO-co on the two-mesh image task through `train`: coordinate probes of
+/// the modReLU biases, the second mesh and its PSdiag change only a later
+/// stage of the compiled plan.
+#[test]
+fn two_stage_zo_coordinate_train_is_bit_pinned() {
+    let (trace, sink) = TraceHandle::memory(0);
+    let got = train_on(
+        &image_spec(),
+        Method::ZoCoordinate,
+        image_config(trace),
+        &sink,
+    );
+    assert_eq!(
+        got,
+        Pins {
+            theta: 0x804f1238244e088f,
+            losses: 0x7832a7b186462727,
+            queries: 0x0bdebe0105ed0ac9,
+            ledger: 0x00cf2b392158e065,
+            recovery: 0xcc3f8cd8cb97dd66,
+            trace: 0x4c7254f37077ccc6
+        }
+    );
+}
+
+/// The same run through `train_durable` with a two-epoch budget, then
+/// `resume`; the journal bytes are pinned too.
+#[test]
+fn two_stage_durable_zo_coordinate_slices_are_bit_pinned() {
+    let (trace, sink) = TraceHandle::memory(0);
+    let (got, journal, slices) = durable_on(
+        &image_spec(),
+        Method::ZoCoordinate,
+        &image_config(trace),
+        &sink,
+        "two-stage-zo-co",
+    );
+    assert_eq!(slices, 2, "three epochs in two-epoch slices");
+    assert_eq!(journal, 0xf6c3e7f32be44c98);
+    assert_eq!(
+        got,
+        Pins {
+            theta: 0xc5dc80b24bb8f284,
+            losses: 0x9af106e0ffaca5fa,
+            queries: 0x0bdebe0105ed0ac9,
+            ledger: 0x00cf2b392158e065,
+            recovery: 0xcc3f8cd8cb97dd66,
+            trace: 0xb1da53583526dbb6
         }
     );
 }
