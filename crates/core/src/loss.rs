@@ -132,6 +132,11 @@ impl ClassificationHead {
     /// compares and propagates predictably instead of poisoning the LCNG
     /// normal equations.
     ///
+    /// Allocation-free, with the arithmetic of [`softmax`] over
+    /// [`ClassificationHead::logits`] step for step: the `max` fold from
+    /// `−∞`, the left-to-right sum of `exp(logit − max)`, then
+    /// `exp(logit_label − max)·(1/sum)`; so it returns those bits.
+    ///
     /// # Panics
     ///
     /// Panics when `label >= num_classes`.
@@ -140,8 +145,14 @@ impl ClassificationHead {
         if !y.iter().all(|z| z.re.is_finite() && z.im.is_finite()) {
             return f64::INFINITY;
         }
-        let p = self.probabilities(y);
-        -(p[label].max(1e-300)).ln()
+        assert_eq!(y.len(), self.output_dim, "output dimension mismatch");
+        let logit = |c: usize| self.gain * y[self.offset + c].norm_sqr();
+        let max = (0..self.num_classes)
+            .map(logit)
+            .fold(f64::NEG_INFINITY, f64::max);
+        let sum: f64 = (0..self.num_classes).map(|c| (logit(c) - max).exp()).sum();
+        let p = (logit(label) - max).exp() * (1.0 / sum);
+        -(p.max(1e-300)).ln()
     }
 
     /// Loss plus the Wirtinger output cotangent
@@ -219,6 +230,20 @@ mod tests {
         assert!(h.loss(&y, 7) < h.loss(&y, 2));
         let p = h.probabilities(&y);
         assert!((p.sum() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn loss_gives_the_softmax_path_bits() {
+        let h = head();
+        let mut y = CVector::zeros(16);
+        for (k, z) in y.iter_mut().enumerate() {
+            *z = C64::from_polar(0.05 + 0.07 * k as f64, 0.9 * k as f64);
+        }
+        for label in 0..10 {
+            let p = h.probabilities(&y);
+            let want = -(p[label].max(1e-300)).ln();
+            assert_eq!(h.loss(&y, label).to_bits(), want.to_bits(), "label {label}");
+        }
     }
 
     #[test]

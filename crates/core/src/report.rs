@@ -384,11 +384,13 @@ pub fn trace_summary(events: &[TraceEvent]) -> String {
                 invalidations,
                 incremental,
                 forced_recompiles,
+                skipped_stages,
             } => {
                 let _ = writeln!(
                     out,
                     "cache: {hits} hits, {misses} full compiles, {incremental} incremental, \
-                     {forced_recompiles} forced, {invalidations} invalidations"
+                     {forced_recompiles} forced, {invalidations} invalidations, \
+                     {skipped_stages} skipped stages"
                 );
             }
             TraceEvent::PoolStats {

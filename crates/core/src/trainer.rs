@@ -1518,6 +1518,7 @@ impl<'a, C: OnnChip> Trainer<'a, C> {
                 invalidations: cache.invalidations,
                 incremental: cache.incremental,
                 forced_recompiles: cache.forced_recompiles,
+                skipped_stages: cache.skipped_stages,
             });
             if let Some(metrics) = ctx.pool.metrics() {
                 let snap = metrics.snapshot();

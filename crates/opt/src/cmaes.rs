@@ -60,6 +60,12 @@ pub struct CmaEs {
 }
 
 impl CmaEs {
+    /// The largest population `λ` an optimizer accepts. It is far above
+    /// the default `4 + ⌊3·ln N⌋` (26 at N = 2 080, the K = 32 two-mesh
+    /// classifier), and it bounds what a constructor allocates for the
+    /// `λ/2` recombination weights and a generation's `λ` candidates.
+    pub const MAX_POPULATION: usize = 1 << 16;
+
     /// Creates an optimizer centered at `initial_mean` with step size
     /// `sigma0` and the default population `λ = 4 + ⌊3·ln N⌋`.
     ///
@@ -72,16 +78,22 @@ impl CmaEs {
         CmaEs::with_population(initial_mean, sigma0, lambda.max(4))
     }
 
-    /// Creates an optimizer with an explicit population size `λ ≥ 2`.
+    /// Creates an optimizer with an explicit population size
+    /// `2 ≤ λ ≤` [`CmaEs::MAX_POPULATION`].
     ///
     /// # Panics
     ///
-    /// Panics when the mean is empty, `sigma0 <= 0` or `lambda < 2`.
+    /// Panics when the mean is empty, `sigma0 <= 0`, `lambda < 2` or
+    /// `lambda > CmaEs::MAX_POPULATION`.
     pub fn with_population(initial_mean: &RVector, sigma0: f64, lambda: usize) -> Self {
         let n = initial_mean.len();
         assert!(n > 0, "dimension must be positive");
         assert!(sigma0 > 0.0, "initial step size must be positive");
         assert!(lambda >= 2, "population must be at least 2");
+        assert!(
+            lambda <= Self::MAX_POPULATION,
+            "population must be at most CmaEs::MAX_POPULATION"
+        );
         let nf = n as f64;
         let mu = lambda / 2;
         // Log-linear recombination weights.
@@ -300,14 +312,19 @@ impl CmaEs {
     ///
     /// # Errors
     ///
-    /// Names the first inconsistency: an empty mean, `lambda < 2`, or a
-    /// vector or matrix whose shape disagrees with the mean's dimension.
+    /// Names the first inconsistency: an empty mean, `lambda` outside
+    /// `2..=`[`CmaEs::MAX_POPULATION`], or a vector or matrix whose shape
+    /// disagrees with the mean's dimension.
     pub fn from_state(state: CmaEsState) -> Result<Self, &'static str> {
         let n = state.mean.len();
         let square = |m: &RMatrix| m.rows() == n && m.cols() == n;
         let checks = [
             (n > 0, "dimension must be positive"),
             (state.lambda >= 2, "population must be at least 2"),
+            (
+                state.lambda <= CmaEs::MAX_POPULATION,
+                "population must be at most CmaEs::MAX_POPULATION",
+            ),
             (
                 square(&state.cov),
                 "covariance must be square of the mean's dimension",
@@ -543,6 +560,11 @@ mod tests {
         let mut state = es.snapshot();
         state.lambda = 1;
         assert!(CmaEs::from_state(state).unwrap_err().contains("population"));
+        for lambda in [CmaEs::MAX_POPULATION + 1, 1 << 62] {
+            let mut state = es.snapshot();
+            state.lambda = lambda;
+            assert!(CmaEs::from_state(state).unwrap_err().contains("at most"));
+        }
         let mut state = es.snapshot();
         state.best = Some((RVector::zeros(2), 0.0));
         assert!(CmaEs::from_state(state).is_err());
@@ -553,6 +575,12 @@ mod tests {
     fn tell_rejects_wrong_count() {
         let mut es = CmaEs::with_population(&RVector::zeros(2), 1.0, 6);
         let _ = es.tell(&[RVector::zeros(2)], &[0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "population must be at most")]
+    fn oversized_population_rejected() {
+        let _ = CmaEs::with_population(&RVector::zeros(2), 1.0, CmaEs::MAX_POPULATION + 1);
     }
 
     #[test]

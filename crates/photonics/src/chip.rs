@@ -339,6 +339,7 @@ struct CacheCounters {
     invalidations: AtomicU64,
     incremental: AtomicU64,
     forced_recompiles: AtomicU64,
+    skipped_stages: AtomicU64,
 }
 
 impl CacheCounters {
@@ -360,6 +361,10 @@ impl CacheCounters {
             self.forced_recompiles
                 .fetch_add(d.forced_recompiles, Ordering::Relaxed);
         }
+        if d.skipped_stages > 0 {
+            self.skipped_stages
+                .fetch_add(d.skipped_stages, Ordering::Relaxed);
+        }
     }
 
     fn snapshot(&self) -> CacheStats {
@@ -369,6 +374,7 @@ impl CacheCounters {
             invalidations: self.invalidations.load(Ordering::Relaxed),
             incremental: self.incremental.load(Ordering::Relaxed),
             forced_recompiles: self.forced_recompiles.load(Ordering::Relaxed),
+            skipped_stages: self.skipped_stages.load(Ordering::Relaxed),
         }
     }
 }

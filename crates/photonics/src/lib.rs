@@ -76,7 +76,7 @@ pub use fisher::{
 };
 pub use mesh::{MeshKind, MeshModule};
 pub use modrelu::ModRelu;
-pub use module::{Module, ModuleTape, PsSnapshot};
+pub use module::{Module, ModuleTape};
 pub use network::{
     Architecture, GatePlan, ModuleSpec, Network, NetworkError, NetworkScratch, NetworkTape,
 };

@@ -5,7 +5,6 @@
 use photon_linalg::{CMatrix, CVector, C64};
 
 use crate::error::{ErrorCursor, ErrorVector, ErrorVectorError};
-use crate::module::PsSnapshot;
 use crate::ops::Op;
 
 /// The topology family of a [`MeshModule`], kept for naming and reporting.
@@ -246,60 +245,66 @@ impl MeshModule {
         }
     }
 
-    /// Like [`MeshModule::compile_apply`], but additionally records one
-    /// [`PsSnapshot`] per phase shifter (prefix rows filled, suffix columns
-    /// left empty for [`MeshModule::compile_suffix_probed`]), appended to
-    /// `snaps` in op order. It premultiplies exactly the same arithmetic as
-    /// `compile_apply`, so a probed compile is bitwise identical to a plain
-    /// one.
-    pub fn compile_apply_probed(
+    /// Like [`MeshModule::compile_apply`], but additionally records each
+    /// phase shifter's fabrication factor `ζ` onto `zeta` and its prefix
+    /// row — row `port` of `acc` just before the shifter, the product
+    /// `e_pᵀ·(U_{i−1}···U_1)` of every op before it in the fused stage —
+    /// onto `prefix`, in op order: the mesh numbers its phases in op
+    /// order, so phase `j` of a stage has its row at `prefix[j·N..(j+1)·N]`.
+    /// It premultiplies exactly the same arithmetic as `compile_apply`, so
+    /// a probed compile is bitwise identical to a plain one.
+    ///
+    /// With the stage product written `M = U_n···U_1`, a change of shifter
+    /// `i`'s phase from `θ` to `θ'` moves `M` by the exact rank-1 update
+    /// `ζ·(e^{jθ'} − e^{jθ})·b·cᵀ`, `c` the prefix row and `b` the suffix
+    /// column of [`MeshModule::compile_suffix_probed`].
+    pub(crate) fn compile_apply_probed(
         &self,
         theta: &[f64],
         acc: &mut CMatrix,
-        snaps: &mut Vec<PsSnapshot>,
+        zeta: &mut Vec<C64>,
+        prefix: &mut Vec<C64>,
     ) {
         debug_assert_eq!(theta.len(), self.param_count, "parameter count mismatch");
         debug_assert_eq!(acc.rows(), self.dim, "accumulator row mismatch");
         for op in &self.ops {
-            if let Op::Ps { port, zeta, .. } = *op {
-                snaps.push(PsSnapshot {
-                    port,
-                    zeta,
-                    prefix: acc.row(port).to_vec(),
-                    suffix: Vec::new(),
-                });
+            if let Op::Ps { port, zeta: z, .. } = *op {
+                zeta.push(z);
+                prefix.extend_from_slice(acc.row(port));
             }
             op.apply_to_rows(acc, theta);
         }
     }
 
-    /// Completes the suffix columns of this mesh's snapshots by walking the
+    /// Writes this mesh's suffix columns — column `port` of the product
+    /// `U_n···U_{i+1}` of every op after shifter `i` in the fused stage —
+    /// into `suffix`, in op order, `N` entries per shifter, by walking the
     /// op list in reverse while postmultiplying onto `acc`.
     ///
     /// On entry `acc` must hold the product of every op applied *after* this
     /// mesh in the fused stage (identity for the last mesh); on exit it has
-    /// absorbed this mesh too, ready for the preceding one. `snaps` is
-    /// exactly the slice this mesh appended in
-    /// [`MeshModule::compile_apply_probed`], still in op order.
-    pub fn compile_suffix_probed(
+    /// absorbed this mesh too, ready for the preceding one. `suffix` is
+    /// exactly this mesh's span of the stage's columns.
+    pub(crate) fn compile_suffix_probed(
         &self,
         theta: &[f64],
         acc: &mut CMatrix,
-        snaps: &mut [PsSnapshot],
+        suffix: &mut [C64],
     ) {
         debug_assert_eq!(acc.cols(), self.dim, "suffix accumulator column mismatch");
-        let mut k = snaps.len();
+        let mut end = suffix.len();
         for op in self.ops.iter().rev() {
             if let Op::Ps { port, .. } = *op {
-                debug_assert!(k > 0, "snapshot/op walk out of sync");
-                k -= 1;
-                let snap = &mut snaps[k];
-                debug_assert_eq!(snap.port, port, "snapshot/op walk out of sync");
-                snap.suffix = acc.col(port).as_slice().to_vec();
+                debug_assert!(end >= self.dim, "suffix/op walk out of sync");
+                let col = &mut suffix[end - self.dim..end];
+                for (r, v) in col.iter_mut().enumerate() {
+                    *v = acc[(r, port)];
+                }
+                end -= self.dim;
             }
             op.apply_to_cols(acc, theta);
         }
-        debug_assert_eq!(k, 0, "snapshot/op walk out of sync");
+        debug_assert_eq!(end, 0, "suffix/op walk out of sync");
     }
 
     /// Compiles this mesh's dense transfer matrix at `theta` (errors are

@@ -45,17 +45,16 @@ impl ModRelu {
 
     // Debug-only checks: lengths are validated once at the `Network`/chip
     // boundary before the per-module hot loop runs.
-    pub(crate) fn forward_into(&self, x: &CVector, theta: &[f64], out: &mut CVector) {
+    pub(crate) fn forward_slice(&self, x: &[C64], theta: &[f64], out: &mut [C64]) {
         debug_assert_eq!(x.len(), self.dim, "input dimension mismatch");
         debug_assert_eq!(theta.len(), self.dim, "parameter count mismatch");
-        out.resize_zeroed(self.dim);
-        for (k, o) in out.iter_mut().enumerate() {
-            let z = x[k];
+        debug_assert_eq!(out.len(), self.dim, "output dimension mismatch");
+        for ((o, &z), &b) in out.iter_mut().zip(x).zip(theta) {
             let r = z.abs();
-            *o = if r <= DARK || r + theta[k] < 0.0 {
+            *o = if r <= DARK || r + b < 0.0 {
                 C64::ZERO
             } else {
-                z.scale((r + theta[k]) / r)
+                z.scale((r + b) / r)
             };
         }
     }

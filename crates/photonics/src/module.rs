@@ -7,35 +7,6 @@ use crate::error::{ErrorCursor, ErrorVector, ErrorVectorError};
 use crate::mesh::MeshModule;
 use crate::modrelu::ModRelu;
 
-/// Compile-time snapshot of one phase shifter inside a fused linear stage,
-/// recorded by [`MeshModule::compile_apply_probed`] and completed by
-/// [`MeshModule::compile_suffix_probed`].
-///
-/// With the stage product written `M = U_n···U_1` and shifter `i` sitting on
-/// port `p`, a change of its phase from `θ` to `θ'` moves the stage matrix by
-/// the exact rank-1 update
-///
-/// ```text
-/// M' = M + ζ·(e^{jθ'} − e^{jθ}) · b · cᵀ,
-///   b = (U_n···U_{i+1})·e_p   (the suffix column),
-///   c = e_pᵀ·(U_{i−1}···U_1)  (the prefix row),
-/// ```
-///
-/// so a snapshot holding `b` and `c` lets the compiled-plan cache absorb a
-/// sparse phase perturbation in `O(N²)` instead of a full mesh recompile.
-#[derive(Debug, Clone)]
-pub struct PsSnapshot {
-    /// Waveguide index the shifter sits on.
-    pub port: usize,
-    /// Fabrication error factor `ζ` baked into the shifter.
-    pub zeta: C64,
-    /// Prefix row `e_pᵀ·(U_{i−1}···U_1)` at the compile point.
-    pub prefix: Vec<C64>,
-    /// Suffix column `(U_n···U_{i+1})·e_p` at the compile point. Empty until
-    /// the reverse walk fills it.
-    pub suffix: Vec<C64>,
-}
-
 /// Saved forward-pass state of one module and one sample, needed by
 /// [`Module::jvp`] and [`Module::vjp`].
 ///
@@ -120,8 +91,25 @@ impl Module {
     pub fn forward_into(&self, x: &CVector, theta: &[f64], out: &mut CVector) {
         match self {
             Module::Mesh(mesh) => mesh.forward_into(x, theta, out),
-            Module::ModRelu(act) => act.forward_into(x, theta, out),
-            Module::ElectroOptic(act) => act.forward_into(x, theta, out),
+            Module::ModRelu(_) | Module::ElectroOptic(_) => {
+                out.resize_zeroed(self.dim());
+                self.forward_pointwise(x.as_slice(), theta, out.as_mut_slice());
+            }
+        }
+    }
+
+    /// Applies an activation element-wise from `x` into `out`, both of
+    /// length `dim`: the one body of an activation's forward, which the
+    /// interpreted walk and the compiled plan's panel columns share.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a mesh, which is not element-wise.
+    pub(crate) fn forward_pointwise(&self, x: &[C64], theta: &[f64], out: &mut [C64]) {
+        match self {
+            Module::ModRelu(act) => act.forward_slice(x, theta, out),
+            Module::ElectroOptic(act) => act.forward_slice(x, theta, out),
+            Module::Mesh(_) => unreachable!("a mesh is not element-wise"),
         }
     }
 

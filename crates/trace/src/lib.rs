@@ -202,6 +202,9 @@ pub enum TraceEvent {
         incremental: u64,
         /// Full recompiles forced by the incremental drift-bound cadence.
         forced_recompiles: u64,
+        /// Stages that batches skipped by starting from a pinned base's
+        /// memoized stage input.
+        skipped_stages: u64,
     },
     /// Worker-pool counters (run-level).
     PoolStats {
@@ -517,8 +520,9 @@ impl TraceEvent {
                 invalidations,
                 incremental,
                 forced_recompiles,
+                skipped_stages,
             } => format!(
-                "{{\"type\":{kind},\"hits\":{hits},\"misses\":{misses},\"invalidations\":{invalidations},\"incremental\":{incremental},\"forced_recompiles\":{forced_recompiles}}}"
+                "{{\"type\":{kind},\"hits\":{hits},\"misses\":{misses},\"invalidations\":{invalidations},\"incremental\":{incremental},\"forced_recompiles\":{forced_recompiles},\"skipped_stages\":{skipped_stages}}}"
             ),
             TraceEvent::PoolStats {
                 threads,
@@ -942,6 +946,7 @@ mod tests {
                 invalidations: 0,
                 incremental: 0,
                 forced_recompiles: 0,
+                skipped_stages: 0,
             }
         });
         assert!(!ran, "null handle must not construct events");
@@ -1132,6 +1137,7 @@ mod tests {
             invalidations: 0,
             incremental: 3,
             forced_recompiles: 0,
+            skipped_stages: 2,
         });
         sink.record(&TraceEvent::QueryLedger {
             epoch: 1,
@@ -1145,6 +1151,7 @@ mod tests {
         for line in &lines {
             assert!(line.starts_with('{') && line.ends_with('}'));
         }
+        assert!(lines[0].contains("\"skipped_stages\":2"));
         assert!(lines[1].contains("\"category\":\"eval\""));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -9,7 +9,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use photon_zo::core::{
-    build_task, chip_batch_loss, model_batch_loss_and_grad, Method, TaskSpec, TrainConfig, Trainer,
+    build_task, chip_batch_loss, model_batch_loss_and_grad, Method, TaskKind, TaskSpec,
+    TrainConfig, Trainer,
 };
 use photon_zo::exec::ExecPool;
 use photon_zo::linalg::RVector;
@@ -212,19 +213,37 @@ fn robust_ladder_sweeps_the_plain_estimators_probe_points() {
 
 #[test]
 fn full_training_runs_are_pool_size_invariant() {
-    let spec = TaskSpec::quick(4);
-    for method in [
-        Method::ZoGaussian,
-        Method::Lcng {
-            model: photon_zo::core::ModelChoice::Ideal,
-        },
+    // ZO-co on the two-mesh image task probes the activation and the
+    // second mesh, whose batches the pin's stage-input memo serves: state
+    // that the pooled probe workers share.
+    let two_mesh = TaskSpec {
+        train_size: 120,
+        test_size: 60,
+        ..TaskSpec::image(TaskKind::MnistLike, 10)
+    };
+    for (spec, method) in [
+        (TaskSpec::quick(4), Method::ZoGaussian),
+        (
+            TaskSpec::quick(4),
+            Method::Lcng {
+                model: photon_zo::core::ModelChoice::Ideal,
+            },
+        ),
+        (two_mesh, Method::ZoCoordinate),
     ] {
         let mut outcomes = Vec::new();
         for threads in [1usize, 4] {
             let task = build_task(&spec, 47).unwrap();
             let trainer = Trainer::new(&task.chip, &task.train, &task.test, task.head);
-            let mut config = TrainConfig::quick(4);
+            let mut config = TrainConfig::quick(spec.k);
             config.epochs = 2;
+            if method == Method::ZoCoordinate {
+                // Two epochs of three 40-probe iterations sweep all 210
+                // coordinates.
+                config.warm_epochs = 2;
+                config.batch_size = 40;
+                config.q = 40;
+            }
             config.threads = Some(threads);
             let mut rng = StdRng::seed_from_u64(48);
             outcomes.push(trainer.train(method, &config, &mut rng).unwrap());

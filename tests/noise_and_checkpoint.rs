@@ -491,7 +491,8 @@ mod persistence_properties {
 
     /// A CRC-intact record whose optimizer values are out of range is a
     /// journal parse error on resume, never a panic: a negative learning
-    /// rate, β₁ ≥ 1 and a CMA-ES population below 2 each used to panic in
+    /// rate, β₁ ≥ 1, a CMA-ES population below 2 and one of 2^62 (whose
+    /// recombination weights overflow the allocator) each used to panic in
     /// the optimizer's constructor.
     #[test]
     fn resealed_out_of_range_optimizer_values_are_parse_errors() {
@@ -512,6 +513,12 @@ mod persistence_properties {
                 Method::Cma { sigma0: 0.1 },
                 "lambda",
                 replace_token("cma", 0, "1"),
+                "population",
+            ),
+            (
+                Method::Cma { sigma0: 0.1 },
+                "lambda-huge",
+                replace_token("cma", 0, "4611686018427387904"),
                 "population",
             ),
         ];
