@@ -13,7 +13,10 @@
 //! take most of an iteration, so each row also times those two kernels
 //! alone at the fit's shapes: [`RMatrix::gram`] of an `error_params ×
 //! residuals` matrix and [`RCholesky::new`] of the `residuals`-wide
-//! result. The K = 24 row is the cost a matrix-free solve has to beat.
+//! result. It times the Jacobian's walks alone too, as the fit runs them:
+//! per setting one gate plan, per probe one taped forward and one error-VJP
+//! panel of the `K` detector cotangents written into `Jᵀ`. The K = 24 row
+//! is the cost a matrix-free solve has to beat.
 //!
 //! The bench has a custom `main` that writes the numbers to
 //! `BENCH_calib.json` at the workspace root.
@@ -26,8 +29,10 @@ use rand::SeedableRng;
 
 use photon_bench::report::{json_fixed, json_object, json_rows, json_str, write_bench_json};
 use photon_calib::{calibrate, CalibrationSettings, LmSettings, ProbePlan};
-use photon_linalg::{RCholesky, RMatrix};
-use photon_photonics::{Architecture, ErrorModel, FabricatedChip};
+use photon_linalg::{CVector, RCholesky, RMatrix};
+use photon_photonics::{
+    Architecture, ErrorModel, ErrorVector, FabricatedChip, NetworkScratch, StatePanel,
+};
 
 /// Widths and the fits timed at each: a K = 10 fit takes about 0.1 s and a
 /// K = 24 one several seconds.
@@ -77,6 +82,31 @@ fn bench_width(k: usize, repeats: usize) -> String {
         iterations = outcome.iterations;
         iterations
     });
+    // The exact Jᵀ of a model with sampled errors over the plan's probes.
+    let errors = ErrorVector::sample(n_bs, n_ps, &ErrorModel::with_beta(1.0), &mut rng.clone());
+    let model = arch.build_with_errors(&errors).expect("matching slots");
+    let k_out = chip.output_dim();
+    let mut jt_exact = RMatrix::zeros(error_params, residuals);
+    let (mut scratch, mut tape) = (NetworkScratch::new(), model.new_tape());
+    let (mut y, mut panel) = (CVector::zeros(0), StatePanel::default());
+    let jacobian = time_per(repeats, || {
+        let mut at = 0;
+        for theta in &plan.settings {
+            let gates = model.gate_plan(theta);
+            for x in &plan.inputs {
+                model.forward_tape_into(x, theta, &gates, &mut scratch, &mut y, &mut tape);
+                panel.reset(k_out, k_out);
+                for d in 0..k_out {
+                    panel.set(d, d, y[d].scale(2.0));
+                }
+                let out = &mut jt_exact.as_mut_slice()[at..];
+                model.error_vjp_panel_into(&gates, &tape, theta, &mut panel, out, residuals);
+                at += k_out;
+            }
+        }
+        black_box(&jt_exact);
+        1
+    });
     // The transposed Jacobian's shape, filled with fixed values.
     let jt = RMatrix::from_fn(error_params, residuals, |r, c| {
         ((r * 31 + c * 17) as f64 * 0.01).sin()
@@ -93,8 +123,8 @@ fn bench_width(k: usize, repeats: usize) -> String {
     });
     eprintln!(
         "calibration: K = {k}: {residuals} x {error_params} fit, {iter_median:.3} s per LM \
-         iteration, Gram {:.4} s, Cholesky {:.4} s (medians of {repeats})",
-        gram.1, cholesky.1
+         iteration, Jacobian {:.4} s, Gram {:.4} s, Cholesky {:.4} s (medians of {repeats})",
+        jacobian.1, gram.1, cholesky.1
     );
     json_object(&[
         ("k", k.to_string()),
@@ -104,6 +134,8 @@ fn bench_width(k: usize, repeats: usize) -> String {
         ("repeats", repeats.to_string()),
         ("s_per_lm_iter_min", json_fixed(iter_min, 4)),
         ("s_per_lm_iter_median", json_fixed(iter_median, 4)),
+        ("jacobian_s_min", json_fixed(jacobian.0, 4)),
+        ("jacobian_s_median", json_fixed(jacobian.1, 4)),
         ("gram_s_min", json_fixed(gram.0, 4)),
         ("gram_s_median", json_fixed(gram.1, 4)),
         ("cholesky_s_min", json_fixed(cholesky.0, 4)),
@@ -129,9 +161,10 @@ fn main() {
                 "note",
                 json_str(
                     "single-thread wall seconds, on the kernel tier named above: calibrate() \
-                     per LM iteration, measurement sweep included; RMatrix::gram of an \
-                     error_params x residuals matrix; RCholesky::new of the residuals-wide \
-                     damped result. Min and median over each row's repeats",
+                     per LM iteration, measurement sweep included; the exact Jacobian's \
+                     walks (a taped forward and an error-VJP panel per probe); RMatrix::gram \
+                     of an error_params x residuals matrix; RCholesky::new of the \
+                     residuals-wide damped result. Min and median over each row's repeats",
                 ),
             ),
             ("results", json_rows(&rows)),

@@ -16,10 +16,10 @@
 use photon_exec::ExecPool;
 use rand::Rng;
 
-use photon_linalg::{CVector, LinalgError, RMatrix, RVector, C64};
+use photon_linalg::{CVector, LinalgError, RMatrix, RVector};
 use photon_photonics::{
     Architecture, ErrorVector, GatePlan, Network, NetworkError, NetworkScratch, NetworkTape,
-    OnnChip,
+    OnnChip, StatePanel,
 };
 use photon_trace::{QueryCategory, TraceEvent, TraceHandle};
 
@@ -413,36 +413,32 @@ impl LeastSquares for PowerFit<'_> {
 
     /// The exact Jacobian, one probe at a time: residual `|y_d|² − p_d`
     /// has the error gradient `2·Re(conj(y_d)·∂y_d/∂e)`, which is one
-    /// error-parameter VJP ([`Network::error_vjp_into`]) of the cotangent
-    /// `2·y_d` on detector `d` through the probe's tape. A residual whose
-    /// entry [`power_residuals`] zeroes (a dropped reading) keeps a zero
-    /// Jacobian row, as in the forward-difference default. `step` is
-    /// unused.
-    fn jacobian_t(&mut self, flat: &RVector, r: &RVector, _step: f64) -> RMatrix {
+    /// error-parameter VJP of the cotangent `2·y_d` on detector `d` through
+    /// the probe's tape. A probe's `K` detector cotangents walk its tape
+    /// together as one panel ([`Network::error_vjp_panel_into`]), whose
+    /// column `d` lands in Jᵀ column `at + d` directly, each error row's `K`
+    /// entries side by side. A residual whose entry [`power_residuals`]
+    /// zeroes (a dropped reading) keeps a zero Jacobian row, as in the
+    /// forward-difference default: its column is overwritten with `+0.0`
+    /// after the walk. `step` is unused.
+    fn jacobian_t(&mut self, flat: &RVector, r: &RVector, _step: f64, jt: &mut RMatrix) {
         let model = self.model(flat);
         let (n, m, k_out) = (flat.len(), r.len(), self.k_out);
-        let mut jt = RMatrix::zeros(n, m);
-        // One probe's gradients, one row per detector, scattered into Jᵀ's
-        // columns `at..at + k_out` once the probe is done.
-        let mut block = vec![0.0; k_out * n];
-        let mut g = CVector::zeros(k_out);
+        jt.resize_zeroed(n, m);
+        let mut panel = StatePanel::default();
         self.sweep(&model, |at, theta, gates, tape, y, target| {
-            for (d, grad) in block.chunks_exact_mut(n).enumerate() {
-                if !(y[d].norm_sqr() - target[d]).is_finite() {
-                    grad.fill(0.0);
-                    continue;
-                }
-                g.fill(C64::ZERO);
-                g[d] = y[d].scale(2.0);
-                model.error_vjp_into(gates, tape, theta, &mut g, grad);
+            panel.reset(k_out, k_out);
+            for d in 0..k_out {
+                panel.set(d, d, y[d].scale(2.0));
             }
-            for (k, row) in jt.as_mut_slice().chunks_exact_mut(m).enumerate() {
-                for (d, j) in row[at..at + k_out].iter_mut().enumerate() {
-                    *j = block[d * n + k];
+            let out = &mut jt.as_mut_slice()[at..];
+            model.error_vjp_panel_into(gates, tape, theta, &mut panel, out, m);
+            for d in 0..k_out {
+                if !(y[d].norm_sqr() - target[d]).is_finite() {
+                    out.iter_mut().skip(d).step_by(m).for_each(|j| *j = 0.0);
                 }
             }
         });
-        jt
     }
 }
 
@@ -595,7 +591,7 @@ mod tests {
     /// The exact Jᵀ agrees with the rebuild-per-column forward-difference
     /// oracle within 1e-5·max|J| through modReLU, the electro-optic
     /// activation and Reck meshes, on dual and primal plans, and a dropped
-    /// (NaN) reading leaves a zero Jacobian row in both.
+    /// (NaN) reading leaves a +0.0 Jacobian column in both.
     #[test]
     fn exact_jacobian_matches_rebuild_oracle() {
         let reck = Architecture::new(vec![
@@ -631,8 +627,10 @@ mod tests {
                 let mut exact = PowerFit::new(arch.clone(), &plan, &measured);
                 let mut oracle = RebuildOracle(PowerFit::new(arch.clone(), &plan, &measured));
                 let r = exact.residual(&x);
-                let jt = exact.jacobian_t(&x, &r, 1e-6);
-                let jt_oracle = oracle.jacobian_t(&x, &r, 1e-6);
+                let mut jt = RMatrix::zeros(0, 0);
+                exact.jacobian_t(&x, &r, 1e-6, &mut jt);
+                let mut jt_oracle = RMatrix::zeros(0, 0);
+                oracle.jacobian_t(&x, &r, 1e-6, &mut jt_oracle);
                 let scale = jt.max_abs();
                 let gap = (&jt - &jt_oracle).max_abs();
                 assert!(scale > 0.1, "{arch:?}: max|J| = {scale}");
@@ -640,9 +638,14 @@ mod tests {
                     gap <= 1e-5 * scale,
                     "{arch:?}: |ΔJ| = {gap}, max|J| = {scale}"
                 );
-                // Setting 0, input 1, detector 2 is residual 1·4 + 2.
+                // Setting 0, input 1, detector 2 is residual 1·4 + 2: its
+                // column is +0.0 exactly, not the −0.0 some error terms
+                // give for a zero cotangent.
                 for j in [&jt, &jt_oracle] {
-                    assert!((0..n).all(|k| j.row(k)[6] == 0.0), "NaN reading zeroed");
+                    assert!(
+                        (0..n).all(|k| j.row(k)[6].to_bits() == 0),
+                        "NaN reading zeroed"
+                    );
                 }
             }
         }

@@ -8,6 +8,12 @@
 //! transposed (`n × m`, one contiguous row per parameter): the dual Gram
 //! `JJᵀ` is then [`RMatrix::gram`] of it and both `Jᵀ·v` products are plain
 //! row dot products.
+//!
+//! The loop owns its large matrices — `Jᵀ`, the Gram and the damped
+//! Cholesky factor — and refills the same storage every iteration and every
+//! damping try, each from zeros as a fresh matrix would start. A fit then
+//! allocates them once instead of megabytes per iteration, whose cost would
+//! hang on the allocator's state (fresh mapped pages or reused heap).
 
 use photon_linalg::{LinalgError, RCholesky, RMatrix, RVector};
 
@@ -61,14 +67,16 @@ pub(crate) trait LeastSquares {
     /// The residual vector `r(x)`.
     fn residual(&mut self, x: &RVector) -> RVector;
 
-    /// The transposed Jacobian `Jᵀ` (`n × m`) at `x`, given `r = r(x)`.
+    /// Writes the transposed Jacobian `Jᵀ` (`n × m`) at `x`, given
+    /// `r = r(x)`, into `jt`, reshaping it; the loop passes one matrix for
+    /// the whole fit.
     ///
     /// The default is forward differences: row `k` is
     /// `(r(x + step·e_k) − r) / step`, one full residual per parameter. A
     /// problem with an exact Jacobian overrides it and ignores `step`; the
     /// default then serves as its test oracle.
-    fn jacobian_t(&mut self, x: &RVector, r: &RVector, step: f64) -> RMatrix {
-        let mut jt = RMatrix::zeros(x.len(), r.len());
+    fn jacobian_t(&mut self, x: &RVector, r: &RVector, step: f64, jt: &mut RMatrix) {
+        jt.resize_zeroed(x.len(), r.len());
         for k in 0..x.len() {
             let mut xp = x.clone();
             xp[k] += step;
@@ -77,7 +85,6 @@ pub(crate) trait LeastSquares {
                 *j = (a - b) / step;
             }
         }
-        jt
     }
 }
 
@@ -136,20 +143,31 @@ pub(crate) fn solve<P: LeastSquares + ?Sized>(
     let mut lambda = LAMBDA_INIT;
     let mut converged = false;
     let mut iterations = 0;
+    // The fit's reused storage: Jᵀ, J (primal path only), the Gram and its
+    // damped factor.
+    let (mut jt, mut j, mut gram) = (
+        RMatrix::zeros(0, 0),
+        RMatrix::zeros(0, 0),
+        RMatrix::zeros(0, 0),
+    );
+    let mut chol = RCholesky::default();
 
     for _ in 0..settings.max_iters {
         iterations += 1;
-        let jt = problem.jacobian_t(&x, &r, FD_STEP);
+        problem.jacobian_t(&x, &r, FD_STEP, &mut jt);
         // For over-parameterized fits (m < n, the common calibration case)
         // solve in the m-dimensional residual space via the push-through
         // identity (JᵀJ + λI)⁻¹Jᵀ = Jᵀ(JJᵀ + λI)⁻¹ — the factorization
         // drops from O(n³) to O(m³). The dual Gram JJᵀ is the Gram of Jᵀ's
         // columns; the primal JᵀJ needs J itself, one transposed copy.
         let dual = r.len() < n;
-        let (gram, jtr) = if dual {
-            (jt.gram(), RVector::zeros(0))
+        let jtr = if dual {
+            jt.gram_into(&mut gram);
+            RVector::zeros(0)
         } else {
-            (jt.transpose().gram(), jt.mul_vec(&r)?)
+            jt.transpose_into(&mut j);
+            j.gram_into(&mut gram);
+            jt.mul_vec(&r)?
         };
 
         // Inner damping loop: grow λ until a step is accepted. Each try
@@ -158,13 +176,10 @@ pub(crate) fn solve<P: LeastSquares + ?Sized>(
         let mut accepted = false;
         let mean_diag = (gram.trace()? / gram.rows() as f64).max(1e-12);
         for _ in 0..12 {
-            let chol = match RCholesky::new_shifted(&gram, lambda * mean_diag) {
-                Ok(c) => c,
-                Err(_) => {
-                    lambda *= LAMBDA_UP;
-                    continue;
-                }
-            };
+            if chol.refactor_shifted(&gram, lambda * mean_diag).is_err() {
+                lambda *= LAMBDA_UP;
+                continue;
+            }
             let delta = if dual {
                 let z = chol.solve(&r)?;
                 jt.mul_vec(&z)?

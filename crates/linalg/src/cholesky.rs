@@ -32,6 +32,16 @@ pub struct RCholesky {
     l: RMatrix,
 }
 
+impl Default for RCholesky {
+    /// The factor of the empty `0 × 0` matrix, whose storage
+    /// [`RCholesky::refactor_shifted`] grows on first use.
+    fn default() -> Self {
+        RCholesky {
+            l: RMatrix::zeros(0, 0),
+        }
+    }
+}
+
 impl RCholesky {
     /// Factorizes a symmetric positive-definite matrix.
     ///
@@ -58,6 +68,20 @@ impl RCholesky {
     ///
     /// As [`RCholesky::new`].
     pub fn new_shifted(a: &RMatrix, shift: f64) -> Result<Self> {
+        let mut chol = RCholesky::default();
+        chol.refactor_shifted(a, shift)?;
+        Ok(chol)
+    }
+
+    /// Factorizes `a + shift·I` into this factor's storage: the bits of
+    /// [`RCholesky::new_shifted`], reusing the allocation (the factor
+    /// starts from zeros either way). After an error the factor's contents
+    /// are unspecified until the next successful call.
+    ///
+    /// # Errors
+    ///
+    /// As [`RCholesky::new`].
+    pub fn refactor_shifted(&mut self, a: &RMatrix, shift: f64) -> Result<()> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare {
                 rows: a.rows(),
@@ -65,7 +89,8 @@ impl RCholesky {
             });
         }
         let n = a.rows();
-        let mut l = RMatrix::zeros(n, n);
+        let l = &mut self.l;
+        l.resize_zeroed(n, n);
         for i in 0..n {
             l.row_mut(i)[..i].copy_from_slice(&a.row(i)[..i]);
             l[(i, i)] = a[(i, i)] + shift;
@@ -81,8 +106,7 @@ impl RCholesky {
         } else {
             factor_lower(l.as_mut_slice(), n)
         };
-        factored.map_err(|_| LinalgError::NotPositiveDefinite)?;
-        Ok(RCholesky { l })
+        factored.map_err(|_| LinalgError::NotPositiveDefinite)
     }
 
     /// Dimension of the factorized matrix.

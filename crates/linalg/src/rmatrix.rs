@@ -244,9 +244,31 @@ impl RMatrix {
         Ok(out)
     }
 
+    /// Reshapes to `rows × cols` with every entry zero, reusing the
+    /// allocation when possible.
+    pub fn resize_zeroed(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+
     /// Transpose.
     pub fn transpose(&self) -> RMatrix {
-        RMatrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
+        let mut t = RMatrix::zeros(0, 0);
+        self.transpose_into(&mut t);
+        t
+    }
+
+    /// [`RMatrix::transpose`] into `out`, reshaped and reusing its
+    /// allocation.
+    pub fn transpose_into(&self, out: &mut RMatrix) {
+        out.resize_zeroed(self.cols, self.rows);
+        for (r, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                out.data[c * self.rows + r] = v;
+            }
+        }
     }
 
     /// Scales every entry.
@@ -331,23 +353,31 @@ impl RMatrix {
     /// columns at a time and reloading the entries the last pass stored;
     /// the lower triangle is its mirror.
     pub fn gram(&self) -> RMatrix {
+        let mut g = RMatrix::zeros(0, 0);
+        self.gram_into(&mut g);
+        g
+    }
+
+    /// [`RMatrix::gram`] into `out`, reshaped to `cols × cols` and zeroed
+    /// first: the same bits, reusing `out`'s allocation.
+    pub fn gram_into(&self, out: &mut RMatrix) {
         let n = self.cols;
-        let mut g = RMatrix::zeros(n, n);
+        out.resize_zeroed(n, n);
+        let g = &mut out.data;
         if kernel_tier() == KernelTier::Avx2 {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the AVX2 tier is only selected on hosts with AVX2.
             unsafe {
-                gram_avx2(&self.data, n, &mut g.data);
+                gram_avx2(&self.data, n, g);
             }
         } else {
-            gram_upper(&self.data, n, &mut g.data);
+            gram_upper(&self.data, n, g);
         }
         for i in 0..n {
             for j in i + 1..n {
-                g.data[j * n + i] = g.data[i * n + j];
+                g[j * n + i] = g[i * n + j];
             }
         }
-        g
     }
 
     /// Outer product `x·yᵀ`.
