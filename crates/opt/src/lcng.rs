@@ -30,8 +30,10 @@
 //! interpreted tape machinery — they need per-op forward tangents, which a
 //! fused dense matrix no longer exposes. Each call evaluates the model's
 //! op gates once at `θ` (a `GatePlan`) and records each metric input once
-//! on a per-worker tape, then pushes all `Q` directions through it; no
-//! chip query is spent.
+//! on a per-worker tape, then pushes all `Q` directions through it as one
+//! panel — one JVP and one VJP op walk per input for every direction
+//! together, each direction keeping the bits of its own walks; no chip
+//! query is spent.
 
 use photon_exec::ExecPool;
 use rand::Rng;
