@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use photon_data::{dft, dft_features, dft_naive, Image, SyntheticMnist};
+use photon_data::{dft, dft_features, dft_naive, images_to_dataset, Image, SyntheticMnist};
 use photon_linalg::random::normal_cvector;
 
 fn bench_dft(c: &mut Criterion) {
@@ -35,6 +35,13 @@ fn bench_feature_pipeline(c: &mut Criterion) {
             b.iter(|| dft_features(std::hint::black_box(&img), k))
         });
     }
+    // A task build's feature pass: the 900 images of a Table-1 task at
+    // K = 16, through one call.
+    let images = SyntheticMnist::new().generate(900, &mut rng);
+    group.sample_size(10);
+    group.bench_function("images_to_dataset", |b| {
+        b.iter(|| images_to_dataset(std::hint::black_box(&images), 16, 10))
+    });
     group.finish();
 }
 

@@ -4,14 +4,21 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 
 use photon_data::{
-    dft, dft_features, idft, Batcher, Dataset, GaussianClusters, Image, SyntheticFashion,
-    SyntheticMnist,
+    dft, dft_features, idft, images_to_dataset, Batcher, Dataset, GaussianClusters, Image,
+    SyntheticFashion, SyntheticMnist,
 };
 use photon_linalg::{CVector, C64};
 
 fn arb_cvec(n: usize) -> impl Strategy<Value = CVector> {
     proptest::collection::vec((-1.0..1.0f64, -1.0..1.0f64), n)
         .prop_map(|v| CVector::from_vec(v.into_iter().map(|(re, im)| C64::new(re, im)).collect()))
+}
+
+/// The exact bits of a complex vector's entries.
+fn bits(v: &CVector) -> Vec<u64> {
+    v.iter()
+        .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+        .collect()
 }
 
 proptest! {
@@ -65,6 +72,49 @@ proptest! {
         prop_assert_eq!(x.len(), k);
         let p = x.norm_sqr();
         prop_assert!((p - 1.0).abs() < 1e-9 || p < 1e-9);
+    }
+
+    /// One plan for a whole image set gives every image the bits of its own
+    /// `dft_features`, on sets of MNIST-like and Fashion-like images.
+    #[test]
+    fn images_to_dataset_gives_each_images_features(
+        seed in 0u64..500,
+        mnist in 0usize..21,
+        fashion in 0usize..21,
+        k in 1usize..65,
+    ) {
+        prop_assume!(mnist + fashion >= 1);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut images = SyntheticMnist::new().generate(mnist, &mut rng);
+        images.extend(SyntheticFashion::new().generate(fashion, &mut rng));
+        let ds = images_to_dataset(&images, k, 10).unwrap();
+        prop_assert_eq!(ds.len(), images.len());
+        for (i, (img, label)) in images.iter().enumerate() {
+            let (x, l) = ds.sample(i);
+            prop_assert_eq!(l, *label);
+            prop_assert_eq!(bits(x), bits(&dft_features(img, k)), "image {}", i);
+        }
+    }
+
+    /// `dft_features`, which finishes only bins `1..=k`, gives the bits of
+    /// those bins of the full `dft` of the image's signal, normalized
+    /// (class 10 stands for an all-black image).
+    #[test]
+    fn features_are_the_full_dfts_bins(
+        seed in 0u64..500,
+        class in 0usize..11,
+        fashion in 0u8..2,
+        k in 1usize..65,
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let img = match (class, fashion) {
+            (10, _) => Image::new(28, 28),
+            (c, 0) => SyntheticMnist::new().render(c, &mut rng),
+            (c, _) => SyntheticFashion::new().render(c, &mut rng),
+        };
+        let raw = dft(&CVector::from_real_slice(img.pixels())).subvector(1, k);
+        let want = raw.normalized().unwrap_or_else(|_| raw.clone());
+        prop_assert_eq!(bits(&dft_features(&img, k)), bits(&want));
     }
 
     /// Split partitions: train + test sizes add up and indices never

@@ -10,21 +10,21 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
 # Release-profile tests: the photonics and calibration crates' own suites
-# plus the root bit pins of the module layer, the calibration fit and
-# stage-2 training, the pool-size determinism suite and the panel walks
-# against the single-vector walks, so a shape check carried only by a
-# debug_assert cannot hide a release-only failure. The vendored shims stay
-# out (criterion's timing shim reads 0 ns in release).
+# plus the root bit pins of the module layer, the calibration fit,
+# stage-2 training and the DFT front end, the pool-size determinism suite
+# and the panel walks against the single-vector walks, so a shape check
+# carried only by a debug_assert cannot hide a release-only failure. The
+# vendored shims stay out (criterion's timing shim reads 0 ns in release).
 # The bit pins run on both kernel tiers: the dense f64 kernels' AVX2
 # bodies must give the portable bodies' bits, and training goes through
 # the compiled GEMM, so one set of constants answers for both.
 cargo test -q --release --offline -p photon-photonics -p photon-calib
 cargo test -q --release --offline \
     --test module_bits --test calibration_bits --test training_bits --test determinism \
-    --test panel_walks
+    --test panel_walks --test dft_bits
 PHOTON_KERNEL=scalar cargo test -q --release --offline \
     --test module_bits --test calibration_bits --test training_bits --test determinism \
-    --test panel_walks
+    --test panel_walks --test dft_bits
 cargo clippy --offline --all-targets --workspace -- -D warnings
 
 # Rustdoc gate: every photon-* crate and the facade document without a
