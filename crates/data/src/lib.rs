@@ -3,9 +3,9 @@
 //! Dataset substrate for the ONN experiments: synthetic stand-ins for MNIST
 //! and FashionMNIST (the real files are unavailable offline — see DESIGN.md
 //! for the substitution argument), a Gaussian-cluster toy task, an
-//! arbitrary-length DFT ([`dft`], Bluestein + radix-2), and the DFT feature
-//! extraction pipeline that turns 28×28 images into `K`-dimensional complex
-//! ONN inputs.
+//! arbitrary-length DFT ([`dft`], Bluestein + radix-2, run from plans), and
+//! the DFT feature extraction pipeline that turns 28×28 images into
+//! `K`-dimensional complex ONN inputs.
 //!
 //! # Examples
 //!
